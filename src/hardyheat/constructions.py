@@ -20,6 +20,7 @@ from .fracop import (Field, apply_ground_state_operator, bilinear_remainder,
                      frac_laplacian_quadrature_radial, frac_laplacian_spectral)
 from .kernel import KernelProfile, sphere_area, tail_mass_beyond
 from .quadrature import head_panels, integrate_panels, tanh_sinh_rule
+from .solver import box_energy_terms, regularized_potential
 
 __all__ = [
     "TestFunctionParams", "SupersolutionParams",
@@ -78,8 +79,7 @@ def psi_eta_mass(params: TestFunctionParams, profile: KernelProfile) -> float:
 
     r_edges = profile.sigma_grid[1:] / c
     body = integrate_panels(integrand, r_edges, order=10)
-    body += head_panels(integrand, float(r_edges[0]), ratio=1.6,
-                        scale=abs(body))
+    body += head_panels(integrand, float(r_edges[0]), scale=abs(body))
     tail = c ** (mu - N) * tail_mass_beyond(N, s, profile.sigma_max, mu=mu)
     return _psi_prefactor(params, N, s) * (sphere_area(N) * body + tail)
 
@@ -374,14 +374,12 @@ def energy_gap(h0: Field, params: ProblemParams, R: float,
     if np.any(np.abs(vals[outside]) > 1e-12 * max(vals.max(), 1e-300)):
         raise UnsupportedDatumError(
             f"datum not supported in the ball of radius {R}")
-    vol = grid.cell_volume
-    p, lam, s = params.p, params.lam, params.s
-    lhs = float(np.sum(vals ** (p + 1.0))) * vol / (p + 1.0)
-    lap = frac_laplacian_spectral(h0, s).values
-    quad = 0.5 * float(np.sum(vals * lap)) * vol
-    pot = 0.5 * lam * float(np.sum(
-        vals ** 2 / (rad ** (2.0 * s) + epsilon ** (2.0 * s)))) * vol
-    return lhs, quad - pot
+    s = params.s
+    quad, pot, react = box_energy_terms(
+        vals, frac_laplacian_spectral(h0, s).values,
+        regularized_potential(grid, s, params.lam, epsilon), params.p,
+        grid.cell_volume)
+    return react, quad - pot
 
 
 def energy_blowup_criterion(h0: Field, params: ProblemParams, R: float,

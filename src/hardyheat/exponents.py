@@ -24,6 +24,7 @@ from enum import Enum
 from scipy.special import gammaln
 
 from .errors import DomainError, RegimeAmbiguityError
+from .quadrature import bisect_root
 
 __all__ = [
     "ProblemParams", "ExponentProfile", "Regime", "PhaseRow",
@@ -109,28 +110,16 @@ def alpha_of_lambda(N: int, s: float, lam: float) -> float:
             f"coupling must lie in (0, {lam_max}] for N={N}, s={s}; got {lam}")
     if lam == lam_max:
         return 0.0
-    edge = 0.5 * (N - 2.0 * s)
-    lo, hi = 0.0, edge - _ALPHA_EDGE_MARGIN
+    hi = 0.5 * (N - 2.0 * s) - _ALPHA_EDGE_MARGIN
 
     def gap(alpha: float) -> float:
         return lambda_of_alpha(N, s, alpha) - lam
 
-    g_lo, g_hi = lam_max - lam, gap(hi)
+    g_hi = gap(hi)
     if g_hi > 0.0:
         # coupling smaller than anything the clipped bracket reaches
         return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        g = gap(mid)
-        if g == 0.0:
-            return mid
-        if g > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect_root(gap, 0.0, hi, fa=lam_max - lam, fb=g_hi)
 
 
 def pv_normalization(N: int, s: float) -> float:

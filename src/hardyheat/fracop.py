@@ -304,10 +304,8 @@ def _nonlocal_radial_integral(G, N: int, s: float, r: float, delta: float,
 
     mid = integrate_panels(integrand, _integral_edges(r, delta, knots), order)
     scale = abs(mid)
-    head = head_panels(integrand, 0.5 * r, ratio=1.6, order=order,
-                       scale=scale)
-    tail = tail_panels(integrand, 2.0 * r, ratio=1.6, order=order,
-                       scale=scale)
+    head = head_panels(integrand, 0.5 * r, order=order, scale=scale)
+    tail = tail_panels(integrand, 2.0 * r, order=order, scale=scale)
     return mid + head + tail
 
 
@@ -376,8 +374,7 @@ def _quadrature_at_origin(f, N: int, s: float, order: int) -> float:
         return (f0 - f(rho)) * omega * rho ** (-1.0 - 2.0 * s)
 
     body = integrate_panels(integrand, np.geomspace(delta, 8.0, 64), order)
-    tail = tail_panels(integrand, 8.0, ratio=1.6, order=order,
-                       scale=abs(body))
+    tail = tail_panels(integrand, 8.0, order=order, scale=abs(body))
     return core + body + tail
 
 
@@ -508,10 +505,10 @@ def build_ground_state_matrix(r_grid: np.ndarray, mu: float, N: int,
         scale = abs(kv.sum())
 
         # below the grid v continues as v[0], above as 0
-        m_below = head_panels(kern, r_lo, ratio=1.6, order=order, scale=scale)
+        m_below = head_panels(kern, r_lo, order=order, scale=scale)
         A[i, i] += pref * m_below
         A[i, 0] -= pref * m_below
-        m_above = tail_panels(kern, r_hi, ratio=1.6, order=order, scale=scale)
+        m_above = tail_panels(kern, r_hi, order=order, scale=scale)
         A[i, i] += pref * m_above
 
         # Taylor-2 core complement on a quadratic 3-point stencil

@@ -62,56 +62,69 @@ def graded_edges(start: float, stop: float, first: float, ratio: float = 1.7) ->
     return np.array(edges)
 
 
-def tail_panels(f, start: float, ratio: float = 2.0, order: int = 10,
-                rel_tol: float = 1e-14, max_panels: int = 240,
-                scale: float = 0.0) -> float:
-    """Integrate f over (start, inf) with geometrically widening panels.
+# Geometric panels: widths grow (tail) or shrink (head) by _RATIO per
+# panel, up to _MAX_PANELS of them; the sum stops after two consecutive
+# panels below _REL_TOL * max(|total|, scale).
+_RATIO = 1.6
+_REL_TOL = 1e-14
+_MAX_PANELS = 240
+_FIRST_BLOCK = 8
 
-    Stops once two consecutive panel contributions fall below
-    rel_tol * max(|accumulated|, scale). Raises QuadratureError when the
-    panel sequence does not die out.
+
+def _geometric_panels(f, edges: np.ndarray, order: int, scale: float) -> float:
+    """Sum f over the panels between consecutive `edges`, taken in order.
+
+    f is called once per block of panels.  Blocks double in size (8, 16,
+    ...): a sum that dies out early evaluates few nodes past its stop, a
+    slow one takes few calls.  The stopping rule runs over the per-panel
+    sums in order.  Raises QuadratureError when the panels do not die out
+    by the last edge.
     """
     total = 0.0
-    a = start
-    width = start
     small = 0
-    for _ in range(max_panels):
-        b = a + width
-        part = integrate_panels(f, np.array([a, b]), order)
-        total += part
-        ref = max(abs(total), scale, 1e-300)
-        if abs(part) <= rel_tol * ref:
-            small += 1
-            if small >= 2:
-                return total
-        else:
-            small = 0
-        a = b
-        width *= ratio
+    lo, block = 0, _FIRST_BLOCK
+    n = len(edges) - 1
+    while lo < n:
+        hi = min(lo + block, n)
+        seg = edges[lo:hi + 1]
+        flip = seg[0] > seg[-1]
+        nodes, weights = panel_nodes(seg[::-1] if flip else seg, order)
+        parts = np.vecdot(weights.reshape(-1, order),
+                          f(nodes).reshape(-1, order))
+        for part in (parts[::-1] if flip else parts).tolist():
+            total += part
+            if abs(part) <= _REL_TOL * max(abs(total), scale, 1e-300):
+                small += 1
+                if small >= 2:
+                    return total
+            else:
+                small = 0
+        lo, block = hi, 2 * block
     raise QuadratureError(
-        f"tail quadrature did not converge (last panel at {a:.3e})")
+        f"geometric panels from {edges[0]:.3e} did not die out by "
+        f"{edges[-1]:.3e}")
 
 
-def head_panels(f, stop: float, ratio: float = 2.0, order: int = 10,
-                rel_tol: float = 1e-14, max_panels: int = 200,
-                scale: float = 0.0) -> float:
-    """Integrate f over (0, stop) with panels shrinking geometrically to 0."""
-    total = 0.0
-    b = stop
-    small = 0
-    for _ in range(max_panels):
-        a = b / ratio
-        part = integrate_panels(f, np.array([a, b]), order)
-        total += part
-        ref = max(abs(total), scale, 1e-300)
-        if abs(part) <= rel_tol * ref:
-            small += 1
-            if small >= 2:
-                return total
-        else:
-            small = 0
-        b = a
-    return total
+def tail_panels(f, start: float, order: int = 10, scale: float = 0.0) -> float:
+    """Integrate f over (start, inf) with geometrically widening panels.
+
+    The first panel is [start, 2 start]; each next one is _RATIO times
+    wider.  Raises QuadratureError when the panel sequence does not die out.
+    """
+    widths = np.multiply.accumulate(
+        np.r_[start, np.full(_MAX_PANELS - 1, _RATIO)])
+    return _geometric_panels(f, np.add.accumulate(np.r_[start, widths]),
+                             order, scale)
+
+
+def head_panels(f, stop: float, order: int = 10, scale: float = 0.0) -> float:
+    """Integrate f over (0, stop) with panels shrinking geometrically to 0.
+
+    Panel k is [stop / _RATIO^(k+1), stop / _RATIO^k].  Raises
+    QuadratureError when the panel sequence does not die out.
+    """
+    edges = np.divide.accumulate(np.r_[stop, np.full(_MAX_PANELS, _RATIO)])
+    return _geometric_panels(f, edges, order, scale)
 
 
 def bisect_root(f, a: float, b: float, fa: float | None = None,
@@ -161,8 +174,3 @@ def tanh_sinh_rule(a: float, b: float, n_half: int = 72,
     weights = half * w
     keep = (nodes > a) & (nodes < b) & (weights > 1e-300)
     return nodes[keep], weights[keep]
-
-
-def integrate_tanh_sinh(f, a: float, b: float, n_half: int = 72) -> float:
-    nodes, weights = tanh_sinh_rule(a, b, n_half)
-    return float(np.dot(weights, f(nodes)))

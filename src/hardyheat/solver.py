@@ -163,12 +163,40 @@ def _radial_monitors(r: np.ndarray, u: np.ndarray, N: int, mu: float,
     head = u[0] * r0 ** mu
     wm = omega * (_radial_integral(r, r ** (N - 1 - mu) * u)
                   + head * r0 ** (N - 2 * mu) / (N - 2 * mu))
-    up = np.abs(u) ** p
-    crit = omega * (_radial_integral(r, r ** (N - 1 - mu) * up)
-                    + head ** p * r0 ** (N - mu * (p + 1)) / (N - mu * (p + 1)))
+    crit_power = N - mu * (p + 1)
+    if crit_power > 0.0:
+        up = np.abs(u) ** p
+        crit = omega * (_radial_integral(r, r ** (N - 1 - mu) * up)
+                        + head ** p * r0 ** crit_power / crit_power)
+    else:
+        # |u|^p |x|^{-mu} ~ r^{-mu (p+1)} is not integrable at the origin
+        crit = math.inf
     l2sq = omega * (_radial_integral(r, r ** (N - 1) * u ** 2)
                     + head ** 2 * r0 ** (N - 2 * mu) / (N - 2 * mu))
     return wm, crit, l2sq
+
+
+def regularized_potential(grid: UniformGrid, s: float, lam: float,
+                          epsilon: float) -> np.ndarray:
+    """The box potential lam / (|x|^{2s} + epsilon^{2s}) on the lattice."""
+    return lam / (grid.radius() ** (2.0 * s) + epsilon ** (2.0 * s))
+
+
+def box_energy_terms(u: np.ndarray, lap: np.ndarray, V: np.ndarray | float,
+                     p: float, vol: float) -> tuple[float, float, float]:
+    """Quadratic-form, potential and reaction terms (Q, P, R) of the box
+    energy E = Q - P - R:
+
+        Q = (1/2) <u, (-Delta)^s u>,  P = (1/2) int V u^2,
+        R = 1/(p+1) int |u|^{p+1},
+
+    as lattice sums times the cell volume `vol`; `lap` is (-Delta)^s u and
+    V the regularized potential (lam included).
+    """
+    quad = 0.5 * float(np.sum(u * lap)) * vol
+    pot = 0.5 * float(np.sum(V * u ** 2)) * vol
+    react = float(np.sum(np.abs(u) ** (p + 1.0))) * vol / (p + 1.0)
+    return quad, pot, react
 
 
 def monitor_norms(u, mu: float, p: float, lam: float, s: float,
@@ -191,13 +219,10 @@ def monitor_norms(u, mu: float, p: float, lam: float, s: float,
         wm = float(np.sum(W * vals))
         crit = float(np.sum(W * np.abs(vals) ** p))
         l2 = math.sqrt(float(np.sum(vals ** 2)) * vol)
-        rad = grid.radius()
-        lap = frac_laplacian_spectral(u, s).values
-        energy = (0.5 * float(np.sum(vals * lap)) * vol
-                  - 0.5 * lam * float(np.sum(
-                      vals ** 2 / (rad ** (2 * s) + eps ** (2 * s)))) * vol
-                  - float(np.sum(np.abs(vals) ** (p + 1))) * vol / (p + 1.0))
-        return wm, crit, l2, energy
+        quad, pot, react = box_energy_terms(
+            vals, frac_laplacian_spectral(u, s).values,
+            regularized_potential(grid, s, lam, eps), p, vol)
+        return wm, crit, l2, quad - pot - react
     if isinstance(u, RadialField):
         if N is None:
             raise DomainError("radial monitors need the dimension N")
@@ -357,8 +382,7 @@ def _run_direct(u0: Field, config: SolverConfig) -> TrajectoryReport:
         raise DomainError("the direct grid cannot represent the exact "
                           "singular potential; potential_epsilon must be "
                           "positive (defaults to one grid spacing)")
-    rad = grid.radius()
-    V = lam / (rad ** (2 * s) + eps ** (2 * s)) if lam > 0.0 else 0.0
+    V = regularized_potential(grid, s, lam, eps) if lam > 0.0 else 0.0
     symbol = spectral_symbol(grid, s)
     shape = u0.values.shape
     axes = tuple(range(grid.N))
@@ -382,10 +406,8 @@ def _run_direct(u0: Field, config: SolverConfig) -> TrajectoryReport:
         crit = float(np.sum(W * u ** p))
         l2 = math.sqrt(float(np.sum(u ** 2)) * vol)
         lap = np.fft.irfftn(symbol * np.fft.rfftn(u), s=shape, axes=axes)
-        energy = (0.5 * float(np.sum(u * lap)) * vol
-                  - 0.5 * lam * float(np.sum(u * u * V)) * vol * (1 if lam > 0 else 0)
-                  - float(np.sum(u ** (p + 1))) * vol / (p + 1.0))
-        return wm, crit, l2, energy
+        quad, pot, react = box_energy_terms(u, lap, V, p, vol)
+        return wm, crit, l2, quad - pot - react
 
     def weighted_mass(u: np.ndarray) -> float:
         return float(np.sum(W * u))

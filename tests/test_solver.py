@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hardyheat.errors import BlowupFitError, DomainError
-from hardyheat.exponents import ProblemParams
+from hardyheat.exponents import ProblemParams, exponent_profile
 from hardyheat.fracop import Field, RadialField, UniformGrid
 from hardyheat.solver import (RadialGrid, SolverConfig, estimate_blowup_time,
                               monitor_norms, run, save_trajectory,
@@ -47,6 +47,30 @@ class TestMonitors:
             lambda rr: rr ** (2 - 2 * mu) * phi(rr), 0.0, 40.0, limit=400,
             epsabs=1e-13, epsrel=1e-13)[0]
         assert wm == pytest.approx(oracle, rel=1e-6)
+
+    def test_direct_run_energy_matches_monitor_norms(self):
+        params = ProblemParams(3, 0.5, 0.5, 1.5)
+        g = UniformGrid(3, 8.0, 32)
+        u0 = Field.from_radial(g, radial_bump())
+        cfg = SolverConfig(params=params, grid=g, formulation="direct",
+                           t_max=0.01, dt_initial=0.01, n_monitor=1)
+        rep = run(u0, cfg)
+        mu = exponent_profile(3, 0.5, 0.5).mu
+        _, _, _, energy = monitor_norms(u0, mu, 1.5, 0.5, 0.5)
+        assert rep.energy_series[0] == pytest.approx(energy, rel=1e-12)
+
+    def test_critical_norm_infinite_when_origin_closure_diverges(self):
+        # N - mu (p+1) <= 0: |u|^p |x|^{-mu} ~ r^{-mu(p+1)} near the origin
+        # is not integrable against r^{N-1}
+        mu = exponent_profile(3, 0.5, 0.63).mu
+        assert 3 - mu * 4.0 <= 0.0
+        r = np.geomspace(1e-3, 20.0, 64)
+        u = RadialField(r, r ** (-mu) * radial_bump()(r),
+                        decay_exponent=-60.0)
+        _, crit, _, _ = monitor_norms(u, mu, 3.0, 0.63, 0.5, N=3)
+        assert crit == math.inf
+        _, crit, _, _ = monitor_norms(u, mu, 1.2, 0.63, 0.5, N=3)
+        assert 0.0 < crit < math.inf
 
     def test_radial_without_operator_gives_nan_energy(self):
         r = np.geomspace(1e-2, 10.0, 64)
