@@ -176,11 +176,10 @@ def _cmd_verify(args) -> int:
         report["differential_inequality_min_slack"] = slack
         ok = abs(slope - report["expected_slope"]) <= 1e-2 and slack >= -1e-6
     elif args.check == "supersolution":
-        from .constructions import choose_supersolution, supersolution_residual
+        from .constructions import choose_supersolution
         params = ProblemParams(args.N, args.s, args.lam, args.p)
         prof = build_profile(args.N, args.s, 50.0, 321)
-        sp = choose_supersolution(params, prof)
-        res = supersolution_residual(sp, params, prof)
+        sp, res = choose_supersolution(params, prof)
         report.update({"A": sp.A, "gamma": sp.gamma, "T": sp.T,
                        "min_normalized_residual": res})
         ok = res >= -1e-6

@@ -10,7 +10,7 @@ boolean where that would overstate the check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -98,18 +98,10 @@ def psi_differential_inequality(params: TestFunctionParams,
         -(-Delta)^s psi + lam psi/|x|^{2s} + (N/(2s)) eta psi >= 0.
 
     Nonnegative values certify the inequality at the sampled radii."""
-    N, s, mu = profile.N, profile.s, params.mu
-    c = params.eta ** (0.5 / s)
-    pref = _psi_prefactor(params, N, s)
-    spline = profile.interpolant()
-    tail_c = profile.tail_coefficient
+    N, s = profile.N, profile.s
 
     def psi(r):
-        r = np.asarray(r, dtype=float)
-        sig = c * r
-        H = np.where(sig <= profile.sigma_max, spline(np.minimum(sig, profile.sigma_max)),
-                     tail_c * np.maximum(sig, 1e-300) ** (-(N + 2.0 * s)))
-        return pref * r ** (-mu) * H
+        return psi_eta_value(r, params, profile)
 
     worst = math.inf
     for r in np.asarray(radii, dtype=float):
@@ -193,43 +185,14 @@ DEFAULT_CERT_RADII = tuple(np.geomspace(0.05, 4.0, 20))
 DEFAULT_CERT_TIMES = tuple(np.linspace(0.0, 9.0, 10))
 
 
-def _residual_structure(gamma: float, T: float, params: ProblemParams,
-                        profile: KernelProfile, radii, times):
-    """Per-sample-point decomposition residual(A) = A * ell - A^p * w1^p:
-    ell collects the unit-amplitude linear terms (time derivative plus the
-    full nonlocal operator minus the potential), w1 the unit-amplitude
-    profile value."""
-    N, s, lam, p = params.N, params.s, params.lam, params.p
-    theta = 2.0 * s / (p - 1.0)
-    beta = 0.5 / s
-    ells, w1s = [], []
-    for t in np.asarray(times, dtype=float):
-        tau = T + t
-
-        def w_of(rr, tau=tau):
-            rr = np.asarray(rr, dtype=float)
-            sig = rr * tau ** (-beta)
-            return (tau ** (-theta) * sig ** (-gamma)
-                    * profile.h_of_sigma(sig, allow_extension=True))
-
-        for r in np.asarray(radii, dtype=float):
-            sig = float(r * tau ** (-beta))
-            H, Hp = _profile_pair(profile, sig)
-            w1 = tau ** (-theta) * sig ** (-gamma) * H
-            w_t = (tau ** (-theta - 1.0) * sig ** (-gamma)
-                   * ((beta * gamma - theta) * H - beta * sig * Hp))
-            lap = frac_laplacian_quadrature_radial(w_of, N, s, float(r))
-            ells.append(w_t + lap - lam * w1 * r ** (-2.0 * s))
-            w1s.append(w1)
-    return np.array(ells), np.array(w1s)
-
-
 def choose_supersolution(params: ProblemParams, profile: KernelProfile,
                          T: float = 1.0, margin: float = 0.1,
                          radii=DEFAULT_CERT_RADII,
-                         times=DEFAULT_CERT_TIMES) -> SupersolutionParams:
+                         times=DEFAULT_CERT_TIMES
+                         ) -> tuple[SupersolutionParams, float]:
     """Pick (gamma, A) so the family dominates its own nonlinearity on the
-    sampled window.
+    sampled window; returns the parameters with their certified residual
+    (the supersolution_residual of the pick, from the same quadratures).
 
     gamma is the midpoint of (mu, min(2s/(p-1), mu_bar)); the upper cap at
     mu_bar keeps the power coupling above lambda, without which the
@@ -249,14 +212,18 @@ def choose_supersolution(params: ProblemParams, profile: KernelProfile,
     theta = 2.0 * s / (p - 1.0)
     beta = 0.5 / s
     gamma = 0.5 * (prof.mu + min(2.0 * s / (p - 1.0), prof.mu_bar))
-    ells, w1s = _residual_structure(gamma, T, params, profile, radii, times)
-    if np.any(ells <= 0.0):
+    unit = SupersolutionParams(A=1.0, gamma=gamma, T=T, theta=theta,
+                               beta=beta)
+    terms = _supersolution_terms(unit, params, profile, radii, times)
+    w1, w_t, lap, pot = terms
+    ell = w_t + lap - pot
+    if np.any(ell <= 0.0):
         raise DomainError(
             "linear residual terms change sign on the sampled window; "
             "shrink the radius window")
-    bound = float(np.min(ells / w1s ** p))
+    bound = float(np.min(ell / w1 ** p))
     A = ((1.0 - margin) * bound) ** (1.0 / (p - 1.0))
-    return SupersolutionParams(A=A, gamma=gamma, T=T, theta=theta, beta=beta)
+    return replace(unit, A=A), _min_normalized_residual(A, p, *terms)
 
 
 def _profile_pair(profile: KernelProfile, sigma: float) -> tuple[float, float]:
@@ -281,6 +248,44 @@ def supersolution_value(sp: SupersolutionParams, profile: KernelProfile,
     return out
 
 
+def _supersolution_terms(unit: SupersolutionParams, params: ProblemParams,
+                         profile: KernelProfile, radii, times) -> np.ndarray:
+    """Rows (w, w_t, (-Delta)^s w, lam w/r^{2s}) of the unit-amplitude
+    family, one column per sample point (times outer, radii inner).
+
+    Every term but the reaction w^p is linear in the amplitude, so these
+    four rows give the residual at any amplitude.
+    """
+    N, s, lam = params.N, params.s, params.lam
+    cols = []
+    for t in np.asarray(times, dtype=float):
+        tau = unit.T + t
+
+        def w_of(rr, t=t):
+            return supersolution_value(unit, profile, rr, t)
+
+        for r in np.asarray(radii, dtype=float):
+            sig = float(r * tau ** (-unit.beta))
+            H, Hp = _profile_pair(profile, sig)
+            w = float(w_of(r))
+            w_t = (tau ** (-unit.theta - 1.0) * sig ** (-unit.gamma)
+                   * ((unit.beta * unit.gamma - unit.theta) * H
+                      - unit.beta * sig * Hp))
+            lap = frac_laplacian_quadrature_radial(w_of, N, s, float(r))
+            cols.append((w, w_t, lap, lam * w * r ** (-2.0 * s)))
+    return np.array(cols).T
+
+
+def _min_normalized_residual(A: float, p: float, w1, w_t, lap, pot) -> float:
+    """Min over the sample of the residual at amplitude A of the terms of
+    _supersolution_terms, normalized per point by its term magnitudes."""
+    w, w_t, lap, pot = A * w1, A * w_t, A * lap, A * pot
+    reac = w ** p
+    res = w_t + lap - pot - reac
+    scale = np.abs(w_t) + np.abs(lap) + pot + reac
+    return float(np.min(res / scale))
+
+
 def supersolution_residual(sp: SupersolutionParams, params: ProblemParams,
                            profile: KernelProfile,
                            radii=DEFAULT_CERT_RADII,
@@ -294,31 +299,9 @@ def supersolution_residual(sp: SupersolutionParams, params: ProblemParams,
     window (the mixed nonlocal term is negative and eventually dominates),
     so the window is part of the certificate.
     """
-    N, s, lam, p = params.N, params.s, params.lam, params.p
-    worst = math.inf
-    for t in np.asarray(times, dtype=float):
-        tau = sp.T + t
-
-        def w_of(rr, tau=tau):
-            rr = np.asarray(rr, dtype=float)
-            sig = rr * tau ** (-sp.beta)
-            return (sp.A * tau ** (-sp.theta) * sig ** (-sp.gamma)
-                    * profile.h_of_sigma(sig, allow_extension=True))
-
-        for r in np.asarray(radii, dtype=float):
-            sig = float(r * tau ** (-sp.beta))
-            H, Hp = _profile_pair(profile, sig)
-            w = sp.A * tau ** (-sp.theta) * sig ** (-sp.gamma) * H
-            w_t = (sp.A * tau ** (-sp.theta - 1.0) * sig ** (-sp.gamma)
-                   * ((sp.beta * sp.gamma - sp.theta) * H
-                      - sp.beta * sig * Hp))
-            lap = frac_laplacian_quadrature_radial(w_of, N, s, float(r))
-            pot = lam * w * r ** (-2.0 * s)
-            reac = w ** p
-            res = w_t + lap - pot - reac
-            scale = abs(w_t) + abs(lap) + pot + reac
-            worst = min(worst, res / scale)
-    return worst
+    terms = _supersolution_terms(replace(sp, A=1.0), params, profile,
+                                 radii, times)
+    return _min_normalized_residual(sp.A, params.p, *terms)
 
 
 def supersolution_mixed_remainder(sp: SupersolutionParams,

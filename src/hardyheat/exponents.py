@@ -33,8 +33,9 @@ __all__ = [
     "phase_table", "phase_table_csv",
 ]
 
-# Right endpoint of the alpha bracket is pulled in by this margin; the
-# denominator Gamma has a pole exactly at alpha = (N-2s)/2.
+# Right endpoint of the alpha bracket is pulled in by this margin, or by
+# half the bracket when N - 2s is tinier still; the denominator Gamma has a
+# pole exactly at alpha = (N-2s)/2.
 _ALPHA_EDGE_MARGIN = 1e-13
 
 
@@ -110,7 +111,8 @@ def alpha_of_lambda(N: int, s: float, lam: float) -> float:
             f"coupling must lie in (0, {lam_max}] for N={N}, s={s}; got {lam}")
     if lam == lam_max:
         return 0.0
-    hi = 0.5 * (N - 2.0 * s) - _ALPHA_EDGE_MARGIN
+    half = 0.5 * (N - 2.0 * s)
+    hi = half - min(_ALPHA_EDGE_MARGIN, 0.5 * half)
 
     def gap(alpha: float) -> float:
         return lambda_of_alpha(N, s, alpha) - lam

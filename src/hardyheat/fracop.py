@@ -192,6 +192,12 @@ def frac_laplacian_spectral(fld: Field, s: float) -> Field:
 
 _THETA_ZETA_EDGES = np.concatenate([[0.0], np.geomspace(1e-10, 1.0, 29)])
 
+# Core-ball radius of callables as a fraction of r, and the Gauss order of
+# the pointwise evaluators and of the collocation matrix.
+_DELTA_FRAC = 1.0 / 64.0
+_ORDER = 10
+_MATRIX_ORDER = 8
+
 
 def _angular_cut(N: int, s: float, r: float, rho: np.ndarray,
                  dmin: np.ndarray, order: int = 8) -> np.ndarray:
@@ -275,12 +281,12 @@ def _as_callable(f):
     return f if callable(f) else RadialField(*f)
 
 
-def _integral_edges(r: float, delta: float, knots: np.ndarray | None,
-                    ratio: float = 1.7) -> np.ndarray:
+def _integral_edges(r: float, delta: float,
+                    knots: np.ndarray | None) -> np.ndarray:
     """Panel edges on [r/2, 2r]: graded into the cut region from both
     sides, with any interpolation knots inside the window inserted."""
-    left = r - graded_edges(delta, 0.5 * r, delta, ratio)[::-1]
-    right = r + graded_edges(delta, r, delta, ratio)
+    left = r - graded_edges(delta, 0.5 * r, delta)[::-1]
+    right = r + graded_edges(delta, r, delta)
     cut = np.linspace(r - delta, r + delta, 5)
     pieces = [left, cut, right]
     if knots is not None:
@@ -291,8 +297,7 @@ def _integral_edges(r: float, delta: float, knots: np.ndarray | None,
 
 
 def _nonlocal_radial_integral(G, N: int, s: float, r: float, delta: float,
-                              knots: np.ndarray | None = None,
-                              order: int = 10) -> float:
+                              knots: np.ndarray | None) -> float:
     """int_0^inf G(rho) rho^{N-1} K_N^delta(r, rho) drho.
 
     G must be vectorized; the head (rho -> 0) and tail (rho -> inf) are
@@ -302,14 +307,14 @@ def _nonlocal_radial_integral(G, N: int, s: float, r: float, delta: float,
     def integrand(rho):
         return G(rho) * rho ** (N - 1) * _cut_kernel(N, s, r, rho, delta)
 
-    mid = integrate_panels(integrand, _integral_edges(r, delta, knots), order)
+    mid = integrate_panels(integrand, _integral_edges(r, delta, knots), _ORDER)
     scale = abs(mid)
-    head = head_panels(integrand, 0.5 * r, order=order, scale=scale)
-    tail = tail_panels(integrand, 2.0 * r, order=order, scale=scale)
+    head = head_panels(integrand, 0.5 * r, order=_ORDER, scale=scale)
+    tail = tail_panels(integrand, 2.0 * r, order=_ORDER, scale=scale)
     return mid + head + tail
 
 
-def _resolve_delta(f, r: float, delta_frac: float) -> float:
+def _resolve_delta(f, r: float) -> float:
     """Core radius: two local grid spacings for tabulated fields, a fixed
     fraction of r for callables (keeps the quadrature scale-covariant)."""
     if isinstance(f, RadialField):
@@ -317,7 +322,7 @@ def _resolve_delta(f, r: float, delta_frac: float) -> float:
         i = int(np.clip(np.searchsorted(grid, r), 1, len(grid) - 1))
         local = grid[i] - grid[i - 1]
         return min(2.0 * local, 0.25 * r)
-    return delta_frac * r
+    return _DELTA_FRAC * r
 
 
 def _check_field_tail(f, s: float) -> None:
@@ -327,13 +332,12 @@ def _check_field_tail(f, s: float) -> None:
             "singular integral diverge")
 
 
-def frac_laplacian_quadrature_radial(f, N: int, s: float, r: float, *,
-                                     delta_frac: float = 1.0 / 64.0,
-                                     order: int = 10) -> float:
+def frac_laplacian_quadrature_radial(f, N: int, s: float, r: float) -> float:
     """(-Delta)^s of a radial function at radius r by P.V. quadrature.
 
-    The ball |y - x| < delta is excluded and replaced by its second-order
-    Taylor complement -Delta f(r)/(2N) * core moment; the remaining shell
+    For r > 0 this is the ground-state operator at mu = 0: the ball
+    |y - x| < delta is excluded and replaced by its second-order Taylor
+    complement -Delta f(r)/(2N) * core moment, and the remaining shell
     integral uses the exact cut kernels.  Includes the P.V. normalization
     constant.
     """
@@ -341,22 +345,13 @@ def frac_laplacian_quadrature_radial(f, N: int, s: float, r: float, *,
         raise DomainError("fractional order must lie in (0,1)")
     if r < 0.0:
         raise DomainError("radius must be nonnegative")
-    _check_field_tail(f, s)
-    a = pv_normalization(N, s)
     if r == 0.0:
-        return a * _quadrature_at_origin(f, N, s, order)
-    delta = _resolve_delta(f, r, delta_frac)
-    f0, f1, f2 = _local_derivatives(f, r, delta / 3.0)
-    core = -(f2 + (N - 1) * f1 / r) / (2.0 * N) * _core_moment(N, s, delta)
-
-    def G(rho):
-        return f0 - f(rho)
-
-    far = _nonlocal_radial_integral(G, N, s, r, delta, _knots_of(f), order)
-    return a * (core + far)
+        _check_field_tail(f, s)
+        return pv_normalization(N, s) * _quadrature_at_origin(f, N, s)
+    return apply_ground_state_operator(f, 0.0, N, s, r)
 
 
-def _quadrature_at_origin(f, N: int, s: float, order: int) -> float:
+def _quadrature_at_origin(f, N: int, s: float) -> float:
     """At r = 0 every direction is equivalent: the kernel is exactly
     omega_{N-1} rho^{-(N+2s)} outside the core ball."""
     if isinstance(f, RadialField):
@@ -373,8 +368,8 @@ def _quadrature_at_origin(f, N: int, s: float, order: int) -> float:
     def integrand(rho):
         return (f0 - f(rho)) * omega * rho ** (-1.0 - 2.0 * s)
 
-    body = integrate_panels(integrand, np.geomspace(delta, 8.0, 64), order)
-    tail = tail_panels(integrand, 8.0, order=order, scale=abs(body))
+    body = integrate_panels(integrand, np.geomspace(delta, 8.0, 64), _ORDER)
+    tail = tail_panels(integrand, 8.0, order=_ORDER, scale=abs(body))
     return core + body + tail
 
 
@@ -382,9 +377,7 @@ def _knots_of(f) -> np.ndarray | None:
     return f.r_grid if isinstance(f, RadialField) else None
 
 
-def bilinear_remainder(w, v, N: int, s: float, r: float, *,
-                       delta_frac: float = 1.0 / 64.0,
-                       order: int = 10) -> float:
+def bilinear_remainder(w, v, N: int, s: float, r: float) -> float:
     """int (w(x)-w(y)) (v(x)-v(y)) |x-y|^{-(N+2s)} dy for radial w, v.
 
     No normalization constant; the integrand is only |x-y|^{2-N-2s}
@@ -392,8 +385,7 @@ def bilinear_remainder(w, v, N: int, s: float, r: float, *,
     """
     _check_field_tail(w, s)
     _check_field_tail(v, s)
-    delta = min(_resolve_delta(w, r, delta_frac),
-                _resolve_delta(v, r, delta_frac))
+    delta = min(_resolve_delta(w, r), _resolve_delta(v, r))
     w0, w1, _ = _local_derivatives(w, r, delta / 3.0)
     v0, v1, _ = _local_derivatives(v, r, delta / 3.0)
     core = w1 * v1 / N * _core_moment(N, s, delta)
@@ -404,13 +396,12 @@ def bilinear_remainder(w, v, N: int, s: float, r: float, *,
     knots = _knots_of(w)
     if knots is None:
         knots = _knots_of(v)
-    far = _nonlocal_radial_integral(G, N, s, r, delta, knots, order)
+    far = _nonlocal_radial_integral(G, N, s, r, delta, knots)
     return core + far
 
 
-def apply_ground_state_operator(v, mu: float, N: int, s: float, r: float, *,
-                                delta_frac: float = 1.0 / 64.0,
-                                order: int = 10) -> float:
+def apply_ground_state_operator(v, mu: float, N: int, s: float,
+                                r: float) -> float:
     """Ground-state operator L v(r) with kernel
     |x|^{-mu} |y|^{-mu} |x-y|^{-(N+2s)} (P.V., with normalization).
 
@@ -424,7 +415,7 @@ def apply_ground_state_operator(v, mu: float, N: int, s: float, r: float, *,
         raise DomainError("ground-state operator needs r > 0")
     _check_field_tail(v, s)
     a = pv_normalization(N, s)
-    delta = _resolve_delta(v, r, delta_frac)
+    delta = _resolve_delta(v, r)
     v0, v1, v2 = _local_derivatives(v, r, delta / 3.0)
     lap_r = v2 + (N - 1) * v1 / r
     core = (r ** (-2.0 * mu) * _core_moment(N, s, delta)
@@ -433,7 +424,7 @@ def apply_ground_state_operator(v, mu: float, N: int, s: float, r: float, *,
     def G(rho):
         return (v0 - v(rho)) * rho ** (-mu)
 
-    far = _nonlocal_radial_integral(G, N, s, r, delta, _knots_of(v), order)
+    far = _nonlocal_radial_integral(G, N, s, r, delta, _knots_of(v))
     return a * (r ** (-mu) * far + core)
 
 
@@ -464,7 +455,7 @@ def verify_power_solution(N: int, s: float, alpha: float, radii) -> float:
 
 
 def build_ground_state_matrix(r_grid: np.ndarray, mu: float, N: int,
-                              s: float, order: int = 8) -> np.ndarray:
+                              s: float) -> np.ndarray:
     """Dense collocation matrix A with (A v)_i ~ L v(r_i).
 
     Piecewise-linear interpolation of v inside the grid, constant
@@ -495,7 +486,7 @@ def build_ground_state_matrix(r_grid: np.ndarray, mu: float, N: int,
         edges = np.unique(np.concatenate(
             [r_grid, _integral_edges(r, delta, None)]))
         edges = edges[(edges >= r_lo) & (edges <= r_hi)]
-        nodes, wts = panel_nodes(edges, order)
+        nodes, wts = panel_nodes(edges, _MATRIX_ORDER)
         kv = wts * kern(nodes)
         A[i, i] += pref * kv.sum()
         j = np.clip(np.searchsorted(r_grid, nodes), 1, n - 1)
@@ -505,10 +496,10 @@ def build_ground_state_matrix(r_grid: np.ndarray, mu: float, N: int,
         scale = abs(kv.sum())
 
         # below the grid v continues as v[0], above as 0
-        m_below = head_panels(kern, r_lo, order=order, scale=scale)
+        m_below = head_panels(kern, r_lo, order=_MATRIX_ORDER, scale=scale)
         A[i, i] += pref * m_below
         A[i, 0] -= pref * m_below
-        m_above = tail_panels(kern, r_hi, order=order, scale=scale)
+        m_above = tail_panels(kern, r_hi, order=_MATRIX_ORDER, scale=scale)
         A[i, i] += pref * m_above
 
         # Taylor-2 core complement on a quadratic 3-point stencil

@@ -41,11 +41,14 @@ def integrate_panels(f, edges: np.ndarray, order: int = 10) -> float:
     return float(np.dot(weights, f(nodes)))
 
 
-def graded_edges(start: float, stop: float, first: float, ratio: float = 1.7) -> np.ndarray:
+_GRADED_RATIO = 1.7
+
+
+def graded_edges(start: float, stop: float, first: float) -> np.ndarray:
     """Edges from start to stop with widths growing geometrically from `first`.
 
-    The fine end is at `start`; panels widen by `ratio` until `stop` is
-    reached. start < stop required.
+    The fine end is at `start`; panels widen by _GRADED_RATIO until `stop`
+    is reached. start < stop required.
     """
     if stop <= start:
         return np.array([start])
@@ -55,7 +58,7 @@ def graded_edges(start: float, stop: float, first: float, ratio: float = 1.7) ->
     while pos + width < stop:
         pos += width
         edges.append(pos)
-        width *= ratio
+        width *= _GRADED_RATIO
         if len(edges) > 400:
             break
     edges.append(stop)

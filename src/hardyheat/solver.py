@@ -73,7 +73,6 @@ class SolverConfig:
     blowup_threshold: float = 1e6
     formulation: str = "direct"              # "direct" | "ground_state"
     diffusion: str = "exponential"           # box: "exponential" | "implicit"
-    theta: float = 0.5                       # radial theta-scheme weight
     reaction_enabled: bool = True
     adapt: bool = True
     n_monitor: int = 64
@@ -447,6 +446,10 @@ def _run_direct(u0: Field, config: SolverConfig) -> TrajectoryReport:
                     p, store=lambda u: u.copy())
 
 
+# implicit weight of the radial theta-scheme (Crank-Nicolson)
+_THETA = 0.5
+
+
 def _run_ground_state(u_init: np.ndarray, config: SolverConfig) -> TrajectoryReport:
     params = config.params
     N, s, lam, p = params.N, params.s, params.lam, params.p
@@ -457,7 +460,6 @@ def _run_ground_state(u_init: np.ndarray, config: SolverConfig) -> TrajectoryRep
     A = build_ground_state_matrix(r, mu, N, s)
     B = (r ** (2.0 * mu))[:, None] * A
     eye = np.eye(len(r))
-    theta = config.theta
     rfac = r ** (mu * (1.0 - p))
     omega = sphere_area(N)
 
@@ -476,7 +478,7 @@ def _run_ground_state(u_init: np.ndarray, config: SolverConfig) -> TrajectoryRep
         if fac is None:
             if len(lu_cache) > 24:
                 lu_cache.clear()
-            fac = lu_factor(eye + dt * theta * B)
+            fac = lu_factor(eye + dt * _THETA * B)
             lu_cache[dt] = fac
         return fac
 
@@ -496,7 +498,7 @@ def _run_ground_state(u_init: np.ndarray, config: SolverConfig) -> TrajectoryRep
         return float(tw @ vv)
 
     def step(vv: np.ndarray, dt: float) -> np.ndarray:
-        rhs = vv - dt * (1.0 - theta) * (B @ vv)
+        rhs = vv - dt * (1.0 - _THETA) * (B @ vv)
         if config.reaction_enabled:
             rhs = rhs + dt * rfac * vv ** p
         v_new = lu_solve(factor(dt), rhs)
@@ -565,17 +567,17 @@ def _advance(state, config, step, rate, monitors, weighted_mass, p,
                 rec.fields.append((t, store(state)))
             next_cp += 1
         if y > config.blowup_threshold:
-            if not hit_cp:
-                rec.record(t, *monitors(state))
-                if config.store_fields:
-                    rec.fields.append((t, store(state)))
-            verdict = _blowup_verdict(rec, p, "weighted mass over threshold")
-            break
-        if float(np.max(state)) > config.u_cap:
-            if not hit_cp:
-                rec.record(t, *monitors(state))
-            verdict = _blowup_verdict(rec, p, "amplitude over cap")
-            break
+            reason = "weighted mass over threshold"
+        elif float(np.max(state)) > config.u_cap:
+            reason = "amplitude over cap"
+        else:
+            continue
+        if not hit_cp:
+            rec.record(t, *monitors(state))
+            if config.store_fields:
+                rec.fields.append((t, store(state)))
+        verdict = _blowup_verdict(rec, p, reason)
+        break
     if verdict is None:
         verdict = Verdict("inconclusive", reason="step budget exhausted")
     return rec.report(verdict, config, r_grid=r_grid)

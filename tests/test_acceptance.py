@@ -145,7 +145,7 @@ def test_criterion_4_psi_eta_machinery(prof_3_05):
 
 def test_criterion_5_supersolution(prof_3_05):
     params = ProblemParams(3, 0.5, 0.5, 2.0)
-    sp = choose_supersolution(params, prof_3_05)
+    sp, _ = choose_supersolution(params, prof_3_05)
     gamma_ok = abs(sp.gamma - 0.75) <= 1e-12
     res = supersolution_residual(sp, params, prof_3_05)   # 20 x 10 sample
     # negative control: inflate A past the margin
@@ -224,7 +224,7 @@ def test_criterion_6b_sub_fujita_blowup():
 
 def test_criterion_6c_conditional_global(prof_3_05):
     params = ProblemParams(3, 0.5, 0.5, 2.0)
-    sp = choose_supersolution(params, prof_3_05)
+    sp, _ = choose_supersolution(params, prof_3_05)
     rg = RadialGrid(1e-3, 20.0, 192)
     u0 = 0.5 * supersolution_value(sp, prof_3_05, rg.r, 0.0)
     cfg = SolverConfig(params=params, grid=rg, formulation="ground_state",

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ import pytest
 from conftest import poisson_profile
 from hardyheat.errors import DomainError, UnsupportedDatumError
 from hardyheat.exponents import ProblemParams, exponent_profile
-from hardyheat.fracop import Field, UniformGrid
+from hardyheat.fracop import (Field, UniformGrid,
+                              frac_laplacian_quadrature_radial)
 from hardyheat.constructions import (SupersolutionParams, TestFunctionParams,
+                                     _supersolution_terms,
                                      choose_supersolution,
                                      critical_case_constants,
                                      energy_blowup_criterion, energy_gap,
@@ -97,7 +100,7 @@ class TestPredictor:
 
 class TestSupersolution:
     def test_choice_canonical_instance(self, prof_3_05):
-        sp = choose_supersolution(PARAMS, prof_3_05)
+        sp, _ = choose_supersolution(PARAMS, prof_3_05)
         assert sp.gamma == pytest.approx(0.75, abs=1e-12)
         assert sp.A > 0.0
         assert sp.theta * (PARAMS.p - 1.0) == pytest.approx(2 * PARAMS.s,
@@ -111,12 +114,37 @@ class TestSupersolution:
             choose_supersolution(ProblemParams(3, 0.5, 0.5, 1.4), prof_3_05)
 
     def test_residual_certifies(self, prof_3_05):
-        sp = choose_supersolution(PARAMS, prof_3_05)
+        sp, certified = choose_supersolution(PARAMS, prof_3_05)
         res = supersolution_residual(sp, PARAMS, prof_3_05)
         assert res >= -1e-6
+        assert res == certified
+
+    def test_term_table_matches_direct_evaluation(self, prof_3_05):
+        sp, _ = choose_supersolution(PARAMS, prof_3_05)
+        radii, times = [0.1, 1.0, 3.0], [0.0, 5.0]
+        w1, w_t, lap, pot = _supersolution_terms(
+            replace(sp, A=1.0), PARAMS, prof_3_05, radii, times)
+        h = 1e-4
+        k = 0
+        for t in times:
+            for r in radii:
+                def w_of(rr, t=t):
+                    return supersolution_value(sp, prof_3_05, rr, t)
+
+                w = float(w_of(r))
+                direct = frac_laplacian_quadrature_radial(w_of, 3, 0.5, r)
+                dwdt = (float(supersolution_value(sp, prof_3_05, r, t + h))
+                        - float(supersolution_value(sp, prof_3_05, r, t - h))
+                        ) / (2 * h)
+                assert sp.A * lap[k] == pytest.approx(direct, rel=1e-10)
+                assert sp.A * w1[k] == pytest.approx(w, rel=1e-14)
+                assert sp.A * pot[k] == pytest.approx(
+                    PARAMS.lam * w / r, rel=1e-14)
+                assert sp.A * w_t[k] == pytest.approx(dwdt, rel=1e-6)
+                k += 1
 
     def test_inflated_amplitude_fails(self, prof_3_05):
-        sp = choose_supersolution(PARAMS, prof_3_05)
+        sp, _ = choose_supersolution(PARAMS, prof_3_05)
         radii = np.geomspace(0.05, 4.0, 8)
         times = [0.0, 4.0]
         failed = False
@@ -132,7 +160,7 @@ class TestSupersolution:
         assert failed
 
     def test_mixed_remainder_nonnegative(self, prof_3_05):
-        sp = choose_supersolution(PARAMS, prof_3_05)
+        sp, _ = choose_supersolution(PARAMS, prof_3_05)
         worst = supersolution_mixed_remainder(sp, prof_3_05,
                                               np.geomspace(0.1, 5.0, 6))
         assert worst >= 0.0
@@ -140,7 +168,7 @@ class TestSupersolution:
     def test_self_similar_identity(self, prof_3_05):
         # w = A (T+t)^{-theta + gamma/(2s) + N/(2s)} |x|^{-gamma} h(x, t+T)
         from hardyheat.kernel import h_value
-        sp = choose_supersolution(PARAMS, prof_3_05)
+        sp, _ = choose_supersolution(PARAMS, prof_3_05)
         for (r, t) in [(0.5, 0.0), (1.5, 2.0), (3.0, 7.5)]:
             tau = sp.T + t
             direct = float(supersolution_value(sp, prof_3_05, r, t))

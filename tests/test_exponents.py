@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardyheat.errors import DomainError, RegimeAmbiguityError
 from hardyheat.exponents import (ProblemParams, Regime,
@@ -103,6 +105,11 @@ class TestInversion:
             for lam in np.linspace(lam_max / 50, lam_max, 30):
                 back = lambda_of_alpha(N, s, alpha_of_lambda(N, s, lam))
                 assert abs(back - lam) <= 1e-12 * lam
+
+    def test_bracket_when_n_minus_2s_is_below_the_edge_margin(self):
+        N, s = 1, 0.49999999999999994
+        alpha = alpha_of_lambda(N, s, 1e-6 * hardy_constant(N, s))
+        assert 0.0 <= alpha < 0.5 * (N - 2 * s)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -243,3 +250,40 @@ class TestPhaseTable:
         cells = lines[1].split(",")
         assert len(cells) == 6
         assert float(cells[0]) == 0.5
+
+
+@st.composite
+def couplings(draw):
+    """(N, s, lambda) with N in 1..5, s in [0.05, 0.95], N > 2s and
+    lambda / Lambda(N, s) in [1e-3, 1]."""
+    N = draw(st.integers(1, 5))
+    s = draw(st.floats(0.05, 0.95).filter(lambda v: N > 2.0 * v))
+    frac = draw(st.floats(1e-3, 1.0))
+    return N, s, frac * hardy_constant(N, s)
+
+
+PROPERTY_SETTINGS = settings(derandomize=True, database=None,
+                             max_examples=300, deadline=None)
+
+
+class TestExponentProperties:
+    @PROPERTY_SETTINGS
+    @given(couplings())
+    def test_fujita_below_p_minus_below_p_plus(self, point):
+        # N - mu = mu_bar + 2s > mu_bar, so F < p_minus always
+        prof = exponent_profile(*point)
+        assert 1.0 < prof.fujita < prof.p_minus <= prof.p_plus
+
+    @PROPERTY_SETTINGS
+    @given(couplings())
+    def test_conjugate_sum(self, point):
+        N, s, lam = point
+        prof = exponent_profile(N, s, lam)
+        assert abs(prof.mu + prof.mu_bar - (N - 2 * s)) <= 1e-12
+
+    @PROPERTY_SETTINGS
+    @given(couplings())
+    def test_lambda_alpha_round_trip(self, point):
+        N, s, lam = point
+        back = lambda_of_alpha(N, s, alpha_of_lambda(N, s, lam))
+        assert abs(back - lam) <= 1e-10 * lam

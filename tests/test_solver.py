@@ -157,6 +157,17 @@ class TestRunBasics:
 
 
 class TestDynamics:
+    def test_amplitude_cap_exit_stores_final_field(self):
+        cfg = SolverConfig(params=ProblemParams(3, 0.5, 0.2, 1.3),
+                           grid=RadialGrid(1e-3, 1e3, 64),
+                           formulation="ground_state", t_max=40.0,
+                           u_cap=50.0, blowup_threshold=1e30,
+                           store_fields=True)
+        rep = run(radial_bump(), cfg)
+        assert rep.verdict.kind == "blew_up"
+        assert rep.fields[-1][0] == rep.times[-1]
+        assert np.max(rep.fields[-1][1]) > 50.0
+
     def test_sub_fujita_blowup(self):
         cfg = SolverConfig(params=PARAMS_SUB, grid=RG,
                            formulation="ground_state", t_max=300.0,
@@ -222,7 +233,7 @@ class TestCompareSupersolution:
                                              supersolution_value)
         from hardyheat.solver import TrajectoryReport, Verdict, compare_supersolution
         params = ProblemParams(3, 0.5, 0.5, 2.0)
-        sp = choose_supersolution(params, prof_3_05)
+        sp, _ = choose_supersolution(params, prof_3_05)
         r = np.geomspace(1e-3, 20.0, 64)
         w0 = supersolution_value(sp, prof_3_05, r, 0.0)
 
