@@ -280,8 +280,9 @@ def _cmd_sweep(args) -> int:
               args.t_max, args.dt_initial, args.blowup_threshold)
              for lam in lam_grid for p in p_grid]
     if args.jobs > 1:
+        # whole lambda rows per worker: each builds a row's operator once
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_one, tasks))
+            results = list(pool.map(_run_one, tasks, chunksize=len(p_grid)))
     else:
         results = [_run_one(t) for t in tasks]
     results.sort(key=lambda row: (row[0], row[1]))

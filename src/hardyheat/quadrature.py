@@ -42,13 +42,15 @@ def integrate_panels(f, edges: np.ndarray, order: int = 10) -> float:
 
 
 _GRADED_RATIO = 1.7
+_GRADED_MAX_EDGES = 400
 
 
 def graded_edges(start: float, stop: float, first: float) -> np.ndarray:
     """Edges from start to stop with widths growing geometrically from `first`.
 
     The fine end is at `start`; panels widen by _GRADED_RATIO until `stop`
-    is reached. start < stop required.
+    is reached. start < stop required.  Raises QuadratureError when that
+    takes more than _GRADED_MAX_EDGES edges.
     """
     if stop <= start:
         return np.array([start])
@@ -56,11 +58,13 @@ def graded_edges(start: float, stop: float, first: float) -> np.ndarray:
     width = first
     pos = start
     while pos + width < stop:
+        if len(edges) > _GRADED_MAX_EDGES:
+            raise QuadratureError(
+                f"graded panels from {start:.3e} (first width {first:.3e}) "
+                f"do not reach {stop:.3e} within {_GRADED_MAX_EDGES} edges")
         pos += width
         edges.append(pos)
         width *= _GRADED_RATIO
-        if len(edges) > 400:
-            break
     edges.append(stop)
     return np.array(edges)
 

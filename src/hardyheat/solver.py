@@ -21,6 +21,7 @@ inconclusive.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field as dc_field
@@ -29,7 +30,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import lu_factor, lu_solve
 
-from .errors import BlowupFitError, DomainError
+from .errors import BlowupFitError, DomainError, QuadratureError
 from .exponents import ProblemParams, exponent_profile
 from .fracop import (Field, RadialField, UniformGrid,
                      build_ground_state_matrix, frac_laplacian_spectral,
@@ -38,8 +39,9 @@ from .kernel import sphere_area
 
 __all__ = [
     "RadialGrid", "SolverConfig", "Verdict", "TrajectoryReport",
-    "run", "monitor_norms", "estimate_blowup_time",
-    "tail_linearity_residual", "compare_supersolution", "save_trajectory",
+    "GroundStateOperator", "ground_state_operator", "run", "monitor_norms",
+    "estimate_blowup_time", "tail_linearity_residual",
+    "compare_supersolution", "save_trajectory",
 ]
 
 
@@ -367,7 +369,7 @@ def _blowup_verdict(rec: _Recorder, p: float, reason: str) -> Verdict:
                                       rec.tail_y[-window:], p)
     except BlowupFitError as exc:
         return Verdict("inconclusive", reason=f"{reason}, but {exc}")
-    return Verdict("blew_up", t_star=t_star)
+    return Verdict("blew_up", t_star=t_star, reason=reason)
 
 
 def _run_direct(u0: Field, config: SolverConfig) -> TrajectoryReport:
@@ -449,43 +451,82 @@ def _run_direct(u0: Field, config: SolverConfig) -> TrajectoryReport:
 # implicit weight of the radial theta-scheme (Crank-Nicolson)
 _THETA = 0.5
 
+# the per-dt LU cache of an operator is emptied past this many entries
+_LU_CACHE_SIZE = 24
 
-def _run_ground_state(u_init: np.ndarray, config: SolverConfig) -> TrajectoryReport:
-    params = config.params
-    N, s, lam, p = params.N, params.s, params.lam, params.p
-    prof = exponent_profile(N, s, lam)
-    mu = prof.mu
-    r = config.grid.r
-    v = r ** mu * u_init
+
+@dataclass(frozen=True, eq=False)
+class GroundStateOperator:
+    """What a ground-state run derives from (grid, N, s, mu), never from p.
+
+    A is the collocation matrix of L, B = r^{2 mu} A the operator on
+    v = r^mu u; `trap` holds omega dr r^{N-1-2mu} (trapezoid weights of
+    v-integrals) and `tw` the same plus the origin closure (weighted mass).
+    The arrays are read-only because the operator is shared between runs.
+    """
+
+    r: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    eye: np.ndarray
+    trap: np.ndarray
+    tw: np.ndarray
+    lu_cache: dict = dc_field(default_factory=dict, repr=False)
+
+    def factor(self, dt: float):
+        """LU factors of I + dt theta B, cached per dt."""
+        fac = self.lu_cache.get(dt)
+        if fac is None:
+            if len(self.lu_cache) > _LU_CACHE_SIZE:
+                self.lu_cache.clear()
+            fac = lu_factor(self.eye + dt * _THETA * self.B,
+                            check_finite=False)
+            self.lu_cache[dt] = fac
+        return fac
+
+
+@functools.lru_cache(maxsize=4)
+def ground_state_operator(grid: RadialGrid, N: int, s: float,
+                          mu: float) -> GroundStateOperator:
+    """The operator of a ground-state run, built once per (grid, N, s, mu)
+    and shared by every p.  Refuses a non-finite collocation matrix with
+    QuadratureError."""
+    r = grid.r
     A = build_ground_state_matrix(r, mu, N, s)
     B = (r ** (2.0 * mu))[:, None] * A
-    eye = np.eye(len(r))
-    rfac = r ** (mu * (1.0 - p))
+    # the LU calls skip scipy's finiteness checks; a finite B means a
+    # finite A too, since r^{2 mu} > 0
+    if not np.all(np.isfinite(B)):
+        raise QuadratureError(
+            f"ground-state operator not finite (N={N}, s={s}, mu={mu})")
     omega = sphere_area(N)
-
-    # trapezoid weights (fast per-step weighted mass for the tail buffer)
     dr = np.empty_like(r)
     dr[1:-1] = 0.5 * (r[2:] - r[:-2])
     dr[0] = 0.5 * (r[1] - r[0])
     dr[-1] = 0.5 * (r[-1] - r[-2])
-    tw = omega * dr * r ** (N - 1 - 2.0 * mu)
+    trap = omega * dr * r ** (N - 1 - 2.0 * mu)
+    tw = trap.copy()
     tw[0] += omega * r[0] ** (N - 2.0 * mu) / (N - 2.0 * mu)
+    arrays = (r, A, B, np.eye(len(r)), trap, tw)
+    for arr in arrays:
+        arr.setflags(write=False)
+    return GroundStateOperator(*arrays)
 
-    lu_cache: dict[float, tuple] = {}
 
-    def factor(dt: float):
-        fac = lu_cache.get(dt)
-        if fac is None:
-            if len(lu_cache) > 24:
-                lu_cache.clear()
-            fac = lu_factor(eye + dt * _THETA * B)
-            lu_cache[dt] = fac
-        return fac
+def _run_ground_state(u_init: np.ndarray, config: SolverConfig) -> TrajectoryReport:
+    params = config.params
+    N, s, lam, p = params.N, params.s, params.lam, params.p
+    mu = exponent_profile(N, s, lam).mu
+    op = ground_state_operator(config.grid, N, s, mu)
+    r, A, B = op.r, op.A, op.B
+    v = r ** mu * u_init
+    rfac = r ** (mu * (1.0 - p))
+    omega = sphere_area(N)
 
     def energy_of(vv: np.ndarray) -> float:
         # (1/2) <u, (-Delta)^s u - lam u/|x|^{2s}> through the L-matrix,
         # minus the reaction term; all in v = r^mu u coordinates
-        g = omega * dr * r ** (N - 1 - 2.0 * mu) * vv * (A @ vv)
+        g = op.trap * vv * (A @ vv)
         reac = omega * _radial_integral(
             r, r ** (N - 1 - mu * (p + 1.0)) * vv ** (p + 1.0))
         return 0.5 * float(g.sum()) - reac / (p + 1.0)
@@ -495,13 +536,14 @@ def _run_ground_state(u_init: np.ndarray, config: SolverConfig) -> TrajectoryRep
         return wm, crit, math.sqrt(l2sq), energy_of(vv)
 
     def weighted_mass(vv: np.ndarray) -> float:
-        return float(tw @ vv)
+        return float(op.tw @ vv)
 
     def step(vv: np.ndarray, dt: float) -> np.ndarray:
         rhs = vv - dt * (1.0 - _THETA) * (B @ vv)
         if config.reaction_enabled:
             rhs = rhs + dt * rfac * vv ** p
-        v_new = lu_solve(factor(dt), rhs)
+        # a non-finite rhs comes out non-finite and is rejected below
+        v_new = lu_solve(op.factor(dt), rhs, check_finite=False)
         floor = -1e-9 * max(float(v_new.max()), 1e-300)
         if not np.all(np.isfinite(v_new)):
             raise _StepRejected("non-finite state")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hardyheat import solver
 from hardyheat.kernel import build_profile
 
 
@@ -37,6 +38,23 @@ def prof_3_025():
 @pytest.fixture(scope="session")
 def prof_1_025():
     return build_profile(1, 0.25, 60.0, 321)
+
+
+@pytest.fixture
+def matrix_builds(monkeypatch):
+    """Empty the ground-state operator cache and record the arguments of
+    every collocation-matrix build the solver makes."""
+    calls = []
+    build = solver.build_ground_state_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    solver.ground_state_operator.cache_clear()
+    monkeypatch.setattr(solver, "build_ground_state_matrix", counted)
+    yield calls
+    solver.ground_state_operator.cache_clear()
 
 
 def poisson_profile(N, sigma):

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from hardyheat import solver
 from hardyheat.cli import main
 
 
@@ -120,6 +122,33 @@ class TestSimulate:
         assert (tmp_path / "traj_verdict.json").exists()
         assert (tmp_path / "manifest_simulate.json").exists()
 
+    def test_threshold_exit_names_its_reason(self, tmp_path, capsys):
+        code = run_cli(["simulate", "--N", "3", "--s", "0.5",
+                        "--lambda", "0.2", "--p", "1.3", "--t-max", "40",
+                        "--points", "64", "--out", "thr.csv"], tmp_path)
+        assert code == 0
+        printed = json.loads(capsys.readouterr().out)
+        saved = json.loads((tmp_path / "thr_verdict.json").read_text())
+        for verdict in (printed, saved):
+            assert verdict["verdict"] == "blew_up"
+            assert verdict["reason"] == "weighted mass over threshold"
+
+    def test_non_finite_matrix_exits_numerical(self, tmp_path, matrix_builds,
+                                               monkeypatch):
+        build = solver.build_ground_state_matrix
+
+        def with_nan(r_grid, mu, N, s):
+            A = build(r_grid, mu, N, s)
+            A[3, 5] = np.nan
+            return A
+
+        monkeypatch.setattr(solver, "build_ground_state_matrix", with_nan)
+        code = run_cli(["simulate", "--N", "3", "--s", "0.5",
+                        "--lambda", "0.2", "--p", "1.3", "--t-max", "1",
+                        "--points", "32", "--out", "nan.csv"], tmp_path)
+        assert code == 5
+        assert len(matrix_builds) == 1
+
     def test_determinism(self, tmp_path):
         args = ["simulate", "--N", "3", "--s", "0.5", "--lambda", "0.5",
                 "--p", "2.0", "--amplitude", "0.1", "--t-max", "1.0",
@@ -147,6 +176,26 @@ class TestSweep:
             verdicts[float(p)] = verdict
         assert verdicts[1.2] == "blew_up"
         assert verdicts[2.0] == "survived"
+
+
+SMALL_SWEEP = ["sweep", "--N", "3", "--s", "0.5",
+               "--lambda-grid", "0.2,0.5", "--p-grid", "1.3,1.9,2.5",
+               "--t-max", "2", "--points", "48"]
+
+
+class TestSweepReuse:
+    def test_one_build_per_lambda_row(self, tmp_path, matrix_builds):
+        assert run_cli(SMALL_SWEEP + ["--jobs", "1"], tmp_path) == 0
+        assert len(matrix_builds) == 2
+        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 7
+
+    def test_jobs_do_not_change_the_csv(self, tmp_path):
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            assert run_cli(SMALL_SWEEP + ["--jobs", jobs], out) == 0
+            outputs.append((out / "sweep.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestErrorExits:

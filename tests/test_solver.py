@@ -7,8 +7,8 @@ from hardyheat.errors import BlowupFitError, DomainError
 from hardyheat.exponents import ProblemParams, exponent_profile
 from hardyheat.fracop import Field, RadialField, UniformGrid
 from hardyheat.solver import (RadialGrid, SolverConfig, estimate_blowup_time,
-                              monitor_norms, run, save_trajectory,
-                              tail_linearity_residual)
+                              ground_state_operator, monitor_norms, run,
+                              save_trajectory, tail_linearity_residual)
 
 
 def radial_bump(amplitude=1.0, width=1.0):
@@ -165,6 +165,7 @@ class TestDynamics:
                            store_fields=True)
         rep = run(radial_bump(), cfg)
         assert rep.verdict.kind == "blew_up"
+        assert rep.verdict.reason == "amplitude over cap"
         assert rep.fields[-1][0] == rep.times[-1]
         assert np.max(rep.fields[-1][1]) > 50.0
 
@@ -225,6 +226,29 @@ class TestDynamics:
         d1 = abs(ends[1] - ends[0])
         d2 = abs(ends[2] - ends[1])
         assert d2 < d1
+
+
+class TestOperatorReuse:
+    def test_cached_operator_run_is_bit_identical(self, matrix_builds):
+        cfg = SolverConfig(params=ProblemParams(3, 0.5, 0.2, 1.3),
+                           grid=RadialGrid(1e-3, 1e3, 64),
+                           formulation="ground_state", t_max=40.0,
+                           blowup_threshold=1e3)
+        fresh = run(radial_bump(), cfg)
+        cached = run(radial_bump(), cfg)
+        assert len(matrix_builds) == 1
+        assert cached.verdict == fresh.verdict
+        assert fresh.verdict.kind == "blew_up"
+        for name in ("times", "weighted_mass_series", "critical_norm_series",
+                     "l2_series", "energy_series", "tail_times",
+                     "tail_weighted_mass", "r_grid"):
+            assert np.array_equal(getattr(cached, name),
+                                  getattr(fresh, name)), name
+
+    def test_operator_arrays_read_only(self):
+        op = ground_state_operator(RadialGrid(1e-3, 1e3, 32), 3, 0.5, 0.25)
+        with pytest.raises(ValueError):
+            op.B[0, 0] = 1.0
 
 
 class TestCompareSupersolution:
