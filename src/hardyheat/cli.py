@@ -34,8 +34,6 @@ EXIT_DOMAIN = 3
 EXIT_CERTIFICATION = 4
 EXIT_NUMERICAL = 5
 
-_SENTINEL = object()
-
 
 def _outdir(args) -> str:
     out = args.outdir or os.environ.get("HARDYHEAT_OUTDIR", ".")
@@ -69,31 +67,24 @@ def _parse_grid_spec(spec: str) -> np.ndarray:
     return np.array([float(x) for x in spec.split(",")])
 
 
-def _apply_config(args: argparse.Namespace, parser_defaults: dict) -> None:
-    """key=value config lines fill unset options; explicit flags win."""
-    if not getattr(args, "config", None):
-        for k, v in parser_defaults.items():
-            if getattr(args, k, _SENTINEL) is None and v is not None:
-                setattr(args, k, v)
-        return
-    cfg = {}
-    with open(args.config) as fh:
+def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
+    """The key=value lines of a config file that name a value-taking option
+    of `parser` (by its destination, '-' and '_' alike), as strings that
+    argparse converts with the option's type.  Other keys, and flags that
+    take no value, are ignored."""
+    takes_value = {action.dest for action in parser._actions
+                   if action.option_strings and action.nargs != 0}
+    values = {}
+    with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, _, val = line.partition("=")
-            cfg[key.strip().replace("-", "_")] = val.strip()
-    for k, default in parser_defaults.items():
-        if getattr(args, k, _SENTINEL) is None:
-            if k in cfg:
-                caster = type(default) if default is not None else str
-                if caster is bool:
-                    setattr(args, k, cfg[k].lower() in ("1", "true", "yes"))
-                else:
-                    setattr(args, k, caster(cfg[k]))
-            elif default is not None:
-                setattr(args, k, default)
+            key = key.strip().replace("-", "_")
+            if key in takes_value:
+                values[key] = val.strip()
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +224,7 @@ def _run_one(task):
      t_max, dt, threshold) = task
     params = ProblemParams(N, s, lam, p)
     grid = RadialGrid(r_min, r_max, n_points)
-    cfg = SolverConfig(params=params, grid=grid, formulation="ground_state",
-                       t_max=t_max, dt_initial=dt,
+    cfg = SolverConfig(params=params, grid=grid, t_max=t_max, dt_initial=dt,
                        blowup_threshold=threshold, n_monitor=32)
     rep = run(_make_datum(kind, amplitude, width, seed), cfg)
     t_star = rep.verdict.t_star
@@ -249,12 +239,13 @@ def _cmd_simulate(args) -> int:
         grid = UniformGrid(args.N, args.half_width, args.points)
         datum = Field.from_radial(
             grid, _make_datum(args.u0, args.amplitude, args.width, args.seed))
-    else:
+    elif args.formulation == "ground_state":
         grid = RadialGrid(args.r_min, args.r_max, args.points)
         datum = _make_datum(args.u0, args.amplitude, args.width, args.seed)
-    cfg = SolverConfig(params=params, grid=grid, formulation=args.formulation,
-                       t_max=args.t_max, dt_initial=args.dt_initial,
-                       dt_safety=args.dt_safety,
+    else:
+        raise DomainError(f"unknown formulation {args.formulation!r}")
+    cfg = SolverConfig(params=params, grid=grid, t_max=args.t_max,
+                       dt_initial=args.dt_initial, dt_safety=args.dt_safety,
                        blowup_threshold=args.blowup_threshold,
                        potential_epsilon=args.potential_epsilon,
                        n_monitor=args.n_monitor)
@@ -301,7 +292,8 @@ def _cmd_sweep(args) -> int:
 # parser
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
+def _build_parser() -> tuple[argparse.ArgumentParser,
+                             dict[str, argparse.ArgumentParser]]:
     top = argparse.ArgumentParser(
         prog="hardyheat",
         description="Critical exponents, kernel profiles, nonlocal operators "
@@ -312,13 +304,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
     top.add_argument("--config", default=None,
                      help="key=value config file merged under explicit flags")
     sub = top.add_subparsers(dest="command")
-    defaults: dict[str, dict] = {}
-
-    def add(parser, name, **kw):
-        default = kw.pop("default", None)
-        parser.add_argument(name, default=None, **kw)
-        defaults.setdefault(parser.prog.split()[-1], {})[
-            name.lstrip("-").replace("-", "_")] = default
 
     pe = sub.add_parser("exponents", help="print an exponent profile as JSON")
     pe.add_argument("--N", type=int, required=True)
@@ -331,16 +316,16 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
     pp.add_argument("--s", type=float, required=True)
     pp.add_argument("--lambda-grid", required=True,
                     help="a:b:n linear grid or comma list")
-    add(pp, "--out", default="phase.csv")
+    pp.add_argument("--out", default="phase.csv")
     pp.set_defaults(func=_cmd_phase_diagram)
 
     pk = sub.add_parser("kernel", help="build or validate a kernel profile")
     pk.add_argument("action", choices=["build", "check"])
     pk.add_argument("--N", type=int, required=True)
     pk.add_argument("--s", type=float, required=True)
-    add(pk, "--sigma-max", type=float, default=50.0)
-    add(pk, "--n-points", type=int, default=321)
-    add(pk, "--out", default="profile.csv")
+    pk.add_argument("--sigma-max", type=float, default=50.0)
+    pk.add_argument("--n-points", type=int, default=321)
+    pk.add_argument("--out", default="profile.csv")
     pk.add_argument("--scaling-ode", action="store_true")
     pk.set_defaults(func=_cmd_kernel)
 
@@ -349,13 +334,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
                                       "energy", "critical-constants"])
     pv.add_argument("--N", type=int, required=True)
     pv.add_argument("--s", type=float, required=True)
-    pv.add_argument("--lambda", dest="lam", type=float, default=None)
-    defaults.setdefault("verify", {})["lam"] = 0.5
+    pv.add_argument("--lambda", dest="lam", type=float, default=0.5)
     pv.add_argument("--alpha", type=float, default=0.5)
-    add(pv, "--p", type=float, default=2.0)
-    add(pv, "--m", type=float, default=3.4)
-    add(pv, "--kappa", type=float, default=0.05)
-    add(pv, "--radius", type=float, default=2.0)
+    pv.add_argument("--p", type=float, default=2.0)
+    pv.add_argument("--m", type=float, default=3.4)
+    pv.add_argument("--kappa", type=float, default=0.05)
+    pv.add_argument("--radius", type=float, default=2.0)
     pv.set_defaults(func=_cmd_verify)
 
     ps = sub.add_parser("simulate", help="run one Cauchy instance")
@@ -363,22 +347,22 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
     ps.add_argument("--s", type=float, required=True)
     ps.add_argument("--lambda", dest="lam", type=float, required=True)
     ps.add_argument("--p", type=float, required=True)
-    add(ps, "--formulation", default="ground_state")
-    add(ps, "--u0", default="gaussian")
-    add(ps, "--amplitude", type=float, default=1.0)
-    add(ps, "--width", type=float, default=1.0)
+    ps.add_argument("--formulation", default="ground_state")
+    ps.add_argument("--u0", default="gaussian")
+    ps.add_argument("--amplitude", type=float, default=1.0)
+    ps.add_argument("--width", type=float, default=1.0)
     ps.add_argument("--seed", type=int, default=None)
-    add(ps, "--t-max", type=float, default=10.0)
-    add(ps, "--dt-initial", type=float, default=0.01)
-    add(ps, "--dt-safety", type=float, default=0.5)
-    add(ps, "--blowup-threshold", type=float, default=1e4)
+    ps.add_argument("--t-max", type=float, default=10.0)
+    ps.add_argument("--dt-initial", type=float, default=0.01)
+    ps.add_argument("--dt-safety", type=float, default=0.5)
+    ps.add_argument("--blowup-threshold", type=float, default=1e4)
     ps.add_argument("--potential-epsilon", type=float, default=None)
-    add(ps, "--n-monitor", type=int, default=64)
-    add(ps, "--r-min", type=float, default=1e-3)
-    add(ps, "--r-max", type=float, default=1e3)
-    add(ps, "--half-width", type=float, default=16.0)
-    add(ps, "--points", type=int, default=192)
-    add(ps, "--out", default="trajectory.csv")
+    ps.add_argument("--n-monitor", type=int, default=64)
+    ps.add_argument("--r-min", type=float, default=1e-3)
+    ps.add_argument("--r-max", type=float, default=1e3)
+    ps.add_argument("--half-width", type=float, default=16.0)
+    ps.add_argument("--points", type=int, default=192)
+    ps.add_argument("--out", default="trajectory.csv")
     ps.set_defaults(func=_cmd_simulate)
 
     pw = sub.add_parser("sweep", help="verdict per (lambda, p) grid cell")
@@ -386,30 +370,35 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
     pw.add_argument("--s", type=float, required=True)
     pw.add_argument("--lambda-grid", required=True)
     pw.add_argument("--p-grid", required=True)
-    add(pw, "--u0", default="gaussian")
-    add(pw, "--amplitude", type=float, default=1.0)
-    add(pw, "--width", type=float, default=1.0)
+    pw.add_argument("--u0", default="gaussian")
+    pw.add_argument("--amplitude", type=float, default=1.0)
+    pw.add_argument("--width", type=float, default=1.0)
     pw.add_argument("--seed", type=int, default=None)
-    add(pw, "--t-max", type=float, default=50.0)
-    add(pw, "--dt-initial", type=float, default=0.02)
-    add(pw, "--blowup-threshold", type=float, default=1e4)
-    add(pw, "--r-min", type=float, default=1e-3)
-    add(pw, "--r-max", type=float, default=1e3)
-    add(pw, "--points", type=int, default=128)
-    add(pw, "--jobs", type=int, default=1)
-    add(pw, "--out", default="sweep.csv")
+    pw.add_argument("--t-max", type=float, default=50.0)
+    pw.add_argument("--dt-initial", type=float, default=0.02)
+    pw.add_argument("--blowup-threshold", type=float, default=1e4)
+    pw.add_argument("--r-min", type=float, default=1e-3)
+    pw.add_argument("--r-max", type=float, default=1e3)
+    pw.add_argument("--points", type=int, default=128)
+    pw.add_argument("--jobs", type=int, default=1)
+    pw.add_argument("--out", default="sweep.csv")
     pw.set_defaults(func=_cmd_sweep)
 
-    return top, defaults
+    return top, sub.choices
 
 
 def main(argv=None) -> int:
-    parser, defaults = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    _apply_config(args, defaults.get(args.command, {}))
+    if args.config:
+        # config values become the command's defaults, so explicit flags
+        # win; required flags were already checked by the first parse
+        command = commands[args.command]
+        command.set_defaults(**_config_defaults(args.config, command))
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except DomainError as exc:

@@ -57,14 +57,14 @@ def _psi_prefactor(params: TestFunctionParams, N: int, s: float) -> float:
     return params.eta ** (0.5 * N / s - params.mu / s)
 
 
-def psi_eta_value(x_norm, params: TestFunctionParams,
-                  profile: KernelProfile, allow_extension: bool = True):
-    """Pointwise value of the rescaled weighted test function."""
+def psi_eta_value(x_norm, params: TestFunctionParams, profile: KernelProfile):
+    """Pointwise value of the rescaled weighted test function (power
+    envelope beyond the table)."""
     N, s = profile.N, profile.s
     c = params.eta ** (0.5 / s)
     x = np.asarray(x_norm, dtype=float)
     return (_psi_prefactor(params, N, s) * x ** (-params.mu)
-            * profile.h_of_sigma(c * x, allow_extension))
+            * profile.h_of_sigma(c * x, allow_extension=True))
 
 
 def psi_eta_mass(params: TestFunctionParams, profile: KernelProfile) -> float:
@@ -117,9 +117,12 @@ def psi_differential_inequality(params: TestFunctionParams,
 # integrated blow-up predictor
 
 
+# eta values searched by the scale-free predictor: 40 per decade
+_PREDICTOR_ETAS = np.geomspace(1e-6, 1.0, 241)
+
+
 def y_ode_blowup_predictor(Y0: float, eta: float | None,
-                           params: ProblemParams, C: float,
-                           eta_grid=None) -> float | None:
+                           params: ProblemParams, C: float) -> float | None:
     """Least horizon T forced by the integrated differential inequality
 
         1/Y0^{p-1} <= C (2s/N) eta^{(p-1) mu/(2s) - 1}
@@ -127,9 +130,9 @@ def y_ode_blowup_predictor(Y0: float, eta: float | None,
 
     With eta given, Y0 is the weighted test-function mass of the datum at
     that scale.  With eta=None, Y0 is treated as the scale-free weighted
-    mass (the bounded-profile approximation) and a geometric eta grid is
-    searched; below the Fujita exponent a finite horizon exists for every
-    positive Y0, above it small data admit none.
+    mass (the bounded-profile approximation) and the eta grid
+    _PREDICTOR_ETAS is searched; below the Fujita exponent a finite
+    horizon exists for every positive Y0, above it small data admit none.
     """
     if Y0 < 0.0:
         raise DomainError("Y0 must be nonnegative")
@@ -150,10 +153,8 @@ def y_ode_blowup_predictor(Y0: float, eta: float | None,
         if eta <= 0.0:
             raise DomainError("eta must be positive")
         return horizon(Y0, eta)
-    if eta_grid is None:
-        eta_grid = np.geomspace(1e-6, 1.0, 241)   # 40 per decade
     best = None
-    for e in eta_grid:
+    for e in _PREDICTOR_ETAS:
         y0 = float(e) ** (0.5 * N / s - mu / s) * Y0
         T = horizon(y0, float(e))
         if T is not None and (best is None or T < best):
@@ -184,22 +185,25 @@ class SupersolutionParams:
 DEFAULT_CERT_RADII = tuple(np.geomspace(0.05, 4.0, 20))
 DEFAULT_CERT_TIMES = tuple(np.linspace(0.0, 9.0, 10))
 
+# time shift T of the chosen family, and the fraction by which its
+# amplitude stays below the largest admissible one
+_CERT_T = 1.0
+_CERT_MARGIN = 0.1
 
-def choose_supersolution(params: ProblemParams, profile: KernelProfile,
-                         T: float = 1.0, margin: float = 0.1,
-                         radii=DEFAULT_CERT_RADII,
-                         times=DEFAULT_CERT_TIMES
+
+def choose_supersolution(params: ProblemParams, profile: KernelProfile
                          ) -> tuple[SupersolutionParams, float]:
     """Pick (gamma, A) so the family dominates its own nonlinearity on the
-    sampled window; returns the parameters with their certified residual
-    (the supersolution_residual of the pick, from the same quadratures).
+    default window (DEFAULT_CERT_RADII x DEFAULT_CERT_TIMES); returns the
+    parameters with their certified residual (the supersolution_residual
+    of the pick, from the same quadratures).
 
     gamma is the midpoint of (mu, min(2s/(p-1), mu_bar)); the upper cap at
     mu_bar keeps the power coupling above lambda, without which the
     potential term would change sign near the origin.  The residual is
     A * ell - A^p w1^p per sample point, so the largest admissible
-    amplitude is min (ell / w1^p)^{1/(p-1)}; A is that bound shrunk by the
-    margin.  Only meaningful in the conditional-global regime
+    amplitude is min (ell / w1^p)^{1/(p-1)}; A is that bound shrunk by
+    _CERT_MARGIN.  Only meaningful in the conditional-global regime
     F < p < p_plus, and only over windows where ell > 0 (the mixed
     nonlocal term is negative and wins far out in self-similar radius).
     """
@@ -212,9 +216,10 @@ def choose_supersolution(params: ProblemParams, profile: KernelProfile,
     theta = 2.0 * s / (p - 1.0)
     beta = 0.5 / s
     gamma = 0.5 * (prof.mu + min(2.0 * s / (p - 1.0), prof.mu_bar))
-    unit = SupersolutionParams(A=1.0, gamma=gamma, T=T, theta=theta,
+    unit = SupersolutionParams(A=1.0, gamma=gamma, T=_CERT_T, theta=theta,
                                beta=beta)
-    terms = _supersolution_terms(unit, params, profile, radii, times)
+    terms = _supersolution_terms(unit, params, profile, DEFAULT_CERT_RADII,
+                                 DEFAULT_CERT_TIMES)
     w1, w_t, lap, pot = terms
     ell = w_t + lap - pot
     if np.any(ell <= 0.0):
@@ -222,7 +227,7 @@ def choose_supersolution(params: ProblemParams, profile: KernelProfile,
             "linear residual terms change sign on the sampled window; "
             "shrink the radius window")
     bound = float(np.min(ell / w1 ** p))
-    A = ((1.0 - margin) * bound) ** (1.0 / (p - 1.0))
+    A = ((1.0 - _CERT_MARGIN) * bound) ** (1.0 / (p - 1.0))
     return replace(unit, A=A), _min_normalized_residual(A, p, *terms)
 
 
@@ -305,12 +310,11 @@ def supersolution_residual(sp: SupersolutionParams, params: ProblemParams,
 
 
 def supersolution_mixed_remainder(sp: SupersolutionParams,
-                                  profile: KernelProfile, radii,
-                                  t: float = 0.0) -> float:
+                                  profile: KernelProfile, radii) -> float:
     """Min over radii of the bilinear remainder between the power weight
-    and the kernel profile (both decreasing, so the product of differences
-    is pointwise nonnegative and the remainder must be >= 0)."""
-    tau = sp.T + t
+    and the kernel profile at t = 0 (both decreasing, so the product of
+    differences is pointwise nonnegative and the remainder must be >= 0)."""
+    tau = sp.T
 
     def weight(rr):
         return np.asarray(rr, dtype=float) ** (-sp.gamma)
@@ -377,37 +381,41 @@ def energy_blowup_criterion(h0: Field, params: ProblemParams, R: float,
 # critical-case constants
 
 
-def _smoothstep_cutoff():
-    """phi(u): 1 for u <= 1, quintic smoothstep down to 0 at u = 2 (value
-    and first two derivatives vanish at the outer edge).
+def _smoothstep(v):
+    return v ** 3 * (10.0 - 15.0 * v + 6.0 * v ** 2)
+
+
+def _phi(u):
+    """The cutoff phi(u): 1 for u <= 1, quintic smoothstep down to 0 at
+    u = 2 (value and first two derivatives vanish at the outer edge).
 
     phi and its complement are both computed in factored form (the
     smoothstep satisfies S(w) + S(1-w) = 1), so neither underflows to an
     exact 0/1 through cancellation near the edges where the integrands
     carry negative powers of them.
     """
-    def _smoothstep(v):
-        return v ** 3 * (10.0 - 15.0 * v + 6.0 * v ** 2)
+    u = np.asarray(u, dtype=float)
+    return _smoothstep(np.clip(2.0 - u, 0.0, 1.0))
 
-    def phi(u):
-        u = np.asarray(u, dtype=float)
-        return _smoothstep(np.clip(2.0 - u, 0.0, 1.0))
 
-    def dphi(u):
-        u = np.asarray(u, dtype=float)
-        w = np.clip(u - 1.0, 0.0, 1.0)
-        return -30.0 * w ** 2 * (1.0 - w) ** 2
+def _dphi(u):
+    u = np.asarray(u, dtype=float)
+    w = np.clip(u - 1.0, 0.0, 1.0)
+    return -30.0 * w ** 2 * (1.0 - w) ** 2
 
-    def one_minus_phi(u):
-        u = np.asarray(u, dtype=float)
-        return _smoothstep(np.clip(u - 1.0, 0.0, 1.0))
 
-    return phi, dphi, one_minus_phi
+def _one_minus_phi(u):
+    u = np.asarray(u, dtype=float)
+    return _smoothstep(np.clip(u - 1.0, 0.0, 1.0))
+
+
+# half-width of the tanh-sinh rule in u and the Gauss order in tau of the
+# shell integrals; the refinement check takes 2x and 1.5x of them
+_N_HALF = 48
+_N_TAU = 24
 
 
 def critical_case_constants(params: ProblemParams, m: float, kappa: float,
-                            cutoff=None, n_half: int = 48,
-                            n_tau: int = 24,
                             check_refinement: bool = True) -> tuple[float, float]:
     """Rescaled cutoff integrals (C1, C3) of the critical-case argument.
 
@@ -428,15 +436,13 @@ def critical_case_constants(params: ProblemParams, m: float, kappa: float,
         raise DomainError(f"need 1 < m <= p' = {p_prime}, got m={m}")
     if kappa < 0.0:
         raise DomainError("kappa must be nonnegative")
-    phi, dphi, omp = cutoff if cutoff is not None else _smoothstep_cutoff()
 
-    c1 = _c1_integral(N, s, mu, p_prime, m, phi, dphi, omp, n_half)
-    c3 = _c3_integral(N, s, mu, p, p_prime, m, kappa, phi, omp,
-                      n_half, n_tau)
+    c1 = _c1_integral(N, s, mu, p_prime, m, _N_HALF)
+    c3 = _c3_integral(N, s, mu, p, p_prime, m, kappa, _N_HALF, _N_TAU)
     if check_refinement:
-        c1_f = _c1_integral(N, s, mu, p_prime, m, phi, dphi, omp, 2 * n_half)
-        c3_f = _c3_integral(N, s, mu, p, p_prime, m, kappa, phi, omp,
-                            int(1.5 * n_half), int(1.5 * n_tau))
+        c1_f = _c1_integral(N, s, mu, p_prime, m, 2 * _N_HALF)
+        c3_f = _c3_integral(N, s, mu, p, p_prime, m, kappa,
+                            int(1.5 * _N_HALF), int(1.5 * _N_TAU))
         if abs(c1_f - c1) > 0.01 * abs(c1):
             raise QuadratureError("C1 not refinement-stable within 1%")
         if abs(c3_f - c3) > 0.01 * abs(c3):
@@ -445,7 +451,7 @@ def critical_case_constants(params: ProblemParams, m: float, kappa: float,
     return c1, c3
 
 
-def _c1_integral(N, s, mu, p_prime, m, phi, dphi, omp, n_half) -> float:
+def _c1_integral(N, s, mu, p_prime, m, n_half) -> float:
     """C1 = 2^{p'} omega/(4s) B-closed-form * int_1^2 |phi'|^{p'}
     phi^{m-p'} u^{(p'-1)/2 + q} du with q = (N-mu)/(4s); the inner
     tau-integral int_0^{sqrt u} tau^{p'} (u - tau^2)^{q-1} dtau is a Beta
@@ -454,14 +460,13 @@ def _c1_integral(N, s, mu, p_prime, m, phi, dphi, omp, n_half) -> float:
     from scipy.special import betaln
     tau_factor = 0.5 * math.exp(betaln(0.5 * (p_prime + 1.0), q))
     u, w = tanh_sinh_rule(1.0, 2.0, n_half)
-    vals = (np.abs(dphi(u)) ** p_prime * phi(u) ** (m - p_prime)
+    vals = (np.abs(_dphi(u)) ** p_prime * _phi(u) ** (m - p_prime)
             * u ** (0.5 * (p_prime - 1.0) + q))
     return float(2.0 ** p_prime * sphere_area(N) / (4.0 * s)
                  * tau_factor * np.dot(w, vals))
 
 
-def _c3_integral(N, s, mu, p, p_prime, m, kappa, phi, omp,
-                 n_half, n_tau) -> float:
+def _c3_integral(N, s, mu, p, p_prime, m, kappa, n_half, n_tau) -> float:
     """Shell integral of |y|^{mu(p+1)/(p-1)} |L theta|^{p'}
     theta^{m-p'} (1-theta)^{-kappa(p'-1)}; u by tanh-sinh (integrable edge
     singularities), tau by a trigonometric substitution."""
@@ -473,8 +478,8 @@ def _c3_integral(N, s, mu, p, p_prime, m, kappa, phi, omp,
     zw = 0.5 * zw
     total = 0.0
     for u, wu in zip(u_nodes, u_w):
-        theta_u = float(phi(np.array([u]))[0])
-        comp_u = float(omp(np.array([u]))[0])
+        theta_u = float(_phi(np.array([u]))[0])
+        comp_u = float(_one_minus_phi(np.array([u]))[0])
         weight_u = (theta_u ** (m - p_prime)
                     * max(comp_u, 1e-300) ** (-kappa * (p_prime - 1.0)))
         inner = 0.0
@@ -489,7 +494,7 @@ def _c3_integral(N, s, mu, p, p_prime, m, kappa, phi, omp,
 
             def v_theta(rr, tau=tau):
                 rr = np.asarray(rr, dtype=float)
-                return phi(tau ** 2 + rr ** (4.0 * s))
+                return _phi(tau ** 2 + rr ** (4.0 * s))
 
             L = apply_ground_state_operator(v_theta, mu, N, s, rho)
             inner += wz * dtau * rad4s ** (q3 - 1.0) * abs(L) ** p_prime

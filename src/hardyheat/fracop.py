@@ -190,7 +190,10 @@ def frac_laplacian_spectral(fld: Field, s: float) -> Field:
 # ---------------------------------------------------------------------------
 # radial singular-integral machinery
 
+# Polar-angle panels (in units of the uncut span) of the general-N kernel,
+# and their Gauss order.
 _THETA_ZETA_EDGES = np.concatenate([[0.0], np.geomspace(1e-10, 1.0, 29)])
+_THETA_ORDER = 8
 
 # Core-ball radius of callables as a fraction of r, and the Gauss order of
 # the pointwise evaluators and of the collocation matrix.
@@ -200,7 +203,7 @@ _MATRIX_ORDER = 8
 
 
 def _angular_cut(N: int, s: float, r: float, rho: np.ndarray,
-                 dmin: np.ndarray, order: int = 8) -> np.ndarray:
+                 dmin: np.ndarray) -> np.ndarray:
     """Polar-angle kernel integral for general N with the ball cut.
 
     omega_{N-2} int_{theta*}^{pi} sin^{N-2}(t) (d^2 + 4 r rho sin^2(t/2))^{-beta/2} dt
@@ -210,7 +213,7 @@ def _angular_cut(N: int, s: float, r: float, rho: np.ndarray,
     d2 = (rho - r) ** 2
     s2 = np.clip((dmin ** 2 - d2) / (4.0 * r * rho), 0.0, 1.0)
     theta_star = 2.0 * np.arcsin(np.sqrt(s2))
-    zeta, wz = panel_nodes(_THETA_ZETA_EDGES, order)
+    zeta, wz = panel_nodes(_THETA_ZETA_EDGES, _THETA_ORDER)
     span = (np.pi - theta_star)[:, None]
     theta = theta_star[:, None] + span * zeta[None, :]
     val = (np.sin(theta) ** (N - 2)
@@ -275,10 +278,6 @@ def _local_derivatives(f, r: float, h: float) -> tuple[float, float, float]:
         raise QuadratureError(
             f"singular-core estimate failed: field not smooth near r={r}")
     return out
-
-
-def _as_callable(f):
-    return f if callable(f) else RadialField(*f)
 
 
 def _integral_edges(r: float, delta: float,

@@ -43,6 +43,9 @@ __all__ = [
 
 _U_MAX = 46.0          # e^{-46} ~ 1e-20: decay-factor truncation
 _TWO_PI = 2.0 * math.pi
+_ORDER = 10            # Gauss order of the oscillatory panels
+_MAX_OSC_PANELS = 200_000
+_TAIL_TERMS = 12       # terms of the far-field series
 
 
 def sphere_area(N: int) -> float:
@@ -91,16 +94,16 @@ def _decay_rho_edges(s: float) -> np.ndarray:
     return u ** (0.5 / s) / _TWO_PI
 
 
-def _oscillatory_nodes(s: float, nu: float, sigma: float, order: int,
-                       max_panels: int = 200000):
+def _oscillatory_nodes(s: float, nu: float, sigma: float):
     """Shared panel set for int e^{-(2 pi rho)^{2s}} J_nu(2 pi sigma rho)
     rho^{power} drho: panels between consecutive Bessel zeros (McMahon
-    approximations suffice for alignment) unioned with decay grading."""
+    approximations suffice for alignment) unioned with decay grading.
+    Raises QuadratureError past _MAX_OSC_PANELS Bessel panels."""
     rho_decay = _decay_rho_edges(s)
     rho_max = rho_decay[-1]
     z_max = _TWO_PI * sigma * rho_max
     k_max = int(z_max / math.pi - 0.5 * nu + 0.25) + 1
-    if k_max > max_panels:
+    if k_max > _MAX_OSC_PANELS:
         raise QuadratureError(
             f"oscillatory panel count {k_max} exceeds cap at sigma={sigma}")
     edges = [np.array([0.0]), rho_decay]
@@ -109,17 +112,16 @@ def _oscillatory_nodes(s: float, nu: float, sigma: float, order: int,
         zeros = zeros[zeros > 0.0] / (_TWO_PI * sigma)
         edges.append(zeros[zeros < rho_max])
     grid = np.unique(np.concatenate(edges))
-    return panel_nodes(grid, order)
+    return panel_nodes(grid, _ORDER)
 
 
-def _profile_point(N: int, s: float, sigma: float,
-                   order: int = 10) -> tuple[float, float]:
+def _profile_point(N: int, s: float, sigma: float) -> tuple[float, float]:
     """(H(sigma), H'(sigma)) by panel quadrature of the radial Fourier
     integral and its differentiated counterpart (order nu+1)."""
     nu = 0.5 * N - 1.0
     if sigma == 0.0:
         return profile_origin_value(N, s), 0.0
-    nodes, w = _oscillatory_nodes(s, nu, sigma, order)
+    nodes, w = _oscillatory_nodes(s, nu, sigma)
     decay = np.exp(-(_TWO_PI * nodes) ** (2.0 * s))
     z = _TWO_PI * sigma * nodes
     base = w * decay
@@ -130,7 +132,7 @@ def _profile_point(N: int, s: float, sigma: float,
     return h_val, hp_val
 
 
-def ball_mass(N: int, s: float, radius: float, order: int = 10) -> float:
+def ball_mass(N: int, s: float, radius: float) -> float:
     """Exact Fourier-side mass of the kernel inside |x| <= radius:
 
     int_{|x|<=R} h(x,1) dx = omega_{N-1} R^{nu+1}
@@ -141,14 +143,15 @@ def ball_mass(N: int, s: float, radius: float, order: int = 10) -> float:
     (2/pi) arctan(R).
     """
     nu = 0.5 * N - 1.0
-    nodes, w = _oscillatory_nodes(s, nu + 1.0, radius, order)
+    nodes, w = _oscillatory_nodes(s, nu + 1.0, radius)
     decay = np.exp(-(_TWO_PI * nodes) ** (2.0 * s))
     z = _TWO_PI * radius * nodes
     return float(sphere_area(N) * radius ** (nu + 1.0)
                  * np.dot(w * decay, _bessel(nu + 1.0, z) * nodes ** nu))
 
 
-def tail_series_coefficients(N: int, s: float, k_max: int = 12) -> np.ndarray:
+def tail_series_coefficients(N: int, s: float,
+                             k_max: int = _TAIL_TERMS) -> np.ndarray:
     """Coefficients of the far-field expansion H ~ sum c_k sigma^{-(N+2ks)}.
 
     c_k = (-1)^k 2^{2ks} pi^{-N/2} Gamma((N+2ks)/2) / (k! Gamma(-ks)); the
@@ -161,12 +164,13 @@ def tail_series_coefficients(N: int, s: float, k_max: int = 12) -> np.ndarray:
     return sign * np.exp(logs) * rgamma(-ks * s)
 
 
-def tail_mass_beyond(N: int, s: float, sigma0: float, mu: float = 0.0,
-                     k_max: int = 12) -> float:
+def tail_mass_beyond(N: int, s: float, sigma0: float,
+                     mu: float = 0.0) -> float:
     """omega_{N-1} int_{sigma0}^inf sigma^{N-1-mu} H(sigma) dsigma via the
-    far-field series (term-k integral sigma0^{-mu-2ks}/(mu+2ks))."""
-    coeffs = tail_series_coefficients(N, s, k_max)
-    ks = np.arange(1, k_max + 1)
+    first _TAIL_TERMS terms of the far-field series (term-k integral
+    sigma0^{-mu-2ks}/(mu+2ks))."""
+    coeffs = tail_series_coefficients(N, s)
+    ks = np.arange(1, _TAIL_TERMS + 1)
     terms = coeffs * sigma0 ** (-mu - 2.0 * ks * s) / (mu + 2.0 * ks * s)
     total = float(sphere_area(N) * terms.sum())
     tail_err = float(sphere_area(N) * np.abs(terms[-2:]).max())
@@ -306,16 +310,13 @@ def check_envelope(profile: KernelProfile) -> float:
     return C
 
 
-def check_scaling_ode(profile: KernelProfile, radii=None,
-                      lap_radial=None) -> float:
+def check_scaling_ode(profile: KernelProfile, radii=None) -> float:
     """Max relative residual of 2s (-Delta)^s H = N H + r H'.
 
     Cross-validates the kernel table against the singular-integral
-    evaluator (injected via lap_radial, defaulting to the fracop one).
+    evaluator of fracop.
     """
-    if lap_radial is None:
-        from .fracop import frac_laplacian_quadrature_radial
-        lap_radial = frac_laplacian_quadrature_radial
+    from .fracop import frac_laplacian_quadrature_radial
     N, s = profile.N, profile.s
     if radii is None:
         radii = np.geomspace(0.2, max(profile.sigma_max / 10.0, 0.4), 10)
@@ -323,7 +324,7 @@ def check_scaling_ode(profile: KernelProfile, radii=None,
     spline = profile.interpolant()
     worst = 0.0
     for r in np.asarray(radii, dtype=float):
-        lap = lap_radial(f, N, s, float(r))
+        lap = frac_laplacian_quadrature_radial(f, N, s, float(r))
         lhs = 2.0 * s * lap
         rhs = N * float(spline(r)) + r * float(spline.derivative()(r))
         worst = max(worst, abs(lhs - rhs) / (N * float(spline(r))))

@@ -135,10 +135,11 @@ def head_panels(f, stop: float, order: int = 10, scale: float = 0.0) -> float:
 
 
 def bisect_root(f, a: float, b: float, fa: float | None = None,
-                fb: float | None = None, max_iter: int = 200) -> float:
+                fb: float | None = None) -> float:
     """Plain bisection down to floating-point resolution.
 
-    f(a) and f(b) must have opposite signs (one may be zero).
+    f(a) and f(b) must have opposite signs (one may be zero).  Stops after
+    200 halvings at the latest.
     """
     fa = f(a) if fa is None else fa
     fb = f(b) if fb is None else fb
@@ -148,7 +149,7 @@ def bisect_root(f, a: float, b: float, fa: float | None = None,
         return b
     if fa * fb > 0.0:
         raise ValueError("bisection bracket does not change sign")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             break
@@ -162,15 +163,15 @@ def bisect_root(f, a: float, b: float, fa: float | None = None,
     return 0.5 * (a + b)
 
 
-def tanh_sinh_rule(a: float, b: float, n_half: int = 72,
-                   h: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Double-exponential (tanh-sinh) nodes/weights on (a, b).
+def tanh_sinh_rule(a: float, b: float,
+                   n_half: int) -> tuple[np.ndarray, np.ndarray]:
+    """Double-exponential (tanh-sinh) nodes/weights on (a, b), with step
+    3.4/n_half over 2 n_half + 1 nodes.
 
     Robust for integrable endpoint singularities; nodes never touch the
     endpoints.
     """
-    if h is None:
-        h = 3.4 / n_half
+    h = 3.4 / n_half
     k = np.arange(-n_half, n_half + 1)
     t = k * h
     sk = np.sinh(t)

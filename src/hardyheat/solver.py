@@ -1,14 +1,15 @@
 """Time integration of the singular reaction-diffusion Cauchy problem.
 
-Two formulations of u_t + (-Delta)^s u = lambda u/|x|^{2s} + u^p:
+Two formulations of u_t + (-Delta)^s u = lambda u/|x|^{2s} + u^p, chosen
+by the type of the grid:
 
-* direct: periodic box, diffusion by the exact Fourier multiplier
-  exponential (or an implicit resolvent step, which gives a convex
-  splitting with a discrete energy decay law), potential regularized to
-  lambda/(|x|^{2s} + eps^{2s}) because the grid cannot represent the
-  singular line, reaction explicit;
+* direct, on a UniformGrid: periodic box, diffusion by the exact Fourier
+  multiplier exponential (or an implicit resolvent step, which gives a
+  convex splitting with a discrete energy decay law), potential
+  regularized to lambda/(|x|^{2s} + eps^{2s}) because the grid cannot
+  represent the singular line, reaction explicit;
 
-* ground_state: radial grid for v = |x|^{mu} u, which is bounded at the
+* ground_state, on a RadialGrid: v = |x|^{mu} u, which is bounded at the
   origin.  The Hardy term is absorbed exactly into the weighted nonlocal
   operator L (collocation matrix from fracop), stepped by a theta-scheme,
   reaction explicit.
@@ -73,7 +74,6 @@ class SolverConfig:
     dt_safety: float = 0.5
     t_max: float = 1.0
     blowup_threshold: float = 1e6
-    formulation: str = "direct"              # "direct" | "ground_state"
     diffusion: str = "exponential"           # box: "exponential" | "implicit"
     reaction_enabled: bool = True
     adapt: bool = True
@@ -89,14 +89,10 @@ class SolverConfig:
             raise DomainError("dt_safety must lie in (0,1)")
         if self.blowup_threshold <= 0.0:
             raise DomainError("blowup_threshold must be positive")
-        if self.formulation not in ("direct", "ground_state"):
-            raise DomainError(f"unknown formulation {self.formulation!r}")
         if self.diffusion not in ("exponential", "implicit"):
             raise DomainError(f"unknown diffusion propagator {self.diffusion!r}")
-        if self.formulation == "direct" and not isinstance(self.grid, UniformGrid):
-            raise DomainError("direct formulation needs a UniformGrid")
-        if self.formulation == "ground_state" and not isinstance(self.grid, RadialGrid):
-            raise DomainError("ground_state formulation needs a RadialGrid")
+        if not isinstance(self.grid, (UniformGrid, RadialGrid)):
+            raise DomainError("grid must be a UniformGrid or a RadialGrid")
 
 
 @dataclass(frozen=True)
@@ -200,40 +196,40 @@ def box_energy_terms(u: np.ndarray, lap: np.ndarray, V: np.ndarray | float,
     return quad, pot, react
 
 
+def _box_monitors(u: np.ndarray, W: np.ndarray, lap: np.ndarray,
+                  V: np.ndarray | float, p: float,
+                  vol: float) -> tuple[float, float, float, float]:
+    """(weighted mass, critical norm, L2 norm, energy) of a box state u,
+    from its cell weights W = _box_weight, lap = (-Delta)^s u and the
+    potential V."""
+    wm = float(np.sum(W * u))
+    crit = float(np.sum(W * np.abs(u) ** p))
+    l2 = math.sqrt(float(np.sum(u ** 2)) * vol)
+    quad, pot, react = box_energy_terms(u, lap, V, p, vol)
+    return wm, crit, l2, quad - pot - react
+
+
 def monitor_norms(u, mu: float, p: float, lam: float, s: float,
-                  epsilon: float | None = None, quad_form=None,
-                  N: int | None = None):
+                  epsilon: float | None = None, N: int | None = None):
     """Weighted mass, critical norm, L2 norm and energy of a state.
 
     For a box Field the energy uses the spectral quadratic form and the
     regularized potential (epsilon defaults to one grid spacing).  For a
-    RadialField the energy requires quad_form (the ground-state operator
-    quadratic form); without it the energy is reported as nan unless the
-    field vanishes.
+    RadialField the energy needs the ground-state operator, which only a
+    run holds, so it is reported as nan unless the field vanishes.
     """
     if isinstance(u, Field):
         grid = u.grid
-        vals = u.values
         eps = grid.dx if epsilon is None else epsilon
-        W = _box_weight(grid, mu)
-        vol = grid.cell_volume
-        wm = float(np.sum(W * vals))
-        crit = float(np.sum(W * np.abs(vals) ** p))
-        l2 = math.sqrt(float(np.sum(vals ** 2)) * vol)
-        quad, pot, react = box_energy_terms(
-            vals, frac_laplacian_spectral(u, s).values,
-            regularized_potential(grid, s, lam, eps), p, vol)
-        return wm, crit, l2, quad - pot - react
+        return _box_monitors(
+            u.values, _box_weight(grid, mu),
+            frac_laplacian_spectral(u, s).values,
+            regularized_potential(grid, s, lam, eps), p, grid.cell_volume)
     if isinstance(u, RadialField):
         if N is None:
             raise DomainError("radial monitors need the dimension N")
         wm, crit, l2sq = _radial_monitors(u.r_grid, u.values, N, mu, p)
-        if not np.any(u.values):
-            energy = 0.0
-        elif quad_form is None:
-            energy = math.nan
-        else:
-            energy = quad_form(u.values)
+        energy = math.nan if np.any(u.values) else 0.0
         return wm, crit, math.sqrt(l2sq), energy
     raise DomainError("unsupported field type for monitors")
 
@@ -301,10 +297,12 @@ class _StepRejected(Exception):
 def run(u0, config: SolverConfig) -> TrajectoryReport:
     """Advance one Cauchy instance and report monitored norms.
 
-    u0: Field (direct) or RadialField / callable / array on the radial
-    grid (ground_state); must be nonnegative.
+    The grid of the config picks the formulation: a UniformGrid runs the
+    direct box scheme on a Field u0; a RadialGrid runs the ground-state
+    scheme on a RadialField / callable / array on the grid.  u0 must be
+    nonnegative.
     """
-    if config.formulation == "direct":
+    if isinstance(config.grid, UniformGrid):
         if not isinstance(u0, Field):
             raise DomainError("direct formulation expects a Field datum")
         if np.any(u0.values < 0.0) or not np.all(np.isfinite(u0.values)):
@@ -343,7 +341,7 @@ class _Recorder:
         self.energy.append(energy)
 
     def report(self, verdict: Verdict, config: SolverConfig,
-               r_grid=None) -> TrajectoryReport:
+               r_grid) -> TrajectoryReport:
         return TrajectoryReport(
             times=np.array(self.times),
             weighted_mass_series=np.array(self.wm),
@@ -403,12 +401,8 @@ def _run_direct(u0: Field, config: SolverConfig) -> TrajectoryReport:
         return arr
 
     def monitors(u: np.ndarray):
-        wm = float(np.sum(W * u))
-        crit = float(np.sum(W * u ** p))
-        l2 = math.sqrt(float(np.sum(u ** 2)) * vol)
         lap = np.fft.irfftn(symbol * np.fft.rfftn(u), s=shape, axes=axes)
-        quad, pot, react = box_energy_terms(u, lap, V, p, vol)
-        return wm, crit, l2, quad - pot - react
+        return _box_monitors(u, W, lap, V, p, vol)
 
     def weighted_mass(u: np.ndarray) -> float:
         return float(np.sum(W * u))
@@ -451,7 +445,7 @@ def _run_direct(u0: Field, config: SolverConfig) -> TrajectoryReport:
 # implicit weight of the radial theta-scheme (Crank-Nicolson)
 _THETA = 0.5
 
-# the per-dt LU cache of an operator is emptied past this many entries
+# the per-dt LU cache of a run is emptied past this many entries
 _LU_CACHE_SIZE = 24
 
 
@@ -462,7 +456,8 @@ class GroundStateOperator:
     A is the collocation matrix of L, B = r^{2 mu} A the operator on
     v = r^mu u; `trap` holds omega dr r^{N-1-2mu} (trapezoid weights of
     v-integrals) and `tw` the same plus the origin closure (weighted mass).
-    The arrays are read-only because the operator is shared between runs.
+    The arrays are read-only because the operator is shared between runs;
+    what depends on dt (the LU factors) belongs to the run.
     """
 
     r: np.ndarray
@@ -471,18 +466,6 @@ class GroundStateOperator:
     eye: np.ndarray
     trap: np.ndarray
     tw: np.ndarray
-    lu_cache: dict = dc_field(default_factory=dict, repr=False)
-
-    def factor(self, dt: float):
-        """LU factors of I + dt theta B, cached per dt."""
-        fac = self.lu_cache.get(dt)
-        if fac is None:
-            if len(self.lu_cache) > _LU_CACHE_SIZE:
-                self.lu_cache.clear()
-            fac = lu_factor(self.eye + dt * _THETA * self.B,
-                            check_finite=False)
-            self.lu_cache[dt] = fac
-        return fac
 
 
 @functools.lru_cache(maxsize=4)
@@ -522,6 +505,17 @@ def _run_ground_state(u_init: np.ndarray, config: SolverConfig) -> TrajectoryRep
     v = r ** mu * u_init
     rfac = r ** (mu * (1.0 - p))
     omega = sphere_area(N)
+    lu_cache: dict[float, tuple] = {}
+
+    def factor(dt: float):
+        # LU factors of I + dt theta B
+        fac = lu_cache.get(dt)
+        if fac is None:
+            if len(lu_cache) > _LU_CACHE_SIZE:
+                lu_cache.clear()
+            fac = lu_factor(op.eye + dt * _THETA * B, check_finite=False)
+            lu_cache[dt] = fac
+        return fac
 
     def energy_of(vv: np.ndarray) -> float:
         # (1/2) <u, (-Delta)^s u - lam u/|x|^{2s}> through the L-matrix,
@@ -543,7 +537,7 @@ def _run_ground_state(u_init: np.ndarray, config: SolverConfig) -> TrajectoryRep
         if config.reaction_enabled:
             rhs = rhs + dt * rfac * vv ** p
         # a non-finite rhs comes out non-finite and is rejected below
-        v_new = lu_solve(op.factor(dt), rhs, check_finite=False)
+        v_new = lu_solve(factor(dt), rhs, check_finite=False)
         floor = -1e-9 * max(float(v_new.max()), 1e-300)
         if not np.all(np.isfinite(v_new)):
             raise _StepRejected("non-finite state")
@@ -629,9 +623,8 @@ def _advance(state, config, step, rate, monitors, weighted_mass, p,
 # supersolution comparison and serialization
 
 
-def compare_supersolution(report: TrajectoryReport, sp, profile,
-                          tol: float = 1e-6) -> bool:
-    """True iff every stored field satisfies u <= w (1 + tol) pointwise.
+def compare_supersolution(report: TrajectoryReport, sp, profile) -> bool:
+    """True iff every stored field satisfies u <= w (1 + 1e-6) pointwise.
 
     Requires a ground_state report with store_fields=True; w is the
     self-similar supersolution evaluated through the kernel profile (power
@@ -641,7 +634,7 @@ def compare_supersolution(report: TrajectoryReport, sp, profile,
         raise DomainError("report carries no stored fields")
     for t, u in report.fields:
         w = supersolution_value(sp, profile, report.r_grid, t)
-        if np.any(u > w * (1.0 + tol)):
+        if np.any(u > w * (1.0 + 1e-6)):
             return False
     return True
 
@@ -667,7 +660,8 @@ def save_trajectory(report: TrajectoryReport, csv_path, json_path) -> None:
         "reason": report.verdict.reason,
         "params": {"N": cfg.params.N, "s": cfg.params.s,
                    "lambda": cfg.params.lam, "p": cfg.params.p},
-        "formulation": cfg.formulation,
+        "formulation": ("direct" if isinstance(grid, UniformGrid)
+                        else "ground_state"),
         "diffusion": cfg.diffusion,
         "potential_epsilon": cfg.potential_epsilon,
         "dt_initial": cfg.dt_initial,

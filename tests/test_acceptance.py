@@ -170,7 +170,7 @@ def test_criterion_6a_diffusion_oracle(prof_1_025):
     grid = UniformGrid(1, 1600.0, 32768)
     x = grid.axis()
     params = ProblemParams(1, 0.25, 0.0, 2.0)
-    cfg = SolverConfig(params=params, grid=grid, formulation="direct",
+    cfg = SolverConfig(params=params, grid=grid,
                        t_max=1.0, dt_initial=0.05, n_monitor=4,
                        reaction_enabled=False, store_fields=True)
     rep = run(Field(grid, np.exp(-x ** 2)), cfg)
@@ -206,7 +206,7 @@ def test_criterion_6b_sub_fujita_blowup():
     ok = True
     for amp in (1e-3, 1.0):
         cfg = SolverConfig(params=params, grid=rg,
-                           formulation="ground_state", t_max=2000.0,
+                           t_max=2000.0,
                            dt_initial=0.05, blowup_threshold=1e4,
                            n_monitor=64, max_steps=200000)
         rep = run(lambda r, a=amp: a * np.exp(-r ** 2), cfg)
@@ -227,7 +227,7 @@ def test_criterion_6c_conditional_global(prof_3_05):
     sp, _ = choose_supersolution(params, prof_3_05)
     rg = RadialGrid(1e-3, 20.0, 192)
     u0 = 0.5 * supersolution_value(sp, prof_3_05, rg.r, 0.0)
-    cfg = SolverConfig(params=params, grid=rg, formulation="ground_state",
+    cfg = SolverConfig(params=params, grid=rg,
                        t_max=10.0, dt_initial=0.02, n_monitor=40,
                        store_fields=True)
     rep = run(u0, cfg)
@@ -245,7 +245,7 @@ def test_criterion_6d_comparison_monotonicity():
     reports = []
     for amp in (0.2, 0.3):
         cfg = SolverConfig(params=params, grid=rg,
-                           formulation="ground_state", t_max=2.0,
+                           t_max=2.0,
                            dt_initial=0.01, adapt=False, n_monitor=16)
         reports.append(run(lambda r, a=amp: a * np.exp(-r ** 2), cfg))
     small, big = reports
@@ -265,12 +265,12 @@ def test_criterion_6e_formulation_consistency():
     t_max = 0.25
     rg = RadialGrid(1e-3, 1e3, 256)
     rep_g = run(u0f, SolverConfig(params=params, grid=rg,
-                                  formulation="ground_state", t_max=t_max,
+                                  t_max=t_max,
                                   dt_initial=0.005, n_monitor=8))
     rels = {}
     for n in (64, 128):
         grid = UniformGrid(3, 16.0, n)
-        cfg = SolverConfig(params=params, grid=grid, formulation="direct",
+        cfg = SolverConfig(params=params, grid=grid,
                            t_max=t_max, dt_initial=0.01, n_monitor=8)
         rep_d = run(Field.from_radial(grid, u0f), cfg)
         rel = np.abs(rep_d.weighted_mass_series
@@ -291,7 +291,7 @@ def test_criterion_7_critical_case():
     # refinement stability within 1% is enforced inside the call; a
     # QuadratureError here would fail the test
     rg = RadialGrid(1e-3, 1e3, 192)
-    cfg = SolverConfig(params=params, grid=rg, formulation="ground_state",
+    cfg = SolverConfig(params=params, grid=rg,
                        t_max=20.0, dt_initial=0.02, blowup_threshold=1e4,
                        n_monitor=64)
     rep = run(lambda r: np.exp(-r ** 2), cfg)
@@ -320,7 +320,7 @@ def test_criterion_8_energy_criterion():
     h0 = Field(grid, 2.0 * a_star * base.values)
     assert energy_blowup_criterion(h0, params, R, epsilon=1.0)
     wm0 = monitor_norms(h0, 0.5, 2.0, 0.5, 0.5, epsilon=1.0)[0]
-    cfg = SolverConfig(params=params, grid=grid, formulation="direct",
+    cfg = SolverConfig(params=params, grid=grid,
                        potential_epsilon=1.0, diffusion="implicit",
                        t_max=0.5, dt_initial=0.002, n_monitor=50,
                        blowup_threshold=300.0 * wm0, u_cap=1e8)

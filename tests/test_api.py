@@ -1,0 +1,87 @@
+"""Every setting has a caller.
+
+A defaulted parameter of a module-level function or method of the package
+is a setting; one that no call in the package or its tests ever supplies
+is a constant in disguise and belongs in the module as one.  The scan is
+syntactic: a call supplies a parameter when it names the function (as a
+bare name or an attribute) and passes the parameter by keyword, passes
+enough positional arguments to reach it, or unpacks *args / **kwargs.
+Nested functions (closures binding loop values such as m=m) are exempt.
+"""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "hardyheat"
+
+
+def _settings():
+    """(module, qualified name, parameter, positional index or None) of
+    every defaulted parameter of a module-level function or method."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [(None, tree.body)] + [
+            (node.name, node.body) for node in tree.body
+            if isinstance(node, ast.ClassDef)]
+        for cls, body in scopes:
+            for fn in body:
+                if not isinstance(fn, (ast.FunctionDef,
+                                       ast.AsyncFunctionDef)):
+                    continue
+                static = any(isinstance(d, ast.Name)
+                             and d.id == "staticmethod"
+                             for d in fn.decorator_list)
+                bound = 1 if cls is not None and not static else 0
+                args = fn.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                qual = fn.name if cls is None else f"{cls}.{fn.name}"
+                for i in range(first, len(positional)):
+                    out.append((path.stem, qual, fn.name,
+                                positional[i].arg, i - bound))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        out.append((path.stem, qual, fn.name, arg.arg, None))
+    return out
+
+
+def _calls():
+    """Every call in the package and the tests, by called name."""
+    calls = {}
+    for path in sorted((ROOT / "src").rglob("*.py")) + sorted(
+            (ROOT / "tests").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            if name is not None:
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _supplies(call: ast.Call, param: str, index) -> bool:
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    calls = _calls()
+    unset = [f"{module}.{qual}({param})"
+             for module, qual, name, param, index in _settings()
+             if not any(_supplies(call, param, index)
+                        for call in calls.get(name, ()))]
+    assert unset == []
+
+
+def test_scan_sees_the_package():
+    settings = {(module, qual, param)
+                for module, qual, _, param, _ in _settings()}
+    assert ("quadrature", "tail_panels", "scale") in settings
+    assert ("kernel", "KernelProfile.h_of_sigma",
+            "allow_extension") in settings

@@ -149,6 +149,11 @@ class TestSimulate:
         assert code == 5
         assert len(matrix_builds) == 1
 
+    def test_unknown_formulation_exits_domain(self, tmp_path):
+        assert run_cli(["simulate", "--N", "3", "--s", "0.5",
+                        "--lambda", "0.5", "--p", "1.2",
+                        "--formulation", "bogus"], tmp_path) == 3
+
     def test_determinism(self, tmp_path):
         args = ["simulate", "--N", "3", "--s", "0.5", "--lambda", "0.5",
                 "--p", "2.0", "--amplitude", "0.1", "--t-max", "1.0",
@@ -231,3 +236,30 @@ class TestConfigFile:
                      "--sigma-max", "20", "--out", "explicit.csv"])
         assert code == 0
         assert (tmp_path / "explicit.csv").exists()
+
+    def test_config_fills_every_value_option(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=7\nu0=random-bumps\npotential-epsilon=0.25\n"
+                       "unknown=3\n")
+        code = main(["--outdir", str(tmp_path), "--config", str(cfg),
+                     "simulate", "--N", "3", "--s", "0.5", "--lambda", "0.2",
+                     "--p", "1.3", "--t-max", "0.1", "--points", "32",
+                     "--out", "cfg.csv"])
+        assert code == 0
+        params = json.loads(
+            (tmp_path / "manifest_simulate.json").read_text())["parameters"]
+        assert params["seed"] == 7
+        assert params["u0"] == "random-bumps"
+        assert params["potential_epsilon"] == 0.25
+        assert "unknown" not in params
+
+    def test_config_leaves_flags_alone(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scaling-ode=1\n")
+        code = main(["--outdir", str(tmp_path), "--config", str(cfg),
+                     "kernel", "build", "--N", "1", "--s", "0.5",
+                     "--sigma-max", "20", "--n-points", "121"])
+        assert code == 0
+        manifest = tmp_path / "manifest_kernel_build.json"
+        assert json.loads(manifest.read_text())["parameters"][
+            "scaling_ode"] is False

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -52,7 +53,7 @@ class TestMonitors:
         params = ProblemParams(3, 0.5, 0.5, 1.5)
         g = UniformGrid(3, 8.0, 32)
         u0 = Field.from_radial(g, radial_bump())
-        cfg = SolverConfig(params=params, grid=g, formulation="direct",
+        cfg = SolverConfig(params=params, grid=g,
                            t_max=0.01, dt_initial=0.01, n_monitor=1)
         rep = run(u0, cfg)
         mu = exponent_profile(3, 0.5, 0.5).mu
@@ -111,15 +112,19 @@ class TestBlowupExtrapolation:
 class TestRunBasics:
     def test_zero_datum_survives(self):
         cfg = SolverConfig(params=PARAMS_SUB, grid=RG,
-                           formulation="ground_state", t_max=0.5,
+                           t_max=0.5,
                            dt_initial=0.05, n_monitor=4)
         rep = run(np.zeros(RG.n_points), cfg)
         assert rep.verdict.kind == "survived"
         assert np.all(rep.weighted_mass_series == 0.0)
 
+    def test_grid_of_unknown_type_rejected(self):
+        with pytest.raises(DomainError):
+            SolverConfig(params=PARAMS_SUB, grid=(1e-3, 1e3, 160))
+
     def test_negative_datum_rejected(self):
         cfg = SolverConfig(params=PARAMS_SUB, grid=RG,
-                           formulation="ground_state", t_max=0.5,
+                           t_max=0.5,
                            dt_initial=0.05)
         with pytest.raises(DomainError):
             run(-np.ones(RG.n_points), cfg)
@@ -127,7 +132,7 @@ class TestRunBasics:
     def test_mass_conservation_pure_diffusion(self):
         g = UniformGrid(1, 200.0, 4096)
         params = ProblemParams(1, 0.25, 0.0, 2.0)
-        cfg = SolverConfig(params=params, grid=g, formulation="direct",
+        cfg = SolverConfig(params=params, grid=g,
                            t_max=1.0, dt_initial=0.1, n_monitor=4,
                            reaction_enabled=False)
         rep = run(Field(g, np.exp(-g.axis() ** 2)), cfg)
@@ -141,7 +146,7 @@ class TestRunBasics:
         # and with adaptivity off the run must abort as inconclusive
         params = ProblemParams(3, 0.5, 0.5, 2.0)
         cfg = SolverConfig(params=params, grid=RG,
-                           formulation="ground_state", t_max=1e6,
+                           t_max=1e6,
                            dt_initial=1e5, adapt=False, n_monitor=2,
                            max_steps=400)
         rep = run(radial_bump(amplitude=20.0), cfg)
@@ -150,7 +155,7 @@ class TestRunBasics:
     def test_step_collapse_inconclusive(self):
         params = ProblemParams(3, 0.5, 0.5, 2.0)
         cfg = SolverConfig(params=params, grid=RG,
-                           formulation="ground_state", t_max=1e7,
+                           t_max=1e7,
                            dt_initial=1e6, n_monitor=2, max_steps=50)
         rep = run(radial_bump(amplitude=30.0), cfg)
         assert rep.verdict.kind == "inconclusive"
@@ -160,7 +165,7 @@ class TestDynamics:
     def test_amplitude_cap_exit_stores_final_field(self):
         cfg = SolverConfig(params=ProblemParams(3, 0.5, 0.2, 1.3),
                            grid=RadialGrid(1e-3, 1e3, 64),
-                           formulation="ground_state", t_max=40.0,
+                           t_max=40.0,
                            u_cap=50.0, blowup_threshold=1e30,
                            store_fields=True)
         rep = run(radial_bump(), cfg)
@@ -171,7 +176,7 @@ class TestDynamics:
 
     def test_sub_fujita_blowup(self):
         cfg = SolverConfig(params=PARAMS_SUB, grid=RG,
-                           formulation="ground_state", t_max=300.0,
+                           t_max=300.0,
                            dt_initial=0.05, blowup_threshold=1e4,
                            n_monitor=32)
         rep = run(radial_bump(), cfg)
@@ -182,7 +187,7 @@ class TestDynamics:
         reports = []
         for amp in (0.1, 0.15):
             cfg = SolverConfig(params=PARAMS_SUB, grid=RG,
-                               formulation="ground_state", t_max=2.0,
+                               t_max=2.0,
                                dt_initial=0.01, adapt=False, n_monitor=10)
             reports.append(run(radial_bump(amplitude=amp), cfg))
         small, big = reports
@@ -195,7 +200,7 @@ class TestDynamics:
 
     def test_positivity_of_recorded_fields(self):
         cfg = SolverConfig(params=PARAMS_SUB, grid=RG,
-                           formulation="ground_state", t_max=1.0,
+                           t_max=1.0,
                            dt_initial=0.02, n_monitor=8, store_fields=True)
         rep = run(radial_bump(), cfg)
         for _, u in rep.fields:
@@ -205,7 +210,7 @@ class TestDynamics:
         params = ProblemParams(3, 0.5, 0.5, 2.0)
         g = UniformGrid(3, 8.0, 32)
         u0 = Field.from_radial(g, radial_bump(amplitude=0.3, width=1.5))
-        cfg = SolverConfig(params=params, grid=g, formulation="direct",
+        cfg = SolverConfig(params=params, grid=g,
                            potential_epsilon=1.0, diffusion="implicit",
                            t_max=1.0, dt_initial=0.002, n_monitor=40)
         rep = run(u0, cfg)
@@ -219,7 +224,7 @@ class TestDynamics:
         u0 = Field.from_radial(g, radial_bump(amplitude=0.5, width=2.0))
         ends = []
         for mult in (4.0, 2.0, 1.0):
-            cfg = SolverConfig(params=params, grid=g, formulation="direct",
+            cfg = SolverConfig(params=params, grid=g,
                                potential_epsilon=mult * g.dx, t_max=0.5,
                                dt_initial=0.01, n_monitor=4)
             ends.append(run(u0, cfg).weighted_mass_series[-1])
@@ -232,7 +237,7 @@ class TestOperatorReuse:
     def test_cached_operator_run_is_bit_identical(self, matrix_builds):
         cfg = SolverConfig(params=ProblemParams(3, 0.5, 0.2, 1.3),
                            grid=RadialGrid(1e-3, 1e3, 64),
-                           formulation="ground_state", t_max=40.0,
+                           t_max=40.0,
                            blowup_threshold=1e3)
         fresh = run(radial_bump(), cfg)
         cached = run(radial_bump(), cfg)
@@ -247,6 +252,10 @@ class TestOperatorReuse:
 
     def test_operator_arrays_read_only(self):
         op = ground_state_operator(RadialGrid(1e-3, 1e3, 32), 3, 0.5, 0.25)
+        for f in dataclasses.fields(op):
+            arr = getattr(op, f.name)
+            assert isinstance(arr, np.ndarray), f.name
+            assert not arr.flags.writeable, f.name
         with pytest.raises(ValueError):
             op.B[0, 0] = 1.0
 
@@ -263,7 +272,7 @@ class TestCompareSupersolution:
 
         def report_with(u):
             cfg = SolverConfig(params=params, grid=RadialGrid(1e-3, 20.0, 64),
-                               formulation="ground_state", t_max=1.0)
+                               t_max=1.0)
             return TrajectoryReport(
                 times=np.array([0.0]), weighted_mass_series=np.array([0.0]),
                 critical_norm_series=np.array([0.0]),
@@ -279,8 +288,7 @@ class TestCompareSupersolution:
 
 class TestSerialization:
     def test_trajectory_files(self, tmp_path):
-        cfg = SolverConfig(params=PARAMS_SUB, grid=RG,
-                           formulation="ground_state", t_max=0.2,
+        cfg = SolverConfig(params=PARAMS_SUB, grid=RG, t_max=0.2,
                            dt_initial=0.05, n_monitor=4)
         rep = run(radial_bump(), cfg)
         csv = tmp_path / "traj.csv"
@@ -294,3 +302,16 @@ class TestSerialization:
         assert record["verdict"] == "survived"
         assert record["params"]["p"] == 1.2
         assert record["grid"]["type"] == "radial"
+        assert record["formulation"] == "ground_state"
+
+    def test_box_verdict_names_direct_formulation(self, tmp_path):
+        grid = UniformGrid(3, 8.0, 16)
+        cfg = SolverConfig(params=PARAMS_SUB, grid=grid, t_max=0.2,
+                           dt_initial=0.05, n_monitor=4)
+        rep = run(Field.from_radial(grid, radial_bump(width=2.0)), cfg)
+        jsn = tmp_path / "box.json"
+        save_trajectory(rep, tmp_path / "box.csv", jsn)
+        import json
+        record = json.loads(jsn.read_text())
+        assert record["formulation"] == "direct"
+        assert record["grid"]["type"] == "uniform"
