@@ -69,11 +69,14 @@ def _parse_grid_spec(spec: str) -> np.ndarray:
 
 def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
     """The key=value lines of a config file that name a value-taking option
-    of `parser` (by its destination, '-' and '_' alike), as strings that
-    argparse converts with the option's type.  Other keys, and flags that
-    take no value, are ignored."""
-    takes_value = {action.dest for action in parser._actions
-                   if action.option_strings and action.nargs != 0}
+    of `parser` (by a flag without its dashes or by its destination, '-'
+    and '_' alike), keyed by destination, as strings that argparse converts
+    with the option's type.  Other keys, and flags that take no value, are
+    ignored."""
+    dest_of = {name.lstrip("-").replace("-", "_"): action.dest
+               for action in parser._actions
+               if action.option_strings and action.nargs != 0
+               for name in (action.dest, *action.option_strings)}
     values = {}
     with open(path) as fh:
         for line in fh:
@@ -82,8 +85,8 @@ def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
                 continue
             key, _, val = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key in takes_value:
-                values[key] = val.strip()
+            if key in dest_of:
+                values[dest_of[key]] = val.strip()
     return values
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, QuadratureError
-from .exponents import pv_normalization
+from .exponents import lambda_of_alpha, pv_normalization
 from .kernel import sphere_area
 from .quadrature import (graded_edges, head_panels, integrate_panels,
                          panel_nodes, tail_panels)
@@ -433,7 +433,6 @@ def verify_power_solution(N: int, s: float, alpha: float, radii) -> float:
     (-Delta)^s |x|^{-(N-2s)/2 +- alpha} must equal
     lambda(alpha) r^{-2s} |x|^{-(N-2s)/2 +- alpha}.
     """
-    from .exponents import lambda_of_alpha
     lam = lambda_of_alpha(N, s, alpha)
     half = 0.5 * (N - 2.0 * s)
     worst = 0.0

@@ -76,11 +76,8 @@ class SolverConfig:
     blowup_threshold: float = 1e6
     diffusion: str = "exponential"           # box: "exponential" | "implicit"
     reaction_enabled: bool = True
-    adapt: bool = True
     n_monitor: int = 64
-    max_steps: int = 400_000
     store_fields: bool = False
-    u_cap: float = 1e60
 
     def __post_init__(self) -> None:
         if self.t_max <= 0.0 or self.dt_initial <= 0.0:
@@ -238,11 +235,23 @@ def monitor_norms(u, mu: float, p: float, lam: float, s: float,
 # blow-up time extrapolation
 
 
-def _increasing_tail(times: np.ndarray, series: np.ndarray) -> int:
-    i = len(series) - 1
-    while i > 0 and series[i - 1] < series[i]:
+def _tail_line(times, weighted_mass_series, p: float):
+    """Least-squares line through Y^{1-p} over the strictly increasing tail
+    of the series: (tail times, tail Y^{1-p}, slope, intercept at the
+    first tail time).  Refuses (BlowupFitError) a tail of fewer than 5
+    samples."""
+    t = np.asarray(times, dtype=float)
+    Y = np.asarray(weighted_mass_series, dtype=float)
+    if len(t) != len(Y):
+        raise DomainError("series lengths differ")
+    i = len(Y) - 1
+    while i > 0 and Y[i - 1] < Y[i]:
         i -= 1
-    return i
+    if len(Y) - i < 5:
+        raise BlowupFitError("tail not strictly increasing over enough samples")
+    tt, zz = t[i:], Y[i:] ** (1.0 - p)
+    slope, intercept = np.polyfit(tt - tt[0], zz, 1)
+    return tt, zz, slope, intercept
 
 
 def estimate_blowup_time(times, weighted_mass_series, p: float) -> float:
@@ -253,19 +262,10 @@ def estimate_blowup_time(times, weighted_mass_series, p: float) -> float:
     monotone increasing, not accelerating, or the crossing does not exceed
     the last recorded time.
     """
-    t = np.asarray(times, dtype=float)
-    Y = np.asarray(weighted_mass_series, dtype=float)
-    if len(t) != len(Y):
-        raise DomainError("series lengths differ")
-    i = _increasing_tail(t, Y)
-    if len(Y) - i < 5:
-        raise BlowupFitError("tail not strictly increasing over enough samples")
-    tt, zz = t[i:], Y[i:] ** (1.0 - p)
-    shift = tt[0]
-    slope, intercept = np.polyfit(tt - shift, zz, 1)
+    tt, _, slope, intercept = _tail_line(times, weighted_mass_series, p)
     if slope >= 0.0:
         raise BlowupFitError("Y^{1-p} tail not decreasing toward zero")
-    t_star = shift - intercept / slope
+    t_star = tt[0] - intercept / slope
     if t_star <= tt[-1]:
         raise BlowupFitError("extrapolated crossing does not exceed data")
     return float(t_star)
@@ -274,15 +274,10 @@ def estimate_blowup_time(times, weighted_mass_series, p: float) -> float:
 def tail_linearity_residual(times, weighted_mass_series, p: float) -> float:
     """Max deviation of Y^{1-p} from its tail linear fit, relative to the
     fitted range (small values corroborate the blow-up ODE law)."""
-    t = np.asarray(times, dtype=float)
-    Y = np.asarray(weighted_mass_series, dtype=float)
-    i = _increasing_tail(t, Y)
-    tt, zz = t[i:], Y[i:] ** (1.0 - p)
-    if len(zz) < 5 or zz.max() == zz.min():
-        raise BlowupFitError("tail too short for a linearity residual")
-    shift = tt[0]
-    slope, intercept = np.polyfit(tt - shift, zz, 1)
-    return float(np.max(np.abs(slope * (tt - shift) + intercept - zz))
+    tt, zz, slope, intercept = _tail_line(times, weighted_mass_series, p)
+    if zz.max() == zz.min():
+        raise BlowupFitError("tail too flat for a linearity residual")
+    return float(np.max(np.abs(slope * (tt - tt[0]) + intercept - zz))
                  / (zz.max() - zz.min()))
 
 
@@ -292,6 +287,23 @@ def tail_linearity_residual(times, weighted_mass_series, p: float) -> float:
 
 class _StepRejected(Exception):
     pass
+
+
+# step budget of one run, and the amplitude past which a run counts as
+# blown up whatever its weighted mass
+_MAX_STEPS = 400_000
+_U_CAP = 1e60
+
+
+def _accept(u: np.ndarray, rel_floor: float) -> np.ndarray:
+    """u with its small negative lobes clipped to 0 (in place).  Rejects
+    the step on a non-finite state, or on a lobe below -rel_floor max u."""
+    if not np.all(np.isfinite(u)):
+        raise _StepRejected("non-finite state")
+    if float(u.min()) < -rel_floor * max(float(u.max()), 1e-300):
+        raise _StepRejected("negativity")
+    np.clip(u, 0.0, None, out=u)
+    return u
 
 
 def run(u0, config: SolverConfig) -> TrajectoryReport:
@@ -309,12 +321,7 @@ def run(u0, config: SolverConfig) -> TrajectoryReport:
             raise DomainError("initial datum must be nonnegative and finite")
         return _run_direct(u0, config)
     r = config.grid.r
-    if callable(u0):
-        u_init = np.asarray(u0(r), dtype=float)
-    elif isinstance(u0, RadialField):
-        u_init = np.asarray(u0(r), dtype=float)
-    else:
-        u_init = np.asarray(u0, dtype=float)
+    u_init = np.asarray(u0(r) if callable(u0) else u0, dtype=float)
     if u_init.shape != r.shape:
         raise DomainError("radial datum does not match the grid")
     if np.any(u_init < 0.0) or not np.all(np.isfinite(u_init)):
@@ -374,8 +381,7 @@ def _run_direct(u0: Field, config: SolverConfig) -> TrajectoryReport:
     params = config.params
     grid = u0.grid
     N, s, lam, p = grid.N, params.s, params.lam, params.p
-    prof = exponent_profile(N, s, lam)
-    mu = prof.mu
+    mu = exponent_profile(N, s, lam).mu
     eps = grid.dx if config.potential_epsilon is None else config.potential_epsilon
     if lam > 0.0 and eps <= 0.0:
         raise DomainError("the direct grid cannot represent the exact "
@@ -388,17 +394,10 @@ def _run_direct(u0: Field, config: SolverConfig) -> TrajectoryReport:
     vol = grid.cell_volume
     W = _box_weight(grid, mu)
 
-    prop_cache: dict[float, np.ndarray] = {}
-
+    @functools.lru_cache(maxsize=49)
     def propagator(dt: float) -> np.ndarray:
-        arr = prop_cache.get(dt)
-        if arr is None:
-            if len(prop_cache) > 48:
-                prop_cache.clear()
-            arr = (np.exp(-dt * symbol) if config.diffusion == "exponential"
-                   else 1.0 / (1.0 + dt * symbol))
-            prop_cache[dt] = arr
-        return arr
+        return (np.exp(-dt * symbol) if config.diffusion == "exponential"
+                else 1.0 / (1.0 + dt * symbol))
 
     def monitors(u: np.ndarray):
         lap = np.fft.irfftn(symbol * np.fft.rfftn(u), s=shape, axes=axes)
@@ -416,19 +415,14 @@ def _run_direct(u0: Field, config: SolverConfig) -> TrajectoryReport:
         return out
 
     def step(u: np.ndarray, dt: float) -> np.ndarray:
-        u_star = np.fft.irfftn(propagator(dt) * np.fft.rfftn(u), s=shape,
-                               axes=axes)
-        u_new = u_star + dt * source(u_star) if (
-            config.reaction_enabled or lam > 0.0) else u_star
-        # band-limited representations of sharp states ring slightly
-        # negative; clip the small lobes, halve on anything worse
-        floor = -1e-6 * max(float(u_new.max()), 1e-300)
-        if not np.all(np.isfinite(u_new)):
-            raise _StepRejected("non-finite state")
-        if float(u_new.min()) < floor:
-            raise _StepRejected("negativity")
-        np.clip(u_new, 0.0, None, out=u_new)
-        return u_new
+        u_new = np.fft.irfftn(propagator(dt) * np.fft.rfftn(u), s=shape,
+                              axes=axes)
+        if config.reaction_enabled or lam > 0.0:
+            # band-limited representations of sharp states ring slightly
+            # negative; the source sees the lobes clipped (u^p of a
+            # negative lobe is nan), and the guard rejects deep ones
+            u_new += dt * source(np.clip(u_new, 0.0, None))
+        return _accept(u_new, 1e-6)
 
     def rate(u: np.ndarray) -> float:
         rt = 0.0
@@ -444,9 +438,6 @@ def _run_direct(u0: Field, config: SolverConfig) -> TrajectoryReport:
 
 # implicit weight of the radial theta-scheme (Crank-Nicolson)
 _THETA = 0.5
-
-# the per-dt LU cache of a run is emptied past this many entries
-_LU_CACHE_SIZE = 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -505,17 +496,11 @@ def _run_ground_state(u_init: np.ndarray, config: SolverConfig) -> TrajectoryRep
     v = r ** mu * u_init
     rfac = r ** (mu * (1.0 - p))
     omega = sphere_area(N)
-    lu_cache: dict[float, tuple] = {}
 
+    @functools.lru_cache(maxsize=25)
     def factor(dt: float):
         # LU factors of I + dt theta B
-        fac = lu_cache.get(dt)
-        if fac is None:
-            if len(lu_cache) > _LU_CACHE_SIZE:
-                lu_cache.clear()
-            fac = lu_factor(op.eye + dt * _THETA * B, check_finite=False)
-            lu_cache[dt] = fac
-        return fac
+        return lu_factor(op.eye + dt * _THETA * B, check_finite=False)
 
     def energy_of(vv: np.ndarray) -> float:
         # (1/2) <u, (-Delta)^s u - lam u/|x|^{2s}> through the L-matrix,
@@ -536,15 +521,8 @@ def _run_ground_state(u_init: np.ndarray, config: SolverConfig) -> TrajectoryRep
         rhs = vv - dt * (1.0 - _THETA) * (B @ vv)
         if config.reaction_enabled:
             rhs = rhs + dt * rfac * vv ** p
-        # a non-finite rhs comes out non-finite and is rejected below
-        v_new = lu_solve(factor(dt), rhs, check_finite=False)
-        floor = -1e-9 * max(float(v_new.max()), 1e-300)
-        if not np.all(np.isfinite(v_new)):
-            raise _StepRejected("non-finite state")
-        if float(v_new.min()) < floor:
-            raise _StepRejected("negativity")
-        np.clip(v_new, 0.0, None, out=v_new)
-        return v_new
+        # a non-finite rhs comes out non-finite and is rejected
+        return _accept(lu_solve(factor(dt), rhs, check_finite=False), 1e-9)
 
     def rate(vv: np.ndarray) -> float:
         if not config.reaction_enabled:
@@ -558,64 +536,61 @@ def _run_ground_state(u_init: np.ndarray, config: SolverConfig) -> TrajectoryRep
 def _advance(state, config, step, rate, monitors, weighted_mass, p,
              store, r_grid=None) -> TrajectoryReport:
     rec = _Recorder()
+
+    def checkpoint(t, state):
+        rec.record(t, *monitors(state))
+        if config.store_fields:
+            rec.fields.append((t, store(state)))
+
     t = 0.0
     checkpoints = np.linspace(0.0, config.t_max, config.n_monitor + 1)
     next_cp = 1
-    rec.record(0.0, *monitors(state))
-    if config.store_fields:
-        rec.fields.append((0.0, store(state)))
+    checkpoint(0.0, state)
     rec.tail_t.append(0.0)
     rec.tail_y.append(weighted_mass(state))
     dt_floor = 1e-14 * max(config.t_max, 1.0)
-    verdict: Verdict | None = None
+    verdict = Verdict("inconclusive", reason="step budget exhausted")
     dt_pending = None
 
-    for _ in range(config.max_steps):
+    for _ in range(_MAX_STEPS):
         if t >= config.t_max - 1e-15 * config.t_max:
             verdict = Verdict("survived", t_star=None)
             break
         rt = rate(state)
         dt = config.dt_initial if dt_pending is None else dt_pending
-        if config.adapt and rt > 0.0:
+        if rt > 0.0:
             dt = min(dt, config.dt_safety / rt)
         hit_cp = False
         if next_cp <= config.n_monitor and t + dt >= checkpoints[next_cp] - 1e-15:
             dt = max(checkpoints[next_cp] - t, 1e-18)
             hit_cp = True
         try:
-            new_state = step(state, dt)
+            state = step(state, dt)
         except _StepRejected as exc:
-            if not config.adapt or dt <= dt_floor:
+            if dt <= dt_floor:
                 verdict = Verdict("inconclusive",
                                   reason=f"step rejected ({exc}) at t={t}")
                 break
             dt_pending = 0.5 * dt
             continue
         dt_pending = None
-        state = new_state
         t += dt
         y = weighted_mass(state)
         rec.tail_t.append(t)
         rec.tail_y.append(y)
         if hit_cp:
-            rec.record(t, *monitors(state))
-            if config.store_fields:
-                rec.fields.append((t, store(state)))
+            checkpoint(t, state)
             next_cp += 1
         if y > config.blowup_threshold:
             reason = "weighted mass over threshold"
-        elif float(np.max(state)) > config.u_cap:
+        elif float(np.max(state)) > _U_CAP:
             reason = "amplitude over cap"
         else:
             continue
         if not hit_cp:
-            rec.record(t, *monitors(state))
-            if config.store_fields:
-                rec.fields.append((t, store(state)))
+            checkpoint(t, state)
         verdict = _blowup_verdict(rec, p, reason)
         break
-    if verdict is None:
-        verdict = Verdict("inconclusive", reason="step budget exhausted")
     return rec.report(verdict, config, r_grid=r_grid)
 
 

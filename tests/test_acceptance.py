@@ -208,7 +208,7 @@ def test_criterion_6b_sub_fujita_blowup():
         cfg = SolverConfig(params=params, grid=rg,
                            t_max=2000.0,
                            dt_initial=0.05, blowup_threshold=1e4,
-                           n_monitor=64, max_steps=200000)
+                           n_monitor=64)
         rep = run(lambda r, a=amp: a * np.exp(-r ** 2), cfg)
         blew = rep.verdict.kind == "blew_up"
         lin = (tail_linearity_residual(rep.tail_times[-60:],
@@ -246,7 +246,7 @@ def test_criterion_6d_comparison_monotonicity():
     for amp in (0.2, 0.3):
         cfg = SolverConfig(params=params, grid=rg,
                            t_max=2.0,
-                           dt_initial=0.01, adapt=False, n_monitor=16)
+                           dt_initial=0.01, n_monitor=16)
         reports.append(run(lambda r, a=amp: a * np.exp(-r ** 2), cfg))
     small, big = reports
     slack = 1.0 + 1e-12
@@ -323,7 +323,7 @@ def test_criterion_8_energy_criterion():
     cfg = SolverConfig(params=params, grid=grid,
                        potential_epsilon=1.0, diffusion="implicit",
                        t_max=0.5, dt_initial=0.002, n_monitor=50,
-                       blowup_threshold=300.0 * wm0, u_cap=1e8)
+                       blowup_threshold=300.0 * wm0)
     rep = run(h0, cfg)
     blew = rep.verdict.kind == "blew_up"
     I = rep.l2_series ** 2

@@ -1,12 +1,15 @@
 """Every setting has a caller.
 
 A defaulted parameter of a module-level function or method of the package
-is a setting; one that no call in the package or its tests ever supplies
-is a constant in disguise and belongs in the module as one.  The scan is
-syntactic: a call supplies a parameter when it names the function (as a
-bare name or an attribute) and passes the parameter by keyword, passes
-enough positional arguments to reach it, or unpacks *args / **kwargs.
-Nested functions (closures binding loop values such as m=m) are exempt.
+is a setting, and so is a defaulted field of a dataclass (a parameter of
+its constructor); one that no call in the package or its tests ever
+supplies is a constant in disguise and belongs in the module as one.  The
+scan is syntactic: a call supplies a parameter when it names the function
+or class (as a bare name or an attribute) and passes the parameter by
+keyword, passes enough positional arguments to reach it, or unpacks
+*args / **kwargs.  Nested functions (closures binding loop values such as
+m=m) and underscore fields (lazy caches such as RadialField._spline) are
+exempt.
 """
 import ast
 from pathlib import Path
@@ -15,12 +18,30 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hardyheat"
 
 
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    decorators = [d.func if isinstance(d, ast.Call) else d
+                  for d in cls.decorator_list]
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               for d in decorators)
+
+
 def _settings():
-    """(module, qualified name, parameter, positional index or None) of
-    every defaulted parameter of a module-level function or method."""
+    """(module, qualified name, called name, parameter, positional index or
+    None) of every defaulted parameter of a module-level function or method
+    and every defaulted public dataclass field."""
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            fields = [node for node in cls.body
+                      if isinstance(node, ast.AnnAssign)
+                      and isinstance(node.target, ast.Name)]
+            for i, node in enumerate(fields):
+                name = node.target.id
+                if node.value is not None and not name.startswith("_"):
+                    out.append((path.stem, cls.name, cls.name, name, i))
         scopes = [(None, tree.body)] + [
             (node.name, node.body) for node in tree.body
             if isinstance(node, ast.ClassDef)]
@@ -85,3 +106,5 @@ def test_scan_sees_the_package():
     assert ("quadrature", "tail_panels", "scale") in settings
     assert ("kernel", "KernelProfile.h_of_sigma",
             "allow_extension") in settings
+    assert ("solver", "SolverConfig", "n_monitor") in settings
+    assert ("fracop", "RadialField", "_spline") not in settings

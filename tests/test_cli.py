@@ -253,6 +253,16 @@ class TestConfigFile:
         assert params["potential_epsilon"] == 0.25
         assert "unknown" not in params
 
+    def test_config_key_may_be_the_flag_name(self, tmp_path, capsys):
+        # --lambda stores to `lam`; either name reaches it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lambda=0.3\n")
+        code = main(["--outdir", str(tmp_path), "--config", str(cfg),
+                     "verify", "energy", "--N", "3", "--s", "0.5"])
+        assert code == 0
+        manifest = tmp_path / "manifest_verify_energy.json"
+        assert json.loads(manifest.read_text())["parameters"]["lam"] == 0.3
+
     def test_config_leaves_flags_alone(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("scaling-ode=1\n")

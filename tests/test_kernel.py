@@ -6,9 +6,10 @@ import pytest
 from conftest import poisson_profile, poisson_profile_derivative
 from hardyheat.errors import DomainError, OutOfTableError, ProfileError
 from hardyheat.exponents import pv_normalization
-from hardyheat.kernel import (KernelProfile, ball_mass, build_profile,
-                              check_envelope, check_scaling_ode, h_value,
-                              load_profile, profile_csv, profile_origin_value,
+from hardyheat.kernel import (KernelProfile, _profile_point, ball_mass,
+                              build_profile, check_envelope,
+                              check_scaling_ode, h_value, load_profile,
+                              profile_csv, profile_origin_value,
                               save_profile, tail_series_coefficients)
 
 
@@ -66,6 +67,39 @@ class TestBuildProfile:
             build_profile(3, 0.5, -1.0, 32)
         with pytest.raises(DomainError):
             build_profile(3, 0.5, 10.0, 8)
+
+
+# H(sigma) to 20 digits, computed with mpmath at 30 digits from the 1-D
+# forms of the radial Fourier integral (x = 2 pi rho):
+#   N = 1:  H = (1/pi) int_0^inf e^{-x^{2s}} cos(sigma x) dx,
+#   N = 3:  H = 1/(2 pi^2 sigma) int_0^inf x e^{-x^{2s}} sin(sigma x) dx.
+# Route 1 substitutes x = t^{1/(2s)}, which removes the kink of x^{2s} at
+# the origin, and sums panels between the zeros of the oscillation up to
+# t = 90.  Route 2 rotates the contour to x = y e^{i pi/4}, which turns the
+# oscillation into exponential decay.  The two routes agree to 1e-21.
+KERNEL_ORACLE = {
+    (1, 0.25): {0.5: 0.17076240172520622381, 1.0: 0.086107146912604118325,
+                2.5: 0.02985147829710786429, 10.0: 0.004872255383721116158},
+    (1, 0.75): {0.5: 0.26229684035409003579, 1.0: 0.20203815960784013039,
+                2.5: 0.051148894530671766313,
+                10.0: 0.0010477760249294404612},
+    (3, 0.25): {0.5: 0.097564511661917749931, 1.0: 0.014665727830223272877,
+                2.5: 0.00093536409686099492526,
+                10.0: 1.0610821826442626108e-05},
+    (3, 0.75): {0.5: 0.030110888779505640427, 1.0: 0.021583066054200037349,
+                2.5: 0.0032514480795439352707,
+                10.0: 4.4255787560092263011e-06},
+}
+
+
+class TestProfilePointOracle:
+    @pytest.mark.parametrize("N,s", sorted(KERNEL_ORACLE))
+    def test_matches_high_precision_away_from_half(self, N, s):
+        # the Poisson bar of the acceptance battery; worst seen 1.1e-7,
+        # at N = 1, s = 0.25
+        for sigma, exact in KERNEL_ORACLE[N, s].items():
+            assert _profile_point(N, s, sigma)[0] == pytest.approx(
+                exact, rel=1e-6)
 
 
 class TestBallMass:

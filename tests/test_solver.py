@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from hardyheat import solver
 from hardyheat.errors import BlowupFitError, DomainError
 from hardyheat.exponents import ProblemParams, exponent_profile
 from hardyheat.fracop import Field, RadialField, UniformGrid
-from hardyheat.solver import (RadialGrid, SolverConfig, estimate_blowup_time,
-                              ground_state_operator, monitor_norms, run,
-                              save_trajectory, tail_linearity_residual)
+from hardyheat.solver import (RadialGrid, SolverConfig, Verdict,
+                              estimate_blowup_time, ground_state_operator,
+                              monitor_norms, run, save_trajectory,
+                              tail_linearity_residual)
 
 
 def radial_bump(amplitude=1.0, width=1.0):
@@ -141,32 +143,60 @@ class TestRunBasics:
                     - rep.weighted_mass_series[0])
         assert drift <= 1e-6 * rep.weighted_mass_series[0]
 
-    def test_nan_mid_run_inconclusive(self):
-        # huge fixed step with the reaction on overflows to non-finite,
-        # and with adaptivity off the run must abort as inconclusive
-        params = ProblemParams(3, 0.5, 0.5, 2.0)
-        cfg = SolverConfig(params=params, grid=RG,
-                           t_max=1e6,
-                           dt_initial=1e5, adapt=False, n_monitor=2,
-                           max_steps=400)
-        rep = run(radial_bump(amplitude=20.0), cfg)
-        assert rep.verdict.kind == "inconclusive"
-
-    def test_step_collapse_inconclusive(self):
+    def test_step_budget_exhausted_inconclusive(self, monkeypatch):
+        # with the default budget this run blows up (t* ~ 0.0206); a
+        # budget of 50 steps ends it first
+        monkeypatch.setattr(solver, "_MAX_STEPS", 50)
         params = ProblemParams(3, 0.5, 0.5, 2.0)
         cfg = SolverConfig(params=params, grid=RG,
                            t_max=1e7,
-                           dt_initial=1e6, n_monitor=2, max_steps=50)
+                           dt_initial=1e6, n_monitor=2)
         rep = run(radial_bump(amplitude=30.0), cfg)
-        assert rep.verdict.kind == "inconclusive"
+        assert rep.verdict == Verdict("inconclusive",
+                                      reason="step budget exhausted")
+
+    def test_every_step_rejected_ends_at_dt_floor(self, monkeypatch):
+        attempts = []
+
+        def reject(u, rel_floor):
+            attempts.append(rel_floor)
+            raise solver._StepRejected("negativity")
+
+        monkeypatch.setattr(solver, "_accept", reject)
+        cfg = SolverConfig(params=PARAMS_SUB, grid=RG, t_max=1.0,
+                           dt_initial=0.5, n_monitor=1,
+                           reaction_enabled=False)
+        rep = run(radial_bump(), cfg)
+        assert rep.verdict == Verdict(
+            "inconclusive", reason="step rejected (negativity) at t=0.0")
+        # dt = 0.5 halved until it reaches the floor 1e-14: 0.5 * 2^-46
+        assert len(attempts) == 47
+        assert list(rep.times) == [0.0]
+
+
+class TestStepGuard:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_state_rejected(self, bad):
+        with pytest.raises(solver._StepRejected, match="non-finite state"):
+            solver._accept(np.array([1.0, bad, 0.5]), 1e-6)
+
+    def test_lobe_below_floor_rejected(self):
+        with pytest.raises(solver._StepRejected, match="negativity"):
+            solver._accept(np.array([2.0, -3e-6, 0.5]), 1e-6)
+
+    def test_small_lobe_clipped_in_place(self):
+        u = np.array([2.0, -1e-6, 0.5])
+        assert solver._accept(u, 1e-6) is u
+        assert list(u) == [2.0, 0.0, 0.5]
 
 
 class TestDynamics:
-    def test_amplitude_cap_exit_stores_final_field(self):
+    def test_amplitude_cap_exit_stores_final_field(self, monkeypatch):
+        monkeypatch.setattr(solver, "_U_CAP", 50.0)
         cfg = SolverConfig(params=ProblemParams(3, 0.5, 0.2, 1.3),
                            grid=RadialGrid(1e-3, 1e3, 64),
                            t_max=40.0,
-                           u_cap=50.0, blowup_threshold=1e30,
+                           blowup_threshold=1e30,
                            store_fields=True)
         rep = run(radial_bump(), cfg)
         assert rep.verdict.kind == "blew_up"
@@ -188,7 +218,7 @@ class TestDynamics:
         for amp in (0.1, 0.15):
             cfg = SolverConfig(params=PARAMS_SUB, grid=RG,
                                t_max=2.0,
-                               dt_initial=0.01, adapt=False, n_monitor=10)
+                               dt_initial=0.01, n_monitor=10)
             reports.append(run(radial_bump(amplitude=amp), cfg))
         small, big = reports
         slack = 1.0 + 1e-12
@@ -205,6 +235,18 @@ class TestDynamics:
         rep = run(radial_bump(), cfg)
         for _, u in rep.fields:
             assert np.all(u >= 0.0)
+
+    def test_box_reaction_non_integer_p_sees_clipped_ringing(self):
+        # the coarse box rings negative at once; u^1.2 of a negative lobe
+        # is nan, so the reaction must act on the clipped state
+        g = UniformGrid(3, 8.0, 16)
+        cfg = SolverConfig(params=ProblemParams(3, 0.5, 0.5, 1.2), grid=g,
+                           t_max=0.2)
+        rep = run(Field.from_radial(g, radial_bump()), cfg)
+        assert rep.verdict.reason != ("step rejected (non-finite state) "
+                                      "at t=0.0")
+        assert rep.verdict.kind == "survived"
+        assert rep.times[-1] == pytest.approx(0.2)
 
     def test_energy_non_increasing_convex_splitting(self):
         params = ProblemParams(3, 0.5, 0.5, 2.0)
