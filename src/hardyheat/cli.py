@@ -20,9 +20,9 @@ import numpy as np
 
 from . import __version__
 from .errors import (BlowupFitError, CertificationError, DomainError,
-                     QuadratureError)
-from .exponents import (ProblemParams, exponent_profile, phase_table,
-                        phase_table_csv)
+                     QuadratureError, RegimeAmbiguityError)
+from .exponents import (ProblemParams, classify_regime, exponent_profile,
+                        phase_table, phase_table_csv)
 from .fracop import Field, UniformGrid, verify_power_solution
 from .kernel import (build_profile, check_envelope, check_scaling_ode,
                      load_profile, save_profile)
@@ -191,8 +191,9 @@ def _cmd_verify(args) -> int:
         from .constructions import critical_case_constants
         fujita = exponent_profile(args.N, args.s, args.lam).fujita
         params = ProblemParams(args.N, args.s, args.lam, fujita)
-        c1, c3 = critical_case_constants(params, args.m, args.kappa)
-        report.update({"C1": c1, "C3": c3})
+        c1, c3, d1, d3 = critical_case_constants(params, args.m, args.kappa)
+        report.update({"C1": c1, "C3": c3, "C1_refinement_delta": d1,
+                       "C3_refinement_delta": d3})
         ok = np.isfinite(c1) and np.isfinite(c3)
     path = os.path.join(outdir, f"verify_{args.check}.json")
     report["pass"] = bool(ok)
@@ -231,9 +232,13 @@ def _run_one(task):
                        blowup_threshold=threshold, n_monitor=32)
     rep = run(_make_datum(kind, amplitude, width, seed), cfg)
     t_star = rep.verdict.t_star
+    try:
+        regime = classify_regime(params).value
+    except RegimeAmbiguityError:
+        regime = "ambiguous"
     return (lam, p, rep.verdict.kind,
             float("nan") if t_star is None else t_star,
-            float(rep.weighted_mass_series[-1]))
+            float(rep.weighted_mass_series[-1]), regime)
 
 
 def _cmd_simulate(args) -> int:
@@ -283,9 +288,10 @@ def _cmd_sweep(args) -> int:
     outdir = _outdir(args)
     out = os.path.join(outdir, args.out)
     with open(out, "w") as fh:
-        fh.write("lambda,p,verdict,t_star,final_weighted_mass\n")
-        for lam, p, verdict, t_star, wm in results:
-            fh.write(f"{lam:.17g},{p:.17g},{verdict},{t_star:.17g},{wm:.17g}\n")
+        fh.write("lambda,p,verdict,t_star,final_weighted_mass,regime\n")
+        for lam, p, verdict, t_star, wm, regime in results:
+            fh.write(f"{lam:.17g},{p:.17g},{verdict},{t_star:.17g},{wm:.17g},"
+                     f"{regime}\n")
     _write_manifest(args, "sweep", [out], {"cells": len(results)})
     print(out)
     return EXIT_OK

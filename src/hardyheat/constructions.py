@@ -103,14 +103,12 @@ def psi_differential_inequality(params: TestFunctionParams,
     def psi(r):
         return psi_eta_value(r, params, profile)
 
-    worst = math.inf
-    for r in np.asarray(radii, dtype=float):
-        lap = frac_laplacian_quadrature_radial(psi, N, s, float(r))
-        val = float(psi(np.array([r]))[0])
-        slack = -lap + lam * r ** (-2.0 * s) * val + (0.5 * N / s) * params.eta * val
-        scale = abs(lap) + lam * r ** (-2.0 * s) * val + (0.5 * N / s) * params.eta * val
-        worst = min(worst, slack / scale)
-    return worst
+    r = np.asarray(radii, dtype=float)
+    lap = frac_laplacian_quadrature_radial(psi, N, s, r)
+    val = psi(r)
+    slack = -lap + lam * r ** (-2.0 * s) * val + (0.5 * N / s) * params.eta * val
+    scale = np.abs(lap) + lam * r ** (-2.0 * s) * val + (0.5 * N / s) * params.eta * val
+    return float(np.min(slack / scale))
 
 
 # ---------------------------------------------------------------------------
@@ -231,14 +229,17 @@ def choose_supersolution(params: ProblemParams, profile: KernelProfile
     return replace(unit, A=A), _min_normalized_residual(A, p, *terms)
 
 
-def _profile_pair(profile: KernelProfile, sigma: float) -> tuple[float, float]:
-    """(H, H') at sigma, with the power envelope beyond the table."""
-    if sigma <= profile.sigma_max:
-        sp = profile.interpolant()
-        return float(sp(sigma)), float(sp.derivative()(sigma))
+def _profile_pair(profile: KernelProfile, sigma: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(H, H') at every sigma, with the power envelope beyond the table."""
+    sp = profile.interpolant()
+    inside = sigma <= profile.sigma_max
+    table = np.minimum(sigma, profile.sigma_max)
     c = profile.tail_coefficient
     q = profile.N + 2.0 * profile.s
-    return c * sigma ** (-q), -q * c * sigma ** (-q - 1.0)
+    return (np.where(inside, sp(table), c * sigma ** (-q)),
+            np.where(inside, sp.derivative()(table),
+                     -q * c * sigma ** (-q - 1.0)))
 
 
 def supersolution_value(sp: SupersolutionParams, profile: KernelProfile,
@@ -262,6 +263,7 @@ def _supersolution_terms(unit: SupersolutionParams, params: ProblemParams,
     four rows give the residual at any amplitude.
     """
     N, s, lam = params.N, params.s, params.lam
+    r = np.asarray(radii, dtype=float)
     cols = []
     for t in np.asarray(times, dtype=float):
         tau = unit.T + t
@@ -269,16 +271,15 @@ def _supersolution_terms(unit: SupersolutionParams, params: ProblemParams,
         def w_of(rr, t=t):
             return supersolution_value(unit, profile, rr, t)
 
-        for r in np.asarray(radii, dtype=float):
-            sig = float(r * tau ** (-unit.beta))
-            H, Hp = _profile_pair(profile, sig)
-            w = float(w_of(r))
-            w_t = (tau ** (-unit.theta - 1.0) * sig ** (-unit.gamma)
-                   * ((unit.beta * unit.gamma - unit.theta) * H
-                      - unit.beta * sig * Hp))
-            lap = frac_laplacian_quadrature_radial(w_of, N, s, float(r))
-            cols.append((w, w_t, lap, lam * w * r ** (-2.0 * s)))
-    return np.array(cols).T
+        sig = r * tau ** (-unit.beta)
+        H, Hp = _profile_pair(profile, sig)
+        w = w_of(r)
+        w_t = (tau ** (-unit.theta - 1.0) * sig ** (-unit.gamma)
+               * ((unit.beta * unit.gamma - unit.theta) * H
+                  - unit.beta * sig * Hp))
+        lap = frac_laplacian_quadrature_radial(w_of, N, s, r)
+        cols.append((w, w_t, lap, lam * w * r ** (-2.0 * s)))
+    return np.concatenate(cols, axis=1)
 
 
 def _min_normalized_residual(A: float, p: float, w1, w_t, lap, pot) -> float:
@@ -323,11 +324,9 @@ def supersolution_mixed_remainder(sp: SupersolutionParams,
         sig = np.asarray(rr, dtype=float) * tau ** (-sp.beta)
         return profile.h_of_sigma(sig, allow_extension=True)
 
-    worst = math.inf
-    for r in np.asarray(radii, dtype=float):
-        worst = min(worst, bilinear_remainder(
-            weight, prof_part, profile.N, profile.s, float(r)))
-    return worst
+    return float(np.min(bilinear_remainder(
+        weight, prof_part, profile.N, profile.s,
+        np.asarray(radii, dtype=float))))
 
 
 # ---------------------------------------------------------------------------
@@ -410,21 +409,24 @@ def _one_minus_phi(u):
 
 
 # half-width of the tanh-sinh rule in u and the Gauss order in tau of the
-# shell integrals; the refinement check takes 2x and 1.5x of them
+# shell integrals; the refined pass takes 2x and 1.5x of them
 _N_HALF = 48
 _N_TAU = 24
 
 
-def critical_case_constants(params: ProblemParams, m: float, kappa: float,
-                            check_refinement: bool = True) -> tuple[float, float]:
-    """Rescaled cutoff integrals (C1, C3) of the critical-case argument.
+def critical_case_constants(params: ProblemParams, m: float, kappa: float
+                            ) -> tuple[float, float, float, float]:
+    """Rescaled cutoff integrals of the critical-case argument:
+    (C1, C3, C1 refinement delta, C3 refinement delta).
 
     Both integrals run over the shell {1 < tau^2 + |y|^{4s} < 2, tau > 0},
     where the kappa-weight (1-theta)^{-kappa(p'-1)} is finite; theta is
     the composite cutoff phi(tau^2 + |y|^{4s}).  C1 has a closed-form
-    inner tau-integral; C3 applies the ground-state operator in y per
-    quadrature node.  A QuadratureError flags values that do not
-    stabilize under mesh refinement within 1%.
+    inner tau-integral; C3 applies the ground-state operator in y, one
+    call per u node.  Each constant is computed on a coarse and a refined
+    mesh; the refined value is returned with its relative change
+    |refined - coarse| / |coarse|, and a QuadratureError flags a change
+    above 1%.
     """
     prof = exponent_profile(params.N, params.s, params.lam)
     N, s, p, mu = params.N, params.s, params.p, prof.mu
@@ -439,16 +441,16 @@ def critical_case_constants(params: ProblemParams, m: float, kappa: float,
 
     c1 = _c1_integral(N, s, mu, p_prime, m, _N_HALF)
     c3 = _c3_integral(N, s, mu, p, p_prime, m, kappa, _N_HALF, _N_TAU)
-    if check_refinement:
-        c1_f = _c1_integral(N, s, mu, p_prime, m, 2 * _N_HALF)
-        c3_f = _c3_integral(N, s, mu, p, p_prime, m, kappa,
-                            int(1.5 * _N_HALF), int(1.5 * _N_TAU))
-        if abs(c1_f - c1) > 0.01 * abs(c1):
-            raise QuadratureError("C1 not refinement-stable within 1%")
-        if abs(c3_f - c3) > 0.01 * abs(c3):
-            raise QuadratureError("C3 not refinement-stable within 1%")
-        c1, c3 = c1_f, c3_f
-    return c1, c3
+    c1_f = _c1_integral(N, s, mu, p_prime, m, 2 * _N_HALF)
+    c3_f = _c3_integral(N, s, mu, p, p_prime, m, kappa,
+                        int(1.5 * _N_HALF), int(1.5 * _N_TAU))
+    d1 = abs(c1_f - c1) / abs(c1)
+    d3 = abs(c3_f - c3) / abs(c3)
+    if d1 > 0.01:
+        raise QuadratureError("C1 not refinement-stable within 1%")
+    if d3 > 0.01:
+        raise QuadratureError("C3 not refinement-stable within 1%")
+    return c1_f, c3_f, d1, d3
 
 
 def _c1_integral(N, s, mu, p_prime, m, n_half) -> float:
@@ -476,27 +478,23 @@ def _c3_integral(N, s, mu, p, p_prime, m, kappa, n_half, n_tau) -> float:
     zeta, zw = np.polynomial.legendre.leggauss(n_tau)
     zeta = 0.5 * (zeta + 1.0)
     zw = 0.5 * zw
+    # the u-weight theta^{m-p'} (1-theta)^{-kappa(p'-1)} times the u-rule
+    u_w = u_w * (_phi(u_nodes) ** (m - p_prime)
+                 * np.maximum(_one_minus_phi(u_nodes), 1e-300)
+                 ** (-kappa * (p_prime - 1.0)))
     total = 0.0
     for u, wu in zip(u_nodes, u_w):
-        theta_u = float(_phi(np.array([u]))[0])
-        comp_u = float(_one_minus_phi(np.array([u]))[0])
-        weight_u = (theta_u ** (m - p_prime)
-                    * max(comp_u, 1e-300) ** (-kappa * (p_prime - 1.0)))
-        inner = 0.0
         sqrt_u = math.sqrt(u)
-        for z, wz in zip(zeta, zw):
-            tau = sqrt_u * math.sin(0.5 * math.pi * z)
-            dtau = sqrt_u * 0.5 * math.pi * math.cos(0.5 * math.pi * z)
-            rad4s = u - tau ** 2
-            if rad4s <= 0.0:
-                continue
-            rho = rad4s ** (0.25 / s)
+        tau = sqrt_u * np.sin(0.5 * math.pi * zeta)
+        dtau = sqrt_u * 0.5 * math.pi * np.cos(0.5 * math.pi * zeta)
+        rad4s = u - tau ** 2
 
-            def v_theta(rr, tau=tau):
-                rr = np.asarray(rr, dtype=float)
-                return _phi(tau ** 2 + rr ** (4.0 * s))
+        # one member of the theta-family per tau node, one radius each
+        def v_theta(rr, tau=tau):
+            return _phi(tau[:, None] ** 2 + rr ** (4.0 * s))
 
-            L = apply_ground_state_operator(v_theta, mu, N, s, rho)
-            inner += wz * dtau * rad4s ** (q3 - 1.0) * abs(L) ** p_prime
-        total += wu * weight_u * inner
+        L = apply_ground_state_operator(v_theta, mu, N, s,
+                                        rad4s ** (0.25 / s))
+        total += wu * np.dot(zw * dtau * rad4s ** (q3 - 1.0),
+                             np.abs(L) ** p_prime)
     return float(sphere_area(N) / (4.0 * s) * total)

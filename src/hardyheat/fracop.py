@@ -17,10 +17,9 @@ ground-state-transformed operator with kernel
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, QuadratureError
 from .exponents import lambda_of_alpha, pv_normalization
@@ -97,18 +96,10 @@ class Field:
 
 @dataclass
 class RadialField:
-    """Radial samples on a strictly increasing positive grid.
-
-    Evaluation uses a cubic spline in log-radius; outside the grid the
-    field continues as a power law (decay_exponent above, a fit to the
-    first two samples below).
-    """
+    """Radial samples on a strictly increasing positive grid."""
 
     r_grid: np.ndarray
     values: np.ndarray
-    decay_exponent: float
-    _spline: CubicSpline | None = field(default=None, repr=False)
-    _head_exp: float | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.r_grid = np.asarray(self.r_grid, dtype=float)
@@ -119,43 +110,6 @@ class RadialField:
             raise DomainError("radial grid must be positive and increasing")
         if not np.all(np.isfinite(self.values)):
             raise DomainError("radial field values must be finite")
-
-    def _ensure_spline(self) -> CubicSpline:
-        if self._spline is None:
-            self._spline = CubicSpline(np.log(self.r_grid), self.values)
-            v0, v1 = self.values[0], self.values[1]
-            if v0 > 0.0 and v1 > 0.0:
-                self._head_exp = float(
-                    math.log(v1 / v0) / math.log(self.r_grid[1] / self.r_grid[0]))
-            else:
-                self._head_exp = 0.0
-        return self._spline
-
-    def __call__(self, r):
-        sp = self._ensure_spline()
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        r = np.atleast_1d(r)
-        out = np.empty_like(r)
-        lo = r < self.r_grid[0]
-        hi = r > self.r_grid[-1]
-        mid = ~(lo | hi)
-        out[mid] = sp(np.log(r[mid]))
-        if np.any(lo):
-            out[lo] = self.values[0] * (r[lo] / self.r_grid[0]) ** self._head_exp
-        if np.any(hi):
-            out[hi] = self.values[-1] * (
-                r[hi] / self.r_grid[-1]) ** self.decay_exponent
-        return float(out[0]) if scalar else out
-
-    def derivatives(self, r: float) -> tuple[float, float, float]:
-        """(f, f', f'') at one interior radius, from the log-space spline."""
-        sp = self._ensure_spline()
-        t = math.log(r)
-        g = float(sp(t))
-        g1 = float(sp.derivative(1)(t))
-        g2 = float(sp.derivative(2)(t))
-        return g, g1 / r, (g2 - g1) / r ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +143,20 @@ def frac_laplacian_spectral(fld: Field, s: float) -> Field:
 
 # ---------------------------------------------------------------------------
 # radial singular-integral machinery
+#
+# The pointwise evaluators take a vectorized callable and a radius r, a
+# scalar or an array of radii, and return a value of the shape of r.  The
+# callable is evaluated on arrays of shape r.shape + (k,), whose leading
+# axes run over the radii, so a family v_i, one member per radius, may
+# broadcast along them.
 
 # Polar-angle panels (in units of the uncut span) of the general-N kernel,
-# and their Gauss order.
+# their Gauss order, and how many (r, rho) pairs one block evaluates: the
+# matrix hands every row at once, and cache-sized blocks keep the pairs x
+# angles temporaries from slowing the N=2 matrix by half.
 _THETA_ZETA_EDGES = np.concatenate([[0.0], np.geomspace(1e-10, 1.0, 29)])
 _THETA_ORDER = 8
+_THETA_CHUNK = 128
 
 # Core-ball radius of callables as a fraction of r, and the Gauss order of
 # the pointwise evaluators and of the collocation matrix.
@@ -201,151 +164,151 @@ _DELTA_FRAC = 1.0 / 64.0
 _ORDER = 10
 _MATRIX_ORDER = 8
 
+# offsets of the 5-point difference stencil, in steps
+_FD_STEPS = np.arange(-2.0, 3.0)
 
-def _angular_cut(N: int, s: float, r: float, rho: np.ndarray,
-                 dmin: np.ndarray) -> np.ndarray:
+
+def _angular_cut(N: int, s: float, r, rho, dmin) -> np.ndarray:
     """Polar-angle kernel integral for general N with the ball cut.
 
     omega_{N-2} int_{theta*}^{pi} sin^{N-2}(t) (d^2 + 4 r rho sin^2(t/2))^{-beta/2} dt
-    with sin^2(theta*/2) = (dmin^2 - d^2)/(4 r rho).
+    with sin^2(theta*/2) = (dmin^2 - d^2)/(4 r rho); r, rho and dmin
+    broadcast together.
     """
     beta = N + 2.0 * s
-    d2 = (rho - r) ** 2
-    s2 = np.clip((dmin ** 2 - d2) / (4.0 * r * rho), 0.0, 1.0)
-    theta_star = 2.0 * np.arcsin(np.sqrt(s2))
+    shape = np.broadcast_shapes(np.shape(r), np.shape(rho), np.shape(dmin))
+    r, rho, dmin = (a.ravel() for a in np.broadcast_arrays(r, rho, dmin))
     zeta, wz = panel_nodes(_THETA_ZETA_EDGES, _THETA_ORDER)
-    span = (np.pi - theta_star)[:, None]
-    theta = theta_star[:, None] + span * zeta[None, :]
-    val = (np.sin(theta) ** (N - 2)
-           * (d2[:, None] + 4.0 * r * rho[:, None] * np.sin(0.5 * theta) ** 2)
-           ** (-0.5 * beta))
-    return sphere_area(N - 1) * span[:, 0] * (val @ wz)
+    out = np.empty(len(rho))
+    for lo in range(0, len(rho), _THETA_CHUNK):
+        cut = slice(lo, lo + _THETA_CHUNK)
+        r4 = 4.0 * r[cut] * rho[cut]
+        d2 = (rho[cut] - r[cut]) ** 2
+        s2 = np.clip((dmin[cut] ** 2 - d2) / r4, 0.0, 1.0)
+        theta_star = 2.0 * np.arcsin(np.sqrt(s2))
+        span = (np.pi - theta_star)[:, None]
+        theta = theta_star[:, None] + span * zeta[None, :]
+        val = (np.sin(theta) ** (N - 2)
+               * (d2[:, None] + r4[:, None] * np.sin(0.5 * theta) ** 2)
+               ** (-0.5 * beta))
+        out[cut] = sphere_area(N - 1) * span[:, 0] * (val @ wz)
+    return out.reshape(shape)
 
 
-def _power_diff(dmin: np.ndarray, rsum: np.ndarray, c: float) -> np.ndarray:
-    """dmin^{-c} - rsum^{-c} without cancellation when dmin ~ rsum."""
+def _power_diff(dmin: np.ndarray, rsum: np.ndarray, excess: np.ndarray,
+                c: float) -> np.ndarray:
+    """dmin^{-c} - rsum^{-c} without cancellation when dmin ~ rsum, given
+    excess = dmin - rsum computed without cancellation."""
     ratio = dmin / rsum
-    out = np.empty_like(dmin)
+    out = np.empty_like(ratio)
     close = ratio > 0.5
     if np.any(close):
         # dmin^{-c} (1 - (dmin/rsum)^c) with expm1 for the small exponent
         out[close] = dmin[close] ** (-c) * (
-            -np.expm1(c * np.log(ratio[close])))
+            -np.expm1(c * np.log1p(excess[close] / rsum[close])))
     far = ~close
     out[far] = dmin[far] ** (-c) - rsum[far] ** (-c)
     return out
 
 
-def _cut_kernel(N: int, s: float, r: float, rho: np.ndarray,
-                delta: float) -> np.ndarray:
+def _cut_kernel(N: int, s: float, r, rho: np.ndarray, delta) -> np.ndarray:
     """Angular-average kernel K_N^delta(r, rho): the surface integral of
     |x - y|^{-(N+2s)} over the rho-sphere with the ball |y-x| < delta
-    removed.  Equals the full kernel when |rho - r| >= delta."""
+    removed.  Equals the full kernel when |rho - r| >= delta.  r, rho and
+    delta broadcast together."""
     rho = np.asarray(rho, dtype=float)
     gap = np.abs(rho - r)
     dmin = np.maximum(gap, delta)
+    keep = gap >= delta
+    rsum = rho + r
     if N == 1:
         beta = 1.0 + 2.0 * s
-        out = (rho + r) ** (-beta)
-        keep = gap >= delta
+        out = rsum ** (-beta)
         out[keep] += gap[keep] ** (-beta)
         return out
     if N == 3:
         c = 1.0 + 2.0 * s
+        # dmin - rsum: -2 min(rho, r) outside the cut, delta - rho - r inside
+        excess = np.where(keep, -2.0 * np.minimum(rho, r), delta - rsum)
         return (2.0 * math.pi / (r * rho * c)) * _power_diff(
-            dmin, rho + r, c)
+            dmin, rsum, excess, c)
     return _angular_cut(N, s, r, rho, dmin)
 
 
-def _core_moment(N: int, s: float, delta: float) -> float:
+def _core_moment(N: int, s: float, delta):
     """int_{B_delta} |z|^{2-N-2s} dz = omega_{N-1} delta^{2-2s}/(2-2s)."""
     return sphere_area(N) * delta ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
 
 
-def _fd_derivatives(f, r: float, h: float) -> tuple[float, float, float]:
-    """5-point central first/second derivatives of a vectorized callable."""
-    pts = np.array([r - 2 * h, r - h, r, r + h, r + 2 * h])
-    v = f(pts)
-    d1 = (v[0] - 8 * v[1] + 8 * v[3] - v[4]) / (12.0 * h)
-    d2 = (-v[0] + 16 * v[1] - 30 * v[2] + 16 * v[3] - v[4]) / (12.0 * h ** 2)
-    return float(v[2]), float(d1), float(d2)
-
-
-def _local_derivatives(f, r: float, h: float) -> tuple[float, float, float]:
-    out = f.derivatives(r) if isinstance(f, RadialField) \
-        else _fd_derivatives(f, r, h)
-    if not all(math.isfinite(v) for v in out):
+def _local_derivatives(f, r: np.ndarray, h: np.ndarray):
+    """(f, f', f'') at every radius of r by 5-point central differences of
+    step h; QuadratureError names the first radius with a non-finite
+    estimate."""
+    v = f(r[..., None] + h[..., None] * _FD_STEPS)
+    d1 = (v[..., 0] - 8 * v[..., 1] + 8 * v[..., 3] - v[..., 4]) / (12.0 * h)
+    d2 = (-v[..., 0] + 16 * v[..., 1] - 30 * v[..., 2] + 16 * v[..., 3]
+          - v[..., 4]) / (12.0 * h ** 2)
+    v0 = v[..., 2]
+    bad = ~(np.isfinite(v0) & np.isfinite(d1) & np.isfinite(d2))
+    if np.any(bad):
         raise QuadratureError(
-            f"singular-core estimate failed: field not smooth near r={r}")
-    return out
+            "singular-core estimate failed: field not smooth near "
+            f"r={r[bad][0]}")
+    return v0, d1, d2
 
 
-def _integral_edges(r: float, delta: float,
-                    knots: np.ndarray | None) -> np.ndarray:
-    """Panel edges on [r/2, 2r]: graded into the cut region from both
-    sides, with any interpolation knots inside the window inserted."""
+def _integral_edges(r: float, delta: float) -> np.ndarray:
+    """Panel edges on [r/2, 2r], graded into the cut region from both
+    sides."""
     left = r - graded_edges(delta, 0.5 * r, delta)[::-1]
     right = r + graded_edges(delta, r, delta)
     cut = np.linspace(r - delta, r + delta, 5)
-    pieces = [left, cut, right]
-    if knots is not None:
-        inside = knots[(knots > 0.5 * r) & (knots < 2.0 * r)]
-        pieces.append(inside)
-    edges = np.unique(np.concatenate(pieces))
+    edges = np.unique(np.concatenate([left, cut, right]))
     return edges[edges > 0.0]
 
 
-def _nonlocal_radial_integral(G, N: int, s: float, r: float, delta: float,
-                              knots: np.ndarray | None) -> float:
-    """int_0^inf G(rho) rho^{N-1} K_N^delta(r, rho) drho.
+# the edges of every callable evaluation, in xi = rho / r
+_XI_EDGES = _integral_edges(1.0, _DELTA_FRAC)
 
-    G must be vectorized; the head (rho -> 0) and tail (rho -> inf) are
-    extended by adaptive geometric panels and must die out, otherwise a
-    QuadratureError is raised.
+
+def _nonlocal_radial_integral(G, N: int, s: float, r: np.ndarray,
+                              mu: float):
+    """int_0^inf G(rho) rho^{N-1-mu} K_N^delta(r, rho) drho with
+    delta = _DELTA_FRAC r, at every radius of r.
+
+    The cut kernel is homogeneous, so in xi = rho/r the integral is
+    r^{-2s-mu} int G(r xi) xi^{N-1-mu} K_N^{_DELTA_FRAC}(1, xi) dxi: one
+    panel layout serves every radius (fixed edges on [1/2, 2], geometric
+    head and tail panels beyond).  G is called on r[..., None] * xi.  The
+    head and tail of each radius must die out, otherwise a QuadratureError
+    is raised.
     """
-    def integrand(rho):
-        return G(rho) * rho ** (N - 1) * _cut_kernel(N, s, r, rho, delta)
+    def integrand(xi):
+        weight = xi ** (N - 1 - mu) * _cut_kernel(N, s, 1.0, xi, _DELTA_FRAC)
+        return G(r[..., None] * xi) * weight
 
-    mid = integrate_panels(integrand, _integral_edges(r, delta, knots), _ORDER)
-    scale = abs(mid)
-    head = head_panels(integrand, 0.5 * r, order=_ORDER, scale=scale)
-    tail = tail_panels(integrand, 2.0 * r, order=_ORDER, scale=scale)
-    return mid + head + tail
-
-
-def _resolve_delta(f, r: float) -> float:
-    """Core radius: two local grid spacings for tabulated fields, a fixed
-    fraction of r for callables (keeps the quadrature scale-covariant)."""
-    if isinstance(f, RadialField):
-        grid = f.r_grid
-        i = int(np.clip(np.searchsorted(grid, r), 1, len(grid) - 1))
-        local = grid[i] - grid[i - 1]
-        return min(2.0 * local, 0.25 * r)
-    return _DELTA_FRAC * r
+    mid = integrate_panels(integrand, _XI_EDGES, _ORDER)
+    scale = np.abs(mid)
+    head = head_panels(integrand, 0.5, order=_ORDER, scale=scale)
+    tail = tail_panels(integrand, 2.0, order=_ORDER, scale=scale)
+    return r ** (-2.0 * s - mu) * (mid + head + tail)
 
 
-def _check_field_tail(f, s: float) -> None:
-    if isinstance(f, RadialField) and f.decay_exponent >= 2.0 * s:
-        raise QuadratureError(
-            f"far-field growth exponent {f.decay_exponent} >= 2s makes the "
-            "singular integral diverge")
-
-
-def frac_laplacian_quadrature_radial(f, N: int, s: float, r: float) -> float:
+def frac_laplacian_quadrature_radial(f, N: int, s: float, r):
     """(-Delta)^s of a radial function at radius r by P.V. quadrature.
 
     For r > 0 this is the ground-state operator at mu = 0: the ball
     |y - x| < delta is excluded and replaced by its second-order Taylor
     complement -Delta f(r)/(2N) * core moment, and the remaining shell
     integral uses the exact cut kernels.  Includes the P.V. normalization
-    constant.
+    constant.  A scalar r = 0 takes the origin rule.
     """
     if not 0.0 < s < 1.0:
         raise DomainError("fractional order must lie in (0,1)")
-    if r < 0.0:
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0.0):
         raise DomainError("radius must be nonnegative")
-    if r == 0.0:
-        _check_field_tail(f, s)
+    if r.ndim == 0 and r == 0.0:
         return pv_normalization(N, s) * _quadrature_at_origin(f, N, s)
     return apply_ground_state_operator(f, 0.0, N, s, r)
 
@@ -353,8 +316,6 @@ def frac_laplacian_quadrature_radial(f, N: int, s: float, r: float) -> float:
 def _quadrature_at_origin(f, N: int, s: float) -> float:
     """At r = 0 every direction is equivalent: the kernel is exactly
     omega_{N-1} rho^{-(N+2s)} outside the core ball."""
-    if isinstance(f, RadialField):
-        raise DomainError("origin evaluation requires a callable field")
     h = 1e-3
     v = f(np.array([h, 2 * h]))
     f0 = float(f(np.array([0.0]))[0])
@@ -372,35 +333,26 @@ def _quadrature_at_origin(f, N: int, s: float) -> float:
     return core + body + tail
 
 
-def _knots_of(f) -> np.ndarray | None:
-    return f.r_grid if isinstance(f, RadialField) else None
-
-
-def bilinear_remainder(w, v, N: int, s: float, r: float) -> float:
+def bilinear_remainder(w, v, N: int, s: float, r):
     """int (w(x)-w(y)) (v(x)-v(y)) |x-y|^{-(N+2s)} dy for radial w, v.
 
     No normalization constant; the integrand is only |x-y|^{2-N-2s}
     singular so the core ball contributes w'(r) v'(r) |z|^2/N moments.
     """
-    _check_field_tail(w, s)
-    _check_field_tail(v, s)
-    delta = min(_resolve_delta(w, r), _resolve_delta(v, r))
+    r = np.asarray(r, dtype=float)
+    delta = _DELTA_FRAC * r
     w0, w1, _ = _local_derivatives(w, r, delta / 3.0)
     v0, v1, _ = _local_derivatives(v, r, delta / 3.0)
     core = w1 * v1 / N * _core_moment(N, s, delta)
 
     def G(rho):
-        return (w0 - w(rho)) * (v0 - v(rho))
+        return (w0[..., None] - w(rho)) * (v0[..., None] - v(rho))
 
-    knots = _knots_of(w)
-    if knots is None:
-        knots = _knots_of(v)
-    far = _nonlocal_radial_integral(G, N, s, r, delta, knots)
-    return core + far
+    out = core + _nonlocal_radial_integral(G, N, s, r, 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
-def apply_ground_state_operator(v, mu: float, N: int, s: float,
-                                r: float) -> float:
+def apply_ground_state_operator(v, mu: float, N: int, s: float, r):
     """Ground-state operator L v(r) with kernel
     |x|^{-mu} |y|^{-mu} |x-y|^{-(N+2s)} (P.V., with normalization).
 
@@ -410,21 +362,22 @@ def apply_ground_state_operator(v, mu: float, N: int, s: float,
     """
     if mu < 0.0:
         raise DomainError("mu must be nonnegative")
-    if r <= 0.0:
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0.0):
         raise DomainError("ground-state operator needs r > 0")
-    _check_field_tail(v, s)
     a = pv_normalization(N, s)
-    delta = _resolve_delta(v, r)
+    delta = _DELTA_FRAC * r
     v0, v1, v2 = _local_derivatives(v, r, delta / 3.0)
     lap_r = v2 + (N - 1) * v1 / r
     core = (r ** (-2.0 * mu) * _core_moment(N, s, delta)
             * (-lap_r / (2.0 * N) + mu * v1 / (N * r)))
 
     def G(rho):
-        return (v0 - v(rho)) * rho ** (-mu)
+        return v0[..., None] - v(rho)
 
-    far = _nonlocal_radial_integral(G, N, s, r, delta, _knots_of(v))
-    return a * (r ** (-mu) * far + core)
+    far = _nonlocal_radial_integral(G, N, s, r, mu)
+    out = a * (r ** (-mu) * far + core)
+    return float(out) if out.ndim == 0 else out
 
 
 def verify_power_solution(N: int, s: float, alpha: float, radii) -> float:
@@ -435,16 +388,16 @@ def verify_power_solution(N: int, s: float, alpha: float, radii) -> float:
     """
     lam = lambda_of_alpha(N, s, alpha)
     half = 0.5 * (N - 2.0 * s)
+    radii = np.asarray(radii, dtype=float)
     worst = 0.0
-    exponents = {half - alpha, half + alpha}
-    for m in exponents:
+    for m in {half - alpha, half + alpha}:
         def f(rho, m=m):
             return rho ** (-m)
 
-        for r in np.asarray(radii, dtype=float):
-            got = frac_laplacian_quadrature_radial(f, N, s, float(r))
-            expect = lam * r ** (-2.0 * s - m)
-            worst = max(worst, abs(got - expect) / abs(expect))
+        got = frac_laplacian_quadrature_radial(f, N, s, radii)
+        expect = lam * radii ** (-2.0 * s - m)
+        worst = max(worst, float(np.max(np.abs(got - expect)
+                                        / np.abs(expect))))
     return worst
 
 
@@ -466,40 +419,47 @@ def build_ground_state_matrix(r_grid: np.ndarray, mu: float, N: int,
     a = pv_normalization(N, s)
     A = np.zeros((n, n))
     r_lo, r_hi = r_grid[0], r_grid[-1]
-    for i in range(n):
-        r = float(r_grid[i])
-        if i == 0:
-            local = r_grid[1] - r_grid[0]
-        elif i == n - 1:
-            local = r_grid[-1] - r_grid[-2]
-        else:
-            local = min(r_grid[i] - r_grid[i - 1], r_grid[i + 1] - r_grid[i])
-        delta = min(2.0 * local, 0.25 * r)
-        pref = a * r ** (-mu)
+    spacing = np.diff(r_grid)
+    local = np.minimum(np.r_[spacing[0], spacing], np.r_[spacing, spacing[-1]])
+    deltas = np.minimum(2.0 * local, 0.25 * r_grid)
+    prefs = a * r_grid ** (-mu)
+    scales = np.empty(n)
 
-        def kern(rho):
-            return rho ** (N - 1 - mu) * _cut_kernel(N, s, r, rho, delta)
+    def kern(rho, r, delta):
+        return rho ** (N - 1 - mu) * _cut_kernel(N, s, r, rho, delta)
+
+    for i in range(n):
+        r, delta, pref = float(r_grid[i]), float(deltas[i]), prefs[i]
 
         # inside the grid: graded panels near r plus every knot
         edges = np.unique(np.concatenate(
-            [r_grid, _integral_edges(r, delta, None)]))
+            [r_grid, _integral_edges(r, delta)]))
         edges = edges[(edges >= r_lo) & (edges <= r_hi)]
         nodes, wts = panel_nodes(edges, _MATRIX_ORDER)
-        kv = wts * kern(nodes)
+        kv = wts * kern(nodes, r, delta)
         A[i, i] += pref * kv.sum()
         j = np.clip(np.searchsorted(r_grid, nodes), 1, n - 1)
         t = (nodes - r_grid[j - 1]) / (r_grid[j] - r_grid[j - 1])
         np.subtract.at(A[i], j - 1, pref * kv * (1.0 - t))
         np.subtract.at(A[i], j, pref * kv * t)
-        scale = abs(kv.sum())
+        scales[i] = abs(kv.sum())
 
-        # below the grid v continues as v[0], above as 0
-        m_below = head_panels(kern, r_lo, order=_MATRIX_ORDER, scale=scale)
-        A[i, i] += pref * m_below
-        A[i, 0] -= pref * m_below
-        m_above = tail_panels(kern, r_hi, order=_MATRIX_ORDER, scale=scale)
-        A[i, i] += pref * m_above
+    # below the grid v continues as v[0], above as 0: every row shares the
+    # head and tail panels, so all rows go to one call each
+    def rows(rho):
+        return kern(rho, r_grid[:, None], deltas[:, None])
 
+    diag = np.arange(n)
+    m_below = prefs * head_panels(rows, r_lo, order=_MATRIX_ORDER,
+                                  scale=scales)
+    m_above = prefs * tail_panels(rows, r_hi, order=_MATRIX_ORDER,
+                                  scale=scales)
+    A[diag, diag] += m_below
+    A[:, 0] -= m_below
+    A[diag, diag] += m_above
+
+    for i in range(n):
+        r = float(r_grid[i])
         # Taylor-2 core complement on a quadratic 3-point stencil
         if i == 0:
             il, im, ih = 0, 1, 2
@@ -519,7 +479,7 @@ def build_ground_state_matrix(r_grid: np.ndarray, mu: float, N: int,
         d1_row = coeff[1] + 2.0 * x * coeff[2]
         d2_row = 2.0 * coeff[2]
         lap_row = d2_row + (N - 1) / r * d1_row
-        c_core = a * r ** (-2.0 * mu) * _core_moment(N, s, delta)
+        c_core = a * r ** (-2.0 * mu) * _core_moment(N, s, float(deltas[i]))
         stencil = c_core * (-lap_row / (2.0 * N) + mu * d1_row / (N * r))
         for k, idx in enumerate((il, im, ih)):
             A[i, idx] += stencil[k]

@@ -88,7 +88,7 @@ def _decay_rho_edges(s: float) -> np.ndarray:
     """Breakpoints resolving exp(-(2 pi rho)^{2s}): graded near 0 (the
     integrand has a rho^{2s}-type kink there), unit steps in u after."""
     u = np.concatenate([
-        np.geomspace(1e-8, 1.0, 15),
+        np.geomspace(1e-8, 1.0, 57),
         np.arange(2.0, _U_MAX + 1.0),
     ])
     return u ** (0.5 / s) / _TWO_PI
@@ -320,24 +320,12 @@ def check_scaling_ode(profile: KernelProfile, radii=None) -> float:
     N, s = profile.N, profile.s
     if radii is None:
         radii = np.geomspace(0.2, max(profile.sigma_max / 10.0, 0.4), 10)
-    f = _profile_field(profile)
+    r = np.asarray(radii, dtype=float)
     spline = profile.interpolant()
-    worst = 0.0
-    for r in np.asarray(radii, dtype=float):
-        lap = frac_laplacian_quadrature_radial(f, N, s, float(r))
-        lhs = 2.0 * s * lap
-        rhs = N * float(spline(r)) + r * float(spline.derivative()(r))
-        worst = max(worst, abs(lhs - rhs) / (N * float(spline(r))))
-    return worst
-
-
-def _profile_field(profile: KernelProfile):
-    """Radial-field view of the table for the singular-integral machinery."""
-    from .fracop import RadialField
-    grid = profile.sigma_grid
-    keep = grid > 0.0
-    return RadialField(r_grid=grid[keep], values=profile.H_values[keep],
-                       decay_exponent=-(profile.N + 2.0 * profile.s))
+    lap = frac_laplacian_quadrature_radial(
+        lambda rho: profile.h_of_sigma(rho, allow_extension=True), N, s, r)
+    rhs = N * spline(r) + r * spline.derivative()(r)
+    return float(np.max(np.abs(2.0 * s * lap - rhs) / (N * spline(r))))
 
 
 def profile_csv(profile: KernelProfile) -> str:

@@ -35,10 +35,15 @@ def panel_nodes(edges: np.ndarray, order: int = 10) -> tuple[np.ndarray, np.ndar
     return nodes, weights
 
 
-def integrate_panels(f, edges: np.ndarray, order: int = 10) -> float:
-    """Integrate a vectorized callable over a fixed panel decomposition."""
+def integrate_panels(f, edges: np.ndarray, order: int = 10):
+    """Integrate a vectorized callable over a fixed panel decomposition.
+
+    f maps the flat node array to values whose last axis runs over the
+    nodes; any leading axes are a batch of integrands, and the result has
+    their shape.
+    """
     nodes, weights = panel_nodes(np.asarray(edges, dtype=float), order)
-    return float(np.dot(weights, f(nodes)))
+    return np.vecdot(f(nodes), weights)
 
 
 _GRADED_RATIO = 1.7
@@ -78,17 +83,18 @@ _MAX_PANELS = 240
 _FIRST_BLOCK = 8
 
 
-def _geometric_panels(f, edges: np.ndarray, order: int, scale: float) -> float:
+def _geometric_panels(f, edges: np.ndarray, order: int, scale):
     """Sum f over the panels between consecutive `edges`, taken in order.
 
     f is called once per block of panels.  Blocks double in size (8, 16,
     ...): a sum that dies out early evaluates few nodes past its stop, a
-    slow one takes few calls.  The stopping rule runs over the per-panel
-    sums in order.  Raises QuadratureError when the panels do not die out
-    by the last edge.
+    slow one takes few calls.  Leading axes of the values of f are a batch
+    of integrands, with `scale` broadcast against them; each integrand
+    stops on its own running total, summed in panel order.  Raises
+    QuadratureError when some integrand does not die out by the last edge.
     """
-    total = 0.0
-    small = 0
+    floor = np.maximum(scale, 1e-300)[..., None]
+    parts = []
     lo, block = 0, _FIRST_BLOCK
     n = len(edges) - 1
     while lo < n:
@@ -96,23 +102,24 @@ def _geometric_panels(f, edges: np.ndarray, order: int, scale: float) -> float:
         seg = edges[lo:hi + 1]
         flip = seg[0] > seg[-1]
         nodes, weights = panel_nodes(seg[::-1] if flip else seg, order)
-        parts = np.vecdot(weights.reshape(-1, order),
-                          f(nodes).reshape(-1, order))
-        for part in (parts[::-1] if flip else parts).tolist():
-            total += part
-            if abs(part) <= _REL_TOL * max(abs(total), scale, 1e-300):
-                small += 1
-                if small >= 2:
-                    return total
-            else:
-                small = 0
+        values = f(nodes)
+        part = np.vecdot(values.reshape(values.shape[:-1] + (-1, order)),
+                         weights.reshape(-1, order))
+        parts.append(part[..., ::-1] if flip else part)
+        seq = np.concatenate(parts, axis=-1)
+        totals = np.cumsum(seq, axis=-1)
+        tiny = np.abs(seq) <= _REL_TOL * np.maximum(np.abs(totals), floor)
+        pair = tiny[..., 1:] & tiny[..., :-1]
+        if pair.any(axis=-1).all():
+            stop = np.argmax(pair, axis=-1)[..., None] + 1
+            return np.take_along_axis(totals, stop, axis=-1)[..., 0][()]
         lo, block = hi, 2 * block
     raise QuadratureError(
         f"geometric panels from {edges[0]:.3e} did not die out by "
         f"{edges[-1]:.3e}")
 
 
-def tail_panels(f, start: float, order: int = 10, scale: float = 0.0) -> float:
+def tail_panels(f, start: float, order: int = 10, scale=0.0):
     """Integrate f over (start, inf) with geometrically widening panels.
 
     The first panel is [start, 2 start]; each next one is _RATIO times
@@ -124,7 +131,7 @@ def tail_panels(f, start: float, order: int = 10, scale: float = 0.0) -> float:
                              order, scale)
 
 
-def head_panels(f, stop: float, order: int = 10, scale: float = 0.0) -> float:
+def head_panels(f, stop: float, order: int = 10, scale=0.0):
     """Integrate f over (0, stop) with panels shrinking geometrically to 0.
 
     Panel k is [stop / _RATIO^(k+1), stop / _RATIO^k].  Raises

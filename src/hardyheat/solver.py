@@ -311,7 +311,7 @@ def run(u0, config: SolverConfig) -> TrajectoryReport:
 
     The grid of the config picks the formulation: a UniformGrid runs the
     direct box scheme on a Field u0; a RadialGrid runs the ground-state
-    scheme on a RadialField / callable / array on the grid.  u0 must be
+    scheme on a callable or an array on the grid.  u0 must be
     nonnegative.
     """
     if isinstance(config.grid, UniformGrid):

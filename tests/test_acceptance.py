@@ -286,7 +286,8 @@ def test_criterion_6e_formulation_consistency():
 def test_criterion_7_critical_case():
     params = ProblemParams(3, 0.5, 0.5, 1.4)
     p_prime = 1.4 / 0.4
-    c1, c3 = critical_case_constants(params, m=p_prime - 0.1, kappa=0.05)
+    c1, c3, _, _ = critical_case_constants(params, m=p_prime - 0.1,
+                                           kappa=0.05)
     finite = math.isfinite(c1) and math.isfinite(c3)
     # refinement stability within 1% is enforced inside the call; a
     # QuadratureError here would fail the test

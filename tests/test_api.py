@@ -8,8 +8,8 @@ scan is syntactic: a call supplies a parameter when it names the function
 or class (as a bare name or an attribute) and passes the parameter by
 keyword, passes enough positional arguments to reach it, or unpacks
 *args / **kwargs.  Nested functions (closures binding loop values such as
-m=m) and underscore fields (lazy caches such as RadialField._spline) are
-exempt.
+m=m) and underscore fields (lazy caches such as KernelProfile._interp)
+are exempt.
 """
 import ast
 from pathlib import Path
@@ -107,4 +107,4 @@ def test_scan_sees_the_package():
     assert ("kernel", "KernelProfile.h_of_sigma",
             "allow_extension") in settings
     assert ("solver", "SolverConfig", "n_monitor") in settings
-    assert ("fracop", "RadialField", "_spline") not in settings
+    assert ("kernel", "KernelProfile", "_interp") not in settings

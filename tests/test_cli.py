@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -77,6 +79,16 @@ class TestVerifyCertifications:
             (tmp_path / "verify_supersolution.json").read_text())
         assert report["min_normalized_residual"] >= -1e-6
         assert report["gamma"] == pytest.approx(0.75)
+
+    def test_critical_constants_report_refinement(self, tmp_path, capsys):
+        code = run_cli(["verify", "critical-constants", "--N", "3", "--s",
+                        "0.5", "--lambda", "0.5", "--m", "3.4", "--kappa",
+                        "0.05"], tmp_path)
+        assert code == 0
+        report = json.loads(
+            (tmp_path / "verify_critical-constants.json").read_text())
+        for key in ("C1_refinement_delta", "C3_refinement_delta"):
+            assert math.isfinite(report[key]) and report[key] <= 0.01
 
     def test_psi_eta(self, tmp_path, capsys):
         code = run_cli(["verify", "psi-eta", "--N", "3", "--s", "0.5",
@@ -173,7 +185,8 @@ class TestSweep:
                         "--out", "sw.csv"], tmp_path)
         assert code == 0
         lines = (tmp_path / "sw.csv").read_text().splitlines()
-        assert lines[0] == "lambda,p,verdict,t_star,final_weighted_mass"
+        assert lines[0] == ("lambda,p,verdict,t_star,final_weighted_mass,"
+                            "regime")
         assert len(lines) == 5
         verdicts = {}
         for line in lines[1:]:
@@ -181,6 +194,17 @@ class TestSweep:
             verdicts[float(p)] = verdict
         assert verdicts[1.2] == "blew_up"
         assert verdicts[2.0] == "survived"
+
+
+    def test_regime_column(self, tmp_path):
+        # lambda = 0.6 puts p_plus = 1 + 1/mu below 2.5
+        code = run_cli(["sweep", "--N", "3", "--s", "0.5",
+                        "--lambda-grid", "0.6", "--p-grid", "2.5",
+                        "--t-max", "0.5", "--points", "48"], tmp_path)
+        assert code == 0
+        rows = list(csv.DictReader(
+            (tmp_path / "sweep.csv").read_text().splitlines()))
+        assert [row["regime"] for row in rows] == ["non_existence"]
 
 
 SMALL_SWEEP = ["sweep", "--N", "3", "--s", "0.5",

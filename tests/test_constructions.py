@@ -143,6 +143,19 @@ class TestSupersolution:
                 assert sp.A * w_t[k] == pytest.approx(dwdt, rel=1e-6)
                 k += 1
 
+    def test_one_evaluator_call_per_time(self, prof_3_05, monkeypatch):
+        import hardyheat.constructions as constructions
+        calls = []
+
+        def counted(f, N, s, r):
+            calls.append(np.shape(r))
+            return frac_laplacian_quadrature_radial(f, N, s, r)
+
+        monkeypatch.setattr(constructions, "frac_laplacian_quadrature_radial",
+                            counted)
+        sp, _ = choose_supersolution(PARAMS, prof_3_05)
+        assert calls == [(20,)] * 10
+
     def test_inflated_amplitude_fails(self, prof_3_05):
         sp, _ = choose_supersolution(PARAMS, prof_3_05)
         radii = np.geomspace(0.05, 4.0, 8)
@@ -215,23 +228,20 @@ class TestCriticalConstants:
     PC = ProblemParams(3, 0.5, 0.5, 1.4)
 
     def test_finite_and_stable(self):
-        c1, c3 = critical_case_constants(self.PC, m=3.4, kappa=0.05)
+        c1, c3, _, _ = critical_case_constants(self.PC, m=3.4, kappa=0.05)
         assert math.isfinite(c1) and c1 > 0.0
         assert math.isfinite(c3) and c3 > 0.0
 
     def test_kappa_zero_reduces_to_unweighted(self):
-        c1a, c3a = critical_case_constants(self.PC, m=3.4, kappa=0.0,
-                                           check_refinement=False)
-        c1b, c3b = critical_case_constants(self.PC, m=3.4, kappa=0.05,
-                                           check_refinement=False)
+        c1a, c3a, _, _ = critical_case_constants(self.PC, m=3.4, kappa=0.0)
+        c1b, c3b, _, _ = critical_case_constants(self.PC, m=3.4, kappa=0.05)
         assert c1a == c1b                 # kappa only enters C3
         assert c3a < c3b                  # the weight is >= 1
 
     def test_m_at_p_prime_probe(self):
         # boundary probe: with the C^2 bump both integrals stay finite at
         # m = p' (the phi-exponent margin is not what controls finiteness)
-        c1, c3 = critical_case_constants(self.PC, m=3.5, kappa=0.05,
-                                         check_refinement=False)
+        c1, c3, _, _ = critical_case_constants(self.PC, m=3.5, kappa=0.05)
         assert math.isfinite(c1) and math.isfinite(c3)
 
     def test_requires_critical_power(self):

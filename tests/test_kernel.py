@@ -95,11 +95,10 @@ KERNEL_ORACLE = {
 class TestProfilePointOracle:
     @pytest.mark.parametrize("N,s", sorted(KERNEL_ORACLE))
     def test_matches_high_precision_away_from_half(self, N, s):
-        # the Poisson bar of the acceptance battery; worst seen 1.1e-7,
-        # at N = 1, s = 0.25
+        # worst seen 8.5e-13, at N = 3, s = 0.25, sigma = 10
         for sigma, exact in KERNEL_ORACLE[N, s].items():
             assert _profile_point(N, s, sigma)[0] == pytest.approx(
-                exact, rel=1e-6)
+                exact, rel=1e-10)
 
 
 class TestBallMass:

@@ -33,6 +33,22 @@ def test_tail_refuses_non_integrable_tail():
         tail_panels(lambda x: 1.0 / x, 1.0)
 
 
+def test_batch_rows_stop_on_their_own_panels():
+    # rows die out at different panels; each equals its own scalar call,
+    # and one row that does not die out fails the batch
+    s = np.array([0.25, 0.5, 0.75])
+    batch = tail_panels(lambda x: x ** (-1.0 - 2.0 * s[:, None]), 1.0)
+    single = [tail_panels(lambda x: x ** (-1.0 - 2.0 * e), 1.0) for e in s]
+    assert batch.tolist() == single
+    # scale broadcasts per row: 1e20 stops the last row after two panels
+    head = head_panels(lambda x: x ** (s[:, None] - 0.5), 1.0,
+                       scale=np.array([0.0, 0.0, 1e20]))
+    assert head[0] == pytest.approx(1.0 / 0.75, rel=1e-12)
+    assert head[2] == pytest.approx((1.0 - 1.6 ** -2.5) / 1.25, rel=1e-12)
+    with pytest.raises(QuadratureError):
+        tail_panels(lambda x: x ** -np.array([[2.0], [1.0]]), 1.0)
+
+
 def test_graded_edges_refuses_cap():
     # 1e-300 growing by 1.7 per panel needs ~1300 panels to reach 1; the
     # old loop stopped at 400 edges and closed with one panel ~1 wide

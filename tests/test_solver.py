@@ -43,7 +43,7 @@ class TestMonitors:
         mu = 0.5
         r = np.geomspace(1e-4, 50.0, 800)
         phi = radial_bump()
-        u = RadialField(r, r ** (-mu) * phi(r), decay_exponent=-60.0)
+        u = RadialField(r, r ** (-mu) * phi(r))
         wm, _, _, _ = monitor_norms(u, mu, 2.0, 0.5, 0.5, N=3)
         from scipy.integrate import quad
         oracle = 4 * math.pi * quad(
@@ -68,8 +68,7 @@ class TestMonitors:
         mu = exponent_profile(3, 0.5, 0.63).mu
         assert 3 - mu * 4.0 <= 0.0
         r = np.geomspace(1e-3, 20.0, 64)
-        u = RadialField(r, r ** (-mu) * radial_bump()(r),
-                        decay_exponent=-60.0)
+        u = RadialField(r, r ** (-mu) * radial_bump()(r))
         _, crit, _, _ = monitor_norms(u, mu, 3.0, 0.63, 0.5, N=3)
         assert crit == math.inf
         _, crit, _, _ = monitor_norms(u, mu, 1.2, 0.63, 0.5, N=3)
@@ -77,7 +76,7 @@ class TestMonitors:
 
     def test_radial_without_operator_gives_nan_energy(self):
         r = np.geomspace(1e-2, 10.0, 64)
-        u = RadialField(r, radial_bump()(r), decay_exponent=-60.0)
+        u = RadialField(r, radial_bump()(r))
         _, _, _, energy = monitor_norms(u, 0.5, 2.0, 0.5, 0.5, N=3)
         assert math.isnan(energy)
 
