@@ -168,22 +168,22 @@ _MATRIX_ORDER = 8
 _FD_STEPS = np.arange(-2.0, 3.0)
 
 
-def _angular_cut(N: int, s: float, r, rho, dmin) -> np.ndarray:
-    """Polar-angle kernel integral for general N with the ball cut.
+def _angular_cut(N: int, s: float, xi, dmin) -> np.ndarray:
+    """Polar-angle kernel integral for general N with the ball cut, at r = 1.
 
-    omega_{N-2} int_{theta*}^{pi} sin^{N-2}(t) (d^2 + 4 r rho sin^2(t/2))^{-beta/2} dt
-    with sin^2(theta*/2) = (dmin^2 - d^2)/(4 r rho); r, rho and dmin
-    broadcast together.
+    omega_{N-2} int_{theta*}^{pi} sin^{N-2}(t) (d^2 + 4 xi sin^2(t/2))^{-beta/2} dt
+    with d = xi - 1 and sin^2(theta*/2) = (dmin^2 - d^2)/(4 xi); xi and
+    dmin broadcast together.
     """
     beta = N + 2.0 * s
-    shape = np.broadcast_shapes(np.shape(r), np.shape(rho), np.shape(dmin))
-    r, rho, dmin = (a.ravel() for a in np.broadcast_arrays(r, rho, dmin))
+    shape = np.broadcast_shapes(np.shape(xi), np.shape(dmin))
+    xi, dmin = (a.ravel() for a in np.broadcast_arrays(xi, dmin))
     zeta, wz = panel_nodes(_THETA_ZETA_EDGES, _THETA_ORDER)
-    out = np.empty(len(rho))
-    for lo in range(0, len(rho), _THETA_CHUNK):
+    out = np.empty(len(xi))
+    for lo in range(0, len(xi), _THETA_CHUNK):
         cut = slice(lo, lo + _THETA_CHUNK)
-        r4 = 4.0 * r[cut] * rho[cut]
-        d2 = (rho[cut] - r[cut]) ** 2
+        r4 = 4.0 * xi[cut]
+        d2 = (xi[cut] - 1.0) ** 2
         s2 = np.clip((dmin[cut] ** 2 - d2) / r4, 0.0, 1.0)
         theta_star = 2.0 * np.arcsin(np.sqrt(s2))
         span = (np.pi - theta_star)[:, None]
@@ -211,33 +211,42 @@ def _power_diff(dmin: np.ndarray, rsum: np.ndarray, excess: np.ndarray,
     return out
 
 
-def _cut_kernel(N: int, s: float, r, rho: np.ndarray, delta) -> np.ndarray:
-    """Angular-average kernel K_N^delta(r, rho): the surface integral of
-    |x - y|^{-(N+2s)} over the rho-sphere with the ball |y-x| < delta
-    removed.  Equals the full kernel when |rho - r| >= delta.  r, rho and
-    delta broadcast together."""
-    rho = np.asarray(rho, dtype=float)
-    gap = np.abs(rho - r)
-    dmin = np.maximum(gap, delta)
-    keep = gap >= delta
-    rsum = rho + r
+def _radial_weight(N: int, s: float, mu: float, xi, d) -> np.ndarray:
+    """Radial weight xi^{N-1-mu} K_N^d(1, xi) in xi = rho / r, where the
+    cut kernel K_N^d(1, xi) is the surface integral of |x - y|^{-(N+2s)}
+    over the xi-sphere, |x| = 1, with the ball |y - x| < d removed (the
+    full kernel when |xi - 1| >= d).  xi and d broadcast together."""
+    xi, d = np.broadcast_arrays(np.asarray(xi, dtype=float), d)
+    gap = np.abs(xi - 1.0)
+    dmin = np.maximum(gap, d)
+    keep = gap >= d
+    rsum = xi + 1.0
     if N == 1:
         beta = 1.0 + 2.0 * s
-        out = rsum ** (-beta)
-        out[keep] += gap[keep] ** (-beta)
-        return out
-    if N == 3:
+        kern = rsum ** (-beta)
+        kern[keep] += gap[keep] ** (-beta)
+    elif N == 3:
         c = 1.0 + 2.0 * s
-        # dmin - rsum: -2 min(rho, r) outside the cut, delta - rho - r inside
-        excess = np.where(keep, -2.0 * np.minimum(rho, r), delta - rsum)
-        return (2.0 * math.pi / (r * rho * c)) * _power_diff(
-            dmin, rsum, excess, c)
-    return _angular_cut(N, s, r, rho, dmin)
+        # dmin - rsum: -2 min(xi, 1) outside the cut, d - xi - 1 inside
+        excess = np.where(keep, -2.0 * np.minimum(xi, 1.0), d - rsum)
+        kern = 2.0 * math.pi / (xi * c) * _power_diff(dmin, rsum, excess, c)
+    else:
+        kern = _angular_cut(N, s, xi, dmin)
+    return xi ** (N - 1 - mu) * kern
 
 
 def _core_moment(N: int, s: float, delta):
     """int_{B_delta} |z|^{2-N-2s} dz = omega_{N-1} delta^{2-2s}/(2-2s)."""
     return sphere_area(N) * delta ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
+
+
+def _core_complement(N: int, s: float, mu: float, r, delta, d1, d2):
+    """Second-order Taylor complement of the core ball |y - x| < delta in
+    the ground-state operator (without normalization), from v'(r) = d1 and
+    v''(r) = d2; every argument broadcasts."""
+    lap_r = d2 + (N - 1) * d1 / r
+    return (r ** (-2.0 * mu) * _core_moment(N, s, delta)
+            * (-lap_r / (2.0 * N) + mu * d1 / (N * r)))
 
 
 def _local_derivatives(f, r: np.ndarray, h: np.ndarray):
@@ -257,18 +266,17 @@ def _local_derivatives(f, r: np.ndarray, h: np.ndarray):
     return v0, d1, d2
 
 
-def _integral_edges(r: float, delta: float) -> np.ndarray:
-    """Panel edges on [r/2, 2r], graded into the cut region from both
-    sides."""
-    left = r - graded_edges(delta, 0.5 * r, delta)[::-1]
-    right = r + graded_edges(delta, r, delta)
-    cut = np.linspace(r - delta, r + delta, 5)
-    edges = np.unique(np.concatenate([left, cut, right]))
-    return edges[edges > 0.0]
+def _integral_edges(d: float) -> np.ndarray:
+    """Panel edges in xi on [1/2, 2], graded into the cut band
+    |xi - 1| < d from both sides."""
+    left = 1.0 - graded_edges(d, 0.5, d)[::-1]
+    right = 1.0 + graded_edges(d, 1.0, d)
+    cut = np.linspace(1.0 - d, 1.0 + d, 5)
+    return np.unique(np.concatenate([left, cut, right]))
 
 
 # the edges of every callable evaluation, in xi = rho / r
-_XI_EDGES = _integral_edges(1.0, _DELTA_FRAC)
+_XI_EDGES = _integral_edges(_DELTA_FRAC)
 
 
 def _nonlocal_radial_integral(G, N: int, s: float, r: np.ndarray,
@@ -276,16 +284,15 @@ def _nonlocal_radial_integral(G, N: int, s: float, r: np.ndarray,
     """int_0^inf G(rho) rho^{N-1-mu} K_N^delta(r, rho) drho with
     delta = _DELTA_FRAC r, at every radius of r.
 
-    The cut kernel is homogeneous, so in xi = rho/r the integral is
-    r^{-2s-mu} int G(r xi) xi^{N-1-mu} K_N^{_DELTA_FRAC}(1, xi) dxi: one
-    panel layout serves every radius (fixed edges on [1/2, 2], geometric
-    head and tail panels beyond).  G is called on r[..., None] * xi.  The
-    head and tail of each radius must die out, otherwise a QuadratureError
-    is raised.
+    The cut kernel is homogeneous of degree -(N+2s), so in xi = rho/r the
+    integral is r^{-2s-mu} int G(r xi) _radial_weight(xi) dxi: one panel
+    layout serves every radius (fixed edges on [1/2, 2], geometric head and
+    tail panels beyond).  G is called on r[..., None] * xi.  The head and
+    tail of each radius must die out, otherwise a QuadratureError is raised.
     """
     def integrand(xi):
-        weight = xi ** (N - 1 - mu) * _cut_kernel(N, s, 1.0, xi, _DELTA_FRAC)
-        return G(r[..., None] * xi) * weight
+        return G(r[..., None] * xi) * _radial_weight(N, s, mu, xi,
+                                                     _DELTA_FRAC)
 
     mid = integrate_panels(integrand, _XI_EDGES, _ORDER)
     scale = np.abs(mid)
@@ -306,10 +313,11 @@ def frac_laplacian_quadrature_radial(f, N: int, s: float, r):
     if not 0.0 < s < 1.0:
         raise DomainError("fractional order must lie in (0,1)")
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0):
-        raise DomainError("radius must be nonnegative")
     if r.ndim == 0 and r == 0.0:
         return pv_normalization(N, s) * _quadrature_at_origin(f, N, s)
+    if np.any(r <= 0.0):
+        raise DomainError("radius must be positive; r = 0 takes the origin "
+                          "rule only as a scalar radius")
     return apply_ground_state_operator(f, 0.0, N, s, r)
 
 
@@ -368,9 +376,7 @@ def apply_ground_state_operator(v, mu: float, N: int, s: float, r):
     a = pv_normalization(N, s)
     delta = _DELTA_FRAC * r
     v0, v1, v2 = _local_derivatives(v, r, delta / 3.0)
-    lap_r = v2 + (N - 1) * v1 / r
-    core = (r ** (-2.0 * mu) * _core_moment(N, s, delta)
-            * (-lap_r / (2.0 * N) + mu * v1 / (N * r)))
+    core = _core_complement(N, s, mu, r, delta, v1, v2)
 
     def G(rho):
         return v0[..., None] - v(rho)
@@ -413,74 +419,67 @@ def build_ground_state_matrix(r_grid: np.ndarray, mu: float, N: int,
     continuation below it, zero continuation above it (absorbing far
     field).  Row structure: positive diagonal, nonpositive off-diagonal,
     row sums >= 0 up to the diagonal core stencil.
+
+    The grid must be geometric, r_j = r_0 q^j (DomainError otherwise).  In
+    xi = rho / r_i row i sees the knots q^{j-i} and a core ball d r_i, with
+    one ratio d for all rows but the first, so the in-grid part of a row is
+    one weight vector in xi, shifted by i and scaled by r_i^{-2s-2mu}.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     n = len(r_grid)
+    ok = n > 2 and r_grid[0] > 0.0
+    q = (r_grid[-1] / r_grid[0]) ** (1.0 / (n - 1)) if ok else 0.0
+    if not (q > 1.0 and np.allclose(r_grid[1:] / r_grid[:-1], q,
+                                    rtol=1e-12, atol=0.0)):
+        raise DomainError("collocation matrix needs a geometric grid "
+                          "r_j = r_0 q^j of 3 or more points, q > 1")
     a = pv_normalization(N, s)
-    A = np.zeros((n, n))
-    r_lo, r_hi = r_grid[0], r_grid[-1]
-    spacing = np.diff(r_grid)
-    local = np.minimum(np.r_[spacing[0], spacing], np.r_[spacing, spacing[-1]])
-    deltas = np.minimum(2.0 * local, 0.25 * r_grid)
-    prefs = a * r_grid ** (-mu)
-    scales = np.empty(n)
+    rows = np.arange(n)
+    # core radius / r_i: twice the smaller neighbouring spacing, at most
+    # 1/4; row 0 has only its right neighbour
+    d = np.minimum(2.0 * np.where(rows == 0, q - 1.0, 1.0 - 1.0 / q), 0.25)
+    pref = a * r_grid ** (-2.0 * s - 2.0 * mu)
+    knots = q ** np.arange(1.0 - n, n)
+    lag = (n - 1) + rows[None, :] - rows[:, None]  # knot q^{j-i} of (i, j)
 
-    def kern(rho, r, delta):
-        return rho ** (N - 1 - mu) * _cut_kernel(N, s, r, rho, delta)
+    # inside the grid: hat j of row i takes its rising half from the knot
+    # interval below q^{j-i} (none for j = 0) and its falling half from the
+    # one above (none for j = n-1)
+    hats = np.empty((n, n))
+    for ratio in np.unique(d):
+        edges = np.unique(np.concatenate([knots, _integral_edges(ratio)]))
+        edges = edges[(edges >= knots[0]) & (edges <= knots[-1])]
+        xi, wts = panel_nodes(edges, _MATRIX_ORDER)
+        kv = wts * _radial_weight(N, s, mu, xi, ratio)
+        k = np.searchsorted(knots, xi)
+        t = (xi - knots[k - 1]) / (knots[k] - knots[k - 1])
+        at = lag[d == ratio]
+        rising = np.bincount(k, kv * t, minlength=2 * n - 1)[at]
+        falling = np.bincount(k - 1, kv * (1.0 - t), minlength=2 * n - 1)[at]
+        rising[:, 0] = falling[:, -1] = 0.0
+        hats[d == ratio] = rising + falling
+    mass = hats.sum(axis=1)
+    A = -pref[:, None] * hats
 
-    for i in range(n):
-        r, delta, pref = float(r_grid[i]), float(deltas[i]), prefs[i]
+    # below the grid v continues as v[0], above as 0.  Row i integrates
+    # over xi below c = r_0/r_i and above c = r_{n-1}/r_i; in units of c
+    # every row shares the head panels below 1 and the tail panels above 1
+    def beyond(c):
+        return lambda eta: c * _radial_weight(N, s, mu, c * eta, d[:, None])
 
-        # inside the grid: graded panels near r plus every knot
-        edges = np.unique(np.concatenate(
-            [r_grid, _integral_edges(r, delta)]))
-        edges = edges[(edges >= r_lo) & (edges <= r_hi)]
-        nodes, wts = panel_nodes(edges, _MATRIX_ORDER)
-        kv = wts * kern(nodes, r, delta)
-        A[i, i] += pref * kv.sum()
-        j = np.clip(np.searchsorted(r_grid, nodes), 1, n - 1)
-        t = (nodes - r_grid[j - 1]) / (r_grid[j] - r_grid[j - 1])
-        np.subtract.at(A[i], j - 1, pref * kv * (1.0 - t))
-        np.subtract.at(A[i], j, pref * kv * t)
-        scales[i] = abs(kv.sum())
+    below = pref * head_panels(beyond((r_grid[0] / r_grid)[:, None]), 1.0,
+                               order=_MATRIX_ORDER, scale=mass)
+    above = pref * tail_panels(beyond((r_grid[-1] / r_grid)[:, None]), 1.0,
+                               order=_MATRIX_ORDER, scale=mass)
+    A[rows, rows] += pref * mass + below + above
+    A[:, 0] -= below
 
-    # below the grid v continues as v[0], above as 0: every row shares the
-    # head and tail panels, so all rows go to one call each
-    def rows(rho):
-        return kern(rho, r_grid[:, None], deltas[:, None])
-
-    diag = np.arange(n)
-    m_below = prefs * head_panels(rows, r_lo, order=_MATRIX_ORDER,
-                                  scale=scales)
-    m_above = prefs * tail_panels(rows, r_hi, order=_MATRIX_ORDER,
-                                  scale=scales)
-    A[diag, diag] += m_below
-    A[:, 0] -= m_below
-    A[diag, diag] += m_above
-
-    for i in range(n):
-        r = float(r_grid[i])
-        # Taylor-2 core complement on a quadratic 3-point stencil
-        if i == 0:
-            il, im, ih = 0, 1, 2
-        elif i == n - 1:
-            il, im, ih = n - 3, n - 2, n - 1
-        else:
-            il, im, ih = i - 1, i, i + 1
-        h1 = r_grid[im] - r_grid[il]
-        h2 = r_grid[ih] - r_grid[im]
-        x = r - r_grid[im]
-        vander = np.array([
-            [1.0, -h1, h1 ** 2],
-            [1.0, 0.0, 0.0],
-            [1.0, h2, h2 ** 2],
-        ])
-        coeff = np.linalg.inv(vander)  # values -> quadratic coefficients
-        d1_row = coeff[1] + 2.0 * x * coeff[2]
-        d2_row = 2.0 * coeff[2]
-        lap_row = d2_row + (N - 1) / r * d1_row
-        c_core = a * r ** (-2.0 * mu) * _core_moment(N, s, float(deltas[i]))
-        stencil = c_core * (-lap_row / (2.0 * N) + mu * d1_row / (N * r))
-        for k, idx in enumerate((il, im, ih)):
-            A[i, idx] += stencil[k]
+    # Taylor-2 core complement, derivatives at r_i from the quadratic
+    # through 3 neighbouring knots
+    cols = np.clip(rows - 1, 0, n - 3)[:, None] + np.arange(3)
+    offsets = r_grid[cols] - r_grid[:, None]
+    coeff = np.linalg.inv(offsets[..., None] ** np.arange(3))
+    A[rows[:, None], cols] += a * _core_complement(
+        N, s, mu, r_grid[:, None], (d * r_grid)[:, None], coeff[:, 1],
+        2.0 * coeff[:, 2])
     return A

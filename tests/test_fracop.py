@@ -6,16 +6,53 @@ import pytest
 from conftest import poisson_profile
 from hardyheat.errors import DomainError, QuadratureError
 from hardyheat.exponents import lambda_of_alpha, pv_normalization
-from hardyheat.fracop import (Field, UniformGrid,
+from hardyheat.fracop import (Field, UniformGrid, _core_complement,
+                              _integral_edges, _radial_weight,
                               apply_ground_state_operator, bilinear_remainder,
                               build_ground_state_matrix,
                               frac_laplacian_quadrature_radial,
                               frac_laplacian_spectral,
                               verify_power_solution)
+from hardyheat.quadrature import head_panels, panel_nodes, tail_panels
 
 
 def gaussian(r):
     return np.exp(-np.asarray(r, dtype=float) ** 2)
+
+
+def per_row_matrix(r_grid, mu, N, s):
+    """Reference collocation matrix laid out one row at a time in rho:
+    every row its own panels, hat weights, head, tail and core stencil."""
+    n, a = len(r_grid), pv_normalization(N, s)
+    gaps = np.diff(r_grid)
+    deltas = np.minimum(2.0 * np.minimum(np.r_[gaps[0], gaps],
+                                         np.r_[gaps, gaps[-1]]),
+                        0.25 * r_grid)
+    A = np.zeros((n, n))
+    for i, (r, delta) in enumerate(zip(r_grid, deltas)):
+        def kern(rho):
+            return r ** (-1.0 - 2 * s - mu) * _radial_weight(
+                N, s, mu, rho / r, delta / r)
+
+        pref = a * r ** -mu
+        edges = np.unique(np.r_[r_grid, r * _integral_edges(delta / r)])
+        edges = edges[(edges >= r_grid[0]) & (edges <= r_grid[-1])]
+        nodes, wts = panel_nodes(edges, 8)
+        kv = pref * wts * kern(nodes)
+        j = np.searchsorted(r_grid, nodes)
+        t = (nodes - r_grid[j - 1]) / (r_grid[j] - r_grid[j - 1])
+        np.subtract.at(A[i], j - 1, kv * (1.0 - t))
+        np.subtract.at(A[i], j, kv * t)
+        scale = abs(kv.sum()) / pref
+        below = pref * head_panels(kern, r_grid[0], 8, scale)
+        A[i, i] += kv.sum() + below + pref * tail_panels(kern, r_grid[-1], 8,
+                                                         scale)
+        A[i, 0] -= below
+        cols = np.arange(3) + min(max(i - 1, 0), n - 3)
+        coeff = np.linalg.inv(np.vander(r_grid[cols] - r, 3, increasing=True))
+        A[i, cols] += a * _core_complement(N, s, mu, r, delta, coeff[1],
+                                           2.0 * coeff[2])
+    return A
 
 
 class TestGrids:
@@ -193,6 +230,11 @@ class TestBatchContract:
         self.assert_matches_scalar_calls(
             lambda r: bilinear_remainder(gaussian, v, 3, 0.5, r), self.RADII)
 
+    def test_origin_only_as_scalar_radius(self):
+        with pytest.raises(DomainError, match="only as a scalar"):
+            frac_laplacian_quadrature_radial(gaussian, 3, 0.5,
+                                             np.array([0.0, 1.0]))
+
     def test_scalar_radius_returns_float(self):
         val = apply_ground_state_operator(gaussian, 0.5, 3, 0.5, 1.0)
         assert type(val) is float
@@ -303,8 +345,8 @@ class TestGroundState:
         b = frac_laplacian_quadrature_radial(v, 3, 0.5, 1.3)
         assert a == b
 
-    def test_matrix_consistent_with_pointwise(self):
-        N, s, mu = 3, 0.5, 0.5
+    @pytest.mark.parametrize("N,s,mu", [(3, 0.5, 0.5), (2, 0.3, 0.3)])
+    def test_matrix_consistent_with_pointwise(self, N, s, mu):
         vf = lambda rho: np.exp(-(np.asarray(rho) - 1.0) ** 2 / 0.5)
         errors = {}
         for n in (192, 384):
@@ -331,3 +373,56 @@ class TestGroundState:
         assert np.all(resid >= -1e-10)
         mid = len(r) // 2
         assert abs(resid[mid]) < 1e-4
+
+    @pytest.mark.parametrize("N,s,mu", [(1, 0.25, 0.1), (2, 0.3, 0.3),
+                                        (3, 0.5, 0.5), (4, 0.5, 0.4)])
+    def test_matrix_matches_per_row_layout(self, N, s, mu):
+        # the shared xi layout only reorders the per-row sums; q = 1.10
+        # gives row 0 a core ratio of its own
+        r = np.geomspace(0.1, 10.0, 48)
+        A = build_ground_state_matrix(r, mu, N, s)
+        ref = per_row_matrix(r, mu, N, s)
+        rows = np.max(np.abs(ref), axis=1, keepdims=True)
+        assert np.max(np.abs(A - ref) / rows) <= 1e-12
+
+    def test_matrix_refuses_non_geometric_grid(self):
+        with pytest.raises(DomainError, match="geometric"):
+            build_ground_state_matrix(np.linspace(0.01, 10.0, 48), 0.5, 3,
+                                      0.5)
+
+    @pytest.mark.parametrize("N,s,mu",
+                             [(3, 0.5, 0.5), (2, 0.3, 0.3), (1, 0.25, 0.1)])
+    def test_matrix_homogeneous(self, N, s, mu):
+        # the kernel |x|^{-mu} |y|^{-mu} |x-y|^{-(N+2s)} is homogeneous, so
+        # on a dilated grid A(c r) = c^{-2s-2mu} A(r)
+        r, c = np.geomspace(0.1, 10.0, 48), 7.3
+        A = build_ground_state_matrix(r, mu, N, s)
+        scaled = c ** (2 * s + 2 * mu) * build_ground_state_matrix(
+            c * r, mu, N, s)
+        rows = np.max(np.abs(A), axis=1, keepdims=True)
+        assert np.max(np.abs(scaled - A) / rows) <= 1e-12
+
+    @pytest.mark.xfail(strict=True,
+                       reason="the first tail panel of the last rows "
+                       "straddles the kink of the cut band at xi = 1 + d")
+    def test_matrix_last_row_absorption(self):
+        # (A 1)_{n-1} / (a r^{-2s-2mu}) is the tail weight above xi = 1:
+        # int_1^inf xi^{N-1-mu} K_3^d(1, xi) dxi with the closed-form N = 3
+        # cut kernel 2 pi / (c xi) (max(|xi-1|, d)^{-c} - (xi+1)^{-c})
+        from scipy.integrate import quad
+        N, s, mu = 3, 0.5, 0.5
+        r = np.geomspace(1e-3, 1e3, 128)
+        A = build_ground_state_matrix(r, mu, N, s)
+        got = (A[-1] @ np.ones(len(r))
+               / (pv_normalization(N, s) * r[-1] ** (-2 * s - 2 * mu)))
+        d, c = 2.0 * (1.0 - r[-2] / r[-1]), 1.0 + 2.0 * s
+
+        def weight(xi):
+            dmin = max(abs(xi - 1.0), d)
+            return (xi ** (N - 1 - mu) * 2.0 * math.pi / (c * xi)
+                    * (dmin ** -c - (xi + 1.0) ** -c))
+
+        band = quad(weight, 1.0, 1.0 + d, epsabs=0.0, epsrel=1e-13)[0]
+        far = quad(weight, 1.0 + d, np.inf, epsabs=0.0, epsrel=1e-13,
+                   limit=200)[0]
+        assert abs(got - (band + far)) <= 1e-8 * (band + far)
