@@ -288,10 +288,15 @@ def _cmd_sweep(args) -> int:
     outdir = _outdir(args)
     out = os.path.join(outdir, args.out)
     with open(out, "w") as fh:
-        fh.write("lambda,p,verdict,t_star,final_weighted_mass,regime\n")
+        fh.write("lambda,p,verdict,t_star,final_weighted_mass,regime,"
+                 "regime_conflict\n")
         for lam, p, verdict, t_star, wm, regime in results:
+            # no solution exists past p_plus, so any verdict but
+            # inconclusive there contradicts the theory
+            conflict = int(regime == "non_existence"
+                           and verdict != "inconclusive")
             fh.write(f"{lam:.17g},{p:.17g},{verdict},{t_star:.17g},{wm:.17g},"
-                     f"{regime}\n")
+                     f"{regime},{conflict}\n")
     _write_manifest(args, "sweep", [out], {"cells": len(results)})
     print(out)
     return EXIT_OK

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 from scipy.special import gammaln, j0, j1, jv, rgamma
 
 from .errors import DomainError, OutOfTableError, ProfileError, QuadratureError
@@ -180,6 +179,50 @@ def tail_mass_beyond(N: int, s: float, sigma0: float,
     return total
 
 
+class _PiecewisePolynomial:
+    """Piecewise polynomial on the knots x: on [x_i, x_{i+1}] it is
+    sum_k c[k, i] (x - x_i)^{K-k}, K = len(c) - 1.  The intervals are
+    half-open except the last, and points outside the knots use the end
+    intervals.  Evaluation sums the powers from the constant term up, in
+    the order of scipy's PPoly, so the values are scipy's to the bit."""
+
+    def __init__(self, x: np.ndarray, c: np.ndarray):
+        self.x = x
+        self.c = c
+
+    @classmethod
+    def cubic_hermite(cls, x: np.ndarray, y: np.ndarray,
+                      dydx: np.ndarray) -> "_PiecewisePolynomial":
+        """The C^1 cubic through (x, y) with slopes dydx, with the
+        coefficients of scipy's CubicHermiteSpline."""
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+        c = np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1],
+                      y[:-1]))
+        return cls(x, c)
+
+    def derivative(self) -> "_PiecewisePolynomial":
+        degree = len(self.c) - 1
+        factor = np.arange(degree, 0, -1, dtype=float)
+        return _PiecewisePolynomial(self.x, self.c[:-1] * factor[:, None])
+
+    def __call__(self, xq) -> np.ndarray:
+        xq = np.asarray(xq, dtype=float)
+        # interval of each point; searching the inner knots clamps points
+        # outside the table to the end intervals
+        i = np.searchsorted(self.x[1:-1], xq, side="right")
+        d = xq - self.x.take(i)
+        c = self.c
+        out = c[-1].take(i)
+        z = d
+        for k in range(len(c) - 2, -1, -1):
+            out += c[k].take(i) * z
+            if k:
+                z = z * d
+        return out
+
+
 @dataclass
 class KernelProfile:
     """Tabulated self-similar kernel profile H and H' for one (N, s)."""
@@ -191,15 +234,17 @@ class KernelProfile:
     Hprime_values: np.ndarray
     mass: float
     tail_coefficient: float   # c in the extension H ~ c sigma^{-(N+2s)}
-    _interp: CubicHermiteSpline | None = field(default=None, repr=False)
+    _interp: _PiecewisePolynomial | None = field(default=None, repr=False)
 
     @property
     def sigma_max(self) -> float:
         return float(self.sigma_grid[-1])
 
-    def interpolant(self) -> CubicHermiteSpline:
+    def interpolant(self) -> _PiecewisePolynomial:
+        """The cubic Hermite interpolant of the table (value and slope at
+        every knot)."""
         if self._interp is None:
-            self._interp = CubicHermiteSpline(
+            self._interp = _PiecewisePolynomial.cubic_hermite(
                 self.sigma_grid, self.H_values, self.Hprime_values)
         return self._interp
 

@@ -28,8 +28,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs
 
 from .errors import BlowupFitError, DomainError, QuadratureError
 from .exponents import ProblemParams, exponent_profile
@@ -142,30 +141,61 @@ def _box_weight(grid: UniformGrid, mu: float) -> np.ndarray:
     return W
 
 
-def _radial_integral(r: np.ndarray, g: np.ndarray) -> float:
-    """int g dr over the grid span via a log-space cubic spline."""
+def _spline_weights(r: np.ndarray) -> np.ndarray:
+    """Weights w with w @ g = int g dr over the grid span, for the
+    not-a-knot cubic spline through (log r, g r); every integrand on one
+    grid shares them.
+
+    With t = log r, steps h and second derivatives M of the spline,
+    int S dt = sum_i h_i (y_i + y_{i+1})/2 - h_i^3 (M_i + M_{i+1})/24, and
+    K M = R y is the spline's linear system; so the weights in t are the
+    trapezoid weights minus R^T K^{-T} c / 24 with c_j the h^3 of the
+    panels next to knot j.  Needs at least 4 points.
+    """
     t = np.log(r)
-    return float(CubicSpline(t, g * r).integrate(t[0], t[-1]))
+    n = len(t)
+    h = np.diff(t)
+    K = np.zeros((n, n))
+    R = np.zeros((n, n))
+    i = np.arange(1, n - 1)
+    K[i, i - 1] = h[:-1]
+    K[i, i] = 2.0 * (h[:-1] + h[1:])
+    K[i, i + 1] = h[1:]
+    R[i, i - 1] = 6.0 / h[:-1]
+    R[i, i] = -6.0 / h[:-1] - 6.0 / h[1:]
+    R[i, i + 1] = 6.0 / h[1:]
+    # not-a-knot: the third derivative is continuous at t_1 and t_{n-2}
+    K[0, :3] = h[1], -(h[0] + h[1]), h[0]
+    K[-1, -3:] = h[-1], -(h[-2] + h[-1]), h[-2]
+    trap = np.zeros(n)
+    trap[:-1] += 0.5 * h
+    trap[1:] += 0.5 * h
+    c = np.zeros(n)
+    c[:-1] += h ** 3
+    c[1:] += h ** 3
+    w = trap - R.T @ np.linalg.solve(K.T, c) / 24.0
+    return w * r
 
 
-def _radial_monitors(r: np.ndarray, u: np.ndarray, N: int, mu: float,
-                     p: float) -> tuple[float, float, float]:
+def _radial_monitors(r: np.ndarray, w: np.ndarray, u: np.ndarray, N: int,
+                     mu: float, p: float) -> tuple[float, float, float]:
     """(weighted mass, critical norm, squared L2) of a radial u, with the
-    power-law origin closure below the first grid point (u ~ r^{-mu})."""
+    power-law origin closure below the first grid point (u ~ r^{-mu});
+    w = _spline_weights(r)."""
     omega = sphere_area(N)
     r0 = r[0]
     head = u[0] * r0 ** mu
-    wm = omega * (_radial_integral(r, r ** (N - 1 - mu) * u)
+    wm = omega * (float(w @ (r ** (N - 1 - mu) * u))
                   + head * r0 ** (N - 2 * mu) / (N - 2 * mu))
     crit_power = N - mu * (p + 1)
     if crit_power > 0.0:
         up = np.abs(u) ** p
-        crit = omega * (_radial_integral(r, r ** (N - 1 - mu) * up)
+        crit = omega * (float(w @ (r ** (N - 1 - mu) * up))
                         + head ** p * r0 ** crit_power / crit_power)
     else:
         # |u|^p |x|^{-mu} ~ r^{-mu (p+1)} is not integrable at the origin
         crit = math.inf
-    l2sq = omega * (_radial_integral(r, r ** (N - 1) * u ** 2)
+    l2sq = omega * (float(w @ (r ** (N - 1) * u ** 2))
                     + head ** 2 * r0 ** (N - 2 * mu) / (N - 2 * mu))
     return wm, crit, l2sq
 
@@ -225,7 +255,9 @@ def monitor_norms(u, mu: float, p: float, lam: float, s: float,
     if isinstance(u, RadialField):
         if N is None:
             raise DomainError("radial monitors need the dimension N")
-        wm, crit, l2sq = _radial_monitors(u.r_grid, u.values, N, mu, p)
+        r = u.r_grid
+        wm, crit, l2sq = _radial_monitors(r, _spline_weights(r), u.values,
+                                          N, mu, p)
         energy = math.nan if np.any(u.values) else 0.0
         return wm, crit, math.sqrt(l2sq), energy
     raise DomainError("unsupported field type for monitors")
@@ -439,6 +471,21 @@ def _run_direct(u0: Field, config: SolverConfig) -> TrajectoryReport:
 # implicit weight of the radial theta-scheme (Crank-Nicolson)
 _THETA = 0.5
 
+_getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), (np.empty((1, 1)),))
+
+
+def lu_factor(a: np.ndarray):
+    """LU factors (lu, piv) of a by LAPACK getrf, without checks: a zero
+    pivot is kept, and solves with it come out non-finite."""
+    lu, piv, _ = _getrf(a)
+    return lu, piv
+
+
+def lu_solve(factors, b: np.ndarray) -> np.ndarray:
+    """Solution of a x = b from lu_factor(a) by LAPACK getrs."""
+    x, _ = _getrs(*factors, b)
+    return x
+
 
 @dataclass(frozen=True, eq=False)
 class GroundStateOperator:
@@ -446,7 +493,8 @@ class GroundStateOperator:
 
     A is the collocation matrix of L, B = r^{2 mu} A the operator on
     v = r^mu u; `trap` holds omega dr r^{N-1-2mu} (trapezoid weights of
-    v-integrals) and `tw` the same plus the origin closure (weighted mass).
+    v-integrals), `tw` the same plus the origin closure (weighted mass),
+    and `spline` the spline quadrature weights in dr of the monitors.
     The arrays are read-only because the operator is shared between runs;
     what depends on dt (the LU factors) belongs to the run.
     """
@@ -457,6 +505,7 @@ class GroundStateOperator:
     eye: np.ndarray
     trap: np.ndarray
     tw: np.ndarray
+    spline: np.ndarray
 
 
 @functools.lru_cache(maxsize=4)
@@ -468,8 +517,8 @@ def ground_state_operator(grid: RadialGrid, N: int, s: float,
     r = grid.r
     A = build_ground_state_matrix(r, mu, N, s)
     B = (r ** (2.0 * mu))[:, None] * A
-    # the LU calls skip scipy's finiteness checks; a finite B means a
-    # finite A too, since r^{2 mu} > 0
+    # getrf/getrs check nothing, and a non-finite B would poison every
+    # factor; a finite B means a finite A too, since r^{2 mu} > 0
     if not np.all(np.isfinite(B)):
         raise QuadratureError(
             f"ground-state operator not finite (N={N}, s={s}, mu={mu})")
@@ -481,7 +530,7 @@ def ground_state_operator(grid: RadialGrid, N: int, s: float,
     trap = omega * dr * r ** (N - 1 - 2.0 * mu)
     tw = trap.copy()
     tw[0] += omega * r[0] ** (N - 2.0 * mu) / (N - 2.0 * mu)
-    arrays = (r, A, B, np.eye(len(r)), trap, tw)
+    arrays = (r, A, B, np.eye(len(r)), trap, tw, _spline_weights(r))
     for arr in arrays:
         arr.setflags(write=False)
     return GroundStateOperator(*arrays)
@@ -500,18 +549,19 @@ def _run_ground_state(u_init: np.ndarray, config: SolverConfig) -> TrajectoryRep
     @functools.lru_cache(maxsize=25)
     def factor(dt: float):
         # LU factors of I + dt theta B
-        return lu_factor(op.eye + dt * _THETA * B, check_finite=False)
+        return lu_factor(op.eye + dt * _THETA * B)
 
     def energy_of(vv: np.ndarray) -> float:
         # (1/2) <u, (-Delta)^s u - lam u/|x|^{2s}> through the L-matrix,
         # minus the reaction term; all in v = r^mu u coordinates
         g = op.trap * vv * (A @ vv)
-        reac = omega * _radial_integral(
-            r, r ** (N - 1 - mu * (p + 1.0)) * vv ** (p + 1.0))
+        reac = omega * float(
+            op.spline @ (r ** (N - 1 - mu * (p + 1.0)) * vv ** (p + 1.0)))
         return 0.5 * float(g.sum()) - reac / (p + 1.0)
 
     def monitors(vv: np.ndarray):
-        wm, crit, l2sq = _radial_monitors(r, r ** (-mu) * vv, N, mu, p)
+        wm, crit, l2sq = _radial_monitors(r, op.spline, r ** (-mu) * vv, N,
+                                          mu, p)
         return wm, crit, math.sqrt(l2sq), energy_of(vv)
 
     def weighted_mass(vv: np.ndarray) -> float:
@@ -522,7 +572,7 @@ def _run_ground_state(u_init: np.ndarray, config: SolverConfig) -> TrajectoryRep
         if config.reaction_enabled:
             rhs = rhs + dt * rfac * vv ** p
         # a non-finite rhs comes out non-finite and is rejected
-        return _accept(lu_solve(factor(dt), rhs, check_finite=False), 1e-9)
+        return _accept(lu_solve(factor(dt), rhs), 1e-9)
 
     def rate(vv: np.ndarray) -> float:
         if not config.reaction_enabled:

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,7 +190,7 @@ class TestSweep:
         assert code == 0
         lines = (tmp_path / "sw.csv").read_text().splitlines()
         assert lines[0] == ("lambda,p,verdict,t_star,final_weighted_mass,"
-                            "regime")
+                            "regime,regime_conflict")
         assert len(lines) == 5
         verdicts = {}
         for line in lines[1:]:
@@ -205,6 +209,9 @@ class TestSweep:
         rows = list(csv.DictReader(
             (tmp_path / "sweep.csv").read_text().splitlines()))
         assert [row["regime"] for row in rows] == ["non_existence"]
+        # no solution exists there, yet the discretization reports one
+        assert rows[0]["verdict"] != "inconclusive"
+        assert [row["regime_conflict"] for row in rows] == ["1"]
 
 
 SMALL_SWEEP = ["sweep", "--N", "3", "--s", "0.5",
@@ -216,7 +223,10 @@ class TestSweepReuse:
     def test_one_build_per_lambda_row(self, tmp_path, matrix_builds):
         assert run_cli(SMALL_SWEEP + ["--jobs", "1"], tmp_path) == 0
         assert len(matrix_builds) == 2
-        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 7
+        rows = list(csv.DictReader(
+            (tmp_path / "sweep.csv").read_text().splitlines()))
+        assert len(rows) == 6
+        assert [row["regime_conflict"] for row in rows] == ["0"] * 6
 
     def test_jobs_do_not_change_the_csv(self, tmp_path):
         outputs = []
@@ -225,6 +235,36 @@ class TestSweepReuse:
             assert run_cli(SMALL_SWEEP + ["--jobs", jobs], out) == 0
             outputs.append((out / "sweep.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+
+IMPORT_GUARD = """
+import sys
+from hardyheat.cli import main
+
+out = sys.argv[1]
+assert main(["--outdir", out, "sweep", "--N", "3", "--s", "0.5",
+             "--lambda-grid", "0.5", "--p-grid", "1.9", "--t-max", "0.5",
+             "--points", "48"]) == 0
+assert main(["--outdir", out, "verify", "supersolution", "--N", "3",
+             "--s", "0.5", "--lambda", "0.5", "--p", "2.0"]) == 0
+print(sorted(name for name in sys.modules
+             if name.startswith(("scipy.interpolate", "scipy.optimize"))))
+"""
+
+
+class TestImports:
+    def test_sweep_and_certify_leave_interpolate_and_optimize_unloaded(
+            self, tmp_path):
+        # both cost start-up time on every run; the package needs neither
+        src = str(Path(solver.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src if not path else src + os.pathsep + path)
+        done = subprocess.run(
+            [sys.executable, "-c", IMPORT_GUARD, str(tmp_path)], env=env,
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestErrorExits:

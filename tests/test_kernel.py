@@ -101,6 +101,23 @@ class TestProfilePointOracle:
                 exact, rel=1e-10)
 
 
+class TestInterpolant:
+    @pytest.mark.parametrize("fixture", ["prof_1_05", "prof_3_05",
+                                         "prof_2_025"])
+    def test_bit_identical_to_scipy_hermite(self, fixture, request):
+        from scipy.interpolate import CubicHermiteSpline
+        prof = request.getfixturevalue(fixture)
+        x = prof.sigma_grid
+        oracle = CubicHermiteSpline(x, prof.H_values, prof.Hprime_values)
+        spline = prof.interpolant()
+        # knots (sigma = 0 and sigma_max among them) and mid-panels
+        for q in (x, 0.5 * (x[1:] + x[:-1]), np.array([0.0, prof.sigma_max]),
+                  np.float64(prof.sigma_max)):
+            assert spline(q).tobytes() == oracle(q).tobytes()
+            assert (spline.derivative()(q).tobytes()
+                    == oracle.derivative()(q).tobytes())
+
+
 class TestBallMass:
     def test_arctan_oracle(self):
         for R in (0.5, 5.0, 50.0):

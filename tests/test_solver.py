@@ -173,6 +173,57 @@ class TestRunBasics:
         assert list(rep.times) == [0.0]
 
 
+class TestSplineWeights:
+    @pytest.mark.parametrize("n", [4, 8, 128, 512])
+    @pytest.mark.parametrize("kind", ["geometric", "random"])
+    def test_against_scipy_cubic_spline(self, n, kind):
+        from scipy.interpolate import CubicSpline
+        if kind == "geometric":
+            r = np.geomspace(1e-3, 1e3, n)
+        else:
+            rng = np.random.default_rng(n)
+            r = np.exp(np.sort(rng.uniform(-6.0, 6.0, n)))
+        t = np.log(r)
+        # weights in t of the not-a-knot spline: integrals of the
+        # splines through the unit vectors
+        oracle = CubicSpline(t, np.eye(n)).integrate(t[0], t[-1])
+        w = solver._spline_weights(r) / r
+        assert np.max(np.abs(w - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+
+class TestLapack:
+    @pytest.mark.parametrize("dt", [0.02, 1.7e-3])
+    def test_bit_identical_to_scipy(self, dt):
+        from scipy.linalg import lu_factor, lu_solve
+        # the operator of the sweep's lambda = 0.5 row
+        mu = exponent_profile(3, 0.5, 0.5).mu
+        op = ground_state_operator(RadialGrid(1e-3, 1e3, 128), 3, 0.5, mu)
+        a = op.eye + dt * solver._THETA * op.B
+        b = radial_bump()(op.r)
+        lu, piv = solver.lu_factor(a)
+        lu_ref, piv_ref = lu_factor(a, check_finite=False)
+        assert lu.tobytes() == lu_ref.tobytes()
+        assert np.array_equal(piv, piv_ref)
+        x = solver.lu_solve((lu, piv), b)
+        x_ref = lu_solve((lu_ref, piv_ref), b, check_finite=False)
+        assert x.tobytes() == x_ref.tobytes()
+
+    def test_zero_pivot_rejects_the_step(self, monkeypatch):
+        factor = solver.lu_factor
+
+        def singular(a):
+            a = a.copy()
+            a[:, 0] = 0.0
+            return factor(a)
+
+        monkeypatch.setattr(solver, "lu_factor", singular)
+        cfg = SolverConfig(params=PARAMS_SUB, grid=RG, t_max=1.0,
+                           dt_initial=0.5, n_monitor=1)
+        rep = run(radial_bump(), cfg)
+        assert rep.verdict == Verdict(
+            "inconclusive", reason="step rejected (non-finite state) at t=0.0")
+
+
 class TestStepGuard:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_state_rejected(self, bad):
