@@ -21,15 +21,14 @@ from .fracop import (Field, RadialField, UniformGrid,
                      frac_laplacian_spectral, spectral_symbol,
                      verify_power_solution)
 from .kernel import (KernelProfile, ball_mass, build_profile, check_envelope,
-                     check_scaling_ode, h_value, load_profile,
-                     profile_origin_value, save_profile, sphere_area,
-                     tail_series_coefficients)
+                     h_value, load_profile, profile_origin_value,
+                     save_profile, sphere_area, tail_series_coefficients)
 from .solver import (RadialGrid, SolverConfig, TrajectoryReport, Verdict,
-                     compare_supersolution, estimate_blowup_time,
-                     monitor_norms, run, save_trajectory,
-                     tail_linearity_residual)
+                     estimate_blowup_time, monitor_norms, run,
+                     save_trajectory, tail_linearity_residual)
 from .constructions import (SupersolutionParams, TestFunctionParams,
-                            choose_supersolution, critical_case_constants,
+                            check_scaling_ode, choose_supersolution,
+                            compare_supersolution, critical_case_constants,
                             energy_blowup_criterion, energy_gap,
                             psi_differential_inequality, psi_eta_mass,
                             psi_eta_value, psi_mass_constant, smooth_bump,

@@ -24,9 +24,12 @@ from .errors import (BlowupFitError, CertificationError, DomainError,
 from .exponents import (ProblemParams, classify_regime, exponent_profile,
                         phase_table, phase_table_csv)
 from .fracop import Field, UniformGrid, verify_power_solution
-from .kernel import (build_profile, check_envelope, check_scaling_ode,
-                     load_profile, save_profile)
+from .kernel import build_profile, check_envelope, load_profile, save_profile
 from .solver import RadialGrid, SolverConfig, run, save_trajectory
+from .constructions import (TestFunctionParams, check_scaling_ode,
+                            choose_supersolution, critical_case_constants,
+                            energy_gap, psi_differential_inequality,
+                            psi_eta_mass, smooth_bump)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -154,8 +157,6 @@ def _cmd_verify(args) -> int:
         report["max_relative_error"] = err
         ok = err <= 1e-3
     elif args.check == "psi-eta":
-        from .constructions import (TestFunctionParams,
-                                    psi_differential_inequality, psi_eta_mass)
         prof = build_profile(args.N, args.s, 50.0, 321)
         mu = exponent_profile(args.N, args.s, args.lam).mu
         etas = np.geomspace(1e-2, 1.0, 9)
@@ -170,7 +171,6 @@ def _cmd_verify(args) -> int:
         report["differential_inequality_min_slack"] = slack
         ok = abs(slope - report["expected_slope"]) <= 1e-2 and slack >= -1e-6
     elif args.check == "supersolution":
-        from .constructions import choose_supersolution
         params = ProblemParams(args.N, args.s, args.lam, args.p)
         prof = build_profile(args.N, args.s, 50.0, 321)
         sp, res = choose_supersolution(params, prof)
@@ -178,7 +178,6 @@ def _cmd_verify(args) -> int:
                        "min_normalized_residual": res})
         ok = res >= -1e-6
     elif args.check == "energy":
-        from .constructions import energy_gap, smooth_bump
         params = ProblemParams(args.N, args.s, args.lam, args.p)
         grid = UniformGrid(args.N, 2.0 * args.radius, 64)
         h0 = Field.from_radial(grid, smooth_bump(args.radius))
@@ -188,7 +187,6 @@ def _cmd_verify(args) -> int:
                        "threshold_amplitude": a_star})
         ok = np.isfinite(a_star)
     elif args.check == "critical-constants":
-        from .constructions import critical_case_constants
         fujita = exponent_profile(args.N, args.s, args.lam).fujita
         params = ProblemParams(args.N, args.s, args.lam, fujita)
         c1, c3, d1, d3 = critical_case_constants(params, args.m, args.kappa)

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import betaln
 
 from .errors import DomainError, QuadratureError, UnsupportedDatumError
 from .exponents import ProblemParams, exponent_profile
@@ -20,16 +21,37 @@ from .fracop import (Field, apply_ground_state_operator, bilinear_remainder,
                      frac_laplacian_quadrature_radial, frac_laplacian_spectral)
 from .kernel import KernelProfile, sphere_area, tail_mass_beyond
 from .quadrature import head_panels, integrate_panels, tanh_sinh_rule
-from .solver import box_energy_terms, regularized_potential
+from .solver import TrajectoryReport, box_energy_terms, regularized_potential
 
 __all__ = [
-    "TestFunctionParams", "SupersolutionParams",
+    "check_scaling_ode", "TestFunctionParams", "SupersolutionParams",
     "psi_eta_value", "psi_eta_mass", "psi_mass_constant",
     "psi_differential_inequality", "y_ode_blowup_predictor",
     "choose_supersolution", "supersolution_value", "supersolution_residual",
-    "supersolution_mixed_remainder", "energy_gap", "energy_blowup_criterion",
+    "supersolution_mixed_remainder", "compare_supersolution", "energy_gap", "energy_blowup_criterion",
     "critical_case_constants", "smooth_bump",
 ]
+
+
+# ---------------------------------------------------------------------------
+# kernel scaling identity
+
+
+def check_scaling_ode(profile: KernelProfile, radii=None) -> float:
+    """Max relative residual of 2s (-Delta)^s H = N H + r H'.
+
+    Cross-validates the kernel table against the singular-integral
+    evaluator of fracop.
+    """
+    N, s = profile.N, profile.s
+    if radii is None:
+        radii = np.geomspace(0.2, max(profile.sigma_max / 10.0, 0.4), 10)
+    r = np.asarray(radii, dtype=float)
+    spline = profile.interpolant()
+    lap = frac_laplacian_quadrature_radial(
+        lambda rho: profile.h_of_sigma(rho, allow_extension=True), N, s, r)
+    rhs = N * spline(r) + r * spline.derivative()(r)
+    return float(np.max(np.abs(2.0 * s * lap - rhs) / (N * spline(r))))
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +351,22 @@ def supersolution_mixed_remainder(sp: SupersolutionParams,
         np.asarray(radii, dtype=float))))
 
 
+def compare_supersolution(report: TrajectoryReport, sp: SupersolutionParams,
+                          profile: KernelProfile) -> bool:
+    """True iff every stored field satisfies u <= w (1 + 1e-6) pointwise.
+
+    Requires a ground_state report with store_fields=True; w is the
+    self-similar supersolution evaluated through the kernel profile (power
+    envelope beyond the table)."""
+    if report.fields is None or report.r_grid is None:
+        raise DomainError("report carries no stored fields")
+    for t, u in report.fields:
+        w = supersolution_value(sp, profile, report.r_grid, t)
+        if np.any(u > w * (1.0 + 1e-6)):
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # negative-energy blow-up criterion
 
@@ -459,7 +497,6 @@ def _c1_integral(N, s, mu, p_prime, m, n_half) -> float:
     tau-integral int_0^{sqrt u} tau^{p'} (u - tau^2)^{q-1} dtau is a Beta
     function times u^{(p'-1)/2 + q}."""
     q = (N - mu) / (4.0 * s)
-    from scipy.special import betaln
     tau_factor = 0.5 * math.exp(betaln(0.5 * (p_prime + 1.0), q))
     u, w = tanh_sinh_rule(1.0, 2.0, n_half)
     vals = (np.abs(_dphi(u)) ** p_prime * _phi(u) ** (m - p_prime)

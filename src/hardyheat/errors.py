@@ -13,10 +13,6 @@ class OutOfTableError(DomainError):
     """A kernel-profile lookup beyond the tabulated self-similar radius."""
 
 
-class ProfileError(ValueError):
-    """A kernel profile with corrupt entries (non-finite or non-positive)."""
-
-
 class QuadratureError(RuntimeError):
     """A quadrature failed to converge or the integral diverges."""
 
@@ -27,6 +23,10 @@ class BlowupFitError(RuntimeError):
 
 class CertificationError(RuntimeError):
     """A numerical certification (supersolution, constants) failed."""
+
+
+class ProfileError(CertificationError):
+    """A kernel profile with corrupt entries (non-finite or non-positive)."""
 
 
 class UnsupportedDatumError(ValueError):

@@ -222,19 +222,8 @@ def exponent_profile(N: int, s: float, lam: float) -> ExponentProfile:
     lam = 0 is handled by its limits: alpha = (N-2s)/2, mu = 0, so
     p_plus = inf and fujita = 1 + 2s/N (the potential-free threshold).
     """
-    if lam == 0.0:
-        _check_order(N, s)
-        half = 0.5 * (N - 2.0 * s)
-        return ExponentProfile(
-            N=N, s=s, lam=0.0, hardy_constant=hardy_constant(N, s),
-            alpha=half, mu=0.0, mu_bar=2.0 * half,
-            p_minus=1.0 + 2.0 * s / (2.0 * half), p_plus=math.inf,
-            fujita=1.0 + 2.0 * s / N,
-            sobolev_power=(N + 2.0 * s) / (N - 2.0 * s),
-            a_ns=pv_normalization(N, s),
-        )
-    alpha = alpha_of_lambda(N, s, lam)
     half = 0.5 * (N - 2.0 * s)
+    alpha = half if lam == 0.0 else alpha_of_lambda(N, s, lam)
     mu = half - alpha
     mu_bar = half + alpha
     return ExponentProfile(
@@ -244,7 +233,7 @@ def exponent_profile(N: int, s: float, lam: float) -> ExponentProfile:
         mu=mu,
         mu_bar=mu_bar,
         p_minus=1.0 + 2.0 * s / mu_bar,
-        p_plus=1.0 + 2.0 * s / mu,
+        p_plus=math.inf if mu == 0.0 else 1.0 + 2.0 * s / mu,
         fujita=1.0 + 2.0 * s / (N - mu),
         sobolev_power=(N + 2.0 * s) / (N - 2.0 * s),
         a_ns=pv_normalization(N, s),

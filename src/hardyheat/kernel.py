@@ -35,7 +35,7 @@ from .quadrature import panel_nodes
 
 __all__ = [
     "KernelProfile", "build_profile", "h_value", "check_envelope",
-    "check_scaling_ode", "sphere_area", "profile_origin_value",
+    "sphere_area", "profile_origin_value",
     "tail_series_coefficients", "tail_mass_beyond", "save_profile",
     "load_profile", "profile_csv",
 ]
@@ -93,12 +93,12 @@ def _decay_rho_edges(s: float) -> np.ndarray:
     return u ** (0.5 / s) / _TWO_PI
 
 
-def _oscillatory_nodes(s: float, nu: float, sigma: float):
+def _oscillatory_nodes(rho_decay: np.ndarray, nu: float, sigma: float):
     """Shared panel set for int e^{-(2 pi rho)^{2s}} J_nu(2 pi sigma rho)
     rho^{power} drho: panels between consecutive Bessel zeros (McMahon
-    approximations suffice for alignment) unioned with decay grading.
-    Raises QuadratureError past _MAX_OSC_PANELS Bessel panels."""
-    rho_decay = _decay_rho_edges(s)
+    approximations suffice for alignment) unioned with the decay grading
+    rho_decay = _decay_rho_edges(s).  Raises QuadratureError past
+    _MAX_OSC_PANELS Bessel panels."""
     rho_max = rho_decay[-1]
     z_max = _TWO_PI * sigma * rho_max
     k_max = int(z_max / math.pi - 0.5 * nu + 0.25) + 1
@@ -114,13 +114,15 @@ def _oscillatory_nodes(s: float, nu: float, sigma: float):
     return panel_nodes(grid, _ORDER)
 
 
-def _profile_point(N: int, s: float, sigma: float) -> tuple[float, float]:
+def _profile_point(N: int, s: float, sigma: float,
+                   rho_decay: np.ndarray) -> tuple[float, float]:
     """(H(sigma), H'(sigma)) by panel quadrature of the radial Fourier
-    integral and its differentiated counterpart (order nu+1)."""
+    integral and its differentiated counterpart (order nu+1), on the decay
+    grading rho_decay = _decay_rho_edges(s)."""
     nu = 0.5 * N - 1.0
     if sigma == 0.0:
         return profile_origin_value(N, s), 0.0
-    nodes, w = _oscillatory_nodes(s, nu, sigma)
+    nodes, w = _oscillatory_nodes(rho_decay, nu, sigma)
     decay = np.exp(-(_TWO_PI * nodes) ** (2.0 * s))
     z = _TWO_PI * sigma * nodes
     base = w * decay
@@ -142,7 +144,7 @@ def ball_mass(N: int, s: float, radius: float) -> float:
     (2/pi) arctan(R).
     """
     nu = 0.5 * N - 1.0
-    nodes, w = _oscillatory_nodes(s, nu + 1.0, radius)
+    nodes, w = _oscillatory_nodes(_decay_rho_edges(s), nu + 1.0, radius)
     decay = np.exp(-(_TWO_PI * nodes) ** (2.0 * s))
     z = _TWO_PI * radius * nodes
     return float(sphere_area(N) * radius ** (nu + 1.0)
@@ -300,9 +302,10 @@ def build_profile(N: int, s: float, sigma_max: float,
     sigma[-1] = sigma_max
     H = np.empty(n_points)
     Hp = np.empty(n_points)
+    rho_decay = _decay_rho_edges(s)
     for i, sg in enumerate(sigma):
         try:
-            H[i], Hp[i] = _profile_point(N, s, float(sg))
+            H[i], Hp[i] = _profile_point(N, s, float(sg), rho_decay)
         except QuadratureError as exc:
             raise QuadratureError(f"sigma={sg}: {exc}") from exc
     if np.any(~np.isfinite(H)) or np.any(H <= 0.0):
@@ -353,24 +356,6 @@ def check_envelope(profile: KernelProfile) -> float:
     if not math.isfinite(C):
         raise ProfileError("envelope constant not finite")
     return C
-
-
-def check_scaling_ode(profile: KernelProfile, radii=None) -> float:
-    """Max relative residual of 2s (-Delta)^s H = N H + r H'.
-
-    Cross-validates the kernel table against the singular-integral
-    evaluator of fracop.
-    """
-    from .fracop import frac_laplacian_quadrature_radial
-    N, s = profile.N, profile.s
-    if radii is None:
-        radii = np.geomspace(0.2, max(profile.sigma_max / 10.0, 0.4), 10)
-    r = np.asarray(radii, dtype=float)
-    spline = profile.interpolant()
-    lap = frac_laplacian_quadrature_radial(
-        lambda rho: profile.h_of_sigma(rho, allow_extension=True), N, s, r)
-    rhs = N * spline(r) + r * spline.derivative()(r)
-    return float(np.max(np.abs(2.0 * s * lap - rhs) / (N * spline(r))))
 
 
 def profile_csv(profile: KernelProfile) -> str:

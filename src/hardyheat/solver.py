@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -40,8 +40,7 @@ from .kernel import sphere_area
 __all__ = [
     "RadialGrid", "SolverConfig", "Verdict", "TrajectoryReport",
     "GroundStateOperator", "ground_state_operator", "run", "monitor_norms",
-    "estimate_blowup_time", "tail_linearity_residual",
-    "compare_supersolution", "save_trajectory",
+    "estimate_blowup_time", "tail_linearity_residual", "save_trajectory",
 ]
 
 
@@ -107,10 +106,10 @@ class TrajectoryReport:
     energy_series: np.ndarray
     verdict: Verdict
     config: SolverConfig
-    tail_times: np.ndarray = dc_field(default_factory=lambda: np.empty(0))
-    tail_weighted_mass: np.ndarray = dc_field(default_factory=lambda: np.empty(0))
-    r_grid: np.ndarray | None = None
-    fields: list[tuple[float, np.ndarray]] | None = None
+    tail_times: np.ndarray
+    tail_weighted_mass: np.ndarray
+    r_grid: np.ndarray | None
+    fields: list[tuple[float, np.ndarray]] | None
 
 
 # ---------------------------------------------------------------------------
@@ -327,15 +326,19 @@ _MAX_STEPS = 400_000
 _U_CAP = 1e60
 
 
-def _accept(u: np.ndarray, rel_floor: float) -> np.ndarray:
-    """u with its small negative lobes clipped to 0 (in place).  Rejects
-    the step on a non-finite state, or on a lobe below -rel_floor max u."""
-    if not np.all(np.isfinite(u)):
+def _accept(u: np.ndarray, rel_floor: float) -> float:
+    """max u, after clipping the small negative lobes of u to 0 in place.
+    Rejects the step on a non-finite state (a nan or inf reaches the min or
+    the max), or on a lobe below -rel_floor max u."""
+    lo = float(u.min())
+    hi = float(u.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise _StepRejected("non-finite state")
-    if float(u.min()) < -rel_floor * max(float(u.max()), 1e-300):
-        raise _StepRejected("negativity")
-    np.clip(u, 0.0, None, out=u)
-    return u
+    if lo < 0.0:
+        if lo < -rel_floor * max(hi, 1e-300):
+            raise _StepRejected("negativity")
+        np.maximum(u, 0.0, out=u)
+    return hi
 
 
 def run(u0, config: SolverConfig) -> TrajectoryReport:
@@ -346,64 +349,31 @@ def run(u0, config: SolverConfig) -> TrajectoryReport:
     scheme on a callable or an array on the grid.  u0 must be
     nonnegative.
     """
-    if isinstance(config.grid, UniformGrid):
+    direct = isinstance(config.grid, UniformGrid)
+    if direct:
         if not isinstance(u0, Field):
             raise DomainError("direct formulation expects a Field datum")
-        if np.any(u0.values < 0.0) or not np.all(np.isfinite(u0.values)):
-            raise DomainError("initial datum must be nonnegative and finite")
-        return _run_direct(u0, config)
-    r = config.grid.r
-    u_init = np.asarray(u0(r) if callable(u0) else u0, dtype=float)
-    if u_init.shape != r.shape:
-        raise DomainError("radial datum does not match the grid")
+        u_init = u0.values
+    else:
+        r = config.grid.r
+        u_init = np.asarray(u0(r) if callable(u0) else u0, dtype=float)
+        if u_init.shape != r.shape:
+            raise DomainError("radial datum does not match the grid")
     if np.any(u_init < 0.0) or not np.all(np.isfinite(u_init)):
         raise DomainError("initial datum must be nonnegative and finite")
-    return _run_ground_state(u_init, config)
+    return (_run_direct(u0, config) if direct
+            else _run_ground_state(u_init, config))
 
 
-class _Recorder:
-    def __init__(self) -> None:
-        self.times: list[float] = []
-        self.wm: list[float] = []
-        self.crit: list[float] = []
-        self.l2: list[float] = []
-        self.energy: list[float] = []
-        self.tail_t: list[float] = []
-        self.tail_y: list[float] = []
-        self.fields: list[tuple[float, np.ndarray]] = []
-
-    def record(self, t, wm, crit, l2, energy) -> None:
-        self.times.append(t)
-        self.wm.append(wm)
-        self.crit.append(crit)
-        self.l2.append(l2)
-        self.energy.append(energy)
-
-    def report(self, verdict: Verdict, config: SolverConfig,
-               r_grid) -> TrajectoryReport:
-        return TrajectoryReport(
-            times=np.array(self.times),
-            weighted_mass_series=np.array(self.wm),
-            critical_norm_series=np.array(self.crit),
-            l2_series=np.array(self.l2),
-            energy_series=np.array(self.energy),
-            verdict=verdict, config=config,
-            tail_times=np.array(self.tail_t[-4000:]),
-            tail_weighted_mass=np.array(self.tail_y[-4000:]),
-            r_grid=r_grid,
-            fields=self.fields if self.fields else None,
-        )
-
-
-def _blowup_verdict(rec: _Recorder, p: float, reason: str) -> Verdict:
+def _blowup_verdict(tail_t: list[float], tail_y: list[float], p: float,
+                    reason: str) -> Verdict:
     # fit over the acceleration phase: samples within three decades of the
     # final weighted mass, capped so early transients never pollute the fit
-    y = np.asarray(rec.tail_y)
+    y = np.asarray(tail_y)
     start = int(np.searchsorted(y > y[-1] * 1e-3, True))
     window = int(np.clip(len(y) - start, 8, 200))
     try:
-        t_star = estimate_blowup_time(rec.tail_t[-window:],
-                                      rec.tail_y[-window:], p)
+        t_star = estimate_blowup_time(tail_t[-window:], tail_y[-window:], p)
     except BlowupFitError as exc:
         return Verdict("inconclusive", reason=f"{reason}, but {exc}")
     return Verdict("blew_up", t_star=t_star, reason=reason)
@@ -453,8 +423,8 @@ def _run_direct(u0: Field, config: SolverConfig) -> TrajectoryReport:
             # band-limited representations of sharp states ring slightly
             # negative; the source sees the lobes clipped (u^p of a
             # negative lobe is nan), and the guard rejects deep ones
-            u_new += dt * source(np.clip(u_new, 0.0, None))
-        return _accept(u_new, 1e-6)
+            u_new += dt * source(np.maximum(u_new, 0.0))
+        return u_new
 
     def rate(u: np.ndarray) -> float:
         rt = 0.0
@@ -465,7 +435,7 @@ def _run_direct(u0: Field, config: SolverConfig) -> TrajectoryReport:
         return rt
 
     return _advance(u0.values, config, step, rate, monitors, weighted_mass,
-                    p, store=lambda u: u.copy())
+                    store=lambda u: u.copy(), rel_floor=1e-6, r_grid=None)
 
 
 # implicit weight of the radial theta-scheme (Crank-Nicolson)
@@ -572,32 +542,38 @@ def _run_ground_state(u_init: np.ndarray, config: SolverConfig) -> TrajectoryRep
         if config.reaction_enabled:
             rhs = rhs + dt * rfac * vv ** p
         # a non-finite rhs comes out non-finite and is rejected
-        return _accept(lu_solve(factor(dt), rhs), 1e-9)
+        return lu_solve(factor(dt), rhs)
 
     def rate(vv: np.ndarray) -> float:
         if not config.reaction_enabled:
             return 0.0
-        return p * float(np.max(rfac * vv ** (p - 1.0)))
+        return p * float((rfac * vv ** (p - 1.0)).max())
 
-    return _advance(v, config, step, rate, monitors, weighted_mass, p,
-                    store=lambda vv: (r ** (-mu) * vv), r_grid=r)
+    return _advance(v, config, step, rate, monitors, weighted_mass,
+                    store=lambda vv: (r ** (-mu) * vv), rel_floor=1e-9,
+                    r_grid=r)
 
 
-def _advance(state, config, step, rate, monitors, weighted_mass, p,
-             store, r_grid=None) -> TrajectoryReport:
-    rec = _Recorder()
+def _advance(state, config, step, rate, monitors, weighted_mass, store,
+             rel_floor, r_grid) -> TrajectoryReport:
+    """Step `state` until t_max, blow-up, a rejection at the dt floor or the
+    step budget.  step(state, dt) returns the raw new state, and _accept
+    alone decides whether it stands."""
+    p = config.params.p
+    rows = []          # (t, weighted mass, critical norm, l2, energy)
+    fields = []
 
     def checkpoint(t, state):
-        rec.record(t, *monitors(state))
+        rows.append((t, *monitors(state)))
         if config.store_fields:
-            rec.fields.append((t, store(state)))
+            fields.append((t, store(state)))
 
     t = 0.0
     checkpoints = np.linspace(0.0, config.t_max, config.n_monitor + 1)
     next_cp = 1
     checkpoint(0.0, state)
-    rec.tail_t.append(0.0)
-    rec.tail_y.append(weighted_mass(state))
+    tail_t = [0.0]
+    tail_y = [weighted_mass(state)]
     dt_floor = 1e-14 * max(config.t_max, 1.0)
     verdict = Verdict("inconclusive", reason="step budget exhausted")
     dt_pending = None
@@ -614,8 +590,9 @@ def _advance(state, config, step, rate, monitors, weighted_mass, p,
         if next_cp <= config.n_monitor and t + dt >= checkpoints[next_cp] - 1e-15:
             dt = max(checkpoints[next_cp] - t, 1e-18)
             hit_cp = True
+        new = step(state, dt)
         try:
-            state = step(state, dt)
+            peak = _accept(new, rel_floor)
         except _StepRejected as exc:
             if dt <= dt_floor:
                 verdict = Verdict("inconclusive",
@@ -623,45 +600,36 @@ def _advance(state, config, step, rate, monitors, weighted_mass, p,
                 break
             dt_pending = 0.5 * dt
             continue
+        state = new
         dt_pending = None
         t += dt
         y = weighted_mass(state)
-        rec.tail_t.append(t)
-        rec.tail_y.append(y)
+        tail_t.append(t)
+        tail_y.append(y)
         if hit_cp:
             checkpoint(t, state)
             next_cp += 1
         if y > config.blowup_threshold:
             reason = "weighted mass over threshold"
-        elif float(np.max(state)) > _U_CAP:
+        elif peak > _U_CAP:
             reason = "amplitude over cap"
         else:
             continue
         if not hit_cp:
             checkpoint(t, state)
-        verdict = _blowup_verdict(rec, p, reason)
+        verdict = _blowup_verdict(tail_t, tail_y, p, reason)
         break
-    return rec.report(verdict, config, r_grid=r_grid)
+    times, wm, crit, l2, energy = np.array(rows).T
+    return TrajectoryReport(
+        times=times, weighted_mass_series=wm, critical_norm_series=crit,
+        l2_series=l2, energy_series=energy, verdict=verdict, config=config,
+        tail_times=np.array(tail_t[-4000:]),
+        tail_weighted_mass=np.array(tail_y[-4000:]), r_grid=r_grid,
+        fields=fields or None)
 
 
 # ---------------------------------------------------------------------------
-# supersolution comparison and serialization
-
-
-def compare_supersolution(report: TrajectoryReport, sp, profile) -> bool:
-    """True iff every stored field satisfies u <= w (1 + 1e-6) pointwise.
-
-    Requires a ground_state report with store_fields=True; w is the
-    self-similar supersolution evaluated through the kernel profile (power
-    envelope beyond the table)."""
-    from .constructions import supersolution_value
-    if report.fields is None or report.r_grid is None:
-        raise DomainError("report carries no stored fields")
-    for t, u in report.fields:
-        w = supersolution_value(sp, profile, report.r_grid, t)
-        if np.any(u > w * (1.0 + 1e-6)):
-            return False
-    return True
+# serialization
 
 
 def save_trajectory(report: TrajectoryReport, csv_path, json_path) -> None:

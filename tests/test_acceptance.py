@@ -16,11 +16,12 @@ from hardyheat.fracop import (Field, UniformGrid,
                               apply_ground_state_operator,
                               frac_laplacian_quadrature_radial,
                               verify_power_solution)
-from hardyheat.kernel import check_envelope, check_scaling_ode
-from hardyheat.solver import (RadialGrid, SolverConfig, compare_supersolution,
-                              monitor_norms, run, tail_linearity_residual)
+from hardyheat.kernel import check_envelope
+from hardyheat.solver import (RadialGrid, SolverConfig, monitor_norms, run,
+                              tail_linearity_residual)
 from hardyheat.constructions import (SupersolutionParams, TestFunctionParams,
-                                     choose_supersolution,
+                                     check_scaling_ode, choose_supersolution,
+                                     compare_supersolution,
                                      critical_case_constants,
                                      energy_blowup_criterion, energy_gap,
                                      psi_differential_inequality,

@@ -108,3 +108,45 @@ def test_scan_sees_the_package():
             "allow_extension") in settings
     assert ("solver", "SolverConfig", "n_monitor") in settings
     assert ("kernel", "KernelProfile", "_interp") not in settings
+
+
+# the package's modules, each importing only from modules before it
+LAYERS = ("errors", "quadrature", "exponents", "kernel", "fracop", "solver",
+          "constructions", "cli")
+
+
+def _imported_modules(node):
+    """Package modules named by an import statement."""
+    if isinstance(node, ast.Import):
+        return [a.name.split(".")[1] for a in node.names
+                if a.name.startswith("hardyheat.")]
+    module = node.module or ""
+    if node.level == 0:
+        if module.split(".")[0] != "hardyheat":
+            return []
+        module = module[len("hardyheat."):]
+    if module:
+        return [module.split(".")[0]]
+    # from . import x: x is a module only when it is one of LAYERS
+    return [a.name for a in node.names if a.name in LAYERS]
+
+
+def test_imports_only_at_module_level_and_down_the_stack():
+    modules = sorted(p.stem for p in PACKAGE.glob("*.py")
+                     if p.stem != "__init__")
+    assert modules == sorted(LAYERS)
+    bad = []
+    for name in LAYERS:
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                bad += [f"{name}.{fn.name} imports at line {node.lineno}"
+                        for node in ast.walk(fn)
+                        if isinstance(node, (ast.Import, ast.ImportFrom))]
+        below = LAYERS[:LAYERS.index(name)]
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bad += [f"{name} imports {target}"
+                        for target in _imported_modules(node)
+                        if target not in below]
+    assert bad == []

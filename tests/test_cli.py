@@ -124,6 +124,20 @@ class TestKernelCommand:
                  "--out", "k.csv"], tmp_path)
         assert (tmp_path / "k.csv").read_bytes() == first
 
+    def test_corrupt_table_exits_certification(self, tmp_path, capsys):
+        run_cli(["kernel", "build", "--N", "3", "--s", "0.5",
+                 "--n-points", "33", "--out", "k.csv"], tmp_path)
+        path = tmp_path / "k.csv"
+        lines = path.read_text().splitlines()
+        sigma, _, hprime = lines[10].split(",")
+        lines[10] = f"{sigma},-1.0,{hprime}"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run_cli(["kernel", "check", "--N", "3", "--s", "0.5",
+                        "--out", "k.csv"], tmp_path)
+        assert code == 4
+        assert "certification failure:" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_trajectory_and_manifest(self, tmp_path, capsys):

@@ -6,11 +6,12 @@ import pytest
 from conftest import poisson_profile, poisson_profile_derivative
 from hardyheat.errors import DomainError, OutOfTableError, ProfileError
 from hardyheat.exponents import pv_normalization
-from hardyheat.kernel import (KernelProfile, _profile_point, ball_mass,
-                              build_profile, check_envelope,
-                              check_scaling_ode, h_value, load_profile,
-                              profile_csv, profile_origin_value,
-                              save_profile, tail_series_coefficients)
+from hardyheat.constructions import check_scaling_ode
+from hardyheat.kernel import (KernelProfile, _decay_rho_edges, _profile_point,
+                              ball_mass, build_profile, check_envelope,
+                              h_value, load_profile, profile_csv,
+                              profile_origin_value, save_profile,
+                              tail_series_coefficients)
 
 
 class TestOriginValue:
@@ -96,8 +97,9 @@ class TestProfilePointOracle:
     @pytest.mark.parametrize("N,s", sorted(KERNEL_ORACLE))
     def test_matches_high_precision_away_from_half(self, N, s):
         # worst seen 8.5e-13, at N = 3, s = 0.25, sigma = 10
+        rho_decay = _decay_rho_edges(s)
         for sigma, exact in KERNEL_ORACLE[N, s].items():
-            assert _profile_point(N, s, sigma)[0] == pytest.approx(
+            assert _profile_point(N, s, sigma, rho_decay)[0] == pytest.approx(
                 exact, rel=1e-10)
 
 

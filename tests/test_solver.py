@@ -236,7 +236,7 @@ class TestStepGuard:
 
     def test_small_lobe_clipped_in_place(self):
         u = np.array([2.0, -1e-6, 0.5])
-        assert solver._accept(u, 1e-6) is u
+        assert solver._accept(u, 1e-6) == 2.0
         assert list(u) == [2.0, 0.0, 0.5]
 
 
@@ -355,8 +355,9 @@ class TestOperatorReuse:
 class TestCompareSupersolution:
     def test_zero_field_dominated_and_doubled_not(self, prof_3_05):
         from hardyheat.constructions import (choose_supersolution,
+                                             compare_supersolution,
                                              supersolution_value)
-        from hardyheat.solver import TrajectoryReport, Verdict, compare_supersolution
+        from hardyheat.solver import TrajectoryReport, Verdict
         params = ProblemParams(3, 0.5, 0.5, 2.0)
         sp, _ = choose_supersolution(params, prof_3_05)
         r = np.geomspace(1e-3, 20.0, 64)
@@ -369,7 +370,9 @@ class TestCompareSupersolution:
                 times=np.array([0.0]), weighted_mass_series=np.array([0.0]),
                 critical_norm_series=np.array([0.0]),
                 l2_series=np.array([0.0]), energy_series=np.array([0.0]),
-                verdict=Verdict("survived"), config=cfg, r_grid=r,
+                verdict=Verdict("survived"), config=cfg,
+                tail_times=np.array([0.0]),
+                tail_weighted_mass=np.array([0.0]), r_grid=r,
                 fields=[(0.0, u)])
 
         assert compare_supersolution(report_with(np.zeros_like(r)),
