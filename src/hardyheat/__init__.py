@@ -14,7 +14,7 @@ from .exponents import (ExponentProfile, PhaseRow, ProblemParams, Regime,
                         hardy_constant, lambda_of_alpha, m_alpha,
                         phase_table, phase_table_csv, power_coupling,
                         pv_normalization)
-from .fracop import (Field, RadialField, UniformGrid,
+from .fracop import (Field, UniformGrid,
                      apply_ground_state_operator, bilinear_remainder,
                      build_ground_state_matrix,
                      frac_laplacian_quadrature_radial,

@@ -221,14 +221,16 @@ def _make_datum(kind: str, amplitude: float, width: float, seed: int | None):
     raise DomainError(f"unknown datum kind {kind!r}")
 
 
-def _run_one(task):
-    (N, s, lam, p, kind, amplitude, width, seed, r_min, r_max, n_points,
-     t_max, dt, threshold) = task
-    params = ProblemParams(N, s, lam, p)
-    grid = RadialGrid(r_min, r_max, n_points)
-    cfg = SolverConfig(params=params, grid=grid, t_max=t_max, dt_initial=dt,
-                       blowup_threshold=threshold, n_monitor=32)
-    rep = run(_make_datum(kind, amplitude, width, seed), cfg)
+def _run_one(cell):
+    """One sweep cell (args, lambda, p): the parsed sweep arguments and the
+    cell's coupling and exponent."""
+    args, lam, p = cell
+    params = ProblemParams(args.N, args.s, lam, p)
+    grid = RadialGrid(args.r_min, args.r_max, args.points)
+    cfg = SolverConfig(params=params, grid=grid, t_max=args.t_max,
+                       dt_initial=args.dt_initial,
+                       blowup_threshold=args.blowup_threshold, n_monitor=32)
+    rep = run(_make_datum(args.u0, args.amplitude, args.width, args.seed), cfg)
     t_star = rep.verdict.t_star
     try:
         regime = classify_regime(params).value
@@ -272,16 +274,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     lam_grid = _parse_grid_spec(args.lambda_grid)
     p_grid = _parse_grid_spec(args.p_grid)
-    tasks = [(args.N, args.s, float(lam), float(p), args.u0, args.amplitude,
-              args.width, args.seed, args.r_min, args.r_max, args.points,
-              args.t_max, args.dt_initial, args.blowup_threshold)
-             for lam in lam_grid for p in p_grid]
+    cells = [(args, float(lam), float(p)) for lam in lam_grid for p in p_grid]
     if args.jobs > 1:
         # whole lambda rows per worker: each builds a row's operator once
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_one, tasks, chunksize=len(p_grid)))
+            results = list(pool.map(_run_one, cells, chunksize=len(p_grid)))
     else:
-        results = [_run_one(t) for t in tasks]
+        results = [_run_one(cell) for cell in cells]
     results.sort(key=lambda row: (row[0], row[1]))
     outdir = _outdir(args)
     out = os.path.join(outdir, args.out)

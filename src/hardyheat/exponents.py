@@ -247,22 +247,27 @@ class Regime(Enum):
     NON_EXISTENCE = "non_existence"
 
 
-def classify_regime(params: ProblemParams, tol: float = 1e-9) -> Regime:
+# half-width of the band of p taken as equal to the Fujita exponent or to
+# p_plus
+_REGIME_TOL = 1e-9
+
+
+def classify_regime(params: ProblemParams) -> Regime:
     """Place p relative to the Fujita and existence thresholds.
 
     Behavior exactly at p_plus is not settled by the theory this package
-    follows, so a tol-band around p_plus raises RegimeAmbiguityError
-    instead of guessing.
+    follows, so a _REGIME_TOL band around p_plus raises
+    RegimeAmbiguityError instead of guessing.
     """
     prof = exponent_profile(params.N, params.s, params.lam)
     p = params.p
-    if abs(p - prof.fujita) <= tol:
+    if abs(p - prof.fujita) <= _REGIME_TOL:
         return Regime.CRITICAL_FUJITA
     if p < prof.fujita:
         return Regime.SUB_FUJITA_BLOW_UP
-    if abs(p - prof.p_plus) <= tol:
+    if abs(p - prof.p_plus) <= _REGIME_TOL:
         raise RegimeAmbiguityError(
-            f"p={p} lies within tol={tol} of p_plus={prof.p_plus}; "
+            f"p={p} lies within {_REGIME_TOL} of p_plus={prof.p_plus}; "
             "the classification at p_plus is left open")
     if p < prof.p_plus:
         return Regime.CONDITIONAL_GLOBAL

@@ -28,7 +28,7 @@ from .quadrature import (graded_edges, head_panels, integrate_panels,
                          panel_nodes, tail_panels)
 
 __all__ = [
-    "UniformGrid", "Field", "RadialField",
+    "UniformGrid", "Field",
     "frac_laplacian_spectral", "spectral_symbol",
     "frac_laplacian_quadrature_radial", "bilinear_remainder",
     "apply_ground_state_operator", "verify_power_solution",
@@ -92,24 +92,6 @@ class Field:
     @classmethod
     def from_radial(cls, grid: UniformGrid, f) -> "Field":
         return cls(grid, f(grid.radius()))
-
-
-@dataclass
-class RadialField:
-    """Radial samples on a strictly increasing positive grid."""
-
-    r_grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.r_grid = np.asarray(self.r_grid, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.r_grid.ndim != 1 or len(self.r_grid) < 4:
-            raise DomainError("radial grid needs at least 4 points")
-        if self.r_grid[0] <= 0.0 or np.any(np.diff(self.r_grid) <= 0.0):
-            raise DomainError("radial grid must be positive and increasing")
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("radial field values must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -390,21 +372,21 @@ def verify_power_solution(N: int, s: float, alpha: float, radii) -> float:
     """Worst relative error of the eigen-identity for both power branches.
 
     (-Delta)^s |x|^{-(N-2s)/2 +- alpha} must equal
-    lambda(alpha) r^{-2s} |x|^{-(N-2s)/2 +- alpha}.
+    lambda(alpha) r^{-2s} |x|^{-(N-2s)/2 +- alpha}.  The two branches are
+    one family of two members, evaluated in one call.
     """
     lam = lambda_of_alpha(N, s, alpha)
     half = 0.5 * (N - 2.0 * s)
     radii = np.asarray(radii, dtype=float)
-    worst = 0.0
-    for m in {half - alpha, half + alpha}:
-        def f(rho, m=m):
-            return rho ** (-m)
+    m = np.array([[half - alpha], [half + alpha]])
 
-        got = frac_laplacian_quadrature_radial(f, N, s, radii)
-        expect = lam * radii ** (-2.0 * s - m)
-        worst = max(worst, float(np.max(np.abs(got - expect)
-                                        / np.abs(expect))))
-    return worst
+    def f(rho):
+        return rho ** -m[..., None]
+
+    r = np.broadcast_to(radii, (2, len(radii)))
+    got = frac_laplacian_quadrature_radial(f, N, s, r)
+    expect = lam * r ** (-2.0 * s - m)
+    return float(np.max(np.abs(got - expect) / np.abs(expect)))
 
 
 # ---------------------------------------------------------------------------

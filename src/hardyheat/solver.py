@@ -32,9 +32,8 @@ from scipy.linalg import get_lapack_funcs
 
 from .errors import BlowupFitError, DomainError, QuadratureError
 from .exponents import ProblemParams, exponent_profile
-from .fracop import (Field, RadialField, UniformGrid,
-                     build_ground_state_matrix, frac_laplacian_spectral,
-                     spectral_symbol)
+from .fracop import (Field, UniformGrid, build_ground_state_matrix,
+                     frac_laplacian_spectral, spectral_symbol)
 from .kernel import sphere_area
 
 __all__ = [
@@ -88,6 +87,9 @@ class SolverConfig:
             raise DomainError(f"unknown diffusion propagator {self.diffusion!r}")
         if not isinstance(self.grid, (UniformGrid, RadialGrid)):
             raise DomainError("grid must be a UniformGrid or a RadialGrid")
+        if isinstance(self.grid, UniformGrid) and self.grid.N != self.params.N:
+            raise DomainError(f"a grid of dimension {self.grid.N} cannot run "
+                              f"N={self.params.N}")
 
 
 @dataclass(frozen=True)
@@ -235,31 +237,23 @@ def _box_monitors(u: np.ndarray, W: np.ndarray, lap: np.ndarray,
     return wm, crit, l2, quad - pot - react
 
 
-def monitor_norms(u, mu: float, p: float, lam: float, s: float,
-                  epsilon: float | None = None, N: int | None = None):
-    """Weighted mass, critical norm, L2 norm and energy of a state.
+def monitor_norms(u: Field, mu: float, p: float, lam: float, s: float,
+                  epsilon: float | None = None):
+    """Weighted mass, critical norm, L2 norm and energy of a box state.
 
-    For a box Field the energy uses the spectral quadratic form and the
-    regularized potential (epsilon defaults to one grid spacing).  For a
-    RadialField the energy needs the ground-state operator, which only a
-    run holds, so it is reported as nan unless the field vanishes.
+    The energy uses the spectral quadratic form and the regularized
+    potential (epsilon defaults to one grid spacing).  Radial states are
+    monitored inside a ground-state run, which holds the operator their
+    energy needs.
     """
-    if isinstance(u, Field):
-        grid = u.grid
-        eps = grid.dx if epsilon is None else epsilon
-        return _box_monitors(
-            u.values, _box_weight(grid, mu),
-            frac_laplacian_spectral(u, s).values,
-            regularized_potential(grid, s, lam, eps), p, grid.cell_volume)
-    if isinstance(u, RadialField):
-        if N is None:
-            raise DomainError("radial monitors need the dimension N")
-        r = u.r_grid
-        wm, crit, l2sq = _radial_monitors(r, _spline_weights(r), u.values,
-                                          N, mu, p)
-        energy = math.nan if np.any(u.values) else 0.0
-        return wm, crit, math.sqrt(l2sq), energy
-    raise DomainError("unsupported field type for monitors")
+    if not isinstance(u, Field):
+        raise DomainError("monitors take a box Field")
+    grid = u.grid
+    eps = grid.dx if epsilon is None else epsilon
+    return _box_monitors(
+        u.values, _box_weight(grid, mu),
+        frac_laplacian_spectral(u, s).values,
+        regularized_potential(grid, s, lam, eps), p, grid.cell_volume)
 
 
 # ---------------------------------------------------------------------------
@@ -345,14 +339,15 @@ def run(u0, config: SolverConfig) -> TrajectoryReport:
     """Advance one Cauchy instance and report monitored norms.
 
     The grid of the config picks the formulation: a UniformGrid runs the
-    direct box scheme on a Field u0; a RadialGrid runs the ground-state
-    scheme on a callable or an array on the grid.  u0 must be
-    nonnegative.
+    direct box scheme on a Field u0 on that same grid; a RadialGrid runs
+    the ground-state scheme on a callable or an array on the grid.  u0
+    must be nonnegative.
     """
     direct = isinstance(config.grid, UniformGrid)
     if direct:
-        if not isinstance(u0, Field):
-            raise DomainError("direct formulation expects a Field datum")
+        if not isinstance(u0, Field) or u0.grid != config.grid:
+            raise DomainError("direct formulation expects a Field datum on "
+                              "the config grid")
         u_init = u0.values
     else:
         r = config.grid.r
@@ -361,8 +356,7 @@ def run(u0, config: SolverConfig) -> TrajectoryReport:
             raise DomainError("radial datum does not match the grid")
     if np.any(u_init < 0.0) or not np.all(np.isfinite(u_init)):
         raise DomainError("initial datum must be nonnegative and finite")
-    return (_run_direct(u0, config) if direct
-            else _run_ground_state(u_init, config))
+    return (_run_direct if direct else _run_ground_state)(u_init, config)
 
 
 def _blowup_verdict(tail_t: list[float], tail_y: list[float], p: float,
@@ -379,10 +373,10 @@ def _blowup_verdict(tail_t: list[float], tail_y: list[float], p: float,
     return Verdict("blew_up", t_star=t_star, reason=reason)
 
 
-def _run_direct(u0: Field, config: SolverConfig) -> TrajectoryReport:
+def _run_direct(u_init: np.ndarray, config: SolverConfig) -> TrajectoryReport:
     params = config.params
-    grid = u0.grid
-    N, s, lam, p = grid.N, params.s, params.lam, params.p
+    grid = config.grid
+    N, s, lam, p = params.N, params.s, params.lam, params.p
     mu = exponent_profile(N, s, lam).mu
     eps = grid.dx if config.potential_epsilon is None else config.potential_epsilon
     if lam > 0.0 and eps <= 0.0:
@@ -391,8 +385,8 @@ def _run_direct(u0: Field, config: SolverConfig) -> TrajectoryReport:
                           "positive (defaults to one grid spacing)")
     V = regularized_potential(grid, s, lam, eps) if lam > 0.0 else 0.0
     symbol = spectral_symbol(grid, s)
-    shape = u0.values.shape
-    axes = tuple(range(grid.N))
+    shape = u_init.shape
+    axes = tuple(range(N))
     vol = grid.cell_volume
     W = _box_weight(grid, mu)
 
@@ -434,7 +428,7 @@ def _run_direct(u0: Field, config: SolverConfig) -> TrajectoryReport:
             rt += lam / eps ** (2 * s)
         return rt
 
-    return _advance(u0.values, config, step, rate, monitors, weighted_mass,
+    return _advance(u_init, config, step, rate, monitors, weighted_mass,
                     store=lambda u: u.copy(), rel_floor=1e-6, r_grid=None)
 
 

@@ -207,7 +207,7 @@ class TestRegime:
 
     def test_ambiguous_at_p_plus(self):
         with pytest.raises(RegimeAmbiguityError):
-            classify_regime(self.params(3.0), tol=1e-6)
+            classify_regime(self.params(3.0))
 
     def test_invalid_params(self):
         with pytest.raises(DomainError):

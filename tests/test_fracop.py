@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import poisson_profile
+from hardyheat import fracop
 from hardyheat.errors import DomainError, QuadratureError
 from hardyheat.exponents import lambda_of_alpha, pv_normalization
 from hardyheat.fracop import (Field, UniformGrid, _core_complement,
@@ -269,6 +270,19 @@ class TestPowerSolutions:
         # both power branches of (N, s, alpha) = (3, 1/2, 1/2) at 20 radii
         err = verify_power_solution(3, 0.5, 0.5, np.geomspace(0.05, 20.0, 20))
         assert err <= 1e-5
+
+    def test_both_branches_in_one_call(self, monkeypatch):
+        shapes = []
+        evaluate = fracop.frac_laplacian_quadrature_radial
+
+        def record(f, N, s, r):
+            shapes.append(np.shape(r))
+            return evaluate(f, N, s, r)
+
+        monkeypatch.setattr(fracop, "frac_laplacian_quadrature_radial",
+                            record)
+        assert verify_power_solution(3, 0.5, 0.5, [0.5, 1.0, 2.0]) <= 1e-3
+        assert shapes == [(2, 3)]
 
     @pytest.mark.parametrize("N,s,alpha", [
         (2, 0.25, 0.3), (2, 0.75, 0.2), (4, 0.5, 1.0), (4, 0.75, 0.4)])

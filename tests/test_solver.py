@@ -7,7 +7,7 @@ import pytest
 from hardyheat import solver
 from hardyheat.errors import BlowupFitError, DomainError
 from hardyheat.exponents import ProblemParams, exponent_profile
-from hardyheat.fracop import Field, RadialField, UniformGrid
+from hardyheat.fracop import Field, UniformGrid
 from hardyheat.solver import (RadialGrid, SolverConfig, Verdict,
                               estimate_blowup_time, ground_state_operator,
                               monitor_norms, run, save_trajectory,
@@ -43,8 +43,8 @@ class TestMonitors:
         mu = 0.5
         r = np.geomspace(1e-4, 50.0, 800)
         phi = radial_bump()
-        u = RadialField(r, r ** (-mu) * phi(r))
-        wm, _, _, _ = monitor_norms(u, mu, 2.0, 0.5, 0.5, N=3)
+        wm, _, _ = solver._radial_monitors(r, solver._spline_weights(r),
+                                           r ** (-mu) * phi(r), 3, mu, 2.0)
         from scipy.integrate import quad
         oracle = 4 * math.pi * quad(
             lambda rr: rr ** (2 - 2 * mu) * phi(rr), 0.0, 40.0, limit=400,
@@ -68,17 +68,12 @@ class TestMonitors:
         mu = exponent_profile(3, 0.5, 0.63).mu
         assert 3 - mu * 4.0 <= 0.0
         r = np.geomspace(1e-3, 20.0, 64)
-        u = RadialField(r, r ** (-mu) * radial_bump()(r))
-        _, crit, _, _ = monitor_norms(u, mu, 3.0, 0.63, 0.5, N=3)
+        w = solver._spline_weights(r)
+        u = r ** (-mu) * radial_bump()(r)
+        _, crit, _ = solver._radial_monitors(r, w, u, 3, mu, 3.0)
         assert crit == math.inf
-        _, crit, _, _ = monitor_norms(u, mu, 1.2, 0.63, 0.5, N=3)
+        _, crit, _ = solver._radial_monitors(r, w, u, 3, mu, 1.2)
         assert 0.0 < crit < math.inf
-
-    def test_radial_without_operator_gives_nan_energy(self):
-        r = np.geomspace(1e-2, 10.0, 64)
-        u = RadialField(r, radial_bump()(r))
-        _, _, _, energy = monitor_norms(u, 0.5, 2.0, 0.5, 0.5, N=3)
-        assert math.isnan(energy)
 
 
 class TestBlowupExtrapolation:
@@ -123,12 +118,26 @@ class TestRunBasics:
         with pytest.raises(DomainError):
             SolverConfig(params=PARAMS_SUB, grid=(1e-3, 1e3, 160))
 
+    def test_box_of_another_dimension_rejected(self):
+        with pytest.raises(DomainError):
+            SolverConfig(params=PARAMS_SUB, grid=UniformGrid(2, 8.0, 16))
+
     def test_negative_datum_rejected(self):
         cfg = SolverConfig(params=PARAMS_SUB, grid=RG,
                            t_max=0.5,
                            dt_initial=0.05)
         with pytest.raises(DomainError):
             run(-np.ones(RG.n_points), cfg)
+
+    @pytest.mark.parametrize("datum_grid", [UniformGrid(3, 16.0, 32),
+                                            UniformGrid(3, 16.0, 16)])
+    def test_datum_on_another_grid_rejected(self, datum_grid):
+        # the run would step the datum's grid while its record names the
+        # config's
+        cfg = SolverConfig(params=PARAMS_SUB, grid=UniformGrid(3, 8.0, 16),
+                           t_max=0.1, dt_initial=0.05)
+        with pytest.raises(DomainError):
+            run(Field.from_radial(datum_grid, radial_bump()), cfg)
 
     def test_mass_conservation_pure_diffusion(self):
         g = UniformGrid(1, 200.0, 4096)
