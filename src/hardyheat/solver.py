@@ -11,8 +11,8 @@ by the type of the grid:
 
 * ground_state, on a RadialGrid: v = |x|^{mu} u, which is bounded at the
   origin.  The Hardy term is absorbed exactly into the weighted nonlocal
-  operator L (collocation matrix from fracop), stepped by a theta-scheme,
-  reaction explicit.
+  operator L (collocation matrix from fracop), stepped by a theta-scheme
+  in the matrix's eigenbasis (no factorization per dt), reaction explicit.
 
 Both paths preserve nonnegativity (adaptive step halving on violation),
 record weighted-norm monitors on a fixed checkpoint grid plus a fine tail
@@ -435,6 +435,9 @@ def _run_direct(u_init: np.ndarray, config: SolverConfig) -> TrajectoryReport:
 # implicit weight of the radial theta-scheme (Crank-Nicolson)
 _THETA = 0.5
 
+# Dense LU by LAPACK: the run steps in the eigenbasis of the operator and
+# never factorizes; these are the direct solve that the eigenbasis
+# resolvent is checked against, and perfbench/tracer.py still binds them.
 _getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), (np.empty((1, 1)),))
 
 
@@ -459,33 +462,101 @@ class GroundStateOperator:
     v = r^mu u; `trap` holds omega dr r^{N-1-2mu} (trapezoid weights of
     v-integrals), `tw` the same plus the origin closure (weighted mass),
     and `spline` the spline quadrature weights in dr of the monitors.
+    B = W J W^{-1} in real Jordan form: column k of W is a real eigenvector
+    (beta[k] = 0, partner[k] = k) or the real or imaginary part of a
+    complex one, whose 2x2 block of J couples k with partner[k];
+    B W = W alpha + W[:, partner] beta column by column.
     The arrays are read-only because the operator is shared between runs;
-    what depends on dt (the LU factors) belongs to the run.
+    what depends on dt (the resolvent coefficients) belongs to the run.
     """
 
     r: np.ndarray
     A: np.ndarray
     B: np.ndarray
-    eye: np.ndarray
     trap: np.ndarray
     tw: np.ndarray
     spline: np.ndarray
+    W: np.ndarray
+    W_inv: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    partner: np.ndarray
+
+
+# largest ||W J W^{-1} - B||_F / ||B||_F an eigenbasis may leave
+_EIG_RTOL = 1e-10
+
+
+def _eigenbasis(B: np.ndarray):
+    """(W, W^{-1}, alpha, beta, partner) of B in real Jordan form, see
+    GroundStateOperator.  Refuses with QuadratureError an eigenvalue with
+    Re <= 0, a singular W, or a W J W^{-1} off B by more than _EIG_RTOL
+    (a defective or ill-conditioned basis)."""
+    lam, V = np.linalg.eig(B)
+    if not np.all(lam.real > 0.0):
+        raise QuadratureError(
+            f"operator eigenvalue with Re <= 0 ({lam.real.min():.3g})")
+    n = len(lam)
+    W = np.ascontiguousarray(V.real)
+    beta = np.zeros(n)
+    partner = np.arange(n)
+    # LAPACK geev lists a conjugate pair in consecutive columns, the
+    # eigenvalue with positive imaginary part first
+    k = np.flatnonzero(lam.imag > 0.0)
+    W[:, k + 1] = V[:, k].imag
+    beta[k] = -lam.imag[k]
+    beta[k + 1] = lam.imag[k]
+    partner[k] = k + 1
+    partner[k + 1] = k
+    alpha = lam.real.copy()
+    try:
+        W_inv = np.linalg.inv(W)
+    except np.linalg.LinAlgError as exc:
+        raise QuadratureError(
+            f"operator eigenbasis singular ({exc})") from None
+    err = (np.linalg.norm((W * alpha + W[:, partner] * beta) @ W_inv - B)
+           / np.linalg.norm(B))
+    if not err <= _EIG_RTOL:
+        raise QuadratureError(
+            f"operator eigenbasis reproduces B only to {err:.3g} relative")
+    return W, W_inv, alpha, beta, partner
+
+
+def _resolvent_coefficients(op: GroundStateOperator, a: float):
+    """(c, e) with (I + a J)^{-1} z = c z + e z[op.partner]: each 2x2 block
+    [[d, a beta], [-a beta, d]] of I + a J, d = 1 + a alpha, inverts to
+    [[d, -a beta], [a beta, d]] / (d^2 + (a beta)^2)."""
+    d = 1.0 + a * op.alpha
+    ab = a * op.beta
+    den = d * d + ab * ab
+    return d / den, ab / den
+
+
+def _apply_resolvent(op: GroundStateOperator, coef,
+                     w: np.ndarray) -> np.ndarray:
+    """(I + a B)^{-1} w from coef = _resolvent_coefficients(op, a)."""
+    c, e = coef
+    z = op.W_inv @ w
+    return op.W @ (c * z + e * z[op.partner])
 
 
 @functools.lru_cache(maxsize=4)
 def ground_state_operator(grid: RadialGrid, N: int, s: float,
                           mu: float) -> GroundStateOperator:
     """The operator of a ground-state run, built once per (grid, N, s, mu)
-    and shared by every p.  Refuses a non-finite collocation matrix with
-    QuadratureError."""
+    and shared by every p.  Refuses with QuadratureError a non-finite
+    collocation matrix or an eigenbasis that _eigenbasis refuses."""
     r = grid.r
     A = build_ground_state_matrix(r, mu, N, s)
     B = (r ** (2.0 * mu))[:, None] * A
-    # getrf/getrs check nothing, and a non-finite B would poison every
-    # factor; a finite B means a finite A too, since r^{2 mu} > 0
+    # a finite B means a finite A too, since r^{2 mu} > 0
     if not np.all(np.isfinite(B)):
         raise QuadratureError(
             f"ground-state operator not finite (N={N}, s={s}, mu={mu})")
+    try:
+        basis = _eigenbasis(B)
+    except QuadratureError as exc:
+        raise QuadratureError(f"{exc} (N={N}, s={s}, mu={mu})") from None
     omega = sphere_area(N)
     dr = np.empty_like(r)
     dr[1:-1] = 0.5 * (r[2:] - r[:-2])
@@ -494,7 +565,7 @@ def ground_state_operator(grid: RadialGrid, N: int, s: float,
     trap = omega * dr * r ** (N - 1 - 2.0 * mu)
     tw = trap.copy()
     tw[0] += omega * r[0] ** (N - 2.0 * mu) / (N - 2.0 * mu)
-    arrays = (r, A, B, np.eye(len(r)), trap, tw, _spline_weights(r))
+    arrays = (r, A, B, trap, tw, _spline_weights(r), *basis)
     for arr in arrays:
         arr.setflags(write=False)
     return GroundStateOperator(*arrays)
@@ -505,15 +576,16 @@ def _run_ground_state(u_init: np.ndarray, config: SolverConfig) -> TrajectoryRep
     N, s, lam, p = params.N, params.s, params.lam, params.p
     mu = exponent_profile(N, s, lam).mu
     op = ground_state_operator(config.grid, N, s, mu)
-    r, A, B = op.r, op.A, op.B
+    r, A = op.r, op.A
     v = r ** mu * u_init
     rfac = r ** (mu * (1.0 - p))
     omega = sphere_area(N)
 
     @functools.lru_cache(maxsize=25)
-    def factor(dt: float):
-        # LU factors of I + dt theta B
-        return lu_factor(op.eye + dt * _THETA * B)
+    def resolvent(dt: float):
+        # (I + theta dt B)^{-1} / theta
+        c, e = _resolvent_coefficients(op, dt * _THETA)
+        return c / _THETA, e / _THETA
 
     def energy_of(vv: np.ndarray) -> float:
         # (1/2) <u, (-Delta)^s u - lam u/|x|^{2s}> through the L-matrix,
@@ -532,11 +604,14 @@ def _run_ground_state(u_init: np.ndarray, config: SolverConfig) -> TrajectoryRep
         return float(op.tw @ vv)
 
     def step(vv: np.ndarray, dt: float) -> np.ndarray:
-        rhs = vv - dt * (1.0 - _THETA) * (B @ vv)
+        # (I + a B) x = (I - (1 - theta) dt B) v + dt g with a = theta dt
+        # is x = (I + a B)^{-1} (v + a g) / theta - (1 / theta - 1) v
+        rhs = vv
         if config.reaction_enabled:
-            rhs = rhs + dt * rfac * vv ** p
+            rhs = vv + (dt * _THETA) * rfac * vv ** p
         # a non-finite rhs comes out non-finite and is rejected
-        return lu_solve(factor(dt), rhs)
+        return (_apply_resolvent(op, resolvent(dt), rhs)
+                - (1.0 / _THETA - 1.0) * vv)
 
     def rate(vv: np.ndarray) -> float:
         if not config.reaction_enabled:

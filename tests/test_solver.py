@@ -1,11 +1,12 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from hardyheat import solver
-from hardyheat.errors import BlowupFitError, DomainError
+from hardyheat.errors import BlowupFitError, DomainError, QuadratureError
 from hardyheat.exponents import ProblemParams, exponent_profile
 from hardyheat.fracop import Field, UniformGrid
 from hardyheat.solver import (RadialGrid, SolverConfig, Verdict,
@@ -207,7 +208,7 @@ class TestLapack:
         # the operator of the sweep's lambda = 0.5 row
         mu = exponent_profile(3, 0.5, 0.5).mu
         op = ground_state_operator(RadialGrid(1e-3, 1e3, 128), 3, 0.5, mu)
-        a = op.eye + dt * solver._THETA * op.B
+        a = np.eye(len(op.r)) + dt * solver._THETA * op.B
         b = radial_bump()(op.r)
         lu, piv = solver.lu_factor(a)
         lu_ref, piv_ref = lu_factor(a, check_finite=False)
@@ -217,15 +218,68 @@ class TestLapack:
         x_ref = lu_solve((lu_ref, piv_ref), b, check_finite=False)
         assert x.tobytes() == x_ref.tobytes()
 
-    def test_zero_pivot_rejects_the_step(self, monkeypatch):
-        factor = solver.lu_factor
 
-        def singular(a):
-            a = a.copy()
-            a[:, 0] = 0.0
-            return factor(a)
+# the sweep's two operators, and the worst-conditioned eigenbasis seen over
+# (N, s, lambda, grid) (cond W = 3.4e4)
+EIG_CASES = [(3, 0.5, 0.2, RadialGrid(1e-3, 1e3, 128)),
+             (3, 0.5, 0.5, RadialGrid(1e-3, 1e3, 128)),
+             (4, 0.5, 0.328, RadialGrid(1e-3, 20.0, 192))]
 
-        monkeypatch.setattr(solver, "lu_factor", singular)
+
+class TestEigenbasis:
+    @pytest.mark.parametrize("dt", [0.02, 1.7e-3, 1e-5])
+    @pytest.mark.parametrize("case", EIG_CASES,
+                             ids=lambda c: f"N{c[0]}-lam{c[2]}")
+    def test_resolvent_matches_lu(self, case, dt):
+        N, s, lam, grid = case
+        op = ground_state_operator(grid, N, s, exponent_profile(N, s, lam).mu)
+        a = dt * solver._THETA
+        b = radial_bump()(op.r)
+        x = solver._apply_resolvent(op, solver._resolvent_coefficients(op, a),
+                                    b)
+        ref = solver.lu_solve(
+            solver.lu_factor(np.eye(len(op.r)) + a * op.B), b)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_defective_block_refused(self):
+        with pytest.raises(QuadratureError, match="reproduces B only"):
+            solver._eigenbasis(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    def test_nonpositive_eigenvalue_refused(self):
+        with pytest.raises(QuadratureError, match="Re <= 0"):
+            solver._eigenbasis(np.diag([1.0, -1.0]))
+
+    def test_rotation_block(self):
+        # eigenvalues 2 +- 3i: one conjugate pair, one 2x2 block of J
+        B = np.array([[2.0, 3.0], [-3.0, 2.0]])
+        op = SimpleNamespace(**dict(zip(
+            ("W", "W_inv", "alpha", "beta", "partner"),
+            solver._eigenbasis(B))))
+        assert list(op.partner) == [1, 0]
+        w = np.array([1.0, -0.5])
+        x = solver._apply_resolvent(
+            op, solver._resolvent_coefficients(op, 0.7), w)
+        assert np.allclose(x, np.linalg.solve(np.eye(2) + 0.7 * B, w),
+                           rtol=1e-14, atol=0.0)
+
+    def test_run_never_factorizes(self, monkeypatch):
+        def refuse(a):
+            raise AssertionError("a run factorized")
+
+        monkeypatch.setattr(solver, "lu_factor", refuse)
+        cfg = SolverConfig(params=PARAMS_SUB, grid=RadialGrid(1e-3, 1e3, 32),
+                           t_max=0.1, n_monitor=2)
+        assert run(radial_bump(), cfg).verdict.kind == "survived"
+
+    def test_non_finite_basis_rejects_the_step(self, monkeypatch):
+        build = solver.ground_state_operator
+
+        def poisoned(*args):
+            op = build(*args)
+            return dataclasses.replace(op, W_inv=np.full_like(op.W_inv,
+                                                              np.nan))
+
+        monkeypatch.setattr(solver, "ground_state_operator", poisoned)
         cfg = SolverConfig(params=PARAMS_SUB, grid=RG, t_max=1.0,
                            dt_initial=0.5, n_monitor=1)
         rep = run(radial_bump(), cfg)
