@@ -7,8 +7,8 @@ supersolution constructions."""
 __version__ = "0.1.0"
 
 from .errors import (BlowupFitError, CertificationError, DomainError,
-                     OutOfTableError, ProfileError, QuadratureError,
-                     RegimeAmbiguityError, UnsupportedDatumError)
+                     ProfileError, QuadratureError, RegimeAmbiguityError,
+                     UnsupportedDatumError)
 from .exponents import (ExponentProfile, PhaseRow, ProblemParams, Regime,
                         alpha_of_lambda, classify_regime, exponent_profile,
                         hardy_constant, lambda_of_alpha, m_alpha,
@@ -21,8 +21,9 @@ from .fracop import (Field, UniformGrid,
                      frac_laplacian_spectral, spectral_symbol,
                      verify_power_solution)
 from .kernel import (KernelProfile, ball_mass, build_profile, check_envelope,
-                     h_value, load_profile, profile_origin_value,
-                     save_profile, sphere_area, tail_series_coefficients)
+                     h_value, load_profile, profile_moment,
+                     profile_origin_value, save_profile, sphere_area,
+                     tail_series_coefficients)
 from .solver import (RadialGrid, SolverConfig, TrajectoryReport, Verdict,
                      estimate_blowup_time, monitor_norms, run,
                      save_trajectory, tail_linearity_residual)

@@ -24,12 +24,13 @@ from .errors import (BlowupFitError, CertificationError, DomainError,
 from .exponents import (ProblemParams, classify_regime, exponent_profile,
                         phase_table, phase_table_csv)
 from .fracop import Field, UniformGrid, verify_power_solution
-from .kernel import build_profile, check_envelope, load_profile, save_profile
+from .kernel import (build_profile, check_envelope, load_profile,
+                     profile_moment, save_profile)
 from .solver import RadialGrid, SolverConfig, run, save_trajectory
 from .constructions import (TestFunctionParams, check_scaling_ode,
                             choose_supersolution, critical_case_constants,
                             energy_gap, psi_differential_inequality,
-                            psi_eta_mass, smooth_bump)
+                            psi_mass_constant, smooth_bump)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -159,17 +160,17 @@ def _cmd_verify(args) -> int:
     elif args.check == "psi-eta":
         prof = build_profile(args.N, args.s, 50.0, 321)
         mu = exponent_profile(args.N, args.s, args.lam).mu
-        etas = np.geomspace(1e-2, 1.0, 9)
-        masses = [psi_eta_mass(TestFunctionParams(float(e), mu), prof)
-                  for e in etas]
-        slope = float(np.polyfit(np.log(etas), np.log(masses), 1)[0])
-        report["mass_law_slope"] = slope
-        report["expected_slope"] = -mu / (2.0 * args.s)
+        mass = psi_mass_constant(prof, mu)
+        exact = profile_moment(args.N, args.s, mu)
+        err = abs(mass - exact) / exact
+        report.update({"mass_constant": mass,
+                       "mass_constant_closed_form": exact,
+                       "mass_constant_relative_error": err})
         slack = psi_differential_inequality(
             TestFunctionParams(0.05, mu), prof, args.lam,
             np.geomspace(0.1, 10.0, 20))
         report["differential_inequality_min_slack"] = slack
-        ok = abs(slope - report["expected_slope"]) <= 1e-2 and slack >= -1e-6
+        ok = err <= 1e-6 and slack >= -1e-6
     elif args.check == "supersolution":
         params = ProblemParams(args.N, args.s, args.lam, args.p)
         prof = build_profile(args.N, args.s, 50.0, 321)

@@ -20,7 +20,8 @@ from .exponents import ProblemParams, exponent_profile
 from .fracop import (Field, apply_ground_state_operator, bilinear_remainder,
                      frac_laplacian_quadrature_radial, frac_laplacian_spectral)
 from .kernel import KernelProfile, sphere_area, tail_mass_beyond
-from .quadrature import head_panels, integrate_panels, tanh_sinh_rule
+from .quadrature import (gauss_rule, head_panels, integrate_panels,
+                         tanh_sinh_rule)
 from .solver import TrajectoryReport, box_energy_terms, regularized_potential
 
 __all__ = [
@@ -47,11 +48,10 @@ def check_scaling_ode(profile: KernelProfile, radii=None) -> float:
     if radii is None:
         radii = np.geomspace(0.2, max(profile.sigma_max / 10.0, 0.4), 10)
     r = np.asarray(radii, dtype=float)
-    spline = profile.interpolant()
-    lap = frac_laplacian_quadrature_radial(
-        lambda rho: profile.h_of_sigma(rho, allow_extension=True), N, s, r)
-    rhs = N * spline(r) + r * spline.derivative()(r)
-    return float(np.max(np.abs(2.0 * s * lap - rhs) / (N * spline(r))))
+    lap = frac_laplacian_quadrature_radial(profile.h_of_sigma, N, s, r)
+    H = profile.h_of_sigma(r)
+    rhs = N * H + r * profile.hprime_of_sigma(r)
+    return float(np.max(np.abs(2.0 * s * lap - rhs) / (N * H)))
 
 
 # ---------------------------------------------------------------------------
@@ -80,13 +80,12 @@ def _psi_prefactor(params: TestFunctionParams, N: int, s: float) -> float:
 
 
 def psi_eta_value(x_norm, params: TestFunctionParams, profile: KernelProfile):
-    """Pointwise value of the rescaled weighted test function (power
-    envelope beyond the table)."""
+    """Pointwise value of the rescaled weighted test function."""
     N, s = profile.N, profile.s
     c = params.eta ** (0.5 / s)
     x = np.asarray(x_norm, dtype=float)
     return (_psi_prefactor(params, N, s) * x ** (-params.mu)
-            * profile.h_of_sigma(c * x, allow_extension=True))
+            * profile.h_of_sigma(c * x))
 
 
 def psi_eta_mass(params: TestFunctionParams, profile: KernelProfile) -> float:
@@ -251,26 +250,13 @@ def choose_supersolution(params: ProblemParams, profile: KernelProfile
     return replace(unit, A=A), _min_normalized_residual(A, p, *terms)
 
 
-def _profile_pair(profile: KernelProfile, sigma: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(H, H') at every sigma, with the power envelope beyond the table."""
-    sp = profile.interpolant()
-    inside = sigma <= profile.sigma_max
-    table = np.minimum(sigma, profile.sigma_max)
-    c = profile.tail_coefficient
-    q = profile.N + 2.0 * profile.s
-    return (np.where(inside, sp(table), c * sigma ** (-q)),
-            np.where(inside, sp.derivative()(table),
-                     -q * c * sigma ** (-q - 1.0)))
-
-
 def supersolution_value(sp: SupersolutionParams, profile: KernelProfile,
                         r, t: float):
     """w(r, t); +inf at r = 0 (the profile weight is singular there)."""
     tau = sp.T + t
     r = np.asarray(r, dtype=float)
     sig = r * tau ** (-sp.beta)
-    H = profile.h_of_sigma(sig, allow_extension=True)
+    H = profile.h_of_sigma(sig)
     with np.errstate(divide="ignore"):
         out = sp.A * tau ** (-sp.theta) * sig ** (-sp.gamma) * H
     return out
@@ -294,8 +280,9 @@ def _supersolution_terms(unit: SupersolutionParams, params: ProblemParams,
             return supersolution_value(unit, profile, rr, t)
 
         sig = r * tau ** (-unit.beta)
-        H, Hp = _profile_pair(profile, sig)
-        w = w_of(r)
+        H = profile.h_of_sigma(sig)
+        Hp = profile.hprime_of_sigma(sig)
+        w = unit.A * tau ** (-unit.theta) * sig ** (-unit.gamma) * H
         w_t = (tau ** (-unit.theta - 1.0) * sig ** (-unit.gamma)
                * ((unit.beta * unit.gamma - unit.theta) * H
                   - unit.beta * sig * Hp))
@@ -344,7 +331,7 @@ def supersolution_mixed_remainder(sp: SupersolutionParams,
 
     def prof_part(rr):
         sig = np.asarray(rr, dtype=float) * tau ** (-sp.beta)
-        return profile.h_of_sigma(sig, allow_extension=True)
+        return profile.h_of_sigma(sig)
 
     return float(np.min(bilinear_remainder(
         weight, prof_part, profile.N, profile.s,
@@ -356,8 +343,7 @@ def compare_supersolution(report: TrajectoryReport, sp: SupersolutionParams,
     """True iff every stored field satisfies u <= w (1 + 1e-6) pointwise.
 
     Requires a ground_state report with store_fields=True; w is the
-    self-similar supersolution evaluated through the kernel profile (power
-    envelope beyond the table)."""
+    self-similar supersolution evaluated through the kernel profile."""
     if report.fields is None or report.r_grid is None:
         raise DomainError("report carries no stored fields")
     for t, u in report.fields:
@@ -512,7 +498,7 @@ def _c3_integral(N, s, mu, p, p_prime, m, kappa, n_half, n_tau) -> float:
     e3 = mu * (p + 1.0) / (p - 1.0)
     q3 = (e3 + N) / (4.0 * s)
     u_nodes, u_w = tanh_sinh_rule(1.0, 2.0, n_half)
-    zeta, zw = np.polynomial.legendre.leggauss(n_tau)
+    zeta, zw = gauss_rule(n_tau)
     zeta = 0.5 * (zeta + 1.0)
     zw = 0.5 * zw
     # the u-weight theta^{m-p'} (1-theta)^{-kappa(p'-1)} times the u-rule

@@ -9,10 +9,6 @@ class RegimeAmbiguityError(DomainError):
     """The nonlinearity power sits inside the unresolved band around p_plus."""
 
 
-class OutOfTableError(DomainError):
-    """A kernel-profile lookup beyond the tabulated self-similar radius."""
-
-
 class QuadratureError(RuntimeError):
     """A quadrature failed to converge or the integral diverges."""
 

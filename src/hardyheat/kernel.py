@@ -15,11 +15,12 @@ aligned with the Bessel oscillation and graded against the stretched-
 exponential decay, so the same machinery covers s near 0 (slow decay, many
 oscillations) and s near 1.
 
-The far field is a power envelope: H(sigma) ~ sum_k c_k sigma^{-(N+2ks)}
-with explicitly known coefficients; the leading one equals the principal-
-value normalization constant of (-Delta)^s.  Mass quadrature uses that
-series, since the kernel's heavy tail carries non-negligible mass for
-small s.
+Past the table the profile is the series H(sigma) = sum_k c_k
+sigma^{-(N+2ks)} with explicitly known coefficients (Bergstrom's series for
+stable densities); the leading one equals the principal-value
+normalization constant of (-Delta)^s.  Values, slopes and the mass beyond
+the table all use that series, and every table checks that it meets the
+series at its edge.
 """
 from __future__ import annotations
 
@@ -30,12 +31,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, j0, j1, jv, rgamma
 
-from .errors import DomainError, OutOfTableError, ProfileError, QuadratureError
+from .errors import DomainError, ProfileError, QuadratureError
 from .quadrature import panel_nodes
 
 __all__ = [
     "KernelProfile", "build_profile", "h_value", "check_envelope",
-    "sphere_area", "profile_origin_value",
+    "sphere_area", "profile_origin_value", "profile_moment",
     "tail_series_coefficients", "tail_mass_beyond", "save_profile",
     "load_profile", "profile_csv",
 ]
@@ -45,6 +46,7 @@ _TWO_PI = 2.0 * math.pi
 _ORDER = 10            # Gauss order of the oscillatory panels
 _MAX_OSC_PANELS = 200_000
 _TAIL_TERMS = 12       # terms of the far-field series
+_EDGE_TOL = 1e-8       # relative mismatch of table and series at sigma_max
 
 
 def sphere_area(N: int) -> float:
@@ -81,6 +83,19 @@ def profile_origin_value(N: int, s: float) -> float:
     """H(0) in closed form: omega_{N-1} (2 pi)^{-N} Gamma(N/(2s)) / (2s)."""
     return float(sphere_area(N) * _TWO_PI ** (-N)
                  * math.exp(gammaln(0.5 * N / s)) / (2.0 * s))
+
+
+def profile_moment(N: int, s: float, mu: float) -> float:
+    """omega_{N-1} int_0^inf sigma^{N-1-mu} H(sigma) dsigma in closed form:
+    E|X|^{-mu} of the stable law with density H, 0 <= mu < N,
+
+        2^{-mu} Gamma((N-mu)/2) Gamma(1+mu/(2s)) / (Gamma(N/2) Gamma(1+mu/2)).
+    """
+    if not 0.0 <= mu < N:
+        raise DomainError(f"need 0 <= mu < N, got mu={mu}")
+    return float(math.exp(-mu * math.log(2.0) + gammaln(0.5 * (N - mu))
+                          + gammaln(1.0 + 0.5 * mu / s) - gammaln(0.5 * N)
+                          - gammaln(1.0 + 0.5 * mu)))
 
 
 def _decay_rho_edges(s: float) -> np.ndarray:
@@ -227,7 +242,8 @@ class _PiecewisePolynomial:
 
 @dataclass
 class KernelProfile:
-    """Tabulated self-similar kernel profile H and H' for one (N, s)."""
+    """Self-similar kernel profile H and H' for one (N, s): tabulated on
+    [0, sigma_max], the far-field series beyond."""
 
     N: int
     s: float
@@ -235,8 +251,9 @@ class KernelProfile:
     H_values: np.ndarray
     Hprime_values: np.ndarray
     mass: float
-    tail_coefficient: float   # c in the extension H ~ c sigma^{-(N+2s)}
     _interp: _PiecewisePolynomial | None = field(default=None, repr=False)
+    # rows c_k and -(N+2ks) c_k of the far-field series of H and H'
+    _tail: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def sigma_max(self) -> float:
@@ -250,24 +267,44 @@ class KernelProfile:
                 self.sigma_grid, self.H_values, self.Hprime_values)
         return self._interp
 
-    def h_of_sigma(self, sigma, allow_extension: bool = False):
-        """H at arbitrary sigma >= 0 (cubic Hermite inside the table)."""
+    def _far_field(self, sigma: np.ndarray, order: int) -> np.ndarray:
+        """H (order 0) or H' (order 1) by the far-field series, summed by
+        Horner's rule in t = sigma^{-2s}."""
+        if self._tail is None:
+            c = tail_series_coefficients(self.N, self.s)
+            ks = np.arange(1, len(c) + 1)
+            self._tail = np.stack((c, -(self.N + 2.0 * ks * self.s) * c))
+        t = sigma ** (-2.0 * self.s)
+        total = np.full_like(t, self._tail[order, -1])
+        for c in self._tail[order, -2::-1]:
+            total *= t
+            total += c
+        total *= sigma ** (-self.N - order - 2.0 * self.s)
+        return total
+
+    def _evaluate(self, sigma, order: int):
         sigma = np.asarray(sigma, dtype=float)
         if np.any(sigma < 0.0):
             raise DomainError("sigma must be nonnegative")
+        spline = self.interpolant()
+        if order:
+            spline = spline.derivative()
         beyond = sigma > self.sigma_max
         if np.any(beyond):
-            if not allow_extension:
-                raise OutOfTableError(
-                    f"sigma beyond table edge {self.sigma_max}; "
-                    "pass allow_extension=True to use the power envelope")
             out = np.empty_like(sigma)
-            out[~beyond] = self.interpolant()(sigma[~beyond])
-            out[beyond] = self.tail_coefficient * sigma[beyond] ** (
-                -(self.N + 2.0 * self.s))
-            return out if out.ndim else float(out)
-        val = self.interpolant()(sigma)
-        return val if val.ndim else float(val)
+            out[~beyond] = spline(sigma[~beyond])
+            out[beyond] = self._far_field(sigma[beyond], order)
+        else:
+            out = spline(sigma)
+        return out if out.ndim else float(out)
+
+    def h_of_sigma(self, sigma):
+        """H at sigma >= 0: cubic Hermite up to sigma_max, series beyond."""
+        return self._evaluate(sigma, 0)
+
+    def hprime_of_sigma(self, sigma):
+        """H' at sigma >= 0: cubic Hermite up to sigma_max, series beyond."""
+        return self._evaluate(sigma, 1)
 
     def validate(self) -> None:
         H, Hp = self.H_values, self.Hprime_values
@@ -279,6 +316,11 @@ class KernelProfile:
             raise ProfileError("H is not strictly decreasing")
         if np.any(Hp > 1e-12 * H[0]):
             raise ProfileError("H' has positive entries")
+        edge = float(abs(self._far_field(self.sigma_grid[-1], 0) / H[-1] - 1))
+        if not edge <= _EDGE_TOL:
+            raise ProfileError(
+                f"far-field series misses the table edge sigma_max="
+                f"{self.sigma_max} by {edge:.2e} relative")
 
 
 def build_profile(N: int, s: float, sigma_max: float,
@@ -312,25 +354,15 @@ def build_profile(N: int, s: float, sigma_max: float,
         bad = sigma[np.where(~np.isfinite(H) | (H <= 0.0))[0][0]]
         raise QuadratureError(f"quadrature produced invalid H at sigma={bad}")
 
-    # envelope coefficient fitted over the last decade, slope pinned
-    window = sigma >= sigma_max / 10.0
-    c_fit = float(np.exp(np.mean(
-        np.log(H[window]) + (N + 2.0 * s) * np.log(sigma[window]))))
-
     mass = ball_mass(N, s, sigma_max) + tail_mass_beyond(N, s, sigma_max)
     prof = KernelProfile(N=N, s=s, sigma_grid=sigma, H_values=H,
-                         Hprime_values=Hp, mass=mass, tail_coefficient=c_fit)
+                         Hprime_values=Hp, mass=mass)
     prof.validate()
     return prof
 
 
-def h_value(profile: KernelProfile, x_norm: float, t: float,
-            allow_extension: bool = False) -> float:
-    """Kernel value h(x,t) = t^{-N/(2s)} H(|x| t^{-1/(2s)}).
-
-    Beyond the table edge an OutOfTableError is raised unless the fitted
-    power envelope is explicitly allowed.
-    """
+def h_value(profile: KernelProfile, x_norm: float, t: float) -> float:
+    """Kernel value h(x,t) = t^{-N/(2s)} H(|x| t^{-1/(2s)})."""
     if t <= 0.0:
         raise DomainError("time must be positive")
     if x_norm < 0.0:
@@ -338,7 +370,7 @@ def h_value(profile: KernelProfile, x_norm: float, t: float,
     scale = t ** (-1.0 / (2.0 * profile.s))
     sigma = x_norm * scale
     return float(t ** (-profile.N / (2.0 * profile.s))
-                 * profile.h_of_sigma(sigma, allow_extension))
+                 * profile.h_of_sigma(sigma))
 
 
 def check_envelope(profile: KernelProfile) -> float:
@@ -375,7 +407,6 @@ def save_profile(profile: KernelProfile, csv_path, json_path) -> None:
         "n_points": int(len(profile.sigma_grid)),
         "mass": profile.mass,
         "envelope_constant": check_envelope(profile),
-        "tail_coefficient": profile.tail_coefficient,
     }
     with open(json_path, "w") as fh:
         json.dump(header, fh, sort_keys=True, indent=2)
@@ -389,6 +420,4 @@ def load_profile(csv_path, json_path) -> KernelProfile:
     return KernelProfile(
         N=int(header["N"]), s=float(header["s"]),
         sigma_grid=data[:, 0], H_values=data[:, 1], Hprime_values=data[:, 2],
-        mass=float(header["mass"]),
-        tail_coefficient=float(header["tail_coefficient"]),
-    )
+        mass=float(header["mass"]))

@@ -28,7 +28,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+# The run steps in the operator's eigenbasis and never factorizes; the dense
+# LU stays bound here as the direct solve that the eigenbasis resolvent is
+# checked against, and perfbench/tracer.py traces solver.lu_factor/lu_solve.
+from scipy.linalg import lu_factor, lu_solve
 
 from .errors import BlowupFitError, DomainError, QuadratureError
 from .exponents import ProblemParams, exponent_profile
@@ -434,25 +437,6 @@ def _run_direct(u_init: np.ndarray, config: SolverConfig) -> TrajectoryReport:
 
 # implicit weight of the radial theta-scheme (Crank-Nicolson)
 _THETA = 0.5
-
-# Dense LU by LAPACK: the run steps in the eigenbasis of the operator and
-# never factorizes; these are the direct solve that the eigenbasis
-# resolvent is checked against, and perfbench/tracer.py still binds them.
-_getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), (np.empty((1, 1)),))
-
-
-def lu_factor(a: np.ndarray):
-    """LU factors (lu, piv) of a by LAPACK getrf, without checks: a zero
-    pivot is kept, and solves with it come out non-finite."""
-    lu, piv, _ = _getrf(a)
-    return lu, piv
-
-
-def lu_solve(factors, b: np.ndarray) -> np.ndarray:
-    """Solution of a x = b from lu_factor(a) by LAPACK getrs."""
-    x, _ = _getrs(*factors, b)
-    return x
-
 
 @dataclass(frozen=True, eq=False)
 class GroundStateOperator:

@@ -104,8 +104,7 @@ def test_scan_sees_the_package():
     settings = {(module, qual, param)
                 for module, qual, _, param, _ in _settings()}
     assert ("quadrature", "tail_panels", "scale") in settings
-    assert ("kernel", "KernelProfile.h_of_sigma",
-            "allow_extension") in settings
+    assert ("kernel", "tail_mass_beyond", "mu") in settings
     assert ("solver", "SolverConfig", "n_monitor") in settings
     assert ("kernel", "KernelProfile", "_interp") not in settings
 

@@ -99,8 +99,9 @@ class TestVerifyCertifications:
                         "--lambda", "0.5"], tmp_path)
         assert code == 0
         report = json.loads((tmp_path / "verify_psi-eta.json").read_text())
-        assert abs(report["mass_law_slope"]
-                   - report["expected_slope"]) <= 1e-2
+        assert report["mass_constant_closed_form"] == pytest.approx(
+            math.sqrt(2.0) / 2.0, rel=1e-14)
+        assert report["mass_constant_relative_error"] <= 1e-6
 
 
 class TestKernelCommand:
@@ -137,6 +138,20 @@ class TestKernelCommand:
                         "--out", "k.csv"], tmp_path)
         assert code == 4
         assert "certification failure:" in capsys.readouterr().err
+
+    def test_edge_mismatch_exits_certification(self, tmp_path, capsys):
+        run_cli(["kernel", "build", "--N", "3", "--s", "0.5",
+                 "--n-points", "33", "--out", "k.csv"], tmp_path)
+        path = tmp_path / "k.csv"
+        lines = path.read_text().splitlines()
+        sigma, h, hprime = lines[-1].split(",")
+        lines[-1] = f"{sigma},{float(h) * (1.0 + 1e-6):.17g},{hprime}"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run_cli(["kernel", "check", "--N", "3", "--s", "0.5",
+                        "--out", "k.csv"], tmp_path)
+        assert code == 4
+        assert "table edge" in capsys.readouterr().err
 
 
 class TestSimulate:

@@ -7,6 +7,7 @@ import pytest
 from conftest import poisson_profile
 from hardyheat.errors import DomainError, UnsupportedDatumError
 from hardyheat.exponents import ProblemParams, exponent_profile
+from hardyheat.kernel import build_profile, profile_moment
 from hardyheat.fracop import (Field, UniformGrid,
                               frac_laplacian_quadrature_radial)
 from hardyheat.constructions import (SupersolutionParams, TestFunctionParams,
@@ -52,6 +53,22 @@ class TestPsiEta:
         # kernel (Beta-function evaluation)
         assert psi_mass_constant(prof_3_05, MU) == pytest.approx(
             math.sqrt(2.0) / 2.0, rel=1e-6)
+        assert profile_moment(3, 0.5, MU) == pytest.approx(
+            math.sqrt(2.0) / 2.0, rel=1e-14)
+
+    # (N, s, lambda) and the table to integrate, besides the Poisson case
+    # above; worst seen 1.9e-7
+    @pytest.mark.parametrize("N,s,lam,fixture", [
+        (2, 0.5, 0.2, "prof_2_05"),
+        (2, 0.3, 0.2, None), (1, 0.25, 0.05, "prof_1_025"),
+        (3, 0.25, 0.3, "prof_3_025"), (4, 0.5, 0.4, None),
+        (3, 0.75, 0.3, None)])
+    def test_mass_constant_closed_form(self, N, s, lam, fixture, request):
+        prof = (request.getfixturevalue(fixture) if fixture
+                else build_profile(N, s, 50.0, 321))
+        mu = exponent_profile(N, s, lam).mu
+        assert psi_mass_constant(prof, mu) == pytest.approx(
+            profile_moment(N, s, mu), rel=1e-6)
 
     def test_differential_inequality(self, prof_3_05):
         slack = psi_differential_inequality(

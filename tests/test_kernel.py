@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import poisson_profile, poisson_profile_derivative
-from hardyheat.errors import DomainError, OutOfTableError, ProfileError
+from hardyheat.errors import DomainError, ProfileError
 from hardyheat.exponents import pv_normalization
 from hardyheat.constructions import check_scaling_ode
 from hardyheat.kernel import (KernelProfile, _decay_rho_edges, _profile_point,
@@ -55,11 +55,6 @@ class TestBuildProfile:
             (prof_3_05.N + 2 * prof_3_05.s + 1) / 2.0)
         assert np.all(np.isfinite(env))
         assert env.max() < 10.0
-
-    def test_tail_coefficient_near_exact(self, prof_3_05):
-        # the fitted envelope coefficient approaches the analytic one
-        exact = pv_normalization(3, 0.5)
-        assert abs(prof_3_05.tail_coefficient - exact) / exact < 0.05
 
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
@@ -148,6 +143,39 @@ class TestTailSeries:
             assert ck == pytest.approx(ek / math.pi ** 2, abs=1e-12)
 
 
+class TestFarField:
+    @pytest.mark.parametrize("fixture", ["prof_1_05", "prof_2_05",
+                                         "prof_3_05"])
+    def test_poisson_beyond_table(self, fixture, request):
+        prof = request.getfixturevalue(fixture)
+        sigma = np.array([50.5, 100.0, 1e3, 1e6])
+        for got, exact in (
+                (prof.h_of_sigma(sigma), poisson_profile(prof.N, sigma)),
+                (prof.hprime_of_sigma(sigma),
+                 poisson_profile_derivative(prof.N, sigma))):
+            assert np.max(np.abs(got / exact - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("N,s", [(1, 0.25), (3, 0.25), (2, 0.75)])
+    def test_series_matches_a_wider_table(self, N, s):
+        # a sigma_max = 50 table continued over (50, 100], against the
+        # quadrature that a sigma_max = 100 table holds at these knots; the
+        # continuation depends on the table only through its edge
+        prof = build_profile(N, s, 50.0, 16)
+        rho_decay = _decay_rho_edges(s)
+        for sigma in (50.5, 60.0, 75.0, 100.0):
+            exact = _profile_point(N, s, sigma, rho_decay)[0]
+            assert prof.h_of_sigma(sigma) == pytest.approx(exact, rel=1e-8)
+
+    def test_edge_mismatch_refused(self, prof_1_05):
+        H = prof_1_05.H_values.copy()
+        H[-1] *= 1.0 + 1e-6
+        bad = KernelProfile(N=1, s=0.5, sigma_grid=prof_1_05.sigma_grid,
+                            H_values=H, Hprime_values=prof_1_05.Hprime_values,
+                            mass=prof_1_05.mass)
+        with pytest.raises(ProfileError, match="table edge"):
+            bad.validate()
+
+
 class TestHValue:
     def test_poisson_time_scaling(self, prof_1_05):
         assert h_value(prof_1_05, 0.0, 2.0) == pytest.approx(
@@ -160,13 +188,6 @@ class TestHValue:
                 lhs = h_value(prof_3_05, x, t)
                 rhs = c ** 3 * h_value(prof_3_05, c * x, c * t)
                 assert lhs == pytest.approx(rhs, rel=1e-6)
-
-    def test_out_of_table(self, prof_1_05):
-        with pytest.raises(OutOfTableError):
-            h_value(prof_1_05, 100.0, 1.0)
-        # envelope extension within ~fit accuracy of the true tail
-        v = h_value(prof_1_05, 100.0, 1.0, allow_extension=True)
-        assert v == pytest.approx(poisson_profile(1, 100.0), rel=0.05)
 
     def test_invalid_inputs(self, prof_1_05):
         with pytest.raises(DomainError):
@@ -193,7 +214,7 @@ class TestEnvelope:
         prof = KernelProfile(N=1, s=0.5, sigma_grid=np.array([0.0]),
                              H_values=np.array([1 / math.pi]),
                              Hprime_values=np.array([0.0]),
-                             mass=1.0, tail_coefficient=1 / math.pi)
+                             mass=1.0)
         C = check_envelope(prof)
         assert C == pytest.approx(math.pi)
 
@@ -201,7 +222,7 @@ class TestEnvelope:
         bad = KernelProfile(N=1, s=0.5, sigma_grid=prof_1_05.sigma_grid,
                             H_values=prof_1_05.H_values.copy(),
                             Hprime_values=prof_1_05.Hprime_values,
-                            mass=1.0, tail_coefficient=1.0)
+                            mass=1.0)
         bad.H_values[7] = 0.0
         with pytest.raises(ProfileError):
             check_envelope(bad)
@@ -214,6 +235,10 @@ class TestScalingIdentity:
     def test_quarter_order_cross_validation(self, prof_3_025):
         assert check_scaling_ode(prof_3_025) <= 1e-2
 
+    def test_quarter_order_with_far_field(self, prof_1_025):
+        # radii whose integrals reach far past the table edge
+        assert check_scaling_ode(prof_1_025, np.geomspace(0.2, 40, 12)) <= 1e-4
+
     def test_constant_profile_fails(self):
         sg = np.linspace(0.0, 30.0, 200)
         # strictly-decreasing by a whisper so construction sanity passes,
@@ -221,7 +246,7 @@ class TestScalingIdentity:
         H = 1.0 - 1e-9 * sg
         fake = KernelProfile(N=1, s=0.5, sigma_grid=sg, H_values=H,
                              Hprime_values=np.full_like(sg, -1e-9),
-                             mass=1.0, tail_coefficient=1.0)
+                             mass=1.0)
         res = check_scaling_ode(fake, radii=[1.0, 2.0])
         assert res > 0.5
 
@@ -236,7 +261,6 @@ class TestSerialization:
         np.testing.assert_allclose(back.sigma_grid, prof_1_05.sigma_grid)
         np.testing.assert_allclose(back.H_values, prof_1_05.H_values)
         assert back.mass == prof_1_05.mass
-        assert back.tail_coefficient == prof_1_05.tail_coefficient
 
     def test_csv_header(self, prof_1_05):
         assert profile_csv(prof_1_05).splitlines()[0] == "sigma,H,Hprime"

@@ -201,24 +201,6 @@ class TestSplineWeights:
         assert np.max(np.abs(w - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
 
-class TestLapack:
-    @pytest.mark.parametrize("dt", [0.02, 1.7e-3])
-    def test_bit_identical_to_scipy(self, dt):
-        from scipy.linalg import lu_factor, lu_solve
-        # the operator of the sweep's lambda = 0.5 row
-        mu = exponent_profile(3, 0.5, 0.5).mu
-        op = ground_state_operator(RadialGrid(1e-3, 1e3, 128), 3, 0.5, mu)
-        a = np.eye(len(op.r)) + dt * solver._THETA * op.B
-        b = radial_bump()(op.r)
-        lu, piv = solver.lu_factor(a)
-        lu_ref, piv_ref = lu_factor(a, check_finite=False)
-        assert lu.tobytes() == lu_ref.tobytes()
-        assert np.array_equal(piv, piv_ref)
-        x = solver.lu_solve((lu, piv), b)
-        x_ref = lu_solve((lu_ref, piv_ref), b, check_finite=False)
-        assert x.tobytes() == x_ref.tobytes()
-
-
 # the sweep's two operators, and the worst-conditioned eigenbasis seen over
 # (N, s, lambda, grid) (cond W = 3.4e4)
 EIG_CASES = [(3, 0.5, 0.2, RadialGrid(1e-3, 1e3, 128)),
