@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 from .errors import (BlowupFitError, CertificationError, DomainError,
                      ProfileError, QuadratureError, RegimeAmbiguityError,
                      UnsupportedDatumError)
-from .exponents import (ExponentProfile, PhaseRow, ProblemParams, Regime,
+from .exponents import (ExponentProfile, ProblemParams, Regime,
                         alpha_of_lambda, classify_regime, exponent_profile,
                         hardy_constant, lambda_of_alpha, m_alpha,
                         phase_table, phase_table_csv, power_coupling,

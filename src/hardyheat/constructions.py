@@ -93,10 +93,9 @@ def psi_eta_mass(params: TestFunctionParams, profile: KernelProfile) -> float:
     analytic far-field series; scales exactly as eta^{-mu/(2s)}."""
     N, s, mu = profile.N, profile.s, params.mu
     c = params.eta ** (0.5 / s)
-    spline = profile.interpolant()
 
     def integrand(r):
-        return r ** (N - 1 - mu) * spline(c * r)
+        return r ** (N - 1 - mu) * profile.h_of_sigma(c * r)
 
     r_edges = profile.sigma_grid[1:] / c
     body = integrate_panels(integrand, r_edges, order=10)

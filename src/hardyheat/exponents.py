@@ -27,8 +27,9 @@ from .errors import DomainError, RegimeAmbiguityError
 from .quadrature import bisect_root
 
 __all__ = [
-    "ProblemParams", "ExponentProfile", "Regime", "PhaseRow",
+    "ProblemParams", "ExponentProfile", "Regime",
     "hardy_constant", "m_alpha", "lambda_of_alpha", "alpha_of_lambda",
+    "power_coupling",
     "pv_normalization", "exponent_profile", "classify_regime",
     "phase_table", "phase_table_csv",
 ]
@@ -274,20 +275,10 @@ def classify_regime(params: ProblemParams) -> Regime:
     return Regime.NON_EXISTENCE
 
 
-@dataclass(frozen=True)
-class PhaseRow:
-    lam: float
-    alpha: float
-    mu: float
-    p_minus: float
-    p_plus: float
-    fujita: float
-
-
-def phase_table(N: int, s: float, lambda_grid) -> tuple[list[PhaseRow], list[tuple[float, str]]]:
-    """One exponent row per coupling in (0, Lambda]; bad rows are reported
-    and skipped."""
-    rows: list[PhaseRow] = []
+def phase_table(N: int, s: float, lambda_grid) -> tuple[list[ExponentProfile], list[tuple[float, str]]]:
+    """One exponent profile per coupling in (0, Lambda]; bad rows are
+    reported and skipped."""
+    rows: list[ExponentProfile] = []
     errors: list[tuple[float, str]] = []
     for lam in lambda_grid:
         try:
@@ -297,13 +288,13 @@ def phase_table(N: int, s: float, lambda_grid) -> tuple[list[PhaseRow], list[tup
         except DomainError as exc:
             errors.append((float(lam), str(exc)))
             continue
-        rows.append(PhaseRow(prof.lam, prof.alpha, prof.mu,
-                             prof.p_minus, prof.p_plus, prof.fujita))
+        rows.append(prof)
     return rows, errors
 
 
-def phase_table_csv(rows: list[PhaseRow]) -> str:
-    """Serialize phase rows with full double precision."""
+def phase_table_csv(rows: list[ExponentProfile]) -> str:
+    """Serialize the lambda, alpha, mu, p_minus, p_plus and fujita of each
+    row with full double precision."""
     lines = ["lambda,alpha,mu,p_minus,p_plus,fujita"]
     for r in rows:
         lines.append(",".join(format(v, ".17g") for v in

@@ -19,8 +19,8 @@ Past the table the profile is the series H(sigma) = sum_k c_k
 sigma^{-(N+2ks)} with explicitly known coefficients (Bergstrom's series for
 stable densities); the leading one equals the principal-value
 normalization constant of (-Delta)^s.  Values, slopes and the mass beyond
-the table all use that series, and every table checks that it meets the
-series at its edge.
+the table all use that series, and every table checks that its H and H'
+meet the series at its edge.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from .quadrature import panel_nodes
 
 __all__ = [
     "KernelProfile", "build_profile", "h_value", "check_envelope",
-    "sphere_area", "profile_origin_value", "profile_moment",
+    "sphere_area", "ball_mass", "profile_origin_value", "profile_moment",
     "tail_series_coefficients", "tail_mass_beyond", "save_profile",
     "load_profile", "profile_csv",
 ]
@@ -47,6 +47,7 @@ _ORDER = 10            # Gauss order of the oscillatory panels
 _MAX_OSC_PANELS = 200_000
 _TAIL_TERMS = 12       # terms of the far-field series
 _EDGE_TOL = 1e-8       # relative mismatch of table and series at sigma_max
+_SLOPE_EDGE_TOL = 1e-6  # the same for H'
 
 
 def sphere_area(N: int) -> float:
@@ -196,50 +197,6 @@ def tail_mass_beyond(N: int, s: float, sigma0: float,
     return total
 
 
-class _PiecewisePolynomial:
-    """Piecewise polynomial on the knots x: on [x_i, x_{i+1}] it is
-    sum_k c[k, i] (x - x_i)^{K-k}, K = len(c) - 1.  The intervals are
-    half-open except the last, and points outside the knots use the end
-    intervals.  Evaluation sums the powers from the constant term up, in
-    the order of scipy's PPoly, so the values are scipy's to the bit."""
-
-    def __init__(self, x: np.ndarray, c: np.ndarray):
-        self.x = x
-        self.c = c
-
-    @classmethod
-    def cubic_hermite(cls, x: np.ndarray, y: np.ndarray,
-                      dydx: np.ndarray) -> "_PiecewisePolynomial":
-        """The C^1 cubic through (x, y) with slopes dydx, with the
-        coefficients of scipy's CubicHermiteSpline."""
-        dx = np.diff(x)
-        slope = np.diff(y) / dx
-        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
-        c = np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1],
-                      y[:-1]))
-        return cls(x, c)
-
-    def derivative(self) -> "_PiecewisePolynomial":
-        degree = len(self.c) - 1
-        factor = np.arange(degree, 0, -1, dtype=float)
-        return _PiecewisePolynomial(self.x, self.c[:-1] * factor[:, None])
-
-    def __call__(self, xq) -> np.ndarray:
-        xq = np.asarray(xq, dtype=float)
-        # interval of each point; searching the inner knots clamps points
-        # outside the table to the end intervals
-        i = np.searchsorted(self.x[1:-1], xq, side="right")
-        d = xq - self.x.take(i)
-        c = self.c
-        out = c[-1].take(i)
-        z = d
-        for k in range(len(c) - 2, -1, -1):
-            out += c[k].take(i) * z
-            if k:
-                z = z * d
-        return out
-
-
 @dataclass
 class KernelProfile:
     """Self-similar kernel profile H and H' for one (N, s): tabulated on
@@ -251,7 +208,8 @@ class KernelProfile:
     H_values: np.ndarray
     Hprime_values: np.ndarray
     mass: float
-    _interp: _PiecewisePolynomial | None = field(default=None, repr=False)
+    # rows c_3, c_2, c_1, c_0 of the table's cubic Hermite pieces
+    _cubic: np.ndarray | None = field(default=None, repr=False)
     # rows c_k and -(N+2ks) c_k of the far-field series of H and H'
     _tail: np.ndarray | None = field(default=None, repr=False)
 
@@ -259,13 +217,30 @@ class KernelProfile:
     def sigma_max(self) -> float:
         return float(self.sigma_grid[-1])
 
-    def interpolant(self) -> _PiecewisePolynomial:
-        """The cubic Hermite interpolant of the table (value and slope at
-        every knot)."""
-        if self._interp is None:
-            self._interp = _PiecewisePolynomial.cubic_hermite(
-                self.sigma_grid, self.H_values, self.Hprime_values)
-        return self._interp
+    def _table(self, sigma: np.ndarray, order: int) -> np.ndarray:
+        """H (order 0) or H' (order 1) at 0 <= sigma <= sigma_max by the C^1
+        cubic through every knot's value and slope.  The coefficients are
+        scipy's CubicHermiteSpline's and the powers are summed from the
+        constant term up, as in scipy's PPoly, so the values are scipy's
+        to the bit."""
+        x = self.sigma_grid
+        if self._cubic is None:
+            y, dydx = self.H_values, self.Hprime_values
+            dx = np.diff(x)
+            slope = np.diff(y) / dx
+            t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+            self._cubic = np.stack((t / dx, (slope - dydx[:-1]) / dx - t,
+                                    dydx[:-1], y[:-1]))
+        # interval of each point; searching the inner knots puts sigma_max
+        # in the last one
+        i = np.searchsorted(x[1:-1], sigma, side="right")
+        d = sigma - x.take(i)
+        c3, c2, c1, c0 = self._cubic
+        if order:
+            return (c1.take(i) + 2.0 * c2.take(i) * d
+                    + 3.0 * c3.take(i) * (d * d))
+        return (c0.take(i) + c1.take(i) * d + c2.take(i) * (d * d)
+                + c3.take(i) * (d * d * d))
 
     def _far_field(self, sigma: np.ndarray, order: int) -> np.ndarray:
         """H (order 0) or H' (order 1) by the far-field series, summed by
@@ -286,16 +261,13 @@ class KernelProfile:
         sigma = np.asarray(sigma, dtype=float)
         if np.any(sigma < 0.0):
             raise DomainError("sigma must be nonnegative")
-        spline = self.interpolant()
-        if order:
-            spline = spline.derivative()
         beyond = sigma > self.sigma_max
         if np.any(beyond):
             out = np.empty_like(sigma)
-            out[~beyond] = spline(sigma[~beyond])
+            out[~beyond] = self._table(sigma[~beyond], order)
             out[beyond] = self._far_field(sigma[beyond], order)
         else:
-            out = spline(sigma)
+            out = self._table(sigma, order)
         return out if out.ndim else float(out)
 
     def h_of_sigma(self, sigma):
@@ -316,11 +288,14 @@ class KernelProfile:
             raise ProfileError("H is not strictly decreasing")
         if np.any(Hp > 1e-12 * H[0]):
             raise ProfileError("H' has positive entries")
-        edge = float(abs(self._far_field(self.sigma_grid[-1], 0) / H[-1] - 1))
-        if not edge <= _EDGE_TOL:
-            raise ProfileError(
-                f"far-field series misses the table edge sigma_max="
-                f"{self.sigma_max} by {edge:.2e} relative")
+        for name, order, table, tol in (("H", 0, H, _EDGE_TOL),
+                                        ("H'", 1, Hp, _SLOPE_EDGE_TOL)):
+            edge = float(abs(self._far_field(self.sigma_grid[-1], order)
+                             / table[-1] - 1))
+            if not edge <= tol:
+                raise ProfileError(
+                    f"far-field {name} misses the table edge sigma_max="
+                    f"{self.sigma_max} by {edge:.2e} relative")
 
 
 def build_profile(N: int, s: float, sigma_max: float,

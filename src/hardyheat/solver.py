@@ -11,7 +11,7 @@ by the type of the grid:
 
 * ground_state, on a RadialGrid: v = |x|^{mu} u, which is bounded at the
   origin.  The Hardy term is absorbed exactly into the weighted nonlocal
-  operator L (collocation matrix from fracop), stepped by a theta-scheme
+  operator L (collocation matrix from fracop), stepped by Crank-Nicolson
   in the matrix's eigenbasis (no factorization per dt), reaction explicit.
 
 Both paths preserve nonnegativity (adaptive step halving on violation),
@@ -435,9 +435,6 @@ def _run_direct(u_init: np.ndarray, config: SolverConfig) -> TrajectoryReport:
                     store=lambda u: u.copy(), rel_floor=1e-6, r_grid=None)
 
 
-# implicit weight of the radial theta-scheme (Crank-Nicolson)
-_THETA = 0.5
-
 @dataclass(frozen=True, eq=False)
 class GroundStateOperator:
     """What a ground-state run derives from (grid, N, s, mu), never from p.
@@ -567,9 +564,9 @@ def _run_ground_state(u_init: np.ndarray, config: SolverConfig) -> TrajectoryRep
 
     @functools.lru_cache(maxsize=25)
     def resolvent(dt: float):
-        # (I + theta dt B)^{-1} / theta
-        c, e = _resolvent_coefficients(op, dt * _THETA)
-        return c / _THETA, e / _THETA
+        # 2 (I + (dt/2) B)^{-1}
+        c, e = _resolvent_coefficients(op, 0.5 * dt)
+        return 2.0 * c, 2.0 * e
 
     def energy_of(vv: np.ndarray) -> float:
         # (1/2) <u, (-Delta)^s u - lam u/|x|^{2s}> through the L-matrix,
@@ -588,14 +585,13 @@ def _run_ground_state(u_init: np.ndarray, config: SolverConfig) -> TrajectoryRep
         return float(op.tw @ vv)
 
     def step(vv: np.ndarray, dt: float) -> np.ndarray:
-        # (I + a B) x = (I - (1 - theta) dt B) v + dt g with a = theta dt
-        # is x = (I + a B)^{-1} (v + a g) / theta - (1 / theta - 1) v
+        # Crank-Nicolson (I + a B) x = (I - a B) v + dt g with a = dt/2
+        # is x = 2 (I + a B)^{-1} (v + a g) - v
         rhs = vv
         if config.reaction_enabled:
-            rhs = vv + (dt * _THETA) * rfac * vv ** p
+            rhs = vv + (0.5 * dt) * rfac * vv ** p
         # a non-finite rhs comes out non-finite and is rejected
-        return (_apply_resolvent(op, resolvent(dt), rhs)
-                - (1.0 / _THETA - 1.0) * vv)
+        return _apply_resolvent(op, resolvent(dt), rhs) - vv
 
     def rate(vv: np.ndarray) -> float:
         if not config.reaction_enabled:

@@ -8,8 +8,12 @@ scan is syntactic: a call supplies a parameter when it names the function
 or class (as a bare name or an attribute) and passes the parameter by
 keyword, passes enough positional arguments to reach it, or unpacks
 *args / **kwargs.  Nested functions (closures binding loop values such as
-m=m) and underscore fields (lazy caches such as KernelProfile._interp)
+m=m) and underscore fields (lazy caches such as KernelProfile._cubic)
 are exempt.
+
+Every exported name exists: each name in a module's __all__ is defined in
+that module, and each name the package root imports from a module is in
+that module's __all__ (or public, in a module without one).
 """
 import ast
 from pathlib import Path
@@ -106,7 +110,49 @@ def test_scan_sees_the_package():
     assert ("quadrature", "tail_panels", "scale") in settings
     assert ("kernel", "tail_mass_beyond", "mu") in settings
     assert ("solver", "SolverConfig", "n_monitor") in settings
-    assert ("kernel", "KernelProfile", "_interp") not in settings
+    assert ("kernel", "KernelProfile", "_cubic") not in settings
+
+
+def _exports(tree: ast.Module) -> list[str]:
+    """The names a star import takes from a module: its __all__, or its
+    public names when it has none."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return ast.literal_eval(node.value)
+    return [name for name in _defined(tree) if not name.startswith("_")]
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """Names bound at module level by a def, a class or an assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets
+                         if isinstance(t, ast.Name))
+    return names
+
+
+def test_exports_exist_and_reach_the_root():
+    missing = []
+    trees = {p.stem: ast.parse(p.read_text())
+             for p in sorted(PACKAGE.glob("*.py")) if p.stem != "__init__"}
+    for name, tree in trees.items():
+        defined = _defined(tree)
+        missing += [f"{name}.__all__ names undefined {export}"
+                    for export in _exports(tree) if export not in defined]
+    root = ast.parse((PACKAGE / "__init__.py").read_text())
+    for node in root.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            exports = _exports(trees[node.module])
+            missing += [f"root imports {node.module}.{a.name}, not in its "
+                        f"__all__" for a in node.names
+                        if a.name not in exports]
+    assert missing == []
 
 
 # the package's modules, each importing only from modules before it

@@ -139,13 +139,19 @@ class TestKernelCommand:
         assert code == 4
         assert "certification failure:" in capsys.readouterr().err
 
-    def test_edge_mismatch_exits_certification(self, tmp_path, capsys):
+    @pytest.mark.parametrize("column,factor", [(1, 1.0 + 1e-6),
+                                               (2, 1.0 + 1e-5)],
+                             ids=["H", "Hprime"])
+    def test_edge_mismatch_exits_certification(self, tmp_path, capsys,
+                                               column, factor):
+        # column 1 is H, column 2 is H'
         run_cli(["kernel", "build", "--N", "3", "--s", "0.5",
                  "--n-points", "33", "--out", "k.csv"], tmp_path)
         path = tmp_path / "k.csv"
         lines = path.read_text().splitlines()
-        sigma, h, hprime = lines[-1].split(",")
-        lines[-1] = f"{sigma},{float(h) * (1.0 + 1e-6):.17g},{hprime}"
+        cells = lines[-1].split(",")
+        cells[column] = f"{float(cells[column]) * factor:.17g}"
+        lines[-1] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         code = run_cli(["kernel", "check", "--N", "3", "--s", "0.5",

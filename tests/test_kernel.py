@@ -106,12 +106,12 @@ class TestInterpolant:
         prof = request.getfixturevalue(fixture)
         x = prof.sigma_grid
         oracle = CubicHermiteSpline(x, prof.H_values, prof.Hprime_values)
-        spline = prof.interpolant()
         # knots (sigma = 0 and sigma_max among them) and mid-panels
         for q in (x, 0.5 * (x[1:] + x[:-1]), np.array([0.0, prof.sigma_max]),
                   np.float64(prof.sigma_max)):
-            assert spline(q).tobytes() == oracle(q).tobytes()
-            assert (spline.derivative()(q).tobytes()
+            assert (np.asarray(prof.h_of_sigma(q)).tobytes()
+                    == oracle(q).tobytes())
+            assert (np.asarray(prof.hprime_of_sigma(q)).tobytes()
                     == oracle.derivative()(q).tobytes())
 
 
@@ -166,12 +166,15 @@ class TestFarField:
             exact = _profile_point(N, s, sigma, rho_decay)[0]
             assert prof.h_of_sigma(sigma) == pytest.approx(exact, rel=1e-8)
 
-    def test_edge_mismatch_refused(self, prof_1_05):
-        H = prof_1_05.H_values.copy()
-        H[-1] *= 1.0 + 1e-6
+    @pytest.mark.parametrize("column,factor", [("H_values", 1.0 + 1e-6),
+                                               ("Hprime_values", 1.0 + 1e-5)],
+                             ids=["H", "Hprime"])
+    def test_edge_mismatch_refused(self, prof_1_05, column, factor):
+        table = {"H_values": prof_1_05.H_values.copy(),
+                 "Hprime_values": prof_1_05.Hprime_values.copy()}
+        table[column][-1] *= factor
         bad = KernelProfile(N=1, s=0.5, sigma_grid=prof_1_05.sigma_grid,
-                            H_values=H, Hprime_values=prof_1_05.Hprime_values,
-                            mass=prof_1_05.mass)
+                            mass=prof_1_05.mass, **table)
         with pytest.raises(ProfileError, match="table edge"):
             bad.validate()
 

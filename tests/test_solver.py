@@ -215,7 +215,7 @@ class TestEigenbasis:
     def test_resolvent_matches_lu(self, case, dt):
         N, s, lam, grid = case
         op = ground_state_operator(grid, N, s, exponent_profile(N, s, lam).mu)
-        a = dt * solver._THETA
+        a = 0.5 * dt
         b = radial_bump()(op.r)
         x = solver._apply_resolvent(op, solver._resolvent_coefficients(op, a),
                                     b)
