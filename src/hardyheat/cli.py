@@ -71,6 +71,21 @@ def _parse_grid_spec(spec: str) -> np.ndarray:
     return np.array([float(x) for x in spec.split(",")])
 
 
+def _grid_spec(spec: str) -> str:
+    """The argparse type of a grid flag: the spec as written, once
+    _parse_grid_spec reads at least one value from it (a usage error names
+    the flag otherwise)."""
+    try:
+        empty = _parse_grid_spec(spec).size == 0
+    except ValueError:
+        empty = True
+    if empty:
+        raise argparse.ArgumentTypeError(
+            f"{spec!r} is neither a:b:n with n >= 1 nor a comma list of "
+            "numbers")
+    return spec
+
+
 def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
     """The key=value lines of a config file that name a value-taking option
     of `parser` (by a flag without its dashes or by its destination, '-'
@@ -182,7 +197,7 @@ def _cmd_verify(args) -> int:
         params = ProblemParams(args.N, args.s, args.lam, args.p)
         grid = UniformGrid(args.N, 2.0 * args.radius, 64)
         h0 = Field.from_radial(grid, smooth_bump(args.radius))
-        lhs, rhs = energy_gap(h0, params, args.radius, epsilon=1.0)
+        lhs, rhs = energy_gap(h0, params, args.radius)
         a_star = (rhs / lhs) ** (1.0 / (params.p - 1.0)) if rhs > 0 else 0.0
         report.update({"reaction_side_unit": lhs, "dissipation_side_unit": rhs,
                        "threshold_amplitude": a_star})
@@ -326,7 +341,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     pp = sub.add_parser("phase-diagram", help="exponent table over a lambda grid")
     pp.add_argument("--N", type=int, required=True)
     pp.add_argument("--s", type=float, required=True)
-    pp.add_argument("--lambda-grid", required=True,
+    pp.add_argument("--lambda-grid", type=_grid_spec, required=True,
                     help="a:b:n linear grid or comma list")
     pp.add_argument("--out", default="phase.csv")
     pp.set_defaults(func=_cmd_phase_diagram)
@@ -380,8 +395,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     pw = sub.add_parser("sweep", help="verdict per (lambda, p) grid cell")
     pw.add_argument("--N", type=int, required=True)
     pw.add_argument("--s", type=float, required=True)
-    pw.add_argument("--lambda-grid", required=True)
-    pw.add_argument("--p-grid", required=True)
+    pw.add_argument("--lambda-grid", type=_grid_spec, required=True)
+    pw.add_argument("--p-grid", type=_grid_spec, required=True)
     pw.add_argument("--u0", default="gaussian")
     pw.add_argument("--amplitude", type=float, default=1.0)
     pw.add_argument("--width", type=float, default=1.0)
@@ -409,7 +424,10 @@ def main(argv=None) -> int:
         # config values become the command's defaults, so explicit flags
         # win; required flags were already checked by the first parse
         command = commands[args.command]
-        command.set_defaults(**_config_defaults(args.config, command))
+        try:
+            command.set_defaults(**_config_defaults(args.config, command))
+        except OSError as exc:
+            parser.error(f"argument --config: {exc}")
         args = parser.parse_args(argv)
     try:
         return args.func(args)

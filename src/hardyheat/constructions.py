@@ -364,12 +364,18 @@ def smooth_bump(radius: float):
     return bump
 
 
-def energy_gap(h0: Field, params: ProblemParams, R: float,
-               epsilon: float = 1.0) -> tuple[float, float]:
+# regularization length eps of the potential in the negative-energy test
+_ENERGY_EPSILON = 1.0
+
+
+def energy_gap(h0: Field, params: ProblemParams,
+               R: float) -> tuple[float, float]:
     """(reaction side, dissipation side) of the negative-energy test:
 
         1/(p+1) int h^{p+1}   vs   (1/2) <h, (-Delta)^s h>
-                                   - (lam/2) int h^2/(|x|^{2s}+eps^{2s}).
+                                   - (lam/2) int h^2/(|x|^{2s}+eps^{2s}),
+
+    with eps = _ENERGY_EPSILON.
 
     The quadratic form equals (a/4) times the Gagliardo double integral.
     The datum must be nonnegative and supported in the ball of radius R.
@@ -386,16 +392,16 @@ def energy_gap(h0: Field, params: ProblemParams, R: float,
     s = params.s
     quad, pot, react = box_energy_terms(
         vals, frac_laplacian_spectral(h0, s).values,
-        regularized_potential(grid, s, params.lam, epsilon), params.p,
-        grid.cell_volume)
+        regularized_potential(grid, s, params.lam, _ENERGY_EPSILON),
+        params.p, grid.cell_volume)
     return react, quad - pot
 
 
-def energy_blowup_criterion(h0: Field, params: ProblemParams, R: float,
-                            epsilon: float = 1.0) -> bool:
+def energy_blowup_criterion(h0: Field, params: ProblemParams,
+                            R: float) -> bool:
     """True when the reaction energy strictly exceeds the dissipation
     energy, which forces the local L2 norm to diverge in finite time."""
-    lhs, rhs = energy_gap(h0, params, R, epsilon)
+    lhs, rhs = energy_gap(h0, params, R)
     return lhs > rhs
 
 

@@ -389,10 +389,17 @@ def save_profile(profile: KernelProfile, csv_path, json_path) -> None:
 
 
 def load_profile(csv_path, json_path) -> KernelProfile:
-    with open(json_path) as fh:
-        header = json.load(fh)
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-    return KernelProfile(
-        N=int(header["N"]), s=float(header["s"]),
-        sigma_grid=data[:, 0], H_values=data[:, 1], Hprime_values=data[:, 2],
-        mass=float(header["mass"]))
+    """The table save_profile wrote.  Refuses (ProfileError) a missing file,
+    a header without N, s and mass, or a table that is not three columns
+    of numbers."""
+    try:
+        with open(json_path) as fh:
+            header = json.load(fh)
+        N, s = int(header["N"]), float(header["s"])
+        mass = float(header["mass"])
+        sigma, H, Hp = np.loadtxt(csv_path, delimiter=",", skiprows=1,
+                                  usecols=(0, 1, 2), ndmin=2, unpack=True)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ProfileError(f"unreadable kernel table: {exc}") from None
+    return KernelProfile(N=N, s=s, sigma_grid=sigma, H_values=H,
+                         Hprime_values=Hp, mass=mass)

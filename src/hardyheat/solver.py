@@ -86,6 +86,8 @@ class SolverConfig:
             raise DomainError("dt_safety must lie in (0,1)")
         if self.blowup_threshold <= 0.0:
             raise DomainError("blowup_threshold must be positive")
+        if self.n_monitor < 1:
+            raise DomainError("n_monitor must be at least 1")
         if self.diffusion not in ("exponential", "implicit"):
             raise DomainError(f"unknown diffusion propagator {self.diffusion!r}")
         if not isinstance(self.grid, (UniformGrid, RadialGrid)):
@@ -181,27 +183,15 @@ def _spline_weights(r: np.ndarray) -> np.ndarray:
     return w * r
 
 
-def _radial_monitors(r: np.ndarray, w: np.ndarray, u: np.ndarray, N: int,
-                     mu: float, p: float) -> tuple[float, float, float]:
-    """(weighted mass, critical norm, squared L2) of a radial u, with the
-    power-law origin closure below the first grid point (u ~ r^{-mu});
-    w = _spline_weights(r)."""
+def _origin_weights(body: np.ndarray, r: np.ndarray, N: int,
+                    e: float) -> np.ndarray:
+    """Weights w with w @ g = int g |x|^{-e} dx for a radial g on r, from
+    weights `body` of int dr over the grid span; below r[0], g is held at
+    g[0], a closure that diverges (weight inf) unless e < N."""
     omega = sphere_area(N)
-    r0 = r[0]
-    head = u[0] * r0 ** mu
-    wm = omega * (float(w @ (r ** (N - 1 - mu) * u))
-                  + head * r0 ** (N - 2 * mu) / (N - 2 * mu))
-    crit_power = N - mu * (p + 1)
-    if crit_power > 0.0:
-        up = np.abs(u) ** p
-        crit = omega * (float(w @ (r ** (N - 1 - mu) * up))
-                        + head ** p * r0 ** crit_power / crit_power)
-    else:
-        # |u|^p |x|^{-mu} ~ r^{-mu (p+1)} is not integrable at the origin
-        crit = math.inf
-    l2sq = omega * (float(w @ (r ** (N - 1) * u ** 2))
-                    + head ** 2 * r0 ** (N - 2 * mu) / (N - 2 * mu))
-    return wm, crit, l2sq
+    w = omega * body * r ** (N - 1 - e)
+    w[0] += omega * r[0] ** (N - e) / (N - e) if e < N else math.inf
+    return w
 
 
 def regularized_potential(grid: UniformGrid, s: float, lam: float,
@@ -439,10 +429,10 @@ def _run_direct(u_init: np.ndarray, config: SolverConfig) -> TrajectoryReport:
 class GroundStateOperator:
     """What a ground-state run derives from (grid, N, s, mu), never from p.
 
-    A is the collocation matrix of L, B = r^{2 mu} A the operator on
-    v = r^mu u; `trap` holds omega dr r^{N-1-2mu} (trapezoid weights of
-    v-integrals), `tw` the same plus the origin closure (weighted mass),
-    and `spline` the spline quadrature weights in dr of the monitors.
+    B = r^{2 mu} A is the operator on v = r^mu u, A the collocation
+    matrix of L; `tw` holds the trapezoid weights of the weighted mass
+    int v |x|^{-2 mu} dx (the per-step blow-up exit), and `spline` the
+    spline quadrature weights in dr of the checkpoint monitors.
     B = W J W^{-1} in real Jordan form: column k of W is a real eigenvector
     (beta[k] = 0, partner[k] = k) or the real or imaginary part of a
     complex one, whose 2x2 block of J couples k with partner[k];
@@ -452,9 +442,7 @@ class GroundStateOperator:
     """
 
     r: np.ndarray
-    A: np.ndarray
     B: np.ndarray
-    trap: np.ndarray
     tw: np.ndarray
     spline: np.ndarray
     W: np.ndarray
@@ -528,9 +516,8 @@ def ground_state_operator(grid: RadialGrid, N: int, s: float,
     and shared by every p.  Refuses with QuadratureError a non-finite
     collocation matrix or an eigenbasis that _eigenbasis refuses."""
     r = grid.r
-    A = build_ground_state_matrix(r, mu, N, s)
-    B = (r ** (2.0 * mu))[:, None] * A
-    # a finite B means a finite A too, since r^{2 mu} > 0
+    B = (r ** (2.0 * mu))[:, None] * build_ground_state_matrix(r, mu, N, s)
+    # a finite B means a finite collocation matrix, since r^{2 mu} > 0
     if not np.all(np.isfinite(B)):
         raise QuadratureError(
             f"ground-state operator not finite (N={N}, s={s}, mu={mu})")
@@ -538,15 +525,12 @@ def ground_state_operator(grid: RadialGrid, N: int, s: float,
         basis = _eigenbasis(B)
     except QuadratureError as exc:
         raise QuadratureError(f"{exc} (N={N}, s={s}, mu={mu})") from None
-    omega = sphere_area(N)
     dr = np.empty_like(r)
     dr[1:-1] = 0.5 * (r[2:] - r[:-2])
     dr[0] = 0.5 * (r[1] - r[0])
     dr[-1] = 0.5 * (r[-1] - r[-2])
-    trap = omega * dr * r ** (N - 1 - 2.0 * mu)
-    tw = trap.copy()
-    tw[0] += omega * r[0] ** (N - 2.0 * mu) / (N - 2.0 * mu)
-    arrays = (r, A, B, trap, tw, _spline_weights(r), *basis)
+    arrays = (r, B, _origin_weights(dr, r, N, 2.0 * mu), _spline_weights(r),
+              *basis)
     for arr in arrays:
         arr.setflags(write=False)
     return GroundStateOperator(*arrays)
@@ -557,10 +541,14 @@ def _run_ground_state(u_init: np.ndarray, config: SolverConfig) -> TrajectoryRep
     N, s, lam, p = params.N, params.s, params.lam, params.p
     mu = exponent_profile(N, s, lam).mu
     op = ground_state_operator(config.grid, N, s, mu)
-    r, A = op.r, op.A
+    r = op.r
     v = r ** mu * u_init
     rfac = r ** (mu * (1.0 - p))
-    omega = sphere_area(N)
+    # against |x|^{-2mu}: v gives the weighted mass, v^2 the squared L2
+    # norm, v Bv the quadratic form <u, Lu>; against |x|^{-mu(p+1)}: v^p
+    # gives the critical norm, v^{p+1} (p+1) times the reaction
+    mass = _origin_weights(op.spline, r, N, 2.0 * mu)
+    power = _origin_weights(op.spline, r, N, mu * (p + 1.0))
 
     @functools.lru_cache(maxsize=25)
     def resolvent(dt: float):
@@ -568,18 +556,15 @@ def _run_ground_state(u_init: np.ndarray, config: SolverConfig) -> TrajectoryRep
         c, e = _resolvent_coefficients(op, 0.5 * dt)
         return 2.0 * c, 2.0 * e
 
-    def energy_of(vv: np.ndarray) -> float:
-        # (1/2) <u, (-Delta)^s u - lam u/|x|^{2s}> through the L-matrix,
-        # minus the reaction term; all in v = r^mu u coordinates
-        g = op.trap * vv * (A @ vv)
-        reac = omega * float(
-            op.spline @ (r ** (N - 1 - mu * (p + 1.0)) * vv ** (p + 1.0)))
-        return 0.5 * float(g.sum()) - reac / (p + 1.0)
-
     def monitors(vv: np.ndarray):
-        wm, crit, l2sq = _radial_monitors(r, op.spline, r ** (-mu) * vv, N,
-                                          mu, p)
-        return wm, crit, math.sqrt(l2sq), energy_of(vv)
+        # the state is >= 0; at v[0] = 0 an infinite closure weight adds
+        # 0, so r[0] is skipped
+        i = int(vv[0] == 0.0)
+        vp = vv[i:] ** p
+        reac = float(power[i:] @ (vp * vv[i:])) / (p + 1.0)
+        return (float(mass @ vv), float(power[i:] @ vp),
+                math.sqrt(mass @ (vv * vv)),
+                0.5 * float(mass @ (vv * (op.B @ vv))) - reac)
 
     def weighted_mass(vv: np.ndarray) -> float:
         return float(op.tw @ vv)

@@ -305,14 +305,14 @@ def test_criterion_8_energy_criterion():
     R = 2.0
     grid = UniformGrid(3, 8.0, 64)
     base = Field.from_radial(grid, smooth_bump(R))
-    lhs1, rhs1 = energy_gap(base, params, R, epsilon=1.0)
+    lhs1, rhs1 = energy_gap(base, params, R)
     a_star = bisect_root(
         lambda a: a ** 3 * lhs1 - a ** 2 * rhs1,
         1e-3 * (rhs1 / lhs1), 1e3 * (rhs1 / lhs1))
     exact = rhs1 / lhs1
     thresh_ok = abs(a_star - exact) <= 1e-9 * exact
     h0 = Field(grid, 2.0 * a_star * base.values)
-    assert energy_blowup_criterion(h0, params, R, epsilon=1.0)
+    assert energy_blowup_criterion(h0, params, R)
     wm0 = monitor_norms(h0, 0.5, 2.0, 0.5, 0.5, epsilon=1.0)[0]
     cfg = SolverConfig(params=params, grid=grid,
                        potential_epsilon=1.0, diffusion="implicit",

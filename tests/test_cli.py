@@ -11,6 +11,7 @@ import pytest
 
 from hardyheat import solver
 from hardyheat.cli import main
+from hardyheat.kernel import save_profile
 
 
 def run_cli(args, tmp_path):
@@ -275,6 +276,7 @@ class TestSweepReuse:
 IMPORT_GUARD = """
 import sys
 from hardyheat.cli import main
+from hardyheat.kernel import save_profile
 
 out = sys.argv[1]
 assert main(["--outdir", out, "sweep", "--N", "3", "--s", "0.5",
@@ -309,6 +311,79 @@ class TestErrorExits:
                         "--sigma-max", "50", "--n-points", "32",
                         "--out", "x.csv"], tmp_path)
         assert code == 5
+
+
+class TestInputRefused:
+    @pytest.mark.parametrize("argv,flag", [
+        (["sweep", "--N", "3", "--s", "0.5", "--lambda-grid", "0.1:0.5",
+          "--p-grid", "1.5"], "--lambda-grid"),
+        (["sweep", "--N", "3", "--s", "0.5", "--lambda-grid", "0.1,x",
+          "--p-grid", "1.5"], "--lambda-grid"),
+        (["sweep", "--N", "3", "--s", "0.5", "--lambda-grid", "0.1",
+          "--p-grid", "1.5:2:-3"], "--p-grid"),
+        (["sweep", "--N", "3", "--s", "0.5", "--lambda-grid", "0.1:0.5:0",
+          "--p-grid", "1.5"], "--lambda-grid"),
+        (["phase-diagram", "--N", "3", "--s", "0.5",
+          "--lambda-grid", "0.1:0.5:x"], "--lambda-grid"),
+        (["--config", "nofile.cfg", "exponents", "--N", "3", "--s", "0.5",
+          "--lambda", "0.5"], "--config"),
+    ], ids=["two-part", "not-a-number", "negative-count", "empty",
+            "phase-diagram", "missing-config"])
+    def test_usage_exit_names_the_flag(self, tmp_path, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv, tmp_path)
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
+    def test_manifest_keeps_the_grid_spec(self, tmp_path, capsys):
+        assert run_cli(["phase-diagram", "--N", "3", "--s", "0.5",
+                        "--lambda-grid", "0.1:0.6:6"], tmp_path) == 0
+        manifest = json.loads(
+            (tmp_path / "manifest_phase-diagram.json").read_text())
+        assert manifest["parameters"]["lambda_grid"] == "0.1:0.6:6"
+
+    @pytest.mark.parametrize("damage", ["missing", "not-a-number"])
+    def test_unreadable_table_exits_certification(self, tmp_path, capsys,
+                                                  prof_3_05, damage):
+        save_profile(prof_3_05, tmp_path / "k.csv", tmp_path / "k.json")
+        if damage == "missing":
+            (tmp_path / "k.csv").unlink()
+        else:
+            lines = (tmp_path / "k.csv").read_text().splitlines()
+            lines[5] = lines[5].split(",", 1)[0] + ",x,1"
+            (tmp_path / "k.csv").write_text("\n".join(lines) + "\n")
+        code = run_cli(["kernel", "check", "--N", "3", "--s", "0.5",
+                        "--out", "k.csv"], tmp_path)
+        assert code == 4
+        assert "unreadable kernel table" in capsys.readouterr().err
+
+    def test_negative_monitor_count_exits_domain(self, tmp_path, capsys):
+        code = run_cli(["simulate", "--N", "3", "--s", "0.5",
+                        "--lambda", "0.2", "--p", "1.3", "--points", "32",
+                        "--n-monitor", "-3"], tmp_path)
+        assert code == 3
+        assert "n_monitor" in capsys.readouterr().err
+
+
+class TestReadmePaths:
+    def test_kernel_check_scaling_ode(self, tmp_path, capsys, prof_3_05):
+        save_profile(prof_3_05, tmp_path / "k.csv", tmp_path / "k.json")
+        code = run_cli(["kernel", "check", "--N", "3", "--s", "0.5",
+                        "--out", "k.csv", "--scaling-ode"], tmp_path)
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["scaling_ode_residual"] <= 1e-2
+
+    def test_simulate_direct_formulation(self, tmp_path, capsys):
+        code = run_cli(["simulate", "--N", "3", "--s", "0.5",
+                        "--lambda", "0.2", "--p", "1.3",
+                        "--formulation", "direct", "--half-width", "8",
+                        "--points", "16", "--t-max", "0.1",
+                        "--out", "box.csv"], tmp_path)
+        assert code == 0
+        verdict = json.loads((tmp_path / "box_verdict.json").read_text())
+        assert verdict["formulation"] == "direct"
+        assert verdict["verdict"] == "survived"
 
 
 class TestOutdirEnv:

@@ -220,7 +220,7 @@ class TestEnergyCriterion:
     def test_amplitude_threshold_by_bisection(self):
         from hardyheat.quadrature import bisect_root
         g, base = self.grid_and_bump()
-        lhs1, rhs1 = energy_gap(base, PARAMS, 2.0, epsilon=1.0)
+        lhs1, rhs1 = energy_gap(base, PARAMS, 2.0)
         a_star = (rhs1 / lhs1) ** (1.0 / (PARAMS.p - 1.0))
 
         def gap(a):

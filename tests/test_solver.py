@@ -9,6 +9,7 @@ from hardyheat import solver
 from hardyheat.errors import BlowupFitError, DomainError, QuadratureError
 from hardyheat.exponents import ProblemParams, exponent_profile
 from hardyheat.fracop import Field, UniformGrid
+from hardyheat.kernel import sphere_area
 from hardyheat.solver import (RadialGrid, SolverConfig, Verdict,
                               estimate_blowup_time, ground_state_operator,
                               monitor_norms, run, save_trajectory,
@@ -44,8 +45,9 @@ class TestMonitors:
         mu = 0.5
         r = np.geomspace(1e-4, 50.0, 800)
         phi = radial_bump()
-        wm, _, _ = solver._radial_monitors(r, solver._spline_weights(r),
-                                           r ** (-mu) * phi(r), 3, mu, 2.0)
+        mass = solver._origin_weights(solver._spline_weights(r), r, 3,
+                                      2.0 * mu)
+        wm = float(mass @ phi(r))
         from scipy.integrate import quad
         oracle = 4 * math.pi * quad(
             lambda rr: rr ** (2 - 2 * mu) * phi(rr), 0.0, 40.0, limit=400,
@@ -65,16 +67,64 @@ class TestMonitors:
 
     def test_critical_norm_infinite_when_origin_closure_diverges(self):
         # N - mu (p+1) <= 0: |u|^p |x|^{-mu} ~ r^{-mu(p+1)} near the origin
-        # is not integrable against r^{N-1}
+        # is not integrable against r^{N-1}, and neither is the reaction
         mu = exponent_profile(3, 0.5, 0.63).mu
         assert 3 - mu * 4.0 <= 0.0
-        r = np.geomspace(1e-3, 20.0, 64)
-        w = solver._spline_weights(r)
-        u = r ** (-mu) * radial_bump()(r)
-        _, crit, _ = solver._radial_monitors(r, w, u, 3, mu, 3.0)
-        assert crit == math.inf
-        _, crit, _ = solver._radial_monitors(r, w, u, 3, mu, 1.2)
-        assert 0.0 < crit < math.inf
+        grid = RadialGrid(1e-3, 20.0, 64)
+
+        def first_row(p, datum):
+            cfg = SolverConfig(params=ProblemParams(3, 0.5, 0.63, p),
+                               grid=grid, t_max=1e-3, dt_initial=1e-3,
+                               n_monitor=1)
+            rep = run(datum, cfg)
+            return rep.critical_norm_series[0], rep.energy_series[0]
+
+        bump = radial_bump()
+        assert first_row(3.0, bump) == (math.inf, -math.inf)
+        crit, energy = first_row(1.2, bump)
+        assert 0.0 < crit < math.inf and math.isfinite(energy)
+        # a datum vanishing at r[0] meets the closure as 0, not as nan
+        assert first_row(3.0, np.zeros(64)) == (0.0, 0.0)
+
+
+def _gaussian_energy(N, s, lam, p):
+    """(E, (Q - P)/2) of u = exp(-|x|^2) in closed form: Q = <u, (-Delta)^s
+    u> from the Fourier side, P = lam int u^2 |x|^{-2s}, and E = (Q - P)/2
+    - int u^{p+1}/(p+1)."""
+    omega = sphere_area(N)
+    Q = (math.pi ** N * (2.0 * math.pi) ** (2.0 * s) * omega
+         * math.gamma((N + 2.0 * s) / 2.0)
+         / (2.0 * (2.0 * math.pi ** 2) ** ((N + 2.0 * s) / 2.0)))
+    P = (lam * omega * math.gamma((N - 2.0 * s) / 2.0)
+         / (2.0 * 2.0 ** ((N - 2.0 * s) / 2.0)))
+    R = (math.pi / (p + 1.0)) ** (N / 2.0)
+    return 0.5 * (Q - P) - R / (p + 1.0), 0.5 * (Q - P)
+
+
+GAUSSIAN = radial_bump()
+RG128 = RadialGrid(1e-3, 1e3, 128)
+
+
+class TestGroundStateEnergy:
+    @pytest.mark.parametrize("N,s,lam,p", [(3, 0.5, 0.5, 1.2),
+                                           (3, 0.5, 0.2, 1.3),
+                                           (2, 0.5, 0.2, 1.5),
+                                           (4, 0.5, 0.3, 1.4)])
+    def test_initial_energy_against_closed_form(self, N, s, lam, p):
+        cfg = SolverConfig(params=ProblemParams(N, s, lam, p), grid=RG128,
+                           t_max=1e-3, dt_initial=1e-3, n_monitor=1)
+        energy = run(GAUSSIAN, cfg).energy_series[0]
+        exact, quadratic = _gaussian_energy(N, s, lam, p)
+        assert abs(energy - exact) <= 2e-2 * quadratic
+
+    def test_energy_falls_through_blowup(self):
+        cfg = SolverConfig(params=ProblemParams(2, 0.5, 0.2, 1.5), grid=RG128,
+                           t_max=40.0, dt_initial=0.01,
+                           blowup_threshold=1e4)
+        rep = run(GAUSSIAN, cfg)
+        assert rep.verdict.kind == "blew_up"
+        assert len(rep.energy_series) >= 5
+        assert np.all(np.diff(rep.energy_series) <= 0.0)
 
 
 class TestBlowupExtrapolation:
@@ -114,6 +164,12 @@ class TestRunBasics:
         rep = run(np.zeros(RG.n_points), cfg)
         assert rep.verdict.kind == "survived"
         assert np.all(rep.weighted_mass_series == 0.0)
+
+    @pytest.mark.parametrize("n_monitor", [0, -3])
+    def test_no_checkpoint_refused(self, n_monitor):
+        # with no checkpoint no step is clipped to t_max
+        with pytest.raises(DomainError):
+            SolverConfig(params=PARAMS_SUB, grid=RG, n_monitor=n_monitor)
 
     def test_grid_of_unknown_type_rejected(self):
         with pytest.raises(DomainError):
