@@ -1,9 +1,11 @@
 import csv
+import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +365,52 @@ class TestInputRefused:
                         "--n-monitor", "-3"], tmp_path)
         assert code == 3
         assert "n_monitor" in capsys.readouterr().err
+
+
+class TestTypedExits:
+    """Inputs at the edge of what the scheme resolves end with an exit code
+    the CLI documents, never with an uncaught exception."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--lambda", "0.5", "--p", "2.9", "--r-min", "1e-4", "--points",
+         "149", "--t-max", "50", "--dt-initial", "0.02"],
+        ["--lambda", "0.5", "--p", "3.2", "--r-min", "1e-4"],
+        ["--lambda", "0.5", "--p", "1.9", "--amplitude", "1e6"],
+    ], ids=["stalled-clock", "above-p-plus", "large-amplitude"])
+    def test_simulate_exits_typed(self, tmp_path, capsys, argv):
+        start = time.perf_counter()
+        code = run_cli(["simulate", "--N", "3", "--s", "0.5", *argv],
+                       tmp_path)
+        elapsed = time.perf_counter() - start
+        assert code in (0, 2, 3, 4, 5)
+        assert "Traceback" not in capsys.readouterr().err
+        assert elapsed <= 2.0
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py, which defines the benchmark's commands and
+    the checks of their outputs against perfbench/reference.json."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkReference:
+    def test_seed_zero_sweep_matches_the_reference(self, tmp_path):
+        # the benchmark's own output checks, run here so that a change that
+        # moves the sweep past the reference shows in the suite
+        workloads = _benchmark_workloads()
+        (argv,) = workloads.commands("sweep", 0)
+        assert run_cli(argv, tmp_path) == 0
+        obs = workloads.observe("sweep", str(tmp_path), [])
+        checks = workloads.check("sweep", 0, obs,
+                                 workloads.load_reference()["sweep"])
+        assert [name for name, _, _ in checks] == [
+            "sweep.grid", "sweep.verdicts", "sweep.t_star",
+            "sweep.final_weighted_mass"]
+        assert [(name, detail) for name, ok, detail in checks if not ok] == []
 
 
 class TestReadmePaths:

@@ -148,6 +148,15 @@ class TestBlowupExtrapolation:
         with pytest.raises(BlowupFitError):
             estimate_blowup_time(t, 2.0 - t, 1.5)
 
+    def test_tail_of_few_distinct_times_refused(self):
+        # a stalled clock appends one time over and over while Y grows
+        t = np.array([0.0, 0.1, 0.2, 0.3] + [0.3] * 6)
+        Y = np.arange(1.0, 11.0)
+        with pytest.raises(BlowupFitError, match="distinct times"):
+            estimate_blowup_time(t, Y, 1.5)
+        with pytest.raises(BlowupFitError, match="distinct times"):
+            estimate_blowup_time(np.full(10, 0.3), Y, 1.5)
+
     def test_linearity_residual_small_on_exact_data(self):
         p, K, Y0 = 1.2, 0.5, 1.0
         t_star = Y0 ** (1 - p) / ((p - 1) * K)
@@ -220,6 +229,34 @@ class TestRunBasics:
         assert rep.verdict == Verdict("inconclusive",
                                       reason="step budget exhausted")
 
+    def test_stalled_clock_ends_inconclusive(self):
+        # p just below p_+ = 3 on a finer origin: the reaction rate at r_0
+        # drives dt below the spacing of doubles at t long before the
+        # weighted mass reaches the threshold
+        cfg = SolverConfig(params=ProblemParams(3, 0.5, 0.5, 2.9),
+                           grid=RadialGrid(1e-4, 1e3, 149), t_max=50.0,
+                           dt_initial=0.02, blowup_threshold=1e4)
+        rep = run(radial_bump(), cfg)
+        assert rep.verdict.kind == "inconclusive"
+        t = rep.tail_times[-1]
+        assert rep.verdict.reason.startswith(f"clock stalled at t={t} ")
+
+    def test_step_counts_of_a_sweep_cell(self, tmp_path):
+        # the benchmark sweep's (3, 1/2, .2, 1.9) cell survives to t = 50;
+        # only the steps clipped to one of the 32 checkpoints are not full
+        cfg = SolverConfig(params=ProblemParams(3, 0.5, 0.2, 1.9),
+                           grid=RG128, t_max=50.0, dt_initial=0.02,
+                           blowup_threshold=1e4, n_monitor=32)
+        rep = run(GAUSSIAN, cfg)
+        assert rep.verdict.kind == "survived"
+        assert (rep.steps_accepted, rep.steps_full, rep.steps_rejected) == (
+            2528, 2496, {})
+        save_trajectory(rep, tmp_path / "c.csv", tmp_path / "c.json")
+        import json
+        record = json.loads((tmp_path / "c.json").read_text())
+        assert record["steps"] == {"accepted": 2528, "full": 2496,
+                                   "rejected": {}}
+
     def test_every_step_rejected_ends_at_dt_floor(self, monkeypatch):
         attempts = []
 
@@ -236,6 +273,8 @@ class TestRunBasics:
             "inconclusive", reason="step rejected (negativity) at t=0.0")
         # dt = 0.5 halved until it reaches the floor 1e-14: 0.5 * 2^-46
         assert len(attempts) == 47
+        assert rep.steps_rejected == {"negativity": 47}
+        assert rep.steps_accepted == rep.steps_full == 0
         assert list(rep.times) == [0.0]
 
 
@@ -273,11 +312,13 @@ class TestEigenbasis:
         op = ground_state_operator(grid, N, s, exponent_profile(N, s, lam).mu)
         a = 0.5 * dt
         b = radial_bump()(op.r)
-        x = solver._apply_resolvent(op, solver._resolvent_coefficients(op, a),
-                                    b)
+        coef = solver._resolvent_coefficients(op, a)
         ref = solver.lu_solve(
             solver.lu_factor(np.eye(len(op.r)) + a * op.B), b)
-        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # the eigenbasis of every dt, and the dense matrix of the full steps
+        for x in (solver._apply_resolvent(op, coef, b),
+                  solver._resolvent_matrix(op, coef) @ b):
+            assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_defective_block_refused(self):
         with pytest.raises(QuadratureError, match="reproduces B only"):
@@ -299,6 +340,39 @@ class TestEigenbasis:
             op, solver._resolvent_coefficients(op, 0.7), w)
         assert np.allclose(x, np.linalg.solve(np.eye(2) + 0.7 * B, w),
                            rtol=1e-14, atol=0.0)
+
+    def test_dense_full_step_matches_the_eigenbasis(self, monkeypatch):
+        # the full steps' dense matrix applied through the eigenbasis
+        # instead: the run takes the same path and must end where it did
+        cfg = SolverConfig(params=PARAMS_SUB, grid=RG, t_max=50.0,
+                           dt_initial=0.02, blowup_threshold=1e4,
+                           n_monitor=32)
+        dense = run(radial_bump(), cfg)
+        built = []
+
+        class Eigenbasis:
+            def __init__(self, op, coef):
+                built.append(coef)
+                self.op, self.coef = op, coef
+
+            def __matmul__(self, w):
+                return solver._apply_resolvent(self.op, self.coef, w)
+
+        monkeypatch.setattr(solver, "_resolvent_matrix", Eigenbasis)
+        eig = run(radial_bump(), cfg)
+        assert len(built) == 1
+        assert dense.verdict.kind == eig.verdict.kind == "blew_up"
+        assert 0 < dense.steps_full < dense.steps_accepted
+        assert (eig.steps_full, eig.steps_accepted) == (
+            dense.steps_full, dense.steps_accepted)
+        assert dense.verdict.t_star == pytest.approx(eig.verdict.t_star,
+                                                     rel=1e-12, abs=0.0)
+        for name in ("times", "weighted_mass_series", "critical_norm_series",
+                     "l2_series", "energy_series", "tail_times",
+                     "tail_weighted_mass"):
+            np.testing.assert_allclose(getattr(dense, name),
+                                       getattr(eig, name), rtol=1e-12,
+                                       atol=0.0, err_msg=name)
 
     def test_run_never_factorizes(self, monkeypatch):
         def refuse(a):
@@ -474,7 +548,8 @@ class TestCompareSupersolution:
                 verdict=Verdict("survived"), config=cfg,
                 tail_times=np.array([0.0]),
                 tail_weighted_mass=np.array([0.0]), r_grid=r,
-                fields=[(0.0, u)])
+                fields=[(0.0, u)], steps_accepted=0, steps_rejected={},
+                steps_full=0)
 
         assert compare_supersolution(report_with(np.zeros_like(r)),
                                      sp, prof_3_05)
