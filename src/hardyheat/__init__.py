@@ -11,9 +11,8 @@ from .errors import (BlowupFitError, CertificationError, DomainError,
                      UnsupportedDatumError)
 from .exponents import (ExponentProfile, ProblemParams, Regime,
                         alpha_of_lambda, classify_regime, exponent_profile,
-                        hardy_constant, lambda_of_alpha, m_alpha,
-                        phase_table, phase_table_csv, power_coupling,
-                        pv_normalization)
+                        hardy_constant, lambda_of_alpha, phase_table,
+                        phase_table_csv, power_coupling, pv_normalization)
 from .fracop import (Field, UniformGrid,
                      apply_ground_state_operator, bilinear_remainder,
                      build_ground_state_matrix,

@@ -16,7 +16,8 @@ import numpy as np
 from scipy.special import betaln
 
 from .errors import DomainError, QuadratureError, UnsupportedDatumError
-from .exponents import ProblemParams, exponent_profile
+from .exponents import (ProblemParams, Regime, classify_regime,
+                        exponent_profile)
 from .fracop import (Field, apply_ground_state_operator, bilinear_remainder,
                      frac_laplacian_quadrature_radial, frac_laplacian_spectral)
 from .kernel import KernelProfile, sphere_area, tail_mass_beyond
@@ -222,15 +223,17 @@ def choose_supersolution(params: ProblemParams, profile: KernelProfile
     A * ell - A^p w1^p per sample point, so the largest admissible
     amplitude is min (ell / w1^p)^{1/(p-1)}; A is that bound shrunk by
     _CERT_MARGIN.  Only meaningful in the conditional-global regime
-    F < p < p_plus, and only over windows where ell > 0 (the mixed
-    nonlocal term is negative and wins far out in self-similar radius).
+    F < p < p_plus (as classify_regime places p), and only over windows
+    where ell > 0 (the mixed nonlocal term is negative and wins far out in
+    self-similar radius).
     """
     prof = exponent_profile(params.N, params.s, params.lam)
     s, p = params.s, params.p
-    if not prof.fujita < p < prof.p_plus:
+    regime = classify_regime(params)
+    if regime is not Regime.CONDITIONAL_GLOBAL:
         raise DomainError(
             f"supersolution family needs fujita < p < p_plus, got p={p} "
-            f"outside ({prof.fujita}, {prof.p_plus})")
+            f"({regime.value}) against ({prof.fujita}, {prof.p_plus})")
     theta = 2.0 * s / (p - 1.0)
     beta = 0.5 / s
     gamma = 0.5 * (prof.mu + min(2.0 * s / (p - 1.0), prof.mu_bar))
@@ -380,6 +383,9 @@ def energy_gap(h0: Field, params: ProblemParams,
     The quadratic form equals (a/4) times the Gagliardo double integral.
     The datum must be nonnegative and supported in the ball of radius R.
     """
+    if not 0.0 < R < math.inf:
+        raise DomainError(f"support radius must be positive and finite, "
+                          f"got {R}")
     grid = h0.grid
     vals = h0.values
     if np.any(vals < 0.0):
@@ -455,13 +461,14 @@ def critical_case_constants(params: ProblemParams, m: float, kappa: float
     call per u node.  Each constant is computed on a coarse and a refined
     mesh; the refined value is returned with its relative change
     |refined - coarse| / |coarse|, and a QuadratureError flags a change
-    above 1%.
+    above 1%.  p must be the Fujita exponent, as classify_regime places it.
     """
     prof = exponent_profile(params.N, params.s, params.lam)
     N, s, p, mu = params.N, params.s, params.p, prof.mu
-    if abs(p - prof.fujita) > 1e-6:
+    if classify_regime(params) is not Regime.CRITICAL_FUJITA:
         raise DomainError(
-            f"critical constants require p = fujita = {prof.fujita}")
+            f"critical constants require p = fujita = {prof.fujita}, "
+            f"got p={p}")
     p_prime = p / (p - 1.0)
     if not 1.0 < m <= p_prime:
         raise DomainError(f"need 1 < m <= p' = {p_prime}, got m={m}")

@@ -18,7 +18,7 @@ overflow.  Every function here is pure; there is no shared mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 from scipy.special import gammaln
@@ -28,8 +28,7 @@ from .quadrature import bisect_root
 
 __all__ = [
     "ProblemParams", "ExponentProfile", "Regime",
-    "hardy_constant", "m_alpha", "lambda_of_alpha", "alpha_of_lambda",
-    "power_coupling",
+    "hardy_constant", "lambda_of_alpha", "alpha_of_lambda", "power_coupling",
     "pv_normalization", "exponent_profile", "classify_regime",
     "phase_table", "phase_table_csv",
 ]
@@ -40,47 +39,53 @@ __all__ = [
 _ALPHA_EDGE_MARGIN = 1e-13
 
 
-def _check_order(N: int, s: float) -> None:
+def _check_dimension_and_order(N: int, s: float) -> None:
     if int(N) != N or N < 1:
         raise DomainError(f"dimension must be a positive integer, got {N}")
     if not 0.0 < s < 1.0:
         raise DomainError(f"fractional order must lie in (0,1), got {s}")
+
+
+def _check_order(N: int, s: float) -> None:
+    _check_dimension_and_order(N, s)
     if N <= 2.0 * s:
         raise DomainError(f"need N > 2s, got N={N}, s={s}")
+
+
+def power_coupling(N: int, s: float, gamma: float) -> float:
+    """Eigen-coefficient of (-Delta)^s |x|^{-gamma} = c |x|^{-gamma-2s}.
+
+    c = 2^{2s} Gamma((gamma+2s)/2) Gamma((N-gamma)/2)
+        / (Gamma(gamma/2) Gamma((N-gamma-2s)/2)), for 0 < gamma < N-2s.
+    Symmetric about gamma = (N-2s)/2 where it peaks at the Hardy constant;
+    power_coupling(mu(lambda)) recovers lambda.  The only Gamma ratio of
+    the couplings: hardy_constant and lambda_of_alpha evaluate it.
+    """
+    _check_order(N, s)
+    if not 0.0 < gamma < N - 2.0 * s:
+        raise DomainError(
+            f"power exponent must lie in (0, {N - 2.0 * s}), got {gamma}")
+    # the last argument as (N-2s) - gamma, which stays exact next to the
+    # pole at N = 2s, where (N - gamma) - 2s would round gamma away
+    return float(math.exp(
+        2.0 * s * math.log(2.0)
+        + gammaln((gamma + 2.0 * s) / 2.0) + gammaln((N - gamma) / 2.0)
+        - gammaln(gamma / 2.0) - gammaln((N - 2.0 * s - gamma) / 2.0)
+    ))
 
 
 def hardy_constant(N: int, s: float) -> float:
     """Optimal constant of the fractional Hardy inequality.
 
-    Lambda(N,s) = 2^{2s} Gamma^2((N+2s)/4) / Gamma^2((N-2s)/4); tends to
-    ((N-2)/2)^2 as s -> 1.
+    Lambda(N,s) = 2^{2s} Gamma^2((N+2s)/4) / Gamma^2((N-2s)/4), the peak
+    power_coupling at gamma = (N-2s)/2; tends to ((N-2)/2)^2 as s -> 1.
     """
-    _check_order(N, s)
-    return float(math.exp(
-        2.0 * s * math.log(2.0)
-        + 2.0 * (gammaln((N + 2.0 * s) / 4.0) - gammaln((N - 2.0 * s) / 4.0))
-    ))
-
-
-def m_alpha(N: int, s: float, alpha: float) -> float:
-    """Half factor m_alpha = 2^s Gamma((N+2s+2a)/4)/Gamma((N-2s-2a)/4).
-
-    The coupling factorizes as lambda(alpha) = m_alpha(alpha)*m_alpha(-alpha).
-    """
-    _check_order(N, s)
-    edge = 0.5 * (N - 2.0 * s)
-    if not -edge < alpha < edge:
-        raise DomainError(f"alpha must lie in (-{edge}, {edge}), got {alpha}")
-    return float(math.exp(
-        s * math.log(2.0)
-        + gammaln((N + 2.0 * s + 2.0 * alpha) / 4.0)
-        - gammaln((N - 2.0 * s - 2.0 * alpha) / 4.0)
-    ))
+    return power_coupling(N, s, 0.5 * (N - 2.0 * s))
 
 
 def lambda_of_alpha(N: int, s: float, alpha: float) -> float:
     """Coupling lambda for which |x|^{-(N-2s)/2 +- alpha} solve the
-    homogeneous Hardy equation.
+    homogeneous Hardy equation: power_coupling at gamma = (N-2s)/2 - alpha.
 
     Strictly decreasing on [0, (N-2s)/2), equal to hardy_constant at
     alpha = 0 and tending to 0 at the right endpoint.
@@ -90,13 +95,7 @@ def lambda_of_alpha(N: int, s: float, alpha: float) -> float:
     if not 0.0 <= alpha < edge:
         raise DomainError(
             f"alpha must lie in [0, {edge}) for N={N}, s={s}; got {alpha}")
-    return float(math.exp(
-        2.0 * s * math.log(2.0)
-        + gammaln((N + 2.0 * s + 2.0 * alpha) / 4.0)
-        + gammaln((N + 2.0 * s - 2.0 * alpha) / 4.0)
-        - gammaln((N - 2.0 * s + 2.0 * alpha) / 4.0)
-        - gammaln((N - 2.0 * s - 2.0 * alpha) / 4.0)
-    ))
+    return power_coupling(N, s, edge - alpha)
 
 
 def alpha_of_lambda(N: int, s: float, lam: float) -> float:
@@ -133,35 +132,13 @@ def pv_normalization(N: int, s: float) -> float:
     |2 pi xi|^{2s}.  Uses |Gamma(-s)| = Gamma(1-s)/s.  Defined for any
     N >= 1 (no N > 2s restriction: the operator exists regardless).
     """
-    if int(N) != N or N < 1:
-        raise DomainError(f"dimension must be a positive integer, got {N}")
-    if not 0.0 < s < 1.0:
-        raise DomainError(f"fractional order must lie in (0,1), got {s}")
+    _check_dimension_and_order(N, s)
     return float(math.exp(
         2.0 * s * math.log(2.0)
         + math.log(s)
         + gammaln((N + 2.0 * s) / 2.0)
         - gammaln(1.0 - s)
         - 0.5 * N * math.log(math.pi)
-    ))
-
-
-def power_coupling(N: int, s: float, gamma: float) -> float:
-    """Eigen-coefficient of (-Delta)^s |x|^{-gamma} = c |x|^{-gamma-2s}.
-
-    c = 2^{2s} Gamma((gamma+2s)/2) Gamma((N-gamma)/2)
-        / (Gamma(gamma/2) Gamma((N-gamma-2s)/2)), for 0 < gamma < N-2s.
-    Symmetric about gamma = (N-2s)/2 where it peaks at the Hardy constant;
-    power_coupling(mu(lambda)) recovers lambda.
-    """
-    _check_order(N, s)
-    if not 0.0 < gamma < N - 2.0 * s:
-        raise DomainError(
-            f"power exponent must lie in (0, {N - 2.0 * s}), got {gamma}")
-    return float(math.exp(
-        2.0 * s * math.log(2.0)
-        + gammaln((gamma + 2.0 * s) / 2.0) + gammaln((N - gamma) / 2.0)
-        - gammaln(gamma / 2.0) - gammaln((N - gamma - 2.0 * s) / 2.0)
     ))
 
 
@@ -185,8 +162,9 @@ class ProblemParams:
         if not 0.0 <= self.lam <= lam_max:
             raise DomainError(
                 f"coupling must lie in [0, {lam_max}], got {self.lam}")
-        if not self.p > 1.0:
-            raise DomainError(f"nonlinearity power must exceed 1, got {self.p}")
+        if not 1.0 < self.p < math.inf:
+            raise DomainError(
+                f"nonlinearity power must be finite and exceed 1, got {self.p}")
 
 
 @dataclass(frozen=True)
@@ -207,14 +185,9 @@ class ExponentProfile:
     a_ns: float
 
     def as_dict(self) -> dict:
-        return {
-            "N": self.N, "s": self.s, "lambda": self.lam,
-            "hardy_constant": self.hardy_constant, "alpha": self.alpha,
-            "mu": self.mu, "mu_bar": self.mu_bar,
-            "p_minus": self.p_minus, "p_plus": self.p_plus,
-            "fujita": self.fujita, "sobolev_power": self.sobolev_power,
-            "a_ns": self.a_ns,
-        }
+        """The fields by name, with lam under "lambda"."""
+        return {("lambda" if k == "lam" else k): v
+                for k, v in asdict(self).items()}
 
 
 def exponent_profile(N: int, s: float, lam: float) -> ExponentProfile:

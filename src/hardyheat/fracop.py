@@ -54,8 +54,8 @@ class UniformGrid:
             raise DomainError("uniform grids support N in {1, 2, 3}")
         if n < 2 or (n & (n - 1)) != 0:
             raise DomainError("points_per_axis must be a power of two")
-        if self.half_width <= 0.0:
-            raise DomainError("half_width must be positive")
+        if not 0.0 < self.half_width < math.inf:
+            raise DomainError("half_width must be positive and finite")
 
     @property
     def dx(self) -> float:

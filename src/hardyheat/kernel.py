@@ -309,8 +309,8 @@ def build_profile(N: int, s: float, sigma_max: float,
         raise DomainError(f"dimension must be a positive integer, got {N}")
     if not 0.0 < s < 1.0:
         raise DomainError(f"fractional order must lie in (0,1), got {s}")
-    if sigma_max <= 0.0:
-        raise DomainError("sigma_max must be positive")
+    if not 0.0 < sigma_max < math.inf:
+        raise DomainError("sigma_max must be positive and finite")
     if n_points < 16:
         raise DomainError("need at least 16 table points")
 

@@ -59,8 +59,8 @@ class RadialGrid:
     n_points: int
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.r_min < self.r_max:
-            raise DomainError("need 0 < r_min < r_max")
+        if not 0.0 < self.r_min < self.r_max < math.inf:
+            raise DomainError("need 0 < r_min < r_max < inf")
         if self.n_points < 8:
             raise DomainError("radial grid needs at least 8 points")
 
@@ -84,12 +84,15 @@ class SolverConfig:
     store_fields: bool = False
 
     def __post_init__(self) -> None:
-        if self.t_max <= 0.0 or self.dt_initial <= 0.0:
-            raise DomainError("t_max and dt_initial must be positive")
+        # written so that nan fails every range test
+        if not (0.0 < self.t_max < math.inf
+                and 0.0 < self.dt_initial < math.inf):
+            raise DomainError("t_max and dt_initial must be positive and "
+                              "finite")
         if not 0.0 < self.dt_safety < 1.0:
             raise DomainError("dt_safety must lie in (0,1)")
-        if self.blowup_threshold <= 0.0:
-            raise DomainError("blowup_threshold must be positive")
+        if not 0.0 < self.blowup_threshold < math.inf:
+            raise DomainError("blowup_threshold must be positive and finite")
         if self.n_monitor < 1:
             raise DomainError("n_monitor must be at least 1")
         if self.diffusion not in ("exponential", "implicit"):
@@ -381,10 +384,11 @@ def _run_direct(u_init: np.ndarray, config: SolverConfig) -> TrajectoryReport:
     N, s, lam, p = params.N, params.s, params.lam, params.p
     mu = exponent_profile(N, s, lam).mu
     eps = grid.dx if config.potential_epsilon is None else config.potential_epsilon
-    if lam > 0.0 and eps <= 0.0:
+    if lam > 0.0 and not 0.0 < eps < math.inf:
         raise DomainError("the direct grid cannot represent the exact "
                           "singular potential; potential_epsilon must be "
-                          "positive (defaults to one grid spacing)")
+                          "positive and finite (defaults to one grid "
+                          "spacing)")
     V = regularized_potential(grid, s, lam, eps) if lam > 0.0 else 0.0
     symbol = spectral_symbol(grid, s)
     shape = u_init.shape
@@ -447,11 +451,11 @@ class GroundStateOperator:
     complex one, whose 2x2 block of J couples k with partner[k];
     B W = W alpha + W[:, partner] beta column by column.
     The arrays are read-only because the operator is shared between runs;
-    what depends on dt belongs to the run: the resolvent coefficients of
-    each dt, and the dense propagator that the run forms from them once for
-    its full steps (dt_initial, 92.5% of the benchmark sweep's steps), where
-    one matvec replaces the eigenbasis's two; steps clipped to another dt
-    go through the eigenbasis.
+    what depends on dt belongs to the run: the dense propagator that it
+    forms once for its full steps (dt_initial, 92.5% of the benchmark
+    sweep's steps), where one matvec replaces the eigenbasis's two, and
+    the O(n) resolvent coefficients of each clipped step, which go through
+    the eigenbasis.
     """
 
     r: np.ndarray
@@ -570,9 +574,9 @@ def _run_ground_state(u_init: np.ndarray, config: SolverConfig) -> TrajectoryRep
     mass = _origin_weights(op.spline, r, N, 2.0 * mu)
     power = _origin_weights(op.spline, r, N, mu * (p + 1.0))
 
-    @functools.lru_cache(maxsize=25)
     def resolvent(dt: float):
-        # 2 (I + (dt/2) B)^{-1}
+        # 2 (I + (dt/2) B)^{-1}; O(n) to form, so clipped steps, each of
+        # its own dt, form it afresh
         c, e = _resolvent_coefficients(op, 0.5 * dt)
         return 2.0 * c, 2.0 * e
 
@@ -623,8 +627,9 @@ def _run_ground_state(u_init: np.ndarray, config: SolverConfig) -> TrajectoryRep
 def _advance(state, config, step, rate, monitors, weighted_mass, store,
              rel_floor, r_grid) -> TrajectoryReport:
     """Step `state` until t_max, blow-up, a rejection at the dt floor, a
-    stalled clock or the step budget.  step(state, dt) returns the raw new
-    state, and _accept alone decides whether it stands."""
+    stalled clock or the step budget; a datum already over the blow-up
+    threshold takes no step.  step(state, dt) returns the raw new state,
+    and _accept alone decides whether it stands."""
     p = config.params.p
     rows = []          # (t, weighted mass, critical norm, l2, energy)
     fields = []
@@ -641,12 +646,20 @@ def _advance(state, config, step, rate, monitors, weighted_mass, store,
     tail_t = [0.0]
     tail_y = [weighted_mass(state)]
     dt_floor = 1e-14 * max(config.t_max, 1.0)
+    budget = _MAX_STEPS
     verdict = Verdict("inconclusive", reason="step budget exhausted")
+    if tail_y[0] > config.blowup_threshold:
+        # no tail to extrapolate a blow-up time from
+        budget = 0
+        verdict = Verdict(
+            "inconclusive",
+            reason=f"datum's weighted mass {tail_y[0]:.6g} is already "
+                   f"over the blow-up threshold {config.blowup_threshold:.6g}")
     dt_pending = None
     full = 0
     rejected: dict[str, int] = {}
 
-    for _ in range(_MAX_STEPS):
+    for _ in range(budget):
         if t >= config.t_max - 1e-15 * config.t_max:
             verdict = Verdict("survived", t_star=None)
             break

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardyheat import solver
+from hardyheat import cli, solver
 from hardyheat.cli import main
 from hardyheat.kernel import save_profile
 
@@ -371,18 +371,65 @@ class TestTypedExits:
     """Inputs at the edge of what the scheme resolves end with an exit code
     the CLI documents, never with an uncaught exception."""
 
-    @pytest.mark.parametrize("argv", [
-        ["--lambda", "0.5", "--p", "2.9", "--r-min", "1e-4", "--points",
-         "149", "--t-max", "50", "--dt-initial", "0.02"],
-        ["--lambda", "0.5", "--p", "3.2", "--r-min", "1e-4"],
-        ["--lambda", "0.5", "--p", "1.9", "--amplitude", "1e6"],
+    @pytest.mark.parametrize("argv, reason", [
+        (["--lambda", "0.5", "--p", "2.9", "--r-min", "1e-4", "--points",
+          "149", "--t-max", "50", "--dt-initial", "0.02"], None),
+        (["--lambda", "0.5", "--p", "3.2", "--r-min", "1e-4"], None),
+        (["--lambda", "0.5", "--p", "1.9", "--amplitude", "1e6"],
+         "datum's weighted mass "),
     ], ids=["stalled-clock", "above-p-plus", "large-amplitude"])
-    def test_simulate_exits_typed(self, tmp_path, capsys, argv):
+    def test_simulate_exits_typed(self, tmp_path, capsys, argv, reason):
         start = time.perf_counter()
         code = run_cli(["simulate", "--N", "3", "--s", "0.5", *argv],
                        tmp_path)
         elapsed = time.perf_counter() - start
         assert code in (0, 2, 3, 4, 5)
+        out = capsys.readouterr()
+        assert "Traceback" not in out.err
+        assert elapsed <= 2.0
+        if reason is not None:
+            # the datum starts over the threshold: no step, no t*
+            assert json.loads(out.out)["reason"].startswith(reason)
+            steps = json.loads(
+                (tmp_path / "trajectory_verdict.json").read_text())["steps"]
+            assert steps["accepted"] == 0
+
+    @pytest.mark.parametrize("argv, codes", [
+        (["simulate", "--N", "3", "--s", "0.5", "--lambda", "0.5", "--p",
+          "1.9", "--dt-initial", "nan", "--t-max", "1"], (3,)),
+        (["simulate", "--N", "3", "--s", "0.5", "--lambda", "0.5", "--p",
+          "1.9", "--t-max", "nan"], (3,)),
+        (["simulate", "--N", "3", "--s", "0.5", "--lambda", "0.5", "--p",
+          "1.9", "--t-max", "inf"], (3,)),
+        (["simulate", "--N", "3", "--s", "0.5", "--lambda", "0.5", "--p",
+          "1.9", "--blowup-threshold", "nan"], (3,)),
+        (["simulate", "--formulation", "direct", "--N", "3", "--s", "0.5",
+          "--lambda", "0.5", "--p", "1.2", "--points", "16",
+          "--potential-epsilon", "nan"], (3,)),
+        (["kernel", "build", "--N", "3", "--s", "0.5", "--sigma-max", "nan"],
+         (3,)),
+        (["kernel", "build", "--N", "3", "--s", "0.5", "--sigma-max", "inf"],
+         (3,)),
+        (["verify", "energy", "--N", "3", "--s", "0.5", "--lambda", "0.5",
+          "--p", "1.5", "--radius", "nan"], (3,)),
+        (["kernel", "build", "--N", "1", "--s", "0.05", "--n-points", "16"],
+         (0, 2, 3, 4, 5)),
+        (["verify", "supersolution", "--N", "3", "--s", "0.9", "--lambda",
+          "0.01", "--p", "1.8"], (0, 2, 3, 4, 5)),
+        (["sweep", "--N", "3", "--s", "0.5", "--lambda-grid", "0.5",
+          "--p-grid", "3.2", "--r-min", "1e-6", "--points", "64",
+          "--t-max", "5"], (0, 2, 3, 4, 5)),
+    ], ids=["dt-initial-nan", "t-max-nan", "t-max-inf", "threshold-nan",
+            "potential-epsilon-nan", "sigma-max-nan", "sigma-max-inf",
+            "radius-nan", "kernel-small-s", "supersolution-large-s",
+            "sweep-tiny-r-min"])
+    def test_command_exits_typed(self, tmp_path, capsys, argv, codes):
+        # a non-finite number is refused as a domain error, whichever check
+        # it meets first
+        start = time.perf_counter()
+        code = run_cli(argv, tmp_path)
+        elapsed = time.perf_counter() - start
+        assert code in codes
         assert "Traceback" not in capsys.readouterr().err
         assert elapsed <= 2.0
 
@@ -410,6 +457,23 @@ class TestBenchmarkReference:
         assert [name for name, _, _ in checks] == [
             "sweep.grid", "sweep.verdicts", "sweep.t_star",
             "sweep.final_weighted_mass"]
+        assert [(name, detail) for name, ok, detail in checks if not ok] == []
+
+    def test_certify_matches_the_reference(self, tmp_path):
+        # the supersolution certification of the benchmark, checked as the
+        # benchmark checks it: A and the residual against the reference,
+        # the kernel table's unit mass and its Poisson error
+        workloads = _benchmark_workloads()
+        (argv,) = workloads.commands("certify", 0)
+        with workloads.capturing_profiles(cli) as profiles:
+            assert run_cli(argv, tmp_path) == 0
+        obs = workloads.observe("certify", str(tmp_path), profiles)
+        checks = workloads.check("certify", 0, obs,
+                                 workloads.load_reference()["certify"])
+        assert [name for name, _, _ in checks] == [
+            "supersolution.residual", "certify.A",
+            "certify.min_normalized_residual", "certify.pass",
+            "certify.unit_mass", "certify.poisson"]
         assert [(name, detail) for name, ok, detail in checks if not ok] == []
 
 

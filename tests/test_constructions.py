@@ -130,6 +130,14 @@ class TestSupersolution:
         with pytest.raises(DomainError):
             choose_supersolution(ProblemParams(3, 0.5, 0.5, 1.4), prof_3_05)
 
+    def test_power_placed_by_classify_regime(self, prof_3_05):
+        # within 1e-9 of F, p is critical, not conditional-global; the
+        # family is refused before any quadrature
+        fujita = exponent_profile(3, 0.5, 0.5).fujita
+        with pytest.raises(DomainError, match="critical_fujita"):
+            choose_supersolution(ProblemParams(3, 0.5, 0.5, fujita + 5e-10),
+                                 prof_3_05)
+
     def test_residual_certifies(self, prof_3_05):
         sp, certified = choose_supersolution(PARAMS, prof_3_05)
         res = supersolution_residual(sp, PARAMS, prof_3_05)
@@ -233,6 +241,12 @@ class TestEnergyCriterion:
         assert not energy_blowup_criterion(
             Field(g, 0.5 * a_star * base.values), PARAMS, 2.0)
 
+    @pytest.mark.parametrize("R", [math.nan, math.inf, 0.0])
+    def test_support_radius_refused(self, R):
+        _, base = self.grid_and_bump()
+        with pytest.raises(DomainError):
+            energy_gap(base, PARAMS, R)
+
     def test_unsupported_datum(self):
         g, base = self.grid_and_bump()
         with pytest.raises(UnsupportedDatumError):
@@ -260,6 +274,14 @@ class TestCriticalConstants:
         # m = p' (the phi-exponent margin is not what controls finiteness)
         c1, c3, _, _ = critical_case_constants(self.PC, m=3.5, kappa=0.05)
         assert math.isfinite(c1) and math.isfinite(c3)
+
+    def test_power_placed_by_classify_regime(self):
+        # 1e-7 off F is outside the band in which classify_regime takes p
+        # as critical
+        fujita = exponent_profile(3, 0.5, 0.5).fujita
+        with pytest.raises(DomainError):
+            critical_case_constants(ProblemParams(3, 0.5, 0.5, fujita + 1e-7),
+                                    m=3.4, kappa=0.05)
 
     def test_requires_critical_power(self):
         with pytest.raises(DomainError):

@@ -9,7 +9,7 @@ from hardyheat.errors import DomainError, RegimeAmbiguityError
 from hardyheat.exponents import (ProblemParams, Regime,
                                  alpha_of_lambda, classify_regime,
                                  exponent_profile, hardy_constant,
-                                 lambda_of_alpha, m_alpha, phase_table,
+                                 lambda_of_alpha, phase_table,
                                  phase_table_csv, power_coupling,
                                  pv_normalization)
 
@@ -49,6 +49,13 @@ class TestHardyConstant:
         assert hardy_constant(2, 0.5) == pytest.approx(
             lambda_of_alpha(2, 0.5, 0.0), rel=1e-14)
 
+    def test_next_to_the_pole(self):
+        # N - 2s = 2^-53: both Gamma arguments of the denominator are
+        # 2^-55, which (N - gamma) - 2s would round to 2^-54
+        N, s = 1, 0.49999999999999994
+        assert hardy_constant(N, s) == pytest.approx(
+            gamma_ratio_oracle(N, s), rel=1e-13)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             hardy_constant(1, 0.5)          # N = 2s
@@ -72,12 +79,29 @@ class TestCoupling:
         assert lambda_of_alpha(3, 0.5, edge - 1e-8) < 1e-7
 
     def test_factorization(self):
+        # the half factor m(a) = 2^s Gamma((N+2s+2a)/4) / Gamma((N-2s-2a)/4)
+        # through the stdlib; lambda(a) = m(a) m(-a)
+        def m_alpha(N, s, a):
+            return math.exp(s * math.log(2.0)
+                            + math.lgamma((N + 2 * s + 2 * a) / 4)
+                            - math.lgamma((N - 2 * s - 2 * a) / 4))
+
         for N, s in NS_GRID:
             edge = 0.5 * (N - 2 * s)
             for a in np.linspace(0.0, edge * 0.999, 25):
                 lam = lambda_of_alpha(N, s, a)
                 assert lam == pytest.approx(
                     m_alpha(N, s, a) * m_alpha(N, s, -a), rel=1e-12)
+
+    def test_hardy_constant_is_the_alpha_zero_coupling_to_the_bit(self):
+        # one Gamma ratio: Lambda, lambda(0) and the peak power coupling
+        # are the same float on the whole (N, s) grid
+        for N in range(1, 6):
+            for s in np.arange(1, 100) / 100:
+                if N > 2 * s:
+                    lam = hardy_constant(N, s)
+                    assert lambda_of_alpha(N, s, 0.0) == lam
+                    assert power_coupling(N, s, 0.5 * (N - 2 * s)) == lam
 
     def test_strictly_decreasing(self):
         edge = 0.5 * (3 - 1.0)
@@ -216,6 +240,12 @@ class TestRegime:
             ProblemParams(3, 0.5, -0.1, 2.0)
         with pytest.raises(DomainError):
             ProblemParams(1, 0.5, 0.1, 2.0)
+
+
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_non_finite_power_refused(self, p):
+        with pytest.raises(DomainError):
+            ProblemParams(3, 0.5, 0.5, p)
 
 
 class TestPhaseTable:

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import hyp1f1
 
 from conftest import poisson_profile
 from hardyheat import fracop
 from hardyheat.errors import DomainError, QuadratureError
-from hardyheat.exponents import lambda_of_alpha, pv_normalization
+from hardyheat.exponents import (exponent_profile, lambda_of_alpha,
+                                 pv_normalization)
 from hardyheat.fracop import (Field, UniformGrid, _core_complement,
                               _integral_edges, _radial_weight,
                               apply_ground_state_operator, bilinear_remainder,
@@ -54,6 +56,27 @@ def per_row_matrix(r_grid, mu, N, s):
         A[i, cols] += a * _core_complement(N, s, mu, r, delta, coeff[1],
                                            2.0 * coeff[2])
     return A
+
+
+def closed_form_error(N, s, lam, n):
+    """Max |A v - L v| over 0.05 < r < 3, relative to max |L v| there, for
+    the matrix A on np.geomspace(1e-3, 1e3, n) and v = r^mu e^{-r^2}.
+
+    With u = e^{-r^2}, (-Delta)^s u = 4^s Gamma(N/2+s)/Gamma(N/2)
+    1F1(N/2+s; N/2; -r^2) and L v = r^{-mu} ((-Delta)^s u - lam u r^{-2s}).
+    N >= 2 only: the matrix continues v below r_0 as v[0], i.e. u as
+    |x|^{-mu}, not as this datum, and at N = 1 that costs an error which
+    does not fall with n.
+    """
+    mu = exponent_profile(N, s, lam).mu
+    r = np.geomspace(1e-3, 1e3, n)
+    Av = build_ground_state_matrix(r, mu, N, s) @ (r ** mu * np.exp(-r * r))
+    inside = (r > 0.05) & (r < 3.0)
+    x = r[inside]
+    lap = (4.0 ** s * math.gamma(N / 2 + s) / math.gamma(N / 2)
+           * hyp1f1(N / 2 + s, N / 2, -x * x))
+    Lv = x ** -mu * (lap - lam * np.exp(-x * x) * x ** (-2 * s))
+    return float(np.max(np.abs(Av[inside] - Lv)) / np.max(np.abs(Lv)))
 
 
 class TestGrids:
@@ -377,6 +400,25 @@ class TestGroundState:
         # hat interpolation against the singular kernel converges at
         # first order; refinement must improve the agreement
         assert errors[384] < 0.8 * errors[192]
+
+    # closed_form_error at n = 128 as measured, and the margin a bound
+    # allows above it
+    CLOSED_FORM_ERRORS = {(3, 0.5, 0.5): 4.23e-3, (3, 0.5, 0.2): 8.99e-3,
+                          (3, 0.25, 0.1): 1.35e-3, (4, 0.5, 0.3): 6.23e-3}
+    CLOSED_FORM_MARGIN = 1.2
+
+    @pytest.mark.parametrize("N,s,lam", list(CLOSED_FORM_ERRORS))
+    def test_matrix_against_closed_form(self, N, s, lam):
+        assert closed_form_error(N, s, lam, 128) <= (
+            self.CLOSED_FORM_MARGIN * self.CLOSED_FORM_ERRORS[(N, s, lam)])
+
+    @pytest.mark.parametrize("lam", [0.5, 0.2])
+    def test_matrix_first_order_against_closed_form(self, lam):
+        # hat interpolation next to a kernel of order 2s: O(h^{2-2s}),
+        # first order at s = 1/2 (observed 1.04 and 0.93)
+        order = math.log2(closed_form_error(3, 0.5, lam, 128)
+                          / closed_form_error(3, 0.5, lam, 256))
+        assert order >= 0.8
 
     def test_matrix_constant_residual_is_absorption(self):
         # on v == 1 only the (nonnegative) absorbing far-field closure

@@ -180,6 +180,14 @@ class TestRunBasics:
         with pytest.raises(DomainError):
             SolverConfig(params=PARAMS_SUB, grid=RG, n_monitor=n_monitor)
 
+    @pytest.mark.parametrize("field, value", [
+        ("t_max", math.nan), ("t_max", math.inf), ("dt_initial", math.nan),
+        ("dt_initial", math.inf), ("blowup_threshold", math.nan),
+        ("blowup_threshold", math.inf)])
+    def test_non_finite_setting_refused(self, field, value):
+        with pytest.raises(DomainError):
+            SolverConfig(params=PARAMS_SUB, grid=RG, **{field: value})
+
     def test_grid_of_unknown_type_rejected(self):
         with pytest.raises(DomainError):
             SolverConfig(params=PARAMS_SUB, grid=(1e-3, 1e3, 160))
@@ -228,6 +236,17 @@ class TestRunBasics:
         rep = run(radial_bump(amplitude=30.0), cfg)
         assert rep.verdict == Verdict("inconclusive",
                                       reason="step budget exhausted")
+
+    def test_datum_over_threshold_takes_no_step(self):
+        cfg = SolverConfig(params=ProblemParams(3, 0.5, 0.5, 1.9), grid=RG,
+                           t_max=1.0, blowup_threshold=1e4)
+        rep = run(radial_bump(amplitude=1e6), cfg)
+        mass = float(rep.tail_weighted_mass[0])
+        assert mass > 1e4
+        assert rep.verdict == Verdict(
+            "inconclusive", reason=f"datum's weighted mass {mass:.6g} is "
+                                   "already over the blow-up threshold 10000")
+        assert rep.steps_accepted == 0 and list(rep.times) == [0.0]
 
     def test_stalled_clock_ends_inconclusive(self):
         # p just below p_+ = 3 on a finer origin: the reaction rate at r_0
