@@ -245,8 +245,10 @@ def choose_supersolution(params: ProblemParams, profile: KernelProfile
     ell = w_t + lap - pot
     if np.any(ell <= 0.0):
         raise DomainError(
-            "linear residual terms change sign on the sampled window; "
-            "shrink the radius window")
+            "linear residual terms change sign on the certification window "
+            f"r in [{DEFAULT_CERT_RADII[0]:g}, {DEFAULT_CERT_RADII[-1]:g}], "
+            f"t in [{DEFAULT_CERT_TIMES[0]:g}, {DEFAULT_CERT_TIMES[-1]:g}]; "
+            f"the family certifies no amplitude for p={p} there")
     bound = float(np.min(ell / w1 ** p))
     A = ((1.0 - _CERT_MARGIN) * bound) ** (1.0 / (p - 1.0))
     return replace(unit, A=A), _min_normalized_residual(A, p, *terms)

@@ -40,7 +40,8 @@ _ALPHA_EDGE_MARGIN = 1e-13
 
 
 def _check_dimension_and_order(N: int, s: float) -> None:
-    if int(N) != N or N < 1:
+    # written so that nan and inf fail before int() could raise
+    if not (1 <= N < math.inf and int(N) == N):
         raise DomainError(f"dimension must be a positive integer, got {N}")
     if not 0.0 < s < 1.0:
         raise DomainError(f"fractional order must lie in (0,1), got {s}")

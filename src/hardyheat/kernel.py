@@ -32,6 +32,7 @@ import numpy as np
 from scipy.special import gammaln, j0, j1, jv, rgamma
 
 from .errors import DomainError, ProfileError, QuadratureError
+from .exponents import _check_dimension_and_order
 from .quadrature import panel_nodes
 
 __all__ = [
@@ -305,10 +306,7 @@ def build_profile(N: int, s: float, sigma_max: float,
     Raises QuadratureError when a point's oscillatory quadrature cannot be
     trusted (reported with the offending sigma).
     """
-    if N < 1 or int(N) != N:
-        raise DomainError(f"dimension must be a positive integer, got {N}")
-    if not 0.0 < s < 1.0:
-        raise DomainError(f"fractional order must lie in (0,1), got {s}")
+    _check_dimension_and_order(N, s)
     if not 0.0 < sigma_max < math.inf:
         raise DomainError("sigma_max must be positive and finite")
     if n_points < 16:

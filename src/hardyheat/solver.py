@@ -15,7 +15,9 @@ by the type of the grid:
   with the reaction explicit and no factorization: a full step (dt_initial,
   neither bounded by the reaction rate nor clipped to a checkpoint; 92.5%
   of the benchmark sweep's steps) applies one dense propagator formed once
-  per run, every other dt goes through the matrix's eigenbasis.
+  per run, every other dt goes through the eigendecomposition
+  V diag(lam) V^{-1} of B = r^{2 mu} A as numpy's eig returns it (complex
+  when B has a conjugate pair of eigenvalues).
 
 Both paths preserve nonnegativity (adaptive step halving on violation),
 record weighted-norm monitors on a fixed checkpoint grid plus a fine tail
@@ -396,10 +398,13 @@ def _run_direct(u_init: np.ndarray, config: SolverConfig) -> TrajectoryReport:
     vol = grid.cell_volume
     W = _box_weight(grid, mu)
 
-    @functools.lru_cache(maxsize=49)
     def propagator(dt: float) -> np.ndarray:
         return (np.exp(-dt * symbol) if config.diffusion == "exponential"
                 else 1.0 / (1.0 + dt * symbol))
+
+    # as in the ground-state run: the full steps share one propagator, and
+    # every other dt (a blow-up run hardly repeats one) forms its own
+    full = propagator(config.dt_initial)
 
     def monitors(u: np.ndarray):
         lap = np.fft.irfftn(symbol * np.fft.rfftn(u), s=shape, axes=axes)
@@ -417,8 +422,8 @@ def _run_direct(u_init: np.ndarray, config: SolverConfig) -> TrajectoryReport:
         return out
 
     def step(u: np.ndarray, dt: float) -> np.ndarray:
-        u_new = np.fft.irfftn(propagator(dt) * np.fft.rfftn(u), s=shape,
-                              axes=axes)
+        prop = full if dt == config.dt_initial else propagator(dt)
+        u_new = np.fft.irfftn(prop * np.fft.rfftn(u), s=shape, axes=axes)
         if config.reaction_enabled or lam > 0.0:
             # band-limited representations of sharp states ring slightly
             # negative; the source sees the lobes clipped (u^p of a
@@ -446,10 +451,8 @@ class GroundStateOperator:
     matrix of L; `tw` holds the trapezoid weights of the weighted mass
     int v |x|^{-2 mu} dx (the per-step blow-up exit), and `spline` the
     spline quadrature weights in dr of the checkpoint monitors.
-    B = W J W^{-1} in real Jordan form: column k of W is a real eigenvector
-    (beta[k] = 0, partner[k] = k) or the real or imaginary part of a
-    complex one, whose 2x2 block of J couples k with partner[k];
-    B W = W alpha + W[:, partner] beta column by column.
+    B = V diag(lam) V^{-1} as numpy's eig gives it: real arrays when every
+    eigenvalue is real, complex ones when B has a conjugate pair.
     The arrays are read-only because the operator is shared between runs;
     what depends on dt belongs to the run: the dense propagator that it
     forms once for its full steps (dt_initial, 92.5% of the benchmark
@@ -462,75 +465,49 @@ class GroundStateOperator:
     B: np.ndarray
     tw: np.ndarray
     spline: np.ndarray
-    W: np.ndarray
-    W_inv: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    partner: np.ndarray
+    V: np.ndarray
+    V_inv: np.ndarray
+    lam: np.ndarray
 
 
-# largest ||W J W^{-1} - B||_F / ||B||_F an eigenbasis may leave
+# largest ||V diag(lam) V^{-1} - B||_F / ||B||_F an eigenbasis may leave
 _EIG_RTOL = 1e-10
 
 
 def _eigenbasis(B: np.ndarray):
-    """(W, W^{-1}, alpha, beta, partner) of B in real Jordan form, see
+    """(V, V^{-1}, lam) with B = V diag(lam) V^{-1}, see
     GroundStateOperator.  Refuses with QuadratureError an eigenvalue with
-    Re <= 0, a singular W, or a W J W^{-1} off B by more than _EIG_RTOL
-    (a defective or ill-conditioned basis)."""
-    lam, V = np.linalg.eig(B)
+    Re <= 0, a singular V, or a V diag(lam) V^{-1} off B by more than
+    _EIG_RTOL (a defective or ill-conditioned basis)."""
+    # all-real results come back as strided .real views of complex arrays,
+    # which would slow every matvec with V
+    lam, V = (np.ascontiguousarray(a) for a in np.linalg.eig(B))
     if not np.all(lam.real > 0.0):
         raise QuadratureError(
             f"operator eigenvalue with Re <= 0 ({lam.real.min():.3g})")
-    n = len(lam)
-    W = np.ascontiguousarray(V.real)
-    beta = np.zeros(n)
-    partner = np.arange(n)
-    # LAPACK geev lists a conjugate pair in consecutive columns, the
-    # eigenvalue with positive imaginary part first
-    k = np.flatnonzero(lam.imag > 0.0)
-    W[:, k + 1] = V[:, k].imag
-    beta[k] = -lam.imag[k]
-    beta[k + 1] = lam.imag[k]
-    partner[k] = k + 1
-    partner[k + 1] = k
-    alpha = lam.real.copy()
     try:
-        W_inv = np.linalg.inv(W)
+        V_inv = np.linalg.inv(V)
     except np.linalg.LinAlgError as exc:
         raise QuadratureError(
             f"operator eigenbasis singular ({exc})") from None
-    err = (np.linalg.norm((W * alpha + W[:, partner] * beta) @ W_inv - B)
-           / np.linalg.norm(B))
+    err = np.linalg.norm((V * lam) @ V_inv - B) / np.linalg.norm(B)
     if not err <= _EIG_RTOL:
         raise QuadratureError(
             f"operator eigenbasis reproduces B only to {err:.3g} relative")
-    return W, W_inv, alpha, beta, partner
+    return V, V_inv, lam
 
 
-def _resolvent_coefficients(op: GroundStateOperator, a: float):
-    """(c, e) with (I + a J)^{-1} z = c z + e z[op.partner]: each 2x2 block
-    [[d, a beta], [-a beta, d]] of I + a J, d = 1 + a alpha, inverts to
-    [[d, -a beta], [a beta, d]] / (d^2 + (a beta)^2)."""
-    d = 1.0 + a * op.alpha
-    ab = a * op.beta
-    den = d * d + ab * ab
-    return d / den, ab / den
-
-
-def _apply_resolvent(op: GroundStateOperator, coef,
+def _apply_resolvent(op: GroundStateOperator, c: np.ndarray,
                      w: np.ndarray) -> np.ndarray:
-    """(I + a B)^{-1} w from coef = _resolvent_coefficients(op, a)."""
-    c, e = coef
-    z = op.W_inv @ w
-    return op.W @ (c * z + e * z[op.partner])
+    """V diag(c) V^{-1} w; with c = 1 / (1 + a op.lam) that is
+    (I + a B)^{-1} w, real up to rounding since B is real."""
+    return (op.V @ (c * (op.V_inv @ w))).real
 
 
-def _resolvent_matrix(op: GroundStateOperator, coef) -> np.ndarray:
-    """The dense matrix of _apply_resolvent(op, coef, .):
-    (W c + W[:, partner] e[partner]) W^{-1}."""
-    c, e = coef
-    return (op.W * c + op.W[:, op.partner] * e[op.partner]) @ op.W_inv
+def _resolvent_matrix(op: GroundStateOperator, c: np.ndarray) -> np.ndarray:
+    """The dense matrix of _apply_resolvent(op, c, .), C-contiguous: a
+    strided .real view would slow every matvec with it."""
+    return np.ascontiguousarray(((op.V * c) @ op.V_inv).real)
 
 
 @functools.lru_cache(maxsize=4)
@@ -574,11 +551,10 @@ def _run_ground_state(u_init: np.ndarray, config: SolverConfig) -> TrajectoryRep
     mass = _origin_weights(op.spline, r, N, 2.0 * mu)
     power = _origin_weights(op.spline, r, N, mu * (p + 1.0))
 
-    def resolvent(dt: float):
-        # 2 (I + (dt/2) B)^{-1}; O(n) to form, so clipped steps, each of
-        # its own dt, form it afresh
-        c, e = _resolvent_coefficients(op, 0.5 * dt)
-        return 2.0 * c, 2.0 * e
+    def resolvent(dt: float) -> np.ndarray:
+        # 2 (I + (dt/2) B)^{-1} in the eigenbasis; O(n) to form, so clipped
+        # steps, each of its own dt, form it afresh
+        return 2.0 / (1.0 + (0.5 * dt) * op.lam)
 
     def monitors(vv: np.ndarray):
         # the state is >= 0; at v[0] = 0 an infinite closure weight adds

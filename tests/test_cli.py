@@ -87,6 +87,17 @@ class TestVerifyCertifications:
         assert report["min_normalized_residual"] >= -1e-6
         assert report["gamma"] == pytest.approx(0.75)
 
+    def test_supersolution_refusal_names_the_window(self, tmp_path, capsys):
+        # the window is fixed, so the refusal names it instead of advising
+        # a change no flag can make
+        code = run_cli(["verify", "supersolution", "--N", "3", "--s", "0.5",
+                        "--lambda", "0.5", "--p", "1.5"], tmp_path)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "r in [0.05, 4], t in [0, 9]" in err
+        assert "certifies no amplitude for p=1.5" in err
+        assert "shrink" not in err
+
     def test_critical_constants_report_refinement(self, tmp_path, capsys):
         code = run_cli(["verify", "critical-constants", "--N", "3", "--s",
                         "0.5", "--lambda", "0.5", "--m", "3.4", "--kappa",

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -59,6 +60,10 @@ class TestBuildProfile:
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
             build_profile(3, 1.2, 10.0, 32)
+        for N, s in ((0, 0.5), (2.5, 0.5), (math.nan, 0.5), (math.inf, 0.5),
+                     (3, math.nan)):
+            with pytest.raises(DomainError):
+                build_profile(N, s, 10.0, 32)
         with pytest.raises(DomainError):
             build_profile(3, 0.5, -1.0, 32)
         with pytest.raises(DomainError):
@@ -241,6 +246,22 @@ class TestScalingIdentity:
     def test_quarter_order_with_far_field(self, prof_1_025):
         # radii whose integrals reach far past the table edge
         assert check_scaling_ode(prof_1_025, np.geomspace(0.2, 40, 12)) <= 1e-4
+
+    # residuals at (N, 1/2) over the default radii, measured: the closed-form
+    # Poisson profile, which leaves only the evaluator's error, and the
+    # 321-point session table, which adds its interpolation error
+    @pytest.mark.parametrize("N,closed_form,table", [
+        (1, 7.1e-7, 1.6e-6), (2, 6.0e-7, 2.8e-6), (3, 2.5e-7, 5.2e-6)],
+        ids=["N1", "N2", "N3"])
+    def test_half_order_against_closed_form(self, request, N, closed_form,
+                                            table):
+        prof = request.getfixturevalue(f"prof_{N}_05")
+        exact = SimpleNamespace(
+            N=N, s=0.5, sigma_max=prof.sigma_max,
+            h_of_sigma=lambda r: poisson_profile(N, r),
+            hprime_of_sigma=lambda r: poisson_profile_derivative(N, r))
+        assert check_scaling_ode(exact) <= 2.0 * closed_form
+        assert check_scaling_ode(prof) <= 2.0 * table
 
     def test_constant_profile_fails(self):
         sg = np.linspace(0.0, 30.0, 200)

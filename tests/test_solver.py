@@ -316,10 +316,11 @@ class TestSplineWeights:
 
 
 # the sweep's two operators, and the worst-conditioned eigenbasis seen over
-# (N, s, lambda, grid) (cond W = 3.4e4)
-EIG_CASES = [(3, 0.5, 0.2, RadialGrid(1e-3, 1e3, 128)),
-             (3, 0.5, 0.5, RadialGrid(1e-3, 1e3, 128)),
-             (4, 0.5, 0.328, RadialGrid(1e-3, 20.0, 192))]
+# (N, s, lambda, grid) (cond V = 3.4e4); whether numpy's eig returns a
+# complex V (B has a conjugate pair) or a real one
+EIG_CASES = [(3, 0.5, 0.2, RadialGrid(1e-3, 1e3, 128), True),
+             (3, 0.5, 0.5, RadialGrid(1e-3, 1e3, 128), False),
+             (4, 0.5, 0.328, RadialGrid(1e-3, 20.0, 192), True)]
 
 
 class TestEigenbasis:
@@ -327,17 +328,22 @@ class TestEigenbasis:
     @pytest.mark.parametrize("case", EIG_CASES,
                              ids=lambda c: f"N{c[0]}-lam{c[2]}")
     def test_resolvent_matches_lu(self, case, dt):
-        N, s, lam, grid = case
+        N, s, lam, grid, complex_basis = case
         op = ground_state_operator(grid, N, s, exponent_profile(N, s, lam).mu)
+        assert np.iscomplexobj(op.V) == complex_basis
         a = 0.5 * dt
         b = radial_bump()(op.r)
-        coef = solver._resolvent_coefficients(op, a)
+        coef = 1.0 / (1.0 + a * op.lam)
         ref = solver.lu_solve(
             solver.lu_factor(np.eye(len(op.r)) + a * op.B), b)
+        full = solver._resolvent_matrix(op, coef)
         # the eigenbasis of every dt, and the dense matrix of the full steps
-        for x in (solver._apply_resolvent(op, coef, b),
-                  solver._resolvent_matrix(op, coef) @ b):
+        for x in (solver._apply_resolvent(op, coef, b), full @ b):
             assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # a strided .real view of a complex product would slow every full
+        # step's matvec, a strided V every other step's
+        assert full.dtype == np.float64
+        assert full.flags.c_contiguous and op.V.flags.c_contiguous
 
     def test_defective_block_refused(self):
         with pytest.raises(QuadratureError, match="reproduces B only"):
@@ -348,15 +354,12 @@ class TestEigenbasis:
             solver._eigenbasis(np.diag([1.0, -1.0]))
 
     def test_rotation_block(self):
-        # eigenvalues 2 +- 3i: one conjugate pair, one 2x2 block of J
+        # eigenvalues 2 +- 3i: one conjugate pair, a complex V
         B = np.array([[2.0, 3.0], [-3.0, 2.0]])
-        op = SimpleNamespace(**dict(zip(
-            ("W", "W_inv", "alpha", "beta", "partner"),
-            solver._eigenbasis(B))))
-        assert list(op.partner) == [1, 0]
+        op = SimpleNamespace(**dict(zip(("V", "V_inv", "lam"),
+                                        solver._eigenbasis(B))))
         w = np.array([1.0, -0.5])
-        x = solver._apply_resolvent(
-            op, solver._resolvent_coefficients(op, 0.7), w)
+        x = solver._apply_resolvent(op, 1.0 / (1.0 + 0.7 * op.lam), w)
         assert np.allclose(x, np.linalg.solve(np.eye(2) + 0.7 * B, w),
                            rtol=1e-14, atol=0.0)
 
@@ -407,7 +410,7 @@ class TestEigenbasis:
 
         def poisoned(*args):
             op = build(*args)
-            return dataclasses.replace(op, W_inv=np.full_like(op.W_inv,
+            return dataclasses.replace(op, V_inv=np.full_like(op.V_inv,
                                                               np.nan))
 
         monkeypatch.setattr(solver, "ground_state_operator", poisoned)
