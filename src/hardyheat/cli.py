@@ -1,9 +1,9 @@
 """Command-line entry point.
 
-Every subcommand echoes its effective parameters into a manifest JSON next
-to its outputs, so any invocation can be reproduced bit-identically from
-the manifest alone.  Numbers in CSV files carry 17 significant digits;
-JSON floats round-trip exactly.
+Every subcommand echoes the parameters it reads, and only those, into a
+manifest JSON next to its outputs, so any invocation can be reproduced
+bit-identically from the manifest alone.  Numbers in CSV files carry 17
+significant digits; JSON floats round-trip exactly.
 
 Exit codes: 0 success, 2 usage, 3 domain error, 4 certification failure,
 5 numerical non-convergence.
@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage, 3 domain error, 4 certification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -149,6 +150,9 @@ def _cmd_kernel(args) -> int:
     csv_path = os.path.join(outdir, args.out)
     json_path = csv_path.rsplit(".", 1)[0] + ".json"
     prof = load_profile(csv_path, json_path)
+    if (prof.N, prof.s) != (args.N, args.s):
+        raise DomainError(f"{json_path} holds a table for N={prof.N}, "
+                          f"s={prof.s}, not --N {args.N} --s {args.s}")
     prof.validate()
     C = check_envelope(prof)
     report = {"envelope_constant": C, "mass": prof.mass,
@@ -220,6 +224,10 @@ def _cmd_verify(args) -> int:
 
 
 def _make_datum(kind: str, amplitude: float, width: float, seed: int | None):
+    if not 0.0 < width < np.inf:
+        raise DomainError(f"--width must be positive and finite, got {width}")
+    if seed is not None and seed < 0:
+        raise DomainError(f"--seed must be nonnegative, got {seed}")
     if kind == "gaussian":
         def f(r):
             return amplitude * np.exp(-(r / width) ** 2)
@@ -319,8 +327,7 @@ def _cmd_sweep(args) -> int:
 # parser
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser,
-                             dict[str, argparse.ArgumentParser]]:
+def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="hardyheat",
         description="Critical exponents, kernel profiles, nonlocal operators "
@@ -331,47 +338,48 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     top.add_argument("--config", default=None,
                      help="key=value config file merged under explicit flags")
     sub = top.add_subparsers(dest="command")
+    # parents= shares these actions, so none has a default --config could set
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--N", type=int, required=True)
+    common.add_argument("--s", type=float, required=True)
+    command = functools.partial(sub.add_parser, parents=[common])
 
-    pe = sub.add_parser("exponents", help="print an exponent profile as JSON")
-    pe.add_argument("--N", type=int, required=True)
-    pe.add_argument("--s", type=float, required=True)
+    pe = command("exponents", help="print an exponent profile as JSON")
     pe.add_argument("--lambda", dest="lam", type=float, required=True)
     pe.set_defaults(func=_cmd_exponents)
 
-    pp = sub.add_parser("phase-diagram", help="exponent table over a lambda grid")
-    pp.add_argument("--N", type=int, required=True)
-    pp.add_argument("--s", type=float, required=True)
+    pp = command("phase-diagram", help="exponent table over a lambda grid")
     pp.add_argument("--lambda-grid", type=_grid_spec, required=True,
                     help="a:b:n linear grid or comma list")
     pp.add_argument("--out", default="phase.csv")
     pp.set_defaults(func=_cmd_phase_diagram)
 
     pk = sub.add_parser("kernel", help="build or validate a kernel profile")
-    pk.add_argument("action", choices=["build", "check"])
-    pk.add_argument("--N", type=int, required=True)
-    pk.add_argument("--s", type=float, required=True)
-    pk.add_argument("--sigma-max", type=float, default=50.0)
-    pk.add_argument("--n-points", type=int, default=321)
-    pk.add_argument("--out", default="profile.csv")
-    pk.add_argument("--scaling-ode", action="store_true")
+    actions = pk.add_subparsers(dest="action", required=True)
+    pb = actions.add_parser("build", parents=[common])
+    pb.add_argument("--sigma-max", type=float, default=50.0)
+    pb.add_argument("--n-points", type=int, default=321)
+    pb.add_argument("--out", default="profile.csv")
+    pc = actions.add_parser("check", parents=[common])
+    pc.add_argument("--out", default="profile.csv")
+    pc.add_argument("--scaling-ode", action="store_true")
     pk.set_defaults(func=_cmd_kernel)
 
     pv = sub.add_parser("verify", help="run one certification")
-    pv.add_argument("check", choices=["lemma21", "psi-eta", "supersolution",
-                                      "energy", "critical-constants"])
-    pv.add_argument("--N", type=int, required=True)
-    pv.add_argument("--s", type=float, required=True)
-    pv.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    pv.add_argument("--alpha", type=float, default=0.5)
-    pv.add_argument("--p", type=float, default=2.0)
-    pv.add_argument("--m", type=float, default=3.4)
-    pv.add_argument("--kappa", type=float, default=0.05)
-    pv.add_argument("--radius", type=float, default=2.0)
+    checks = pv.add_subparsers(dest="check", required=True)
+    flags = {"lemma21": "alpha", "psi-eta": "lambda",
+             "supersolution": "lambda p", "energy": "lambda p radius",
+             "critical-constants": "lambda m kappa"}
+    defaults = {"lambda": 0.5, "alpha": 0.5, "p": 2.0, "m": 3.4,
+                "kappa": 0.05, "radius": 2.0}
+    for check, names in flags.items():
+        leaf = checks.add_parser(check, parents=[common])
+        for name in names.split():
+            leaf.add_argument(f"--{name}", type=float, default=defaults[name],
+                              dest="lam" if name == "lambda" else None)
     pv.set_defaults(func=_cmd_verify)
 
-    ps = sub.add_parser("simulate", help="run one Cauchy instance")
-    ps.add_argument("--N", type=int, required=True)
-    ps.add_argument("--s", type=float, required=True)
+    ps = command("simulate", help="run one Cauchy instance")
     ps.add_argument("--lambda", dest="lam", type=float, required=True)
     ps.add_argument("--p", type=float, required=True)
     ps.add_argument("--formulation", default="ground_state")
@@ -392,9 +400,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     ps.add_argument("--out", default="trajectory.csv")
     ps.set_defaults(func=_cmd_simulate)
 
-    pw = sub.add_parser("sweep", help="verdict per (lambda, p) grid cell")
-    pw.add_argument("--N", type=int, required=True)
-    pw.add_argument("--s", type=float, required=True)
+    pw = command("sweep", help="verdict per (lambda, p) grid cell")
     pw.add_argument("--lambda-grid", type=_grid_spec, required=True)
     pw.add_argument("--p-grid", type=_grid_spec, required=True)
     pw.add_argument("--u0", default="gaussian")
@@ -411,21 +417,29 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     pw.add_argument("--out", default="sweep.csv")
     pw.set_defaults(func=_cmd_sweep)
 
-    return top, sub.choices
+    return top
+
+
+def _leaf(parser: argparse.ArgumentParser, args) -> argparse.ArgumentParser:
+    """The sub-parser that read `args`: down the sub-commands they name."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return _leaf(action.choices[getattr(args, action.dest)], args)
+    return parser
 
 
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
+    parser = _build_parser()
     args = parser.parse_args(argv)
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     if args.config:
-        # config values become the command's defaults, so explicit flags
-        # win; required flags were already checked by the first parse
-        command = commands[args.command]
+        # config values become the defaults of the sub-parser that runs, so
+        # explicit flags win; the first parse checked the required flags
+        leaf = _leaf(parser, args)
         try:
-            command.set_defaults(**_config_defaults(args.config, command))
+            leaf.set_defaults(**_config_defaults(args.config, leaf))
         except OSError as exc:
             parser.error(f"argument --config: {exc}")
         args = parser.parse_args(argv)

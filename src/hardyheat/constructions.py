@@ -474,8 +474,8 @@ def critical_case_constants(params: ProblemParams, m: float, kappa: float
     p_prime = p / (p - 1.0)
     if not 1.0 < m <= p_prime:
         raise DomainError(f"need 1 < m <= p' = {p_prime}, got m={m}")
-    if kappa < 0.0:
-        raise DomainError("kappa must be nonnegative")
+    if not 0.0 <= kappa < math.inf:
+        raise DomainError(f"kappa must be nonnegative and finite, got {kappa}")
 
     c1 = _c1_integral(N, s, mu, p_prime, m, _N_HALF)
     c3 = _c3_integral(N, s, mu, p, p_prime, m, kappa, _N_HALF, _N_TAU)
@@ -484,9 +484,9 @@ def critical_case_constants(params: ProblemParams, m: float, kappa: float
                         int(1.5 * _N_HALF), int(1.5 * _N_TAU))
     d1 = abs(c1_f - c1) / abs(c1)
     d3 = abs(c3_f - c3) / abs(c3)
-    if d1 > 0.01:
+    if not d1 <= 0.01:
         raise QuadratureError("C1 not refinement-stable within 1%")
-    if d3 > 0.01:
+    if not d3 <= 0.01:
         raise QuadratureError("C3 not refinement-stable within 1%")
     return c1_f, c3_f, d1, d3
 

@@ -251,7 +251,9 @@ def classify_regime(params: ProblemParams) -> Regime:
 
 def phase_table(N: int, s: float, lambda_grid) -> tuple[list[ExponentProfile], list[tuple[float, str]]]:
     """One exponent profile per coupling in (0, Lambda]; bad rows are
-    reported and skipped."""
+    reported and skipped.  An (N, s) with N <= 2s has no rows and is
+    refused (DomainError)."""
+    _check_order(N, s)
     rows: list[ExponentProfile] = []
     errors: list[tuple[float, str]] = []
     for lam in lambda_grid:

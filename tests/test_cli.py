@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -153,6 +154,16 @@ class TestKernelCommand:
         assert code == 4
         assert "certification failure:" in capsys.readouterr().err
 
+    def test_check_refuses_another_problems_table(self, tmp_path, capsys,
+                                                  prof_3_05):
+        # --N --s must name the (N, s) of the table's JSON header
+        save_profile(prof_3_05, tmp_path / "k.csv", tmp_path / "k.json")
+        code = run_cli(["kernel", "check", "--N", "1", "--s", "0.25",
+                        "--out", "k.csv"], tmp_path)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "N=3, s=0.5" in err and "--N 1 --s 0.25" in err
+
     @pytest.mark.parametrize("column,factor", [(1, 1.0 + 1e-6),
                                                (2, 1.0 + 1e-5)],
                              ids=["H", "Hprime"])
@@ -172,6 +183,34 @@ class TestKernelCommand:
                         "--out", "k.csv"], tmp_path)
         assert code == 4
         assert "table edge" in capsys.readouterr().err
+
+
+LEAF_FLAGS = {
+    ("kernel", "build"): {"sigma_max", "n_points", "out"},
+    ("kernel", "check"): {"out", "scaling_ode"},
+    ("verify", "lemma21"): {"alpha"},
+    ("verify", "psi-eta"): {"lam"},
+    ("verify", "supersolution"): {"lam", "p"},
+    ("verify", "energy"): {"lam", "p", "radius"},
+    ("verify", "critical-constants"): {"lam", "m", "kappa"},
+}
+
+
+class TestManifests:
+    @pytest.mark.parametrize("command,leaf", list(LEAF_FLAGS),
+                             ids=[" ".join(key) for key in LEAF_FLAGS])
+    def test_manifest_holds_only_the_flags_read(self, tmp_path, capsys,
+                                                prof_3_05, command, leaf):
+        save_profile(prof_3_05, tmp_path / "profile.csv",
+                     tmp_path / "profile.json")
+        assert run_cli([command, leaf, "--N", "3", "--s", "0.5"],
+                       tmp_path) == 0
+        params = json.loads((tmp_path / f"manifest_{command}_{leaf}.json")
+                            .read_text())["parameters"]
+        name = "action" if command == "kernel" else "check"
+        assert params.pop(name) == leaf
+        assert set(params) == (LEAF_FLAGS[command, leaf]
+                               | {"N", "s", "command", "outdir"})
 
 
 class TestSimulate:
@@ -348,6 +387,24 @@ class TestInputRefused:
         assert exc.value.code == 2
         assert f"argument {flag}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["verify", "critical-constants", "--N", "3", "--s", "0.5", "--p",
+          "2"], "--p"),
+        (["verify", "lemma21", "--N", "3", "--s", "0.5", "--lambda", "0.5"],
+         "--lambda"),
+        (["kernel", "check", "--N", "3", "--s", "0.5", "--sigma-max", "50"],
+         "--sigma-max"),
+        (["kernel", "build", "--N", "3", "--s", "0.5", "--scaling-ode"],
+         "--scaling-ode"),
+    ], ids=["critical-constants-p", "lemma21-lambda", "check-sigma-max",
+            "build-scaling-ode"])
+    def test_flag_the_leaf_does_not_read_is_refused(self, tmp_path, capsys,
+                                                    argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv, tmp_path)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_manifest_keeps_the_grid_spec(self, tmp_path, capsys):
         assert run_cli(["phase-diagram", "--N", "3", "--s", "0.5",
                         "--lambda-grid", "0.1:0.6:6"], tmp_path) == 0
@@ -430,13 +487,33 @@ class TestTypedExits:
         (["sweep", "--N", "3", "--s", "0.5", "--lambda-grid", "0.5",
           "--p-grid", "3.2", "--r-min", "1e-6", "--points", "64",
           "--t-max", "5"], (0, 2, 3, 4, 5)),
+        (["verify", "critical-constants", "--N", "3", "--s", "0.5",
+          "--lambda", "0.5", "--kappa", "nan"], (3,)),
+        (["verify", "critical-constants", "--N", "3", "--s", "0.5",
+          "--lambda", "0.5", "--kappa", "inf"], (3,)),
+        (["simulate", "--N", "3", "--s", "0.5", "--lambda", "0.5", "--p",
+          "1.9", "--width", "0"], (3,)),
+        (["simulate", "--formulation", "direct", "--N", "3", "--s", "0.5",
+          "--lambda", "0.5", "--p", "1.2", "--points", "16", "--width",
+          "inf"], (3,)),
+        (["sweep", "--N", "3", "--s", "0.5", "--lambda-grid", "0.5",
+          "--p-grid", "1.9", "--u0", "random-bumps", "--width", "-1"], (3,)),
+        (["simulate", "--N", "3", "--s", "0.5", "--lambda", "0.5", "--p",
+          "1.9", "--u0", "random-bumps", "--seed", "-1"], (3,)),
+        (["sweep", "--N", "3", "--s", "0.5", "--lambda-grid", "0.5",
+          "--p-grid", "1.9,2.0", "--u0", "random-bumps", "--seed", "-1",
+          "--jobs", "2"], (3,)),
+        (["phase-diagram", "--N", "1", "--s", "0.5", "--lambda-grid",
+          "0.1,0.2"], (3,)),
     ], ids=["dt-initial-nan", "t-max-nan", "t-max-inf", "threshold-nan",
             "potential-epsilon-nan", "sigma-max-nan", "sigma-max-inf",
             "radius-nan", "kernel-small-s", "supersolution-large-s",
-            "sweep-tiny-r-min"])
+            "sweep-tiny-r-min", "kappa-nan", "kappa-inf", "width-zero",
+            "width-inf", "width-negative", "seed-negative",
+            "seed-negative-jobs", "phase-diagram-n-le-2s"])
     def test_command_exits_typed(self, tmp_path, capsys, argv, codes):
-        # a non-finite number is refused as a domain error, whichever check
-        # it meets first
+        # a non-finite or out-of-range number is refused as a domain error,
+        # whichever check it meets first
         start = time.perf_counter()
         code = run_cli(argv, tmp_path)
         elapsed = time.perf_counter() - start
@@ -489,6 +566,19 @@ class TestBenchmarkReference:
 
 
 class TestReadmePaths:
+    def test_command_line_block_parses(self):
+        # every line of the README's "Command line" block, parsed only
+        readme = (Path(__file__).resolve().parent.parent
+                  / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1]
+        block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = block.strip().splitlines()
+        assert len(lines) >= 9
+        for line in lines:
+            word, *argv = shlex.split(line)
+            assert word == "hardyheat"
+            assert callable(cli._build_parser().parse_args(argv).func)
+
     def test_kernel_check_scaling_ode(self, tmp_path, capsys, prof_3_05):
         save_profile(prof_3_05, tmp_path / "k.csv", tmp_path / "k.json")
         code = run_cli(["kernel", "check", "--N", "3", "--s", "0.5",
@@ -560,13 +650,14 @@ class TestConfigFile:
         manifest = tmp_path / "manifest_verify_energy.json"
         assert json.loads(manifest.read_text())["parameters"]["lam"] == 0.3
 
-    def test_config_leaves_flags_alone(self, tmp_path, capsys):
+    def test_config_leaves_flags_alone(self, tmp_path, capsys, prof_3_05):
+        save_profile(prof_3_05, tmp_path / "profile.csv",
+                     tmp_path / "profile.json")
         cfg = tmp_path / "run.cfg"
         cfg.write_text("scaling-ode=1\n")
         code = main(["--outdir", str(tmp_path), "--config", str(cfg),
-                     "kernel", "build", "--N", "1", "--s", "0.5",
-                     "--sigma-max", "20", "--n-points", "121"])
+                     "kernel", "check", "--N", "3", "--s", "0.5"])
         assert code == 0
-        manifest = tmp_path / "manifest_kernel_build.json"
+        manifest = tmp_path / "manifest_kernel_check.json"
         assert json.loads(manifest.read_text())["parameters"][
             "scaling_ode"] is False

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import poisson_profile
-from hardyheat.errors import DomainError, UnsupportedDatumError
+from hardyheat import constructions
+from hardyheat.errors import (DomainError, QuadratureError,
+                              UnsupportedDatumError)
 from hardyheat.exponents import ProblemParams, exponent_profile
 from hardyheat.kernel import build_profile, profile_moment
 from hardyheat.fracop import (Field, UniformGrid,
@@ -289,3 +291,15 @@ class TestCriticalConstants:
                                     m=3.4, kappa=0.05)
         with pytest.raises(DomainError):
             critical_case_constants(self.PC, m=0.9, kappa=0.05)
+
+    @pytest.mark.parametrize("kappa", [-0.1, math.nan, math.inf])
+    def test_kappa_nonnegative_and_finite(self, kappa):
+        with pytest.raises(DomainError, match="kappa"):
+            critical_case_constants(self.PC, m=3.4, kappa=kappa)
+
+    def test_nan_refinement_delta_refused(self, monkeypatch):
+        # a NaN delta is no evidence of refinement stability
+        monkeypatch.setattr(constructions, "_c1_integral",
+                            lambda *args: math.nan)
+        with pytest.raises(QuadratureError, match="C1"):
+            critical_case_constants(self.PC, m=3.4, kappa=0.05)

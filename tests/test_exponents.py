@@ -272,6 +272,11 @@ class TestPhaseTable:
         rows, errors = phase_table(3, 0.5, [0.5, 10.0, -1.0, 0.0])
         assert len(rows) == 1 and len(errors) == 3
 
+    def test_order_refused_before_any_row(self):
+        # N <= 2s leaves no row to report: the table is refused outright
+        with pytest.raises(DomainError, match="N > 2s"):
+            phase_table(1, 0.5, [0.1, 0.2])
+
     def test_csv_format(self):
         rows, _ = phase_table(3, 0.5, [0.5])
         text = phase_table_csv(rows)
