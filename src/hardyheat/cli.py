@@ -226,6 +226,8 @@ def _cmd_verify(args) -> int:
 def _make_datum(kind: str, amplitude: float, width: float, seed: int | None):
     if not 0.0 < width < np.inf:
         raise DomainError(f"--width must be positive and finite, got {width}")
+    if not np.isfinite(amplitude):
+        raise DomainError(f"--amplitude must be finite, got {amplitude}")
     if seed is not None and seed < 0:
         raise DomainError(f"--seed must be nonnegative, got {seed}")
     if kind == "gaussian":

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import betaln
 
 from .errors import DomainError, QuadratureError, UnsupportedDatumError
 from .exponents import (ProblemParams, Regime, classify_regime,
@@ -491,13 +490,18 @@ def critical_case_constants(params: ProblemParams, m: float, kappa: float
     return c1_f, c3_f, d1, d3
 
 
+def _beta(a: float, b: float) -> float:
+    """Beta function Gamma(a) Gamma(b) / Gamma(a+b) for a, b > 0."""
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+
+
 def _c1_integral(N, s, mu, p_prime, m, n_half) -> float:
     """C1 = 2^{p'} omega/(4s) B-closed-form * int_1^2 |phi'|^{p'}
     phi^{m-p'} u^{(p'-1)/2 + q} du with q = (N-mu)/(4s); the inner
     tau-integral int_0^{sqrt u} tau^{p'} (u - tau^2)^{q-1} dtau is a Beta
     function times u^{(p'-1)/2 + q}."""
     q = (N - mu) / (4.0 * s)
-    tau_factor = 0.5 * math.exp(betaln(0.5 * (p_prime + 1.0), q))
+    tau_factor = 0.5 * _beta(0.5 * (p_prime + 1.0), q)
     u, w = tanh_sinh_rule(1.0, 2.0, n_half)
     vals = (np.abs(_dphi(u)) ** p_prime * _phi(u) ** (m - p_prime)
             * u ** (0.5 * (p_prime - 1.0) + q))

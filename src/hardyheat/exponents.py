@@ -21,8 +21,6 @@ import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 
-from scipy.special import gammaln
-
 from .errors import DomainError, RegimeAmbiguityError
 from .quadrature import bisect_root
 
@@ -68,11 +66,11 @@ def power_coupling(N: int, s: float, gamma: float) -> float:
             f"power exponent must lie in (0, {N - 2.0 * s}), got {gamma}")
     # the last argument as (N-2s) - gamma, which stays exact next to the
     # pole at N = 2s, where (N - gamma) - 2s would round gamma away
-    return float(math.exp(
+    return math.exp(
         2.0 * s * math.log(2.0)
-        + gammaln((gamma + 2.0 * s) / 2.0) + gammaln((N - gamma) / 2.0)
-        - gammaln(gamma / 2.0) - gammaln((N - 2.0 * s - gamma) / 2.0)
-    ))
+        + math.lgamma((gamma + 2.0 * s) / 2.0) + math.lgamma((N - gamma) / 2.0)
+        - math.lgamma(gamma / 2.0) - math.lgamma((N - 2.0 * s - gamma) / 2.0)
+    )
 
 
 def hardy_constant(N: int, s: float) -> float:
@@ -134,13 +132,13 @@ def pv_normalization(N: int, s: float) -> float:
     N >= 1 (no N > 2s restriction: the operator exists regardless).
     """
     _check_dimension_and_order(N, s)
-    return float(math.exp(
+    return math.exp(
         2.0 * s * math.log(2.0)
         + math.log(s)
-        + gammaln((N + 2.0 * s) / 2.0)
-        - gammaln(1.0 - s)
+        + math.lgamma((N + 2.0 * s) / 2.0)
+        - math.lgamma(1.0 - s)
         - 0.5 * N * math.log(math.pi)
-    ))
+    )
 
 
 @dataclass(frozen=True)

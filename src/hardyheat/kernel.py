@@ -24,12 +24,12 @@ meet the series at its edge.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, j0, j1, jv, rgamma
 
 from .errors import DomainError, ProfileError, QuadratureError
 from .exponents import _check_dimension_and_order
@@ -53,38 +53,164 @@ _SLOPE_EDGE_TOL = 1e-6  # the same for H'
 
 def sphere_area(N: int) -> float:
     """Surface measure of the unit sphere in R^N (2 for N=1)."""
-    return float(2.0 * math.pi ** (0.5 * N) * math.exp(-gammaln(0.5 * N)))
+    return 2.0 * math.pi ** (0.5 * N) / math.gamma(0.5 * N)
 
 
-def _bessel(nu: float, z: np.ndarray) -> np.ndarray:
-    """J_nu on positive arguments, with fast closed forms for the orders
-    that actually occur for N <= 5."""
-    if nu == 0.0:
-        return j0(z)
-    if nu == 1.0:
-        return j1(z)
-    pref = np.sqrt(2.0 / (np.pi * z))
-    if nu == -0.5:
-        return pref * np.cos(z)
-    if nu == 0.5:
-        return pref * np.sin(z)
-    if nu == 1.5:
-        out = np.empty_like(z)
-        small = z < 0.1
-        zs = z[small]
-        # series for sin(z)/z - cos(z), avoids cancellation
-        out[small] = pref[small] * zs ** 2 * (
-            1.0 / 3.0 - zs ** 2 / 30.0 + zs ** 4 / 840.0)
-        zl = z[~small]
-        out[~small] = pref[~small] * (np.sin(zl) / zl - np.cos(zl))
-        return out
-    return jv(nu, z)
+# Bessel functions.  The orders are nu = N/2 - 1 and nu + 1, so integer or
+# half-integer.  J_0 and J_1 come from the trapezoid rule on Bessel's
+# integral below the first Hankel band: 28 panels on [0, pi] alias
+# J_{55}(z) < 1e-20 into them for z < 19.  From each band's start on they
+# come from Hankel's expansion (Abramowitz-Stegun 9.2.5-9.2.10) cut after
+# n_terms terms a_k z^{-k}, the first omitted one below 1e-17 there.
+_TRAPEZOID_PANELS = 28
+# Hankel's expansion runs on at most this many nodes at a time.  On all of
+# a table point's nodes (up to 3.4e5 at N = 2, s = 1/4) every temporary is
+# a fresh zero-filled allocation, and that table took 1.35 times as long.
+_HANKEL_PIECE = 8192
+_HANKEL_BANDS = ((19.0, 31), (50.0, 13), (300.0, 7), (2000.0, 5))
+
+
+def _hankel_coefficients(n_terms: int) -> np.ndarray:
+    """Hankel's expansion
+
+        J_nu(z) = sqrt(2/(pi z)) (P cos chi - Q sin chi),
+        chi = z - (nu/2 + 1/4) pi,
+        P = sum_m (-1)^m a_{2m} z^{-2m},  Q = sum_m (-1)^m a_{2m+1} z^{-2m-1},
+        a_k(nu) = prod_{j=1}^{k} (4 nu^2 - (2j-1)^2) / (k! 8^k),
+
+    cut after n_terms terms a_k: the rows P_0 + Q_0, P_0 - Q_0, P_1 + Q_1
+    and Q_1 - P_1 as polynomials in 1/z, lowest power first, divided by
+    sqrt(pi)."""
+    a = np.ones((2, n_terms))
+    for nu in (0, 1):
+        for k in range(1, n_terms):
+            a[nu, k] = (a[nu, k - 1] * (4 * nu * nu - (2 * k - 1) ** 2)
+                        / (8 * k))
+    a[:, 2::4] *= -1.0
+    a[:, 3::4] *= -1.0
+    alternate = (-1.0) ** np.arange(n_terms)
+    return (np.stack((a[0], alternate * a[0], a[1], -alternate * a[1]))
+            / math.sqrt(math.pi))
+
+
+_HANKEL_STARTS = np.array([start for start, _ in _HANKEL_BANDS])
+_HANKEL = [_hankel_coefficients(n_terms) for _, n_terms in _HANKEL_BANDS]
+# nodes on [0, pi/2] of the trapezoid rule on [0, pi] folded at pi/2
+_TRAPEZOID_SIN = np.sin(np.linspace(0.0, 0.5 * math.pi,
+                                    _TRAPEZOID_PANELS // 2 + 1))
+_TRAPEZOID_J0 = np.full(len(_TRAPEZOID_SIN), 2.0 / _TRAPEZOID_PANELS)
+_TRAPEZOID_J0[[0, -1]] *= 0.5
+_TRAPEZOID_J1 = _TRAPEZOID_J0 * _TRAPEZOID_SIN
+
+
+def _polynomials(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Every row of coef, a polynomial lowest power first, at x: the powers
+    of x, then one matrix product."""
+    powers = np.empty((coef.shape[1], x.size))
+    powers[0] = 1.0
+    powers[1] = x
+    for k in range(2, len(powers)):
+        np.multiply(powers[k - 1], x, out=powers[k])
+    return coef @ powers
+
+
+def _j0_j1(z: np.ndarray) -> np.ndarray:
+    """Rows J_0(z) and J_1(z) at ascending z >= 2.  Below the first Hankel
+    band by the trapezoid rule on
+
+        J_0 = (2/pi) int_0^{pi/2} cos(z sin t) dt,
+        J_1 = (2/pi) int_0^{pi/2} sin t sin(z sin t) dt;
+
+    from there by Hankel's expansion with each band's terms, both orders
+    from one amplitude and one phase."""
+    out = np.empty((2, z.size))
+    bounds = np.searchsorted(z, _HANKEL_STARTS).tolist()
+    arg = np.multiply.outer(z[:bounds[0]], _TRAPEZOID_SIN)
+    out[0, :bounds[0]] = np.cos(arg) @ _TRAPEZOID_J0
+    out[1, :bounds[0]] = np.sin(arg) @ _TRAPEZOID_J1
+    for lo, hi, coef in zip(bounds, [*bounds[1:], z.size], _HANKEL):
+        for first in range(lo, hi, _HANKEL_PIECE):
+            piece = slice(first, min(first + _HANKEL_PIECE, hi))
+            t = 1.0 / z[piece]
+            p0_plus_q0, p0_minus_q0, p1_plus_q1, q1_minus_p1 = _polynomials(
+                coef, t)
+            # chi_0 = z - pi/4 and chi_1 = chi_0 - pi/2 turn the expansion
+            # into sqrt(pi z) J_0 = (P_0 + Q_0) cos z + (P_0 - Q_0) sin z and
+            # sqrt(pi z) J_1 = (P_1 + Q_1) sin z + (Q_1 - P_1) cos z
+            cos, sin = np.cos(z[piece]), np.sin(z[piece])
+            amp = np.sqrt(t)
+            out[0, piece] = amp * (cos * p0_plus_q0 + sin * p0_minus_q0)
+            out[1, piece] = amp * (sin * p1_plus_q1 + cos * q1_minus_p1)
+    return out
+
+
+def _series_edge(nu: float) -> float:
+    """Below this z, J_nu and J_{nu+1} come from their power series; above
+    it upward recurrence to order nu + 1 is stable."""
+    return 0.0 if nu < 0.0 else max(nu + 1.0, 2.0)
+
+
+@functools.lru_cache
+def _series_coefficients(nu: float) -> np.ndarray:
+    """Rows 1/(k! Gamma(mu+k+1)), k = 0, 1, ..., for mu = nu and nu + 1,
+    until the terms (z^2/4)^k of the series at _series_edge(nu) fall below
+    1e-17 of the first."""
+    edge = _series_edge(nu)
+    coef = [[1.0 / math.gamma(nu + 1.0), 1.0 / math.gamma(nu + 2.0)]]
+    k, term = 0, 1.0
+    while term > 1e-17:
+        k += 1
+        term *= 0.25 * edge * edge / (k * (k + nu))
+        coef.append([coef[-1][0] / (k * (k + nu)),
+                     coef[-1][1] / (k * (k + nu + 1.0))])
+    coef = np.array(coef).T
+    coef.flags.writeable = False   # one array for every caller
+    return coef
+
+
+def _series_pair(nu: float, z: np.ndarray) -> np.ndarray:
+    """Rows J_nu(z) and J_{nu+1}(z) by the power series
+    J_mu(z) = (z/2)^mu sum_k (-z^2/4)^k / (k! Gamma(mu+k+1))."""
+    half = 0.5 * z
+    pair = _polynomials(_series_coefficients(nu), -half * half)
+    pair[0] *= half ** nu
+    pair[1] *= half ** (nu + 1.0)
+    return pair
+
+
+def _bessel_pair(nu: float, z: np.ndarray) -> np.ndarray:
+    """Rows J_nu(z) and J_{nu+1}(z) for an integer or half-integer order
+    nu >= -1/2, at positive z in ascending order (each method takes one
+    contiguous slice).
+
+    Below _series_edge(nu) both rows are power series.  Above it the lowest
+    pair of the order's family, (J_{-1/2}, J_{1/2}) = sqrt(2/(pi z))
+    (cos z, sin z) or (J_0, J_1) from _j0_j1, recurs upward by
+    J_{k+1} = (2k/z) J_k - J_{k-1}."""
+    pair = np.empty((2, z.size))
+    cut = int(np.searchsorted(z, _series_edge(nu)))
+    pair[:, :cut] = _series_pair(nu, z[:cut])
+    z = z[cut:]
+    half_integer = nu % 1.0 == 0.5
+    if half_integer:
+        lo, hi, order = np.cos(z), np.sin(z), -0.5
+    else:
+        (lo, hi), order = _j0_j1(z), 0.0
+    while order < nu:
+        order += 1.0
+        lo, hi = hi, (2.0 * order) * hi / z - lo
+    if half_integer:
+        pref = np.sqrt(2.0 / (np.pi * z))
+        lo, hi = pref * lo, pref * hi
+    pair[0, cut:] = lo
+    pair[1, cut:] = hi
+    return pair
 
 
 def profile_origin_value(N: int, s: float) -> float:
     """H(0) in closed form: omega_{N-1} (2 pi)^{-N} Gamma(N/(2s)) / (2s)."""
-    return float(sphere_area(N) * _TWO_PI ** (-N)
-                 * math.exp(gammaln(0.5 * N / s)) / (2.0 * s))
+    return (sphere_area(N) * _TWO_PI ** (-N) * math.gamma(0.5 * N / s)
+            / (2.0 * s))
 
 
 def profile_moment(N: int, s: float, mu: float) -> float:
@@ -95,9 +221,9 @@ def profile_moment(N: int, s: float, mu: float) -> float:
     """
     if not 0.0 <= mu < N:
         raise DomainError(f"need 0 <= mu < N, got mu={mu}")
-    return float(math.exp(-mu * math.log(2.0) + gammaln(0.5 * (N - mu))
-                          + gammaln(1.0 + 0.5 * mu / s) - gammaln(0.5 * N)
-                          - gammaln(1.0 + 0.5 * mu)))
+    return (2.0 ** -mu * math.gamma(0.5 * (N - mu))
+            * math.gamma(1.0 + 0.5 * mu / s)
+            / (math.gamma(0.5 * N) * math.gamma(1.0 + 0.5 * mu)))
 
 
 def _decay_rho_edges(s: float) -> np.ndarray:
@@ -141,12 +267,12 @@ def _profile_point(N: int, s: float, sigma: float,
         return profile_origin_value(N, s), 0.0
     nodes, w = _oscillatory_nodes(rho_decay, nu, sigma)
     decay = np.exp(-(_TWO_PI * nodes) ** (2.0 * s))
-    z = _TWO_PI * sigma * nodes
+    j_nu, j_next = _bessel_pair(nu, _TWO_PI * sigma * nodes)
     base = w * decay
     h_val = _TWO_PI * sigma ** (-nu) * float(
-        np.dot(base, _bessel(nu, z) * nodes ** (nu + 1.0)))
+        np.dot(base, j_nu * nodes ** (nu + 1.0)))
     hp_val = -(_TWO_PI ** 2) * sigma ** (-nu) * float(
-        np.dot(base, _bessel(nu + 1.0, z) * nodes ** (nu + 2.0)))
+        np.dot(base, j_next * nodes ** (nu + 2.0)))
     return h_val, hp_val
 
 
@@ -163,9 +289,16 @@ def ball_mass(N: int, s: float, radius: float) -> float:
     nu = 0.5 * N - 1.0
     nodes, w = _oscillatory_nodes(_decay_rho_edges(s), nu + 1.0, radius)
     decay = np.exp(-(_TWO_PI * nodes) ** (2.0 * s))
-    z = _TWO_PI * radius * nodes
+    j_next = _bessel_pair(nu, _TWO_PI * radius * nodes)[1]
     return float(sphere_area(N) * radius ** (nu + 1.0)
-                 * np.dot(w * decay, _bessel(nu + 1.0, z) * nodes ** nu))
+                 * np.dot(w * decay, j_next * nodes ** nu))
+
+
+def _rgamma(x: float) -> float:
+    """1/Gamma(x), exactly 0 at the poles x = 0, -1, -2, ..."""
+    if x <= 0.0 and x == math.floor(x):
+        return 0.0
+    return 1.0 / math.gamma(x)
 
 
 def tail_series_coefficients(N: int, s: float,
@@ -175,11 +308,9 @@ def tail_series_coefficients(N: int, s: float,
     c_k = (-1)^k 2^{2ks} pi^{-N/2} Gamma((N+2ks)/2) / (k! Gamma(-ks)); the
     1/Gamma factor vanishes at integer ks, matching the closed forms.
     """
-    ks = np.arange(1, k_max + 1)
-    sign = np.where(ks % 2 == 0, 1.0, -1.0)
-    logs = (2.0 * ks * s * math.log(2.0) - 0.5 * N * math.log(math.pi)
-            + gammaln((N + 2.0 * ks * s) / 2.0) - gammaln(ks + 1.0))
-    return sign * np.exp(logs) * rgamma(-ks * s)
+    return np.array([(-1.0) ** k * 4.0 ** (k * s) * math.pi ** (-0.5 * N)
+                     * math.gamma(0.5 * N + k * s) / math.factorial(k)
+                     * _rgamma(-k * s) for k in range(1, k_max + 1)])
 
 
 def tail_mass_beyond(N: int, s: float, sigma0: float,

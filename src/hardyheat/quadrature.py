@@ -6,6 +6,7 @@ panel layouts, no randomized adaptivity, so repeated runs are bit-identical.
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import QuadratureError
 
@@ -16,7 +17,7 @@ def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [-1, 1], cached per order."""
     rule = _GAUSS_CACHE.get(order)
     if rule is None:
-        rule = np.polynomial.legendre.leggauss(order)
+        rule = leggauss(order)
         _GAUSS_CACHE[order] = rule
     return rule
 

@@ -33,11 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# The run steps from the operator's eigenbasis and never factorizes; the
-# dense LU stays bound here as the direct solve that the eigenbasis resolvent
-# and the full-step propagator are checked against, and perfbench/tracer.py
-# traces solver.lu_factor/lu_solve.
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import BlowupFitError, DomainError, QuadratureError
 from .exponents import ProblemParams, exponent_profile
@@ -50,6 +45,20 @@ __all__ = [
     "GroundStateOperator", "ground_state_operator", "run", "monitor_norms",
     "estimate_blowup_time", "tail_linearity_residual", "save_trajectory",
 ]
+
+
+# The run steps from the operator's eigenbasis and never factorizes.  These
+# two stay only because perfbench/tracer.py binds solver.lu_factor and
+# solver.lu_solve by name; they go when the benchmark drops them (ROADMAP
+# item 1).
+def lu_factor(a):
+    """The square matrix a, copied: the factor that lu_solve takes."""
+    return np.array(a, dtype=float)
+
+
+def lu_solve(factor, b):
+    """x with factor @ x = b, by a dense direct solve."""
+    return np.linalg.solve(factor, b)
 
 
 @dataclass(frozen=True)

@@ -326,34 +326,49 @@ class TestSweepReuse:
 
 
 IMPORT_GUARD = """
+import json
 import sys
+
 from hardyheat.cli import main
-from hardyheat.kernel import save_profile
 
 out = sys.argv[1]
-assert main(["--outdir", out, "sweep", "--N", "3", "--s", "0.5",
-             "--lambda-grid", "0.5", "--p-grid", "1.9", "--t-max", "0.5",
-             "--points", "48"]) == 0
-assert main(["--outdir", out, "verify", "supersolution", "--N", "3",
-             "--s", "0.5", "--lambda", "0.5", "--p", "2.0"]) == 0
-print(sorted(name for name in sys.modules
-             if name.startswith(("scipy.interpolate", "scipy.optimize"))))
+benchmark = json.loads(sys.argv[2])
+imported = set(sys.modules)
+for argv in benchmark:
+    assert main(["--outdir", out, *argv]) == 0
+loaded_by_benchmark = sorted(set(sys.modules) - imported)
+assert main(["--outdir", out, "simulate", "--N", "2", "--s", "0.5",
+             "--lambda", "0.2", "--p", "1.5", "--points", "32",
+             "--t-max", "1"]) == 0
+for n in ("2", "4"):
+    assert main(["--outdir", out, "kernel", "build", "--N", n, "--s", "0.5",
+                 "--n-points", "16", "--out", f"profile_{n}.csv"]) == 0
+print(json.dumps({
+    "scipy": sorted(name for name in sys.modules
+                    if name.split(".")[0] == "scipy"),
+    "loaded_by_benchmark": loaded_by_benchmark}))
 """
 
 
 class TestImports:
-    def test_sweep_and_certify_leave_interpolate_and_optimize_unloaded(
-            self, tmp_path):
-        # both cost start-up time on every run; the package needs neither
+    def test_commands_run_on_numpy_alone(self, tmp_path):
+        # scipy cost half a second of start-up on every command; and a
+        # module first loaded by a command would move start-up cost into
+        # the benchmark's wall time
+        workloads = _benchmark_workloads()
+        benchmark = [*workloads.commands("sweep", 0),
+                     *workloads.commands("certify", 0)]
         src = str(Path(solver.__file__).resolve().parent.parent)
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ,
                    PYTHONPATH=src if not path else src + os.pathsep + path)
         done = subprocess.run(
-            [sys.executable, "-c", IMPORT_GUARD, str(tmp_path)], env=env,
+            [sys.executable, "-c", IMPORT_GUARD, str(tmp_path),
+             json.dumps(benchmark)], env=env,
             capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[]"
+        modules = json.loads(done.stdout.splitlines()[-1])
+        assert modules == {"scipy": [], "loaded_by_benchmark": []}
 
 
 class TestErrorExits:
@@ -505,12 +520,22 @@ class TestTypedExits:
           "--jobs", "2"], (3,)),
         (["phase-diagram", "--N", "1", "--s", "0.5", "--lambda-grid",
           "0.1,0.2"], (3,)),
+        (["simulate", "--N", "3", "--s", "0.5", "--lambda", "0.5", "--p",
+          "1.9", "--amplitude", "inf"], (3,)),
+        (["simulate", "--N", "3", "--s", "0.5", "--lambda", "0.5", "--p",
+          "1.9", "--amplitude", "nan"], (3,)),
+        (["sweep", "--N", "3", "--s", "0.5", "--lambda-grid", "0.5",
+          "--p-grid", "1.9", "--amplitude", "inf"], (3,)),
+        (["sweep", "--N", "3", "--s", "0.5", "--lambda-grid", "0.5",
+          "--p-grid", "1.9", "--amplitude", "nan"], (3,)),
     ], ids=["dt-initial-nan", "t-max-nan", "t-max-inf", "threshold-nan",
             "potential-epsilon-nan", "sigma-max-nan", "sigma-max-inf",
             "radius-nan", "kernel-small-s", "supersolution-large-s",
             "sweep-tiny-r-min", "kappa-nan", "kappa-inf", "width-zero",
             "width-inf", "width-negative", "seed-negative",
-            "seed-negative-jobs", "phase-diagram-n-le-2s"])
+            "seed-negative-jobs", "phase-diagram-n-le-2s",
+            "simulate-amplitude-inf", "simulate-amplitude-nan",
+            "sweep-amplitude-inf", "sweep-amplitude-nan"])
     def test_command_exits_typed(self, tmp_path, capsys, argv, codes):
         # a non-finite or out-of-range number is refused as a domain error,
         # whichever check it meets first

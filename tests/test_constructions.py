@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import special
 
 from conftest import poisson_profile
 from hardyheat import constructions
@@ -255,6 +256,15 @@ class TestEnergyCriterion:
             energy_gap(base, PARAMS, 0.5)
         with pytest.raises(UnsupportedDatumError):
             energy_gap(Field(g, -base.values), PARAMS, 2.0)
+
+
+class TestBetaFactor:
+    def test_against_scipy(self):
+        # the closed-form tau-integral of C1
+        for a in np.linspace(0.6, 3.0, 9):
+            for b in np.linspace(0.1, 8.0, 12):
+                assert constructions._beta(a, b) == pytest.approx(
+                    special.beta(a, b), rel=1e-14, abs=0.0)
 
 
 class TestCriticalConstants:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from hardyheat.errors import DomainError, RegimeAmbiguityError
 from hardyheat.exponents import (ProblemParams, Regime,
@@ -211,6 +212,25 @@ class TestPowerCoupling:
     def test_peak_at_midpoint(self):
         assert power_coupling(3, 0.5, 1.0) == pytest.approx(
             hardy_constant(3, 0.5), rel=1e-13)
+
+
+class TestAgainstScipy:
+    @pytest.mark.parametrize("N", range(1, 9))
+    @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.9])
+    def test_gamma_ratios(self, N, s):
+        gamma = special.gamma
+        normalization = (2.0 ** (2 * s) * gamma((N + 2 * s) / 2)
+                         / (math.pi ** (N / 2) * abs(gamma(-s))))
+        assert pv_normalization(N, s) == pytest.approx(
+            normalization, rel=1e-14, abs=0.0)
+        if N <= 2 * s:
+            return
+        for g in np.linspace(0.0, N - 2 * s, 9)[1:-1]:
+            coupling = (2.0 ** (2 * s) * gamma((g + 2 * s) / 2)
+                        * gamma((N - g) / 2)
+                        / (gamma(g / 2) * gamma((N - 2 * s - g) / 2)))
+            assert power_coupling(N, s, g) == pytest.approx(
+                coupling, rel=1e-14, abs=0.0)
 
 
 class TestRegime:

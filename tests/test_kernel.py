@@ -3,16 +3,18 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import special
 
 from conftest import poisson_profile, poisson_profile_derivative
 from hardyheat.errors import DomainError, ProfileError
 from hardyheat.exponents import pv_normalization
 from hardyheat.constructions import check_scaling_ode
-from hardyheat.kernel import (KernelProfile, _decay_rho_edges, _profile_point,
-                              ball_mass, build_profile, check_envelope,
-                              h_value, load_profile, profile_csv,
+from hardyheat.kernel import (KernelProfile, _bessel_pair, _decay_rho_edges,
+                              _profile_point, _rgamma, ball_mass,
+                              build_profile, check_envelope, h_value,
+                              load_profile, profile_csv, profile_moment,
                               profile_origin_value, save_profile,
-                              tail_series_coefficients)
+                              sphere_area, tail_series_coefficients)
 
 
 class TestOriginValue:
@@ -101,6 +103,60 @@ class TestProfilePointOracle:
         for sigma, exact in KERNEL_ORACLE[N, s].items():
             assert _profile_point(N, s, sigma, rho_decay)[0] == pytest.approx(
                 exact, rel=1e-10)
+
+
+# every Hankel band start, the series edges and both neighbours of each
+_BESSEL_EDGES = np.array([2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 19.0, 50.0,
+                          300.0, 2000.0])
+BESSEL_GRID = np.unique(np.concatenate([
+    np.geomspace(1e-12, 2e5, 30_000), np.linspace(1.0, 60.0, 10_000),
+    _BESSEL_EDGES, np.nextafter(_BESSEL_EDGES, 0.0),
+    np.nextafter(_BESSEL_EDGES, np.inf)]))
+# 1.5 times the largest |J - jv| / max(1, |jv|) on BESSEL_GRID: 6.4e-16 at
+# integer orders, 6.7e-15 at half-integer ones, where the difference is
+# scipy's own error in jv (the closed forms agree with 40-digit values)
+BESSEL_BOUND = {0.0: 9.6e-16, 0.5: 1.0e-14}
+ORDERS_N = [(N, s) for N in range(1, 9) for s in (0.1, 0.25, 0.5, 0.75, 0.9)]
+
+
+class TestSpecialFunctionsAgainstScipy:
+    @pytest.mark.parametrize("nu", np.arange(-0.5, 4.01, 0.5).tolist())
+    def test_bessel_pair(self, nu):
+        pair = _bessel_pair(nu, BESSEL_GRID)
+        for row, order in zip(pair, (nu, nu + 1.0)):
+            ref = special.jv(order, BESSEL_GRID)
+            err = np.abs(row - ref) / np.maximum(1.0, np.abs(ref))
+            assert err.max() <= BESSEL_BOUND[order % 1.0], order
+
+    def test_rgamma_with_exact_zeros(self):
+        x = np.concatenate([-0.25 * np.arange(1, 13), -0.5 * np.arange(1, 13),
+                            np.linspace(-11.7, 11.7, 91)])
+        ref = special.rgamma(x)
+        got = np.array([_rgamma(v) for v in x])
+        assert np.count_nonzero(ref == 0.0) == 9
+        assert np.array_equal(got == 0.0, ref == 0.0)
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("N,s", ORDERS_N)
+    def test_closed_forms(self, N, s):
+        area = 2.0 * np.pi ** (N / 2) / special.gamma(N / 2)
+        assert sphere_area(N) == pytest.approx(area, rel=1e-14, abs=0.0)
+        origin = (area * (2 * np.pi) ** -N * special.gamma(N / (2 * s))
+                  / (2 * s))
+        assert profile_origin_value(N, s) == pytest.approx(
+            origin, rel=1e-14, abs=0.0)
+        for mu in np.linspace(0.0, N, 7)[:-1]:
+            moment = (2.0 ** -mu * special.gamma((N - mu) / 2)
+                      * special.gamma(1 + mu / (2 * s))
+                      / (special.gamma(N / 2) * special.gamma(1 + mu / 2)))
+            assert profile_moment(N, s, mu) == pytest.approx(
+                moment, rel=1e-14, abs=0.0)
+        k = np.arange(1, 13)
+        coeffs = ((-1.0) ** k * 2.0 ** (2 * k * s) * np.pi ** (-N / 2)
+                  * special.gamma((N + 2 * k * s) / 2) / special.factorial(k)
+                  * special.rgamma(-k * s))
+        np.testing.assert_allclose(tail_series_coefficients(N, s), coeffs,
+                                   rtol=1e-14, atol=0.0)
 
 
 class TestInterpolant:
