@@ -12,7 +12,7 @@ from .errors import (BlowupFitError, CertificationError, DomainError,
 from .exponents import (ExponentProfile, ProblemParams, Regime,
                         alpha_of_lambda, classify_regime, exponent_profile,
                         hardy_constant, lambda_of_alpha, phase_table,
-                        phase_table_csv, power_coupling, pv_normalization)
+                        power_coupling, pv_normalization)
 from .fracop import (Field, UniformGrid,
                      apply_ground_state_operator, bilinear_remainder,
                      build_ground_state_matrix,
@@ -20,12 +20,11 @@ from .fracop import (Field, UniformGrid,
                      frac_laplacian_spectral, spectral_symbol,
                      verify_power_solution)
 from .kernel import (KernelProfile, ball_mass, build_profile, check_envelope,
-                     h_value, load_profile, profile_moment,
-                     profile_origin_value, save_profile, sphere_area,
-                     tail_series_coefficients)
+                     h_value, profile_moment, profile_origin_value,
+                     sphere_area, tail_series_coefficients)
 from .solver import (RadialGrid, SolverConfig, TrajectoryReport, Verdict,
                      estimate_blowup_time, monitor_norms, run,
-                     save_trajectory, tail_linearity_residual)
+                     tail_linearity_residual)
 from .constructions import (SupersolutionParams, TestFunctionParams,
                             check_scaling_ode, choose_supersolution,
                             compare_supersolution, critical_case_constants,

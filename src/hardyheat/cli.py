@@ -2,8 +2,10 @@
 
 Every subcommand echoes the parameters it reads, and only those, into a
 manifest JSON next to its outputs, so any invocation can be reproduced
-bit-identically from the manifest alone.  Numbers in CSV files carry 17
-significant digits; JSON floats round-trip exactly.
+bit-identically from the manifest alone.  This module alone reads and
+writes files, all through _write_json (sorted keys, indent 2, trailing
+newline: JSON floats round-trip exactly) and _write_csv (floats with 17
+significant digits).
 
 Exit codes: 0 success, 2 usage, 3 domain error, 4 certification failure,
 5 numerical non-convergence.
@@ -21,13 +23,13 @@ import numpy as np
 
 from . import __version__
 from .errors import (BlowupFitError, CertificationError, DomainError,
-                     QuadratureError, RegimeAmbiguityError)
+                     ProfileError, QuadratureError, RegimeAmbiguityError)
 from .exponents import (ProblemParams, classify_regime, exponent_profile,
-                        phase_table, phase_table_csv)
+                        phase_table)
 from .fracop import Field, UniformGrid, verify_power_solution
-from .kernel import (build_profile, check_envelope, load_profile,
-                     profile_moment, save_profile)
-from .solver import RadialGrid, SolverConfig, run, save_trajectory
+from .kernel import (KernelProfile, build_profile, check_envelope,
+                     profile_moment)
+from .solver import RadialGrid, SolverConfig, TrajectoryReport, run
 from .constructions import (TestFunctionParams, check_scaling_ode,
                             choose_supersolution, critical_case_constants,
                             energy_gap, psi_differential_inequality,
@@ -58,10 +60,104 @@ def _write_manifest(args, command: str, outputs: list[str],
     if extra:
         manifest["provenance"] = extra
     path = os.path.join(_outdir(args), f"manifest_{command.replace(' ', '_')}.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(path, manifest)
     return path
+
+
+def _write_json(path, obj) -> str:
+    """Write `obj` as sorted, indented JSON with a trailing newline; the
+    text written is returned, so the same report can be printed."""
+    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    with open(path, "w") as fh:
+        fh.write(text)
+    return text
+
+
+def _write_csv(path, header: str, rows) -> None:
+    """Write the `header` line, then one line per row: strings as they
+    are, numbers with 17 significant digits."""
+    lines = [header] + [",".join(v if isinstance(v, str) else format(v, ".17g")
+                                 for v in row) for row in rows]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _sidecar(path: str, suffix: str) -> str:
+    """The JSON file that goes with output `path`: its extension, if any,
+    replaced by `suffix`.  A sidecar that would be `path` itself is
+    refused (DomainError)."""
+    side = os.path.splitext(path)[0] + suffix
+    if side == path:
+        raise DomainError(f"--out {path} would be overwritten by its own "
+                          f"JSON sidecar; give it another name")
+    return side
+
+
+def save_profile(profile: KernelProfile, csv_path, json_path) -> dict:
+    """Write the table (sigma, H, H') and its JSON header; the header is
+    returned."""
+    _write_csv(csv_path, "sigma,H,Hprime",
+               zip(profile.sigma_grid, profile.H_values,
+                   profile.Hprime_values))
+    header = {
+        "N": profile.N, "s": profile.s,
+        "sigma_max": profile.sigma_max,
+        "n_points": int(len(profile.sigma_grid)),
+        "mass": profile.mass,
+        "envelope_constant": check_envelope(profile),
+    }
+    _write_json(json_path, header)
+    return header
+
+
+def load_profile(csv_path, json_path) -> KernelProfile:
+    """The table save_profile wrote.  Refuses (ProfileError) a missing file,
+    a header without N, s and mass, or a table that is not three columns
+    of numbers."""
+    try:
+        with open(json_path) as fh:
+            header = json.load(fh)
+        N, s = int(header["N"]), float(header["s"])
+        mass = float(header["mass"])
+        sigma, H, Hp = np.loadtxt(csv_path, delimiter=",", skiprows=1,
+                                  usecols=(0, 1, 2), ndmin=2, unpack=True)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ProfileError(f"unreadable kernel table: {exc}") from None
+    return KernelProfile(N=N, s=s, sigma_grid=sigma, H_values=H,
+                         Hprime_values=Hp, mass=mass)
+
+
+def save_trajectory(report: TrajectoryReport, csv_path, json_path) -> None:
+    """Write the checkpoint monitors and the verdict record of a run."""
+    _write_csv(csv_path, "t,weighted_mass,critical_norm,l2,energy",
+               zip(report.times, report.weighted_mass_series,
+                   report.critical_norm_series, report.l2_series,
+                   report.energy_series))
+    cfg = report.config
+    grid = cfg.grid
+    box = isinstance(grid, UniformGrid)
+    _write_json(json_path, {
+        "verdict": report.verdict.kind,
+        "t_star": report.verdict.t_star,
+        "reason": report.verdict.reason,
+        "params": {"N": cfg.params.N, "s": cfg.params.s,
+                   "lambda": cfg.params.lam, "p": cfg.params.p},
+        "formulation": "direct" if box else "ground_state",
+        "diffusion": cfg.diffusion,
+        "potential_epsilon": cfg.potential_epsilon,
+        "dt_initial": cfg.dt_initial,
+        "dt_safety": cfg.dt_safety,
+        "t_max": cfg.t_max,
+        "blowup_threshold": cfg.blowup_threshold,
+        "grid": ({"type": "uniform", "N": grid.N,
+                  "half_width": grid.half_width,
+                  "points_per_axis": grid.points_per_axis} if box else
+                 {"type": "radial", "r_min": grid.r_min, "r_max": grid.r_max,
+                  "n_points": grid.n_points}),
+        "steps": {"accepted": report.steps_accepted,
+                  "full": report.steps_full,
+                  "rejected": report.steps_rejected},
+    })
 
 
 def _parse_grid_spec(spec: str) -> np.ndarray:
@@ -125,8 +221,9 @@ def _cmd_phase_diagram(args) -> int:
     grid = _parse_grid_spec(args.lambda_grid)
     rows, errors = phase_table(args.N, args.s, grid)
     out = os.path.join(_outdir(args), args.out)
-    with open(out, "w") as fh:
-        fh.write(phase_table_csv(rows))
+    _write_csv(out, "lambda,alpha,mu,p_minus,p_plus,fujita",
+               [(r.lam, r.alpha, r.mu, r.p_minus, r.p_plus, r.fujita)
+                for r in rows])
     for lam, msg in errors:
         print(f"skipped lambda={lam!r}: {msg}", file=sys.stderr)
     _write_manifest(args, "phase-diagram", [out],
@@ -136,19 +233,16 @@ def _cmd_phase_diagram(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    outdir = _outdir(args)
+    csv_path = os.path.join(_outdir(args), args.out)
+    json_path = _sidecar(csv_path, ".json")
     if args.action == "build":
         prof = build_profile(args.N, args.s, args.sigma_max, args.n_points)
-        csv_path = os.path.join(outdir, args.out)
-        json_path = csv_path.rsplit(".", 1)[0] + ".json"
-        save_profile(prof, csv_path, json_path)
+        header = save_profile(prof, csv_path, json_path)
         _write_manifest(args, "kernel_build", [csv_path, json_path],
-                        {"mass": prof.mass,
-                         "envelope_constant": check_envelope(prof)})
+                        {key: header[key]
+                         for key in ("mass", "envelope_constant")})
         print(csv_path)
         return EXIT_OK
-    csv_path = os.path.join(outdir, args.out)
-    json_path = csv_path.rsplit(".", 1)[0] + ".json"
     prof = load_profile(csv_path, json_path)
     if (prof.N, prof.s) != (args.N, args.s):
         raise DomainError(f"{json_path} holds a table for N={prof.N}, "
@@ -168,7 +262,6 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    outdir = _outdir(args)
     report: dict = {"check": args.check}
     ok = True
     if args.check == "lemma21":
@@ -213,12 +306,9 @@ def _cmd_verify(args) -> int:
         report.update({"C1": c1, "C3": c3, "C1_refinement_delta": d1,
                        "C3_refinement_delta": d3})
         ok = np.isfinite(c1) and np.isfinite(c3)
-    path = os.path.join(outdir, f"verify_{args.check}.json")
+    path = os.path.join(_outdir(args), f"verify_{args.check}.json")
     report["pass"] = bool(ok)
-    with open(path, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    print(json.dumps(report, sort_keys=True, indent=2))
+    print(_write_json(path, report), end="")
     _write_manifest(args, f"verify_{args.check}", [path])
     return EXIT_OK if ok else EXIT_CERTIFICATION
 
@@ -268,6 +358,8 @@ def _run_one(cell):
 
 
 def _cmd_simulate(args) -> int:
+    csv_path = os.path.join(_outdir(args), args.out)
+    json_path = _sidecar(csv_path, "_verdict.json")
     params = ProblemParams(args.N, args.s, args.lam, args.p)
     if args.formulation == "direct":
         grid = UniformGrid(args.N, args.half_width, args.points)
@@ -284,9 +376,6 @@ def _cmd_simulate(args) -> int:
                        potential_epsilon=args.potential_epsilon,
                        n_monitor=args.n_monitor)
     rep = run(datum, cfg)
-    outdir = _outdir(args)
-    csv_path = os.path.join(outdir, args.out)
-    json_path = csv_path.rsplit(".", 1)[0] + "_verdict.json"
     save_trajectory(rep, csv_path, json_path)
     _write_manifest(args, "simulate", [csv_path, json_path],
                     {"verdict": rep.verdict.kind,
@@ -298,6 +387,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise DomainError(f"--jobs must be at least 1, got {args.jobs}")
     lam_grid = _parse_grid_spec(args.lambda_grid)
     p_grid = _parse_grid_spec(args.p_grid)
     cells = [(args, float(lam), float(p)) for lam in lam_grid for p in p_grid]
@@ -308,18 +399,14 @@ def _cmd_sweep(args) -> int:
     else:
         results = [_run_one(cell) for cell in cells]
     results.sort(key=lambda row: (row[0], row[1]))
-    outdir = _outdir(args)
-    out = os.path.join(outdir, args.out)
-    with open(out, "w") as fh:
-        fh.write("lambda,p,verdict,t_star,final_weighted_mass,regime,"
-                 "regime_conflict\n")
-        for lam, p, verdict, t_star, wm, regime in results:
-            # no solution exists past p_plus, so any verdict but
-            # inconclusive there contradicts the theory
-            conflict = int(regime == "non_existence"
-                           and verdict != "inconclusive")
-            fh.write(f"{lam:.17g},{p:.17g},{verdict},{t_star:.17g},{wm:.17g},"
-                     f"{regime},{conflict}\n")
+    out = os.path.join(_outdir(args), args.out)
+    # no solution exists past p_plus, so any verdict but inconclusive there
+    # contradicts the theory
+    _write_csv(out, "lambda,p,verdict,t_star,final_weighted_mass,regime,"
+               "regime_conflict",
+               [(lam, p, verdict, t_star, wm, regime,
+                 int(regime == "non_existence" and verdict != "inconclusive"))
+                for lam, p, verdict, t_star, wm, regime in results])
     _write_manifest(args, "sweep", [out], {"cells": len(results)})
     print(out)
     return EXIT_OK

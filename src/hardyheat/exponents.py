@@ -28,7 +28,7 @@ __all__ = [
     "ProblemParams", "ExponentProfile", "Regime",
     "hardy_constant", "lambda_of_alpha", "alpha_of_lambda", "power_coupling",
     "pv_normalization", "exponent_profile", "classify_regime",
-    "phase_table", "phase_table_csv",
+    "phase_table",
 ]
 
 # Right endpoint of the alpha bracket is pulled in by this margin, or by
@@ -264,13 +264,3 @@ def phase_table(N: int, s: float, lambda_grid) -> tuple[list[ExponentProfile], l
             continue
         rows.append(prof)
     return rows, errors
-
-
-def phase_table_csv(rows: list[ExponentProfile]) -> str:
-    """Serialize the lambda, alpha, mu, p_minus, p_plus and fujita of each
-    row with full double precision."""
-    lines = ["lambda,alpha,mu,p_minus,p_plus,fujita"]
-    for r in rows:
-        lines.append(",".join(format(v, ".17g") for v in
-                              (r.lam, r.alpha, r.mu, r.p_minus, r.p_plus, r.fujita)))
-    return "\n".join(lines) + "\n"

@@ -25,7 +25,6 @@ meet the series at its edge.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -38,8 +37,7 @@ from .quadrature import panel_nodes
 __all__ = [
     "KernelProfile", "build_profile", "h_value", "check_envelope",
     "sphere_area", "ball_mass", "profile_origin_value", "profile_moment",
-    "tail_series_coefficients", "tail_mass_beyond", "save_profile",
-    "load_profile", "profile_csv",
+    "tail_series_coefficients", "tail_mass_beyond",
 ]
 
 _U_MAX = 46.0          # e^{-46} ~ 1e-20: decay-factor truncation
@@ -492,43 +490,3 @@ def check_envelope(profile: KernelProfile) -> float:
     if not math.isfinite(C):
         raise ProfileError("envelope constant not finite")
     return C
-
-
-def profile_csv(profile: KernelProfile) -> str:
-    lines = ["sigma,H,Hprime"]
-    for sg, h, hp in zip(profile.sigma_grid, profile.H_values,
-                         profile.Hprime_values):
-        lines.append(",".join(format(v, ".17g") for v in (sg, h, hp)))
-    return "\n".join(lines) + "\n"
-
-
-def save_profile(profile: KernelProfile, csv_path, json_path) -> None:
-    with open(csv_path, "w") as fh:
-        fh.write(profile_csv(profile))
-    header = {
-        "N": profile.N, "s": profile.s,
-        "sigma_max": profile.sigma_max,
-        "n_points": int(len(profile.sigma_grid)),
-        "mass": profile.mass,
-        "envelope_constant": check_envelope(profile),
-    }
-    with open(json_path, "w") as fh:
-        json.dump(header, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def load_profile(csv_path, json_path) -> KernelProfile:
-    """The table save_profile wrote.  Refuses (ProfileError) a missing file,
-    a header without N, s and mass, or a table that is not three columns
-    of numbers."""
-    try:
-        with open(json_path) as fh:
-            header = json.load(fh)
-        N, s = int(header["N"]), float(header["s"])
-        mass = float(header["mass"])
-        sigma, H, Hp = np.loadtxt(csv_path, delimiter=",", skiprows=1,
-                                  usecols=(0, 1, 2), ndmin=2, unpack=True)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise ProfileError(f"unreadable kernel table: {exc}") from None
-    return KernelProfile(N=N, s=s, sigma_grid=sigma, H_values=H,
-                         Hprime_values=Hp, mass=mass)

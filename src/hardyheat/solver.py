@@ -28,7 +28,6 @@ inconclusive.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -43,7 +42,7 @@ from .kernel import sphere_area
 __all__ = [
     "RadialGrid", "SolverConfig", "Verdict", "TrajectoryReport",
     "GroundStateOperator", "ground_state_operator", "run", "monitor_norms",
-    "estimate_blowup_time", "tail_linearity_residual", "save_trajectory",
+    "estimate_blowup_time", "tail_linearity_residual",
 ]
 
 
@@ -702,46 +701,3 @@ def _advance(state, config, step, rate, monitors, weighted_mass, store,
         tail_weighted_mass=np.array(tail_y[-4000:]), r_grid=r_grid,
         fields=fields or None, steps_accepted=len(tail_t) - 1,
         steps_rejected=rejected, steps_full=full)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def save_trajectory(report: TrajectoryReport, csv_path, json_path) -> None:
-    with open(csv_path, "w") as fh:
-        fh.write("t,weighted_mass,critical_norm,l2,energy\n")
-        for row in zip(report.times, report.weighted_mass_series,
-                       report.critical_norm_series, report.l2_series,
-                       report.energy_series):
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-    cfg = report.config
-    grid = cfg.grid
-    grid_desc = (
-        {"type": "uniform", "N": grid.N, "half_width": grid.half_width,
-         "points_per_axis": grid.points_per_axis}
-        if isinstance(grid, UniformGrid) else
-        {"type": "radial", "r_min": grid.r_min, "r_max": grid.r_max,
-         "n_points": grid.n_points})
-    record = {
-        "verdict": report.verdict.kind,
-        "t_star": report.verdict.t_star,
-        "reason": report.verdict.reason,
-        "params": {"N": cfg.params.N, "s": cfg.params.s,
-                   "lambda": cfg.params.lam, "p": cfg.params.p},
-        "formulation": ("direct" if isinstance(grid, UniformGrid)
-                        else "ground_state"),
-        "diffusion": cfg.diffusion,
-        "potential_epsilon": cfg.potential_epsilon,
-        "dt_initial": cfg.dt_initial,
-        "dt_safety": cfg.dt_safety,
-        "t_max": cfg.t_max,
-        "blowup_threshold": cfg.blowup_threshold,
-        "grid": grid_desc,
-        "steps": {"accepted": report.steps_accepted,
-                  "full": report.steps_full,
-                  "rejected": report.steps_rejected},
-    }
-    with open(json_path, "w") as fh:
-        json.dump(record, fh, sort_keys=True, indent=2)
-        fh.write("\n")

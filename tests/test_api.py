@@ -14,6 +14,9 @@ are exempt.
 Every exported name exists: each name in a module's __all__ is defined in
 that module, and each name the package root imports from a module is in
 that module's __all__ (or public, in a module without one).
+
+Only the command line touches files: no other module imports json or
+calls open (or numpy's text readers and writers).
 """
 import ast
 from pathlib import Path
@@ -195,3 +198,33 @@ def test_imports_only_at_module_level_and_down_the_stack():
                         for target in _imported_modules(node)
                         if target not in below]
     assert bad == []
+
+
+# calls that open a file, by called name
+FILE_CALLS = {"open", "loadtxt", "savetxt", "genfromtxt"}
+
+
+def _file_access(tree: ast.Module) -> list[str]:
+    """Imports of json and calls that open a file, with their lines."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [f"imports {a.name} at line {node.lineno}"
+                      for a in node.names if a.name.split(".")[0] == "json"]
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and (node.module or "").split(".")[0] == "json"):
+            found.append(f"imports from {node.module} at line {node.lineno}")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            if name in FILE_CALLS:
+                found.append(f"calls {name} at line {node.lineno}")
+    return found
+
+
+def test_only_cli_reads_and_writes_files():
+    found = {p.stem: _file_access(ast.parse(p.read_text()))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert found.pop("cli")
+    assert {name: uses for name, uses in found.items() if uses} == {}

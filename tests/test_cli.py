@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from hardyheat import cli, solver
-from hardyheat.cli import main
-from hardyheat.kernel import save_profile
+from hardyheat.cli import main, save_profile
 
 
 def run_cli(args, tmp_path):
@@ -183,6 +182,39 @@ class TestKernelCommand:
                         "--out", "k.csv"], tmp_path)
         assert code == 4
         assert "table edge" in capsys.readouterr().err
+
+
+class TestSidecarPaths:
+    """The JSON beside a table or trajectory takes the name of the --out
+    file with its extension replaced, in the same directory."""
+
+    def test_kernel_header_stays_beside_its_table(self, tmp_path, capsys):
+        (tmp_path / "a.b").mkdir()
+        for action in (["build", "--n-points", "33"], ["check"]):
+            assert run_cli(["kernel", *action, "--N", "3", "--s", "0.5",
+                            "--out", "a.b/k"], tmp_path) == 0
+        assert (tmp_path / "a.b" / "k.json").exists()
+        assert not (tmp_path / "a.json").exists()
+
+    def test_simulate_verdict_stays_beside_its_trajectory(self, tmp_path,
+                                                          capsys):
+        (tmp_path / "a.b").mkdir()
+        assert run_cli(["simulate", "--N", "3", "--s", "0.5", "--lambda",
+                        "0.5", "--p", "1.2", "--points", "32", "--t-max",
+                        "0.5", "--out", "a.b/t"], tmp_path) == 0
+        assert (tmp_path / "a.b" / "t_verdict.json").exists()
+        assert not (tmp_path / "a_verdict.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "build", "--N", "3", "--s", "0.5", "--n-points", "33",
+         "--out", "k.json"],
+        ["kernel", "check", "--N", "3", "--s", "0.5", "--out", "k.json"],
+    ], ids=["build", "check"])
+    def test_table_named_like_its_header_is_refused(self, tmp_path, capsys,
+                                                    argv):
+        assert run_cli(argv, tmp_path) == 3
+        assert "JSON sidecar" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 LEAF_FLAGS = {
@@ -528,6 +560,12 @@ class TestTypedExits:
           "--p-grid", "1.9", "--amplitude", "inf"], (3,)),
         (["sweep", "--N", "3", "--s", "0.5", "--lambda-grid", "0.5",
           "--p-grid", "1.9", "--amplitude", "nan"], (3,)),
+        (["sweep", "--N", "3", "--s", "0.5", "--lambda-grid", "0.5",
+          "--p-grid", "1.9", "--points", "32", "--t-max", "0.5",
+          "--jobs", "0"], (3,)),
+        (["sweep", "--N", "3", "--s", "0.5", "--lambda-grid", "0.5",
+          "--p-grid", "1.9", "--points", "32", "--t-max", "0.5",
+          "--jobs", "-2"], (3,)),
     ], ids=["dt-initial-nan", "t-max-nan", "t-max-inf", "threshold-nan",
             "potential-epsilon-nan", "sigma-max-nan", "sigma-max-inf",
             "radius-nan", "kernel-small-s", "supersolution-large-s",
@@ -535,7 +573,8 @@ class TestTypedExits:
             "width-inf", "width-negative", "seed-negative",
             "seed-negative-jobs", "phase-diagram-n-le-2s",
             "simulate-amplitude-inf", "simulate-amplitude-nan",
-            "sweep-amplitude-inf", "sweep-amplitude-nan"])
+            "sweep-amplitude-inf", "sweep-amplitude-nan", "jobs-zero",
+            "jobs-negative"])
     def test_command_exits_typed(self, tmp_path, capsys, argv, codes):
         # a non-finite or out-of-range number is refused as a domain error,
         # whichever check it meets first

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from hardyheat.cli import main
 from hardyheat.errors import DomainError, RegimeAmbiguityError
 from hardyheat.exponents import (ProblemParams, Regime,
                                  alpha_of_lambda, classify_regime,
                                  exponent_profile, hardy_constant,
                                  lambda_of_alpha, phase_table,
-                                 phase_table_csv, power_coupling,
-                                 pv_normalization)
+                                 power_coupling, pv_normalization)
 
 # valid (N, s) combinations with N > 2s used by sweep-style tests
 NS_GRID = [(1, 0.25), (2, 0.25), (2, 0.5), (2, 0.75),
@@ -297,10 +297,11 @@ class TestPhaseTable:
         with pytest.raises(DomainError, match="N > 2s"):
             phase_table(1, 0.5, [0.1, 0.2])
 
-    def test_csv_format(self):
-        rows, _ = phase_table(3, 0.5, [0.5])
-        text = phase_table_csv(rows)
-        lines = text.strip().split("\n")
+    def test_csv_format(self, tmp_path):
+        assert main(["--outdir", str(tmp_path), "phase-diagram", "--N", "3",
+                     "--s", "0.5", "--lambda-grid", "0.5"]) == 0
+        lines = (tmp_path / "phase.csv").read_text().splitlines()
+        assert len(lines) == 2
         assert lines[0] == "lambda,alpha,mu,p_minus,p_plus,fujita"
         cells = lines[1].split(",")
         assert len(cells) == 6

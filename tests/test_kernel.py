@@ -8,12 +8,12 @@ from scipy import special
 from conftest import poisson_profile, poisson_profile_derivative
 from hardyheat.errors import DomainError, ProfileError
 from hardyheat.exponents import pv_normalization
+from hardyheat.cli import load_profile, save_profile
 from hardyheat.constructions import check_scaling_ode
 from hardyheat.kernel import (KernelProfile, _bessel_pair, _decay_rho_edges,
                               _profile_point, _rgamma, ball_mass,
                               build_profile, check_envelope, h_value,
-                              load_profile, profile_csv, profile_moment,
-                              profile_origin_value, save_profile,
+                              profile_moment, profile_origin_value,
                               sphere_area, tail_series_coefficients)
 
 
@@ -342,5 +342,7 @@ class TestSerialization:
         np.testing.assert_allclose(back.H_values, prof_1_05.H_values)
         assert back.mass == prof_1_05.mass
 
-    def test_csv_header(self, prof_1_05):
-        assert profile_csv(prof_1_05).splitlines()[0] == "sigma,H,Hprime"
+    def test_csv_header(self, tmp_path, prof_1_05):
+        csv = tmp_path / "prof.csv"
+        save_profile(prof_1_05, csv, tmp_path / "prof.json")
+        assert csv.read_text().splitlines()[0] == "sigma,H,Hprime"

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from hardyheat import solver
+from hardyheat.cli import save_trajectory
 from hardyheat.errors import BlowupFitError, DomainError, QuadratureError
 from hardyheat.exponents import ProblemParams, exponent_profile
 from hardyheat.fracop import Field, UniformGrid
 from hardyheat.kernel import sphere_area
 from hardyheat.solver import (RadialGrid, SolverConfig, Verdict,
                               estimate_blowup_time, ground_state_operator,
-                              monitor_norms, run, save_trajectory,
-                              tail_linearity_residual)
+                              monitor_norms, run, tail_linearity_residual)
 
 
 def radial_bump(amplitude=1.0, width=1.0):
@@ -224,6 +224,26 @@ class TestRunBasics:
         drift = abs(rep.weighted_mass_series[-1]
                     - rep.weighted_mass_series[0])
         assert drift <= 1e-6 * rep.weighted_mass_series[0]
+
+    @pytest.mark.parametrize("lam, drift_128, drift_256",
+                             [(0.5, 4.46e-2, 2.33e-2),
+                              (0.2, 5.78e-2, 2.79e-2)],
+                             ids=["lambda-0.5", "lambda-0.2"])
+    def test_ground_state_linear_flow_mass(self, lam, drift_128, drift_256):
+        # L 1 = 0 for the ground state |x|^{-mu}, so the linear flow
+        # conserves int v |x|^{-2 mu} dx exactly.  The scheme's drift is
+        # first order in n; the bounds are 1.2x the drifts measured at
+        # n = 128 and 256, and a scheme that conserves to rounding passes
+        drift = {}
+        for n in (128, 256):
+            cfg = SolverConfig(params=ProblemParams(3, 0.5, lam, 2.0),
+                               grid=RadialGrid(1e-3, 1e3, n), t_max=10.0,
+                               dt_initial=0.02, reaction_enabled=False)
+            wm = run(GAUSSIAN, cfg).weighted_mass_series
+            drift[n] = abs(wm[-1] / wm[0] - 1.0)
+        assert drift[128] <= 1.2 * drift_128
+        assert drift[256] <= 1.2 * drift_256
+        assert drift[256] <= 1e-12 or math.log2(drift[128] / drift[256]) >= 0.8
 
     def test_step_budget_exhausted_inconclusive(self, monkeypatch):
         # with the default budget this run blows up (t* ~ 0.0206); a
