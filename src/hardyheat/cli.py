@@ -389,6 +389,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise DomainError(f"--jobs must be at least 1, got {args.jobs}")
+    # every cell rebuilds the datum; refuse its flags before any worker starts
+    _make_datum(args.u0, args.amplitude, args.width, args.seed)
     lam_grid = _parse_grid_spec(args.lambda_grid)
     p_grid = _parse_grid_spec(args.p_grid)
     cells = [(args, float(lam), float(p)) for lam in lam_grid for p in p_grid]

@@ -15,12 +15,14 @@ aligned with the Bessel oscillation and graded against the stretched-
 exponential decay, so the same machinery covers s near 0 (slow decay, many
 oscillations) and s near 1.
 
-Past the table the profile is the series H(sigma) = sum_k c_k
-sigma^{-(N+2ks)} with explicitly known coefficients (Bergstrom's series for
-stable densities); the leading one equals the principal-value
-normalization constant of (-Delta)^s.  Values, slopes and the mass beyond
-the table all use that series, and every table checks that its H and H'
-meet the series at its edge.
+Far out the profile is the series H(sigma) = sum_k c_k sigma^{-(N+2ks)}
+with explicitly known coefficients (Bergstrom's series for stable
+densities); the leading one equals the principal-value normalization
+constant of (-Delta)^s.  The table's knots from the crossover sigma_c on,
+the values and slopes past the table and the mass beyond it all use the
+first _TAIL_TERMS terms of that series.  Each table certifies the join
+where the quadrature meets the series, at sigma_c, and every table, also
+one read from disk, that its H and H' meet the series at its edge.
 """
 from __future__ import annotations
 
@@ -44,8 +46,10 @@ _U_MAX = 46.0          # e^{-46} ~ 1e-20: decay-factor truncation
 _TWO_PI = 2.0 * math.pi
 _ORDER = 10            # Gauss order of the oscillatory panels
 _MAX_OSC_PANELS = 200_000
-_TAIL_TERMS = 12       # terms of the far-field series
-_EDGE_TOL = 1e-8       # relative mismatch of table and series at sigma_max
+_TAIL_TERMS = 24       # terms of the far-field series
+_SERIES_TOL = 1e-13    # series knots: both omitted terms below this share
+                       # of the leading one
+_EDGE_TOL = 1e-8       # relative mismatch of quadrature or table and series
 _SLOPE_EDGE_TOL = 1e-6  # the same for H'
 
 
@@ -311,6 +315,16 @@ def tail_series_coefficients(N: int, s: float,
                      * _rgamma(-k * s) for k in range(1, k_max + 1)])
 
 
+def _series_crossover(N: int, s: float) -> float:
+    """sigma_c: the smallest sigma at which the two terms after the first
+    _TAIL_TERMS of the far-field series are both below _SERIES_TOL of the
+    leading term.  Term k is |c_k / c_1| sigma^{-2(k-1)s} times term 1."""
+    c = np.abs(tail_series_coefficients(N, s, _TAIL_TERMS + 2))
+    k = np.arange(_TAIL_TERMS + 1, _TAIL_TERMS + 3)
+    return float(np.max((c[-2:] / (_SERIES_TOL * c[0]))
+                        ** (0.5 / ((k - 1) * s))))
+
+
 def tail_mass_beyond(N: int, s: float, sigma0: float,
                      mu: float = 0.0) -> float:
     """omega_{N-1} int_{sigma0}^inf sigma^{N-1-mu} H(sigma) dsigma via the
@@ -418,19 +432,30 @@ class KernelProfile:
             raise ProfileError("H is not strictly decreasing")
         if np.any(Hp > 1e-12 * H[0]):
             raise ProfileError("H' has positive entries")
-        for name, order, table, tol in (("H", 0, H, _EDGE_TOL),
-                                        ("H'", 1, Hp, _SLOPE_EDGE_TOL)):
-            edge = float(abs(self._far_field(self.sigma_grid[-1], order)
-                             / table[-1] - 1))
-            if not edge <= tol:
+        self._check_join(-1, H[-1], Hp[-1], "table edge sigma_max")
+
+    def _check_join(self, i: int, h: float, hp: float, where: str) -> None:
+        """Refuse (ProfileError) values h, hp of H and H' at knot i that the
+        far-field series misses by more than _EDGE_TOL, _SLOPE_EDGE_TOL
+        relative."""
+        sigma = self.sigma_grid[i]
+        for name, order, value, tol in (("H", 0, h, _EDGE_TOL),
+                                        ("H'", 1, hp, _SLOPE_EDGE_TOL)):
+            miss = float(abs(self._far_field(sigma, order) / value - 1))
+            if not miss <= tol:
                 raise ProfileError(
-                    f"far-field {name} misses the table edge sigma_max="
-                    f"{self.sigma_max} by {edge:.2e} relative")
+                    f"far-field {name} misses the {where}={sigma} by "
+                    f"{miss:.2e} relative")
 
 
 def build_profile(N: int, s: float, sigma_max: float,
                   n_points: int) -> KernelProfile:
-    """Tabulate H and H' on a grid geometric in 1+sigma.
+    """Tabulate H and H' on a grid geometric in 1+sigma: by quadrature
+    below the crossover sigma_c (_series_crossover), by the far-field
+    series from the first knot at or past it on.  That knot is also
+    computed by quadrature, and the two must agree to _EDGE_TOL in H and
+    _SLOPE_EDGE_TOL in H' (ProfileError otherwise).  With no knot past
+    sigma_c the table is all quadrature.
 
     Raises QuadratureError when a point's oscillatory quadrature cannot be
     trusted (reported with the offending sigma).
@@ -444,21 +469,29 @@ def build_profile(N: int, s: float, sigma_max: float,
     sigma = (1.0 + sigma_max) ** np.linspace(0.0, 1.0, n_points) - 1.0
     sigma[0] = 0.0
     sigma[-1] = sigma_max
+    first = int(np.searchsorted(sigma, _series_crossover(N, s)))
+    quad = sigma[:first + 1]
     H = np.empty(n_points)
     Hp = np.empty(n_points)
     rho_decay = _decay_rho_edges(s)
-    for i, sg in enumerate(sigma):
+    for i, sg in enumerate(quad):
         try:
             H[i], Hp[i] = _profile_point(N, s, float(sg), rho_decay)
         except QuadratureError as exc:
             raise QuadratureError(f"sigma={sg}: {exc}") from exc
-    if np.any(~np.isfinite(H)) or np.any(H <= 0.0):
-        bad = sigma[np.where(~np.isfinite(H) | (H <= 0.0))[0][0]]
-        raise QuadratureError(f"quadrature produced invalid H at sigma={bad}")
+    h = H[:quad.size]
+    bad = ~np.isfinite(h) | (h <= 0.0)
+    if np.any(bad):
+        raise QuadratureError(
+            f"quadrature produced invalid H at sigma={quad[bad][0]}")
 
     mass = ball_mass(N, s, sigma_max) + tail_mass_beyond(N, s, sigma_max)
     prof = KernelProfile(N=N, s=s, sigma_grid=sigma, H_values=H,
                          Hprime_values=Hp, mass=mass)
+    if first < n_points:
+        prof._check_join(first, H[first], Hp[first], "quadrature at sigma_c")
+        H[first:] = prof._far_field(sigma[first:], 0)
+        Hp[first:] = prof._far_field(sigma[first:], 1)
     prof.validate()
     return prof
 

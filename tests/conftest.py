@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hardyheat import solver
+from hardyheat import kernel, solver
 from hardyheat.kernel import build_profile
 
 
@@ -55,6 +55,20 @@ def matrix_builds(monkeypatch):
     monkeypatch.setattr(solver, "build_ground_state_matrix", counted)
     yield calls
     solver.ground_state_operator.cache_clear()
+
+
+@pytest.fixture
+def perturbed_series(monkeypatch):
+    """The far-field series with its leading coefficient 1e-6 (relative)
+    off, for every kernel table built in the test."""
+    exact = kernel.tail_series_coefficients
+
+    def perturbed(*args):
+        c = exact(*args)
+        c[0] *= 1.0 + 1e-6
+        return c
+
+    monkeypatch.setattr(kernel, "tail_series_coefficients", perturbed)
 
 
 def poisson_profile(N, sigma):

@@ -183,6 +183,14 @@ class TestKernelCommand:
         assert code == 4
         assert "table edge" in capsys.readouterr().err
 
+    def test_join_mismatch_exits_certification(self, tmp_path, capsys,
+                                               perturbed_series):
+        code = run_cli(["kernel", "build", "--N", "3", "--s", "0.5",
+                        "--n-points", "33", "--out", "k.csv"], tmp_path)
+        assert code == 4
+        assert "quadrature at sigma_c" in capsys.readouterr().err
+        assert not (tmp_path / "k.csv").exists()
+
 
 class TestSidecarPaths:
     """The JSON beside a table or trajectory takes the name of the --out
@@ -318,6 +326,19 @@ class TestSweep:
             verdicts[float(p)] = verdict
         assert verdicts[1.2] == "blew_up"
         assert verdicts[2.0] == "survived"
+
+    def test_datum_refused_before_the_pool(self, tmp_path, capsys,
+                                           monkeypatch):
+        def no_pool(*args, **kwargs):
+            pytest.fail("sweep started a process pool")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        code = run_cli(["sweep", "--N", "3", "--s", "0.5",
+                        "--lambda-grid", "0.5", "--p-grid", "1.9,2.0",
+                        "--u0", "random-bumps", "--seed", "-1",
+                        "--jobs", "2"], tmp_path)
+        assert code == 3
+        assert "--seed must be nonnegative" in capsys.readouterr().err
 
 
     def test_regime_column(self, tmp_path):

@@ -10,11 +10,12 @@ from hardyheat.errors import DomainError, ProfileError
 from hardyheat.exponents import pv_normalization
 from hardyheat.cli import load_profile, save_profile
 from hardyheat.constructions import check_scaling_ode
-from hardyheat.kernel import (KernelProfile, _bessel_pair, _decay_rho_edges,
-                              _profile_point, _rgamma, ball_mass,
-                              build_profile, check_envelope, h_value,
-                              profile_moment, profile_origin_value,
-                              sphere_area, tail_series_coefficients)
+from hardyheat.kernel import (_TAIL_TERMS, KernelProfile, _bessel_pair,
+                              _decay_rho_edges, _profile_point, _rgamma,
+                              _series_crossover, ball_mass, build_profile,
+                              check_envelope, h_value, profile_moment,
+                              profile_origin_value, sphere_area,
+                              tail_series_coefficients)
 
 
 class TestOriginValue:
@@ -105,6 +106,28 @@ class TestProfilePointOracle:
                 exact, rel=1e-10)
 
 
+    @pytest.mark.parametrize("N", [2, 4])
+    def test_matches_small_sigma_series_at_even_dimension(self, N):
+        # for s > 1/2 expanding the Bessel function of the Fourier integral
+        # term by term gives a series convergent at every sigma,
+        #   H = sum_m (-1)^m Gamma((N+2m)/(2s)) sigma^{2m}
+        #       / (s 2^{N+2m} pi^{N/2} m! Gamma(m+N/2)),
+        # which matches 40-digit values to 1.8e-14 at these points
+        s = 0.75
+        rho_decay = _decay_rho_edges(s)
+        for sigma in (0.5, 1.0, 2.0):
+            series, m, term = 0.0, 0, math.inf
+            while abs(term) > 1e-18 * abs(series):
+                term = ((-1) ** m * math.gamma((N + 2 * m) / (2 * s))
+                        * sigma ** (2 * m)
+                        / (s * 2.0 ** (N + 2 * m) * math.pi ** (N / 2)
+                           * math.factorial(m) * math.gamma(m + N / 2)))
+                series += term
+                m += 1
+            assert _profile_point(N, s, sigma, rho_decay)[0] == pytest.approx(
+                series, rel=1e-12)
+
+
 # every Hankel band start, the series edges and both neighbours of each
 _BESSEL_EDGES = np.array([2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 19.0, 50.0,
                           300.0, 2000.0])
@@ -151,7 +174,7 @@ class TestSpecialFunctionsAgainstScipy:
                       / (special.gamma(N / 2) * special.gamma(1 + mu / 2)))
             assert profile_moment(N, s, mu) == pytest.approx(
                 moment, rel=1e-14, abs=0.0)
-        k = np.arange(1, 13)
+        k = np.arange(1, _TAIL_TERMS + 1)
         coeffs = ((-1.0) ** k * 2.0 ** (2 * k * s) * np.pi ** (-N / 2)
                   * special.gamma((N + 2 * k * s) / 2) / special.factorial(k)
                   * special.rgamma(-k * s))
@@ -238,6 +261,76 @@ class TestFarField:
                             mass=prof_1_05.mass, **table)
         with pytest.raises(ProfileError, match="table edge"):
             bad.validate()
+
+
+# H' of the (3, 1/4) table at its knot 311, sigma = 51^{311/320} - 1, as
+# -2 pi sigma H_5(sigma), to 20 digits.  H_5 by mpmath at 40 digits two
+# ways: the 1-D form of the N = 5 Fourier integral,
+#   H_5 = (sigma^{-3} int x e^{-x^{2s}} sin(sigma x) dx
+#          - sigma^{-2} int x^2 e^{-x^{2s}} cos(sigma x) dx) / (4 pi^3),
+# on the contour x = i y, where the oscillation turns into e^{-sigma y};
+# and Bergstrom's series at N = 5, summed until it converges.  The two
+# agree to 1e-40.
+SLOPE_ORACLE_SIGMA = 44.66093127726423
+SLOPE_ORACLE = -5.2031744037188841275e-09
+# the largest relative gap between quadrature and series over the knots
+# of the 161-point tables at sigma_max = 50 below is 5.8e-13 in H and
+# 2.1e-12 in H', at the first series knot
+JOIN_CASES = [(1, 0.25), (2, 0.25), (3, 0.25), (3, 0.5), (4, 0.5),
+              (2, 0.75), (3, 0.75), (1, 0.9)]
+
+
+class TestSeriesKnots:
+    # the worst relative error over all 321 knots, measured: (H, H')
+    # 7.0e-14, 9.8e-13 at N = 1; 9.4e-14, 9.1e-13 at N = 2; 1.0e-13,
+    # 7.6e-13 at N = 3, each at the first series knot.  All-quadrature
+    # tables miss by up to 2.2e-11 in H and 1.2e-9 in H', near sigma_max.
+    @pytest.mark.parametrize("N,h_tol,hp_tol", [
+        (1, 5e-13, 5e-12), (2, 5e-13, 5e-12), (3, 1e-12, 1e-12)],
+        ids=["N1", "N2", "N3"])
+    def test_half_order_table_at_every_knot(self, request, N, h_tol,
+                                            hp_tol):
+        prof = request.getfixturevalue(f"prof_{N}_05")
+        sigma = prof.sigma_grid
+        for got, exact, tol in (
+                (prof.H_values, poisson_profile(N, sigma), h_tol),
+                (prof.Hprime_values, poisson_profile_derivative(N, sigma),
+                 hp_tol)):
+            assert np.all(np.abs(got - exact) <= tol * np.abs(exact))
+
+    def test_slope_against_high_precision(self, prof_3_025):
+        # all-quadrature tables put H' 3.1e-7 off here
+        assert prof_3_025.sigma_grid[311] == SLOPE_ORACLE_SIGMA
+        assert prof_3_025.Hprime_values[311] == pytest.approx(
+            SLOPE_ORACLE, rel=1e-13)
+
+    @pytest.mark.parametrize("N,s", JOIN_CASES)
+    def test_quadrature_then_series_from_the_crossover(self, N, s):
+        prof = build_profile(N, s, 50.0, 161)
+        sigma = prof.sigma_grid
+        first = int(np.searchsorted(sigma, _series_crossover(N, s)))
+        assert 0 < first < len(sigma) - 1
+        rho_decay = _decay_rho_edges(s)
+        below = _profile_point(N, s, float(sigma[first - 1]), rho_decay)
+        assert below == (prof.H_values[first - 1],
+                         prof.Hprime_values[first - 1])
+        h, hp = _profile_point(N, s, float(sigma[first]), rho_decay)
+        assert prof.H_values[first] == pytest.approx(h, rel=1e-12)
+        assert prof.Hprime_values[first] == pytest.approx(hp, rel=1e-11)
+
+    def test_join_mismatch_refused(self, perturbed_series):
+        with pytest.raises(ProfileError, match="quadrature at sigma_c"):
+            build_profile(3, 0.5, 50.0, 33)
+
+    def test_all_quadrature_below_the_crossover(self):
+        # sigma_c = 10.53 at (1, 0.9), past sigma_max: the table is the
+        # quadrature, knot for knot and bit for bit
+        assert _series_crossover(1, 0.9) > 10.25
+        prof = build_profile(1, 0.9, 10.25, 33)
+        rho_decay = _decay_rho_edges(0.9)
+        for sigma, h, hp in zip(prof.sigma_grid, prof.H_values,
+                                prof.Hprime_values):
+            assert _profile_point(1, 0.9, float(sigma), rho_decay) == (h, hp)
 
 
 class TestHValue:
