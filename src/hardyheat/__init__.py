@@ -19,9 +19,9 @@ from .fracop import (Field, UniformGrid,
                      frac_laplacian_quadrature_radial,
                      frac_laplacian_spectral, spectral_symbol,
                      verify_power_solution)
-from .kernel import (KernelProfile, ball_mass, build_profile, check_envelope,
-                     h_value, profile_moment, profile_origin_value,
-                     sphere_area, tail_series_coefficients)
+from .kernel import (KernelProfile, build_profile, check_envelope, h_value,
+                     profile_moment, profile_origin_value, sphere_area,
+                     tail_series_coefficients)
 from .solver import (RadialGrid, SolverConfig, TrajectoryReport, Verdict,
                      estimate_blowup_time, monitor_norms, run,
                      tail_linearity_residual)

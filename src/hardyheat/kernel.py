@@ -19,10 +19,11 @@ Far out the profile is the series H(sigma) = sum_k c_k sigma^{-(N+2ks)}
 with explicitly known coefficients (Bergstrom's series for stable
 densities); the leading one equals the principal-value normalization
 constant of (-Delta)^s.  The table's knots from the crossover sigma_c on,
-the values and slopes past the table and the mass beyond it all use the
-first _TAIL_TERMS terms of that series.  Each table certifies the join
-where the quadrature meets the series, at sigma_c, and every table, also
-one read from disk, that its H and H' meet the series at its edge.
+the values and slopes past the table and the mass beyond sigma_c all use
+the first _TAIL_TERMS terms of that series; no quadrature runs past
+sigma_c.  Each table certifies the join where the quadrature meets the
+series, at sigma_c, and every table, also one read from disk, that its H
+and H' meet the series at its edge.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ from .quadrature import panel_nodes
 
 __all__ = [
     "KernelProfile", "build_profile", "h_value", "check_envelope",
-    "sphere_area", "ball_mass", "profile_origin_value", "profile_moment",
+    "sphere_area", "profile_origin_value", "profile_moment",
     "tail_series_coefficients", "tail_mass_beyond",
 ]
 
@@ -65,9 +66,10 @@ def sphere_area(N: int) -> float:
 # come from Hankel's expansion (Abramowitz-Stegun 9.2.5-9.2.10) cut after
 # n_terms terms a_k z^{-k}, the first omitted one below 1e-17 there.
 _TRAPEZOID_PANELS = 28
-# Hankel's expansion runs on at most this many nodes at a time.  On all of
-# a table point's nodes (up to 3.4e5 at N = 2, s = 1/4) every temporary is
-# a fresh zero-filled allocation, and that table took 1.35 times as long.
+# Hankel's expansion runs on at most this many nodes at a time.  The
+# largest call, the point at sigma_c, has up to 1.4e4 nodes at s = 0.2 and
+# 1.3e5 at s = 0.15 (N <= 4); with every temporary a fresh allocation on
+# all 3.4e5 nodes of one point, a table took 1.35 times as long.
 _HANKEL_PIECE = 8192
 _HANKEL_BANDS = ((19.0, 31), (50.0, 13), (300.0, 7), (2000.0, 5))
 
@@ -260,40 +262,33 @@ def _oscillatory_nodes(rho_decay: np.ndarray, nu: float, sigma: float):
 
 
 def _profile_point(N: int, s: float, sigma: float,
-                   rho_decay: np.ndarray) -> tuple[float, float]:
-    """(H(sigma), H'(sigma)) by panel quadrature of the radial Fourier
-    integral and its differentiated counterpart (order nu+1), on the decay
-    grading rho_decay = _decay_rho_edges(s)."""
+                   rho_decay: np.ndarray) -> tuple[float, float, float]:
+    """(H(sigma), H'(sigma), M(sigma)) by panel quadrature, on the decay
+    grading rho_decay = _decay_rho_edges(s), of the radial Fourier integral,
+    its differentiated counterpart (order nu+1) and the ball mass
+
+        M(sigma) = int_{|x|<=sigma} h(x,1) dx = omega_{N-1} sigma^{nu+1}
+            int_0^inf e^{-(2 pi rho)^{2s}} rho^nu J_{nu+1}(2 pi sigma rho) drho
+
+    (the Bessel representation integrated term by term, by
+    d/dz[z^{nu+1} J_{nu+1}] = z^{nu+1} J_nu; (2/pi) arctan(sigma) for
+    N = 1, s = 1/2)."""
     nu = 0.5 * N - 1.0
     if sigma == 0.0:
-        return profile_origin_value(N, s), 0.0
+        return profile_origin_value(N, s), 0.0, 0.0
     nodes, w = _oscillatory_nodes(rho_decay, nu, sigma)
     decay = np.exp(-(_TWO_PI * nodes) ** (2.0 * s))
     j_nu, j_next = _bessel_pair(nu, _TWO_PI * sigma * nodes)
     base = w * decay
-    h_val = _TWO_PI * sigma ** (-nu) * float(
-        np.dot(base, j_nu * nodes ** (nu + 1.0)))
+    power = nodes ** nu    # then rho^{nu+1} and rho^{nu+2}, in place
+    mass = sphere_area(N) * sigma ** (nu + 1.0) * float(
+        np.dot(base, j_next * power))
+    power *= nodes
+    h_val = _TWO_PI * sigma ** (-nu) * float(np.dot(base, j_nu * power))
+    power *= nodes
     hp_val = -(_TWO_PI ** 2) * sigma ** (-nu) * float(
-        np.dot(base, j_next * nodes ** (nu + 2.0)))
-    return h_val, hp_val
-
-
-def ball_mass(N: int, s: float, radius: float) -> float:
-    """Exact Fourier-side mass of the kernel inside |x| <= radius:
-
-    int_{|x|<=R} h(x,1) dx = omega_{N-1} R^{nu+1}
-        int_0^inf e^{-(2 pi rho)^{2s}} rho^{nu} J_{nu+1}(2 pi R rho) drho,
-
-    from integrating the Bessel representation term by term
-    (d/dz[z^{nu+1} J_{nu+1}] = z^{nu+1} J_nu).  For (N=1, s=1/2) this is
-    (2/pi) arctan(R).
-    """
-    nu = 0.5 * N - 1.0
-    nodes, w = _oscillatory_nodes(_decay_rho_edges(s), nu + 1.0, radius)
-    decay = np.exp(-(_TWO_PI * nodes) ** (2.0 * s))
-    j_next = _bessel_pair(nu, _TWO_PI * radius * nodes)[1]
-    return float(sphere_area(N) * radius ** (nu + 1.0)
-                 * np.dot(w * decay, j_next * nodes ** nu))
+        np.dot(base, j_next * power))
+    return h_val, hp_val, mass
 
 
 def _rgamma(x: float) -> float:
@@ -455,7 +450,9 @@ def build_profile(N: int, s: float, sigma_max: float,
     series from the first knot at or past it on.  That knot is also
     computed by quadrature, and the two must agree to _EDGE_TOL in H and
     _SLOPE_EDGE_TOL in H' (ProfileError otherwise).  With no knot past
-    sigma_c the table is all quadrature.
+    sigma_c the table is all quadrature.  The header mass is the
+    quadrature's ball mass at sigma_c plus the series beyond it, so it
+    depends on (N, s) alone.
 
     Raises QuadratureError when a point's oscillatory quadrature cannot be
     trusted (reported with the offending sigma).
@@ -469,14 +466,15 @@ def build_profile(N: int, s: float, sigma_max: float,
     sigma = (1.0 + sigma_max) ** np.linspace(0.0, 1.0, n_points) - 1.0
     sigma[0] = 0.0
     sigma[-1] = sigma_max
-    first = int(np.searchsorted(sigma, _series_crossover(N, s)))
+    sigma_c = _series_crossover(N, s)
+    first = int(np.searchsorted(sigma, sigma_c))
     quad = sigma[:first + 1]
     H = np.empty(n_points)
     Hp = np.empty(n_points)
     rho_decay = _decay_rho_edges(s)
     for i, sg in enumerate(quad):
         try:
-            H[i], Hp[i] = _profile_point(N, s, float(sg), rho_decay)
+            H[i], Hp[i], _ = _profile_point(N, s, float(sg), rho_decay)
         except QuadratureError as exc:
             raise QuadratureError(f"sigma={sg}: {exc}") from exc
     h = H[:quad.size]
@@ -485,7 +483,8 @@ def build_profile(N: int, s: float, sigma_max: float,
         raise QuadratureError(
             f"quadrature produced invalid H at sigma={quad[bad][0]}")
 
-    mass = ball_mass(N, s, sigma_max) + tail_mass_beyond(N, s, sigma_max)
+    mass = (_profile_point(N, s, sigma_c, rho_decay)[2]
+            + tail_mass_beyond(N, s, sigma_c))
     prof = KernelProfile(N=N, s=s, sigma_grid=sigma, H_values=H,
                          Hprime_values=Hp, mass=mass)
     if first < n_points:

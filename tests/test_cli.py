@@ -87,6 +87,14 @@ class TestVerifyCertifications:
         assert report["min_normalized_residual"] >= -1e-6
         assert report["gamma"] == pytest.approx(0.75)
 
+    def test_supersolution_at_small_order(self, tmp_path, capsys):
+        code = run_cli(["verify", "supersolution", "--N", "3", "--s", "0.2",
+                        "--lambda", "0.05", "--p", "4.0"], tmp_path)
+        assert code == 0
+        report = json.loads(
+            (tmp_path / "verify_supersolution.json").read_text())
+        assert report["pass"] is True
+
     def test_supersolution_refusal_names_the_window(self, tmp_path, capsys):
         # the window is fixed, so the refusal names it instead of advising
         # a change no flag can make
@@ -138,6 +146,14 @@ class TestKernelCommand:
                  "--sigma-max", "30", "--n-points", "121",
                  "--out", "k.csv"], tmp_path)
         assert (tmp_path / "k.csv").read_bytes() == first
+
+    def test_build_at_small_order(self, tmp_path, capsys):
+        # at (3, 0.2) the panels at the default sigma_max = 50 would pass
+        # their cap; no quadrature runs past sigma_c = 0.27
+        code = run_cli(["kernel", "build", "--N", "3", "--s", "0.2"],
+                       tmp_path)
+        assert code == 0
+        assert (tmp_path / "profile.json").exists()
 
     def test_corrupt_table_exits_certification(self, tmp_path, capsys):
         run_cli(["kernel", "build", "--N", "3", "--s", "0.5",
@@ -530,6 +546,16 @@ class TestTypedExits:
                 (tmp_path / "trajectory_verdict.json").read_text())["steps"]
             assert steps["accepted"] == 0
 
+    def test_table_the_series_cannot_continue(self, tmp_path, capsys):
+        # sigma_max = 2 lies below sigma_c = 3.87 at (3, 1/2): the table is
+        # all quadrature, and the series misses its edge
+        code = run_cli(["kernel", "build", "--N", "3", "--s", "0.5",
+                        "--sigma-max", "2", "--n-points", "33"], tmp_path)
+        assert code == 4
+        assert ("certification failure: far-field H misses the table edge "
+                "sigma_max=2.0 by 9.54e-07 relative"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("argv, codes", [
         (["simulate", "--N", "3", "--s", "0.5", "--lambda", "0.5", "--p",
           "1.9", "--dt-initial", "nan", "--t-max", "1"], (3,)),
@@ -647,6 +673,21 @@ class TestBenchmarkReference:
             "supersolution.residual", "certify.A",
             "certify.min_normalized_residual", "certify.pass",
             "certify.unit_mass", "certify.poisson"]
+        assert [(name, detail) for name, ok, detail in checks if not ok] == []
+
+    def test_profile_matches_the_reference(self, tmp_path):
+        # the benchmark's s = 1/4 kernel tables, checked as the benchmark
+        # checks them: the header's unit mass and sampled H against the
+        # reference
+        workloads = _benchmark_workloads()
+        for argv in workloads.commands("profile", 0):
+            assert run_cli(argv, tmp_path) == 0
+        obs = workloads.observe("profile", str(tmp_path), [])
+        checks = workloads.check("profile", 0, obs,
+                                 workloads.load_reference()["profile"])
+        assert [name for name, _, _ in checks] == [
+            f"profile.{key}.{check}" for key in ("N1", "N2", "N3")
+            for check in ("unit_mass", "H")]
         assert [(name, detail) for name, ok, detail in checks if not ok] == []
 
 

@@ -12,7 +12,7 @@ from hardyheat.cli import load_profile, save_profile
 from hardyheat.constructions import check_scaling_ode
 from hardyheat.kernel import (_TAIL_TERMS, KernelProfile, _bessel_pair,
                               _decay_rho_edges, _profile_point, _rgamma,
-                              _series_crossover, ball_mass, build_profile,
+                              _series_crossover, build_profile,
                               check_envelope, h_value, profile_moment,
                               profile_origin_value, sphere_area,
                               tail_series_coefficients)
@@ -48,6 +48,20 @@ class TestBuildProfile:
         for prof in (prof_1_05, prof_3_05, prof_2_025, prof_2_075,
                      prof_3_025):
             assert abs(prof.mass - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("N,s,n_points", [(2, 0.2, 161),
+                                              (3, 0.15, 321)])
+    def test_small_order_tables_build(self, N, s, n_points):
+        # no quadrature runs past sigma_c, where the oscillatory panels of
+        # sigma_max = 50 would pass their cap; measured |mass - 1|: 2.6e-12
+        # and 2.4e-12
+        prof = build_profile(N, s, 50.0, n_points)
+        assert abs(prof.mass - 1.0) <= 1e-11
+
+    def test_mass_depends_on_the_order_alone(self, prof_3_025):
+        # the ball mass at sigma_c plus the series beyond it: neither the
+        # table's edge nor its knots enter
+        assert build_profile(3, 0.25, 20.0, 161).mass == prof_3_025.mass
 
     def test_strictly_decreasing_and_derivative_sign(self, prof_3_05):
         assert np.all(np.diff(prof_3_05.H_values) < 0.0)
@@ -201,8 +215,9 @@ class TestInterpolant:
 
 class TestBallMass:
     def test_arctan_oracle(self):
+        rho_decay = _decay_rho_edges(0.5)
         for R in (0.5, 5.0, 50.0):
-            assert ball_mass(1, 0.5, R) == pytest.approx(
+            assert _profile_point(1, 0.5, R, rho_decay)[2] == pytest.approx(
                 (2 / math.pi) * math.atan(R), rel=1e-12)
 
     def test_three_dim_poisson_oracle(self):
@@ -210,7 +225,8 @@ class TestBallMass:
         R = 10.0
         r = np.linspace(0.0, R, 400001)
         oracle = np.trapezoid(4 * math.pi * r ** 2 * poisson_profile(3, r), r)
-        assert ball_mass(3, 0.5, R) == pytest.approx(oracle, rel=1e-8)
+        mass = _profile_point(3, 0.5, R, _decay_rho_edges(0.5))[2]
+        assert mass == pytest.approx(oracle, rel=1e-8)
 
 
 class TestTailSeries:
@@ -311,10 +327,10 @@ class TestSeriesKnots:
         first = int(np.searchsorted(sigma, _series_crossover(N, s)))
         assert 0 < first < len(sigma) - 1
         rho_decay = _decay_rho_edges(s)
-        below = _profile_point(N, s, float(sigma[first - 1]), rho_decay)
+        below = _profile_point(N, s, float(sigma[first - 1]), rho_decay)[:2]
         assert below == (prof.H_values[first - 1],
                          prof.Hprime_values[first - 1])
-        h, hp = _profile_point(N, s, float(sigma[first]), rho_decay)
+        h, hp = _profile_point(N, s, float(sigma[first]), rho_decay)[:2]
         assert prof.H_values[first] == pytest.approx(h, rel=1e-12)
         assert prof.Hprime_values[first] == pytest.approx(hp, rel=1e-11)
 
@@ -330,7 +346,8 @@ class TestSeriesKnots:
         rho_decay = _decay_rho_edges(0.9)
         for sigma, h, hp in zip(prof.sigma_grid, prof.H_values,
                                 prof.Hprime_values):
-            assert _profile_point(1, 0.9, float(sigma), rho_decay) == (h, hp)
+            assert _profile_point(1, 0.9, float(sigma),
+                                  rho_decay)[:2] == (h, hp)
 
 
 class TestHValue:
