@@ -25,9 +25,10 @@ from .kernel import (KernelProfile, build_profile, check_envelope, h_value,
 from .solver import (RadialGrid, SolverConfig, TrajectoryReport, Verdict,
                      estimate_blowup_time, monitor_norms, run,
                      tail_linearity_residual)
-from .constructions import (SupersolutionParams, TestFunctionParams,
-                            check_scaling_ode, choose_supersolution,
-                            compare_supersolution, critical_case_constants,
+from .constructions import (SupersolutionCertificate, SupersolutionParams,
+                            TestFunctionParams, check_scaling_ode,
+                            choose_supersolution, compare_supersolution,
+                            critical_case_constants,
                             energy_blowup_criterion, energy_gap,
                             psi_differential_inequality, psi_eta_mass,
                             psi_eta_value, psi_mass_constant, smooth_bump,

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage, 3 domain error, 4 certification failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -49,12 +50,16 @@ def _outdir(args) -> str:
 
 
 def _write_manifest(args, command: str, outputs: list[str],
-                    extra: dict | None = None) -> str:
+                    extra: dict | None = None, unread=()) -> str:
+    """Write manifest_<command>.json: the parsed arguments that are set,
+    less those named in `unread` (flags this run of the command ignores),
+    the outputs and the provenance `extra`."""
     manifest = {
         "command": command,
         "version": __version__,
         "parameters": {k: v for k, v in sorted(vars(args).items())
-                       if k not in ("func", "config") and v is not None},
+                       if k not in ("func", "config", *unread)
+                       and v is not None},
         "outputs": sorted(outputs),
     }
     if extra:
@@ -286,10 +291,10 @@ def _cmd_verify(args) -> int:
     elif args.check == "supersolution":
         params = ProblemParams(args.N, args.s, args.lam, args.p)
         prof = build_profile(args.N, args.s, 50.0, 321)
-        sp, res = choose_supersolution(params, prof)
+        sp, cert = choose_supersolution(params, prof)
         report.update({"A": sp.A, "gamma": sp.gamma, "T": sp.T,
-                       "min_normalized_residual": res})
-        ok = res >= -1e-6
+                       **dataclasses.asdict(cert)})
+        ok = cert.min_normalized_residual >= -1e-6
     elif args.check == "energy":
         params = ProblemParams(args.N, args.s, args.lam, args.p)
         grid = UniformGrid(args.N, 2.0 * args.radius, 64)
@@ -365,9 +370,11 @@ def _cmd_simulate(args) -> int:
         grid = UniformGrid(args.N, args.half_width, args.points)
         datum = Field.from_radial(
             grid, _make_datum(args.u0, args.amplitude, args.width, args.seed))
+        unread = ("r_min", "r_max")
     elif args.formulation == "ground_state":
         grid = RadialGrid(args.r_min, args.r_max, args.points)
         datum = _make_datum(args.u0, args.amplitude, args.width, args.seed)
+        unread = ("half_width", "potential_epsilon")
     else:
         raise DomainError(f"unknown formulation {args.formulation!r}")
     cfg = SolverConfig(params=params, grid=grid, t_max=args.t_max,
@@ -379,7 +386,7 @@ def _cmd_simulate(args) -> int:
     save_trajectory(rep, csv_path, json_path)
     _write_manifest(args, "simulate", [csv_path, json_path],
                     {"verdict": rep.verdict.kind,
-                     "t_star": rep.verdict.t_star})
+                     "t_star": rep.verdict.t_star}, unread)
     print(json.dumps({"verdict": rep.verdict.kind,
                       "t_star": rep.verdict.t_star,
                       "reason": rep.verdict.reason}, sort_keys=True))

@@ -28,7 +28,8 @@ __all__ = [
     "check_scaling_ode", "TestFunctionParams", "SupersolutionParams",
     "psi_eta_value", "psi_eta_mass", "psi_mass_constant",
     "psi_differential_inequality", "y_ode_blowup_predictor",
-    "choose_supersolution", "supersolution_value", "supersolution_residual",
+    "SupersolutionCertificate", "choose_supersolution", "supersolution_value",
+    "supersolution_residual",
     "supersolution_mixed_remainder", "compare_supersolution", "energy_gap", "energy_blowup_criterion",
     "critical_case_constants", "smooth_bump",
 ]
@@ -75,39 +76,46 @@ class TestFunctionParams:
             raise DomainError("mu must be nonnegative")
 
 
-def _psi_prefactor(params: TestFunctionParams, N: int, s: float) -> float:
-    return params.eta ** (0.5 * N / s - params.mu / s)
+def _weighted_profile(profile: KernelProfile, b: float):
+    """g_b(sigma) = sigma^{-b} H(sigma), the unit-scale profile that psi_eta
+    and the supersolution rescale (+inf at sigma = 0 for b > 0)."""
+    def g(sigma):
+        sigma = np.asarray(sigma, dtype=float)
+        with np.errstate(divide="ignore"):
+            return sigma ** (-b) * profile.h_of_sigma(sigma)
+    return g
 
 
 def psi_eta_value(x_norm, params: TestFunctionParams, profile: KernelProfile):
-    """Pointwise value of the rescaled weighted test function."""
-    N, s = profile.N, profile.s
-    c = params.eta ** (0.5 / s)
-    x = np.asarray(x_norm, dtype=float)
-    return (_psi_prefactor(params, N, s) * x ** (-params.mu)
-            * profile.h_of_sigma(c * x))
+    """Pointwise value of the rescaled weighted test function,
+    eta^{(N-mu)/(2s)} g_mu(eta^{1/(2s)} |x|)."""
+    N, s, mu = profile.N, profile.s, params.mu
+    sigma = params.eta ** (0.5 / s) * np.asarray(x_norm, dtype=float)
+    return (params.eta ** (0.5 * (N - mu) / s)
+            * _weighted_profile(profile, mu)(sigma))
 
 
 def psi_eta_mass(params: TestFunctionParams, profile: KernelProfile) -> float:
-    """int psi_eta dx, by radial quadrature over the table plus the
-    analytic far-field series; scales exactly as eta^{-mu/(2s)}."""
-    N, s, mu = profile.N, profile.s, params.mu
-    c = params.eta ** (0.5 / s)
-
-    def integrand(r):
-        return r ** (N - 1 - mu) * profile.h_of_sigma(c * r)
-
-    r_edges = profile.sigma_grid[1:] / c
-    body = integrate_panels(integrand, r_edges, order=10)
-    body += head_panels(integrand, float(r_edges[0]), scale=abs(body))
-    tail = c ** (mu - N) * tail_mass_beyond(N, s, profile.sigma_max, mu=mu)
-    return _psi_prefactor(params, N, s) * (sphere_area(N) * body + tail)
+    """int psi_eta dx = C_psi eta^{-mu/(2s)}: psi_eta is a rescaling of
+    g_mu, so its mass is the unit-scale mass times that power."""
+    return (params.eta ** (-0.5 * params.mu / profile.s)
+            * psi_mass_constant(profile, params.mu))
 
 
 def psi_mass_constant(profile: KernelProfile, mu: float) -> float:
     """C_psi = omega_{N-1} int sigma^{N-1-mu} H(sigma) dsigma, the constant
-    in the mass law int psi_eta = C_psi eta^{-mu/(2s)}."""
-    return psi_eta_mass(TestFunctionParams(eta=1.0, mu=mu), profile)
+    in the mass law int psi_eta = C_psi eta^{-mu/(2s)}, by radial
+    quadrature over the table plus the analytic far-field series."""
+    N, s = profile.N, profile.s
+
+    def integrand(r):
+        return r ** (N - 1 - mu) * profile.h_of_sigma(r)
+
+    edges = profile.sigma_grid[1:]
+    body = integrate_panels(integrand, edges, order=10)
+    body += head_panels(integrand, float(edges[0]), scale=abs(body))
+    tail = tail_mass_beyond(N, s, profile.sigma_max, mu=mu)
+    return sphere_area(N) * body + tail
 
 
 def psi_differential_inequality(params: TestFunctionParams,
@@ -118,17 +126,16 @@ def psi_differential_inequality(params: TestFunctionParams,
         -(-Delta)^s psi + lam psi/|x|^{2s} + (N/(2s)) eta psi >= 0.
 
     Nonnegative values certify the inequality at the sampled radii."""
-    N, s = profile.N, profile.s
-
-    def psi(r):
-        return psi_eta_value(r, params, profile)
-
+    N, s, eta = profile.N, profile.s, params.eta
     r = np.asarray(radii, dtype=float)
-    lap = frac_laplacian_quadrature_radial(psi, N, s, r)
-    val = psi(r)
-    slack = -lap + lam * r ** (-2.0 * s) * val + (0.5 * N / s) * params.eta * val
-    scale = np.abs(lap) + lam * r ** (-2.0 * s) * val + (0.5 * N / s) * params.eta * val
-    return float(np.min(slack / scale))
+    sigma = eta ** (0.5 / s) * r
+    g = _weighted_profile(profile, params.mu)
+    amp = eta ** (0.5 * (N - params.mu) / s)     # psi_eta = amp g_mu(sigma)
+    val = amp * g(sigma)
+    lap = amp * eta * frac_laplacian_quadrature_radial(g, N, s, sigma)
+    pot = lam * r ** (-2.0 * s) * val
+    growth = (0.5 * N / s) * eta * val
+    return float(np.min((-lap + pot + growth) / (np.abs(lap) + pot + growth)))
 
 
 # ---------------------------------------------------------------------------
@@ -156,28 +163,23 @@ def y_ode_blowup_predictor(Y0: float, eta: float | None,
         raise DomainError("Y0 must be nonnegative")
     if Y0 == 0.0:
         return None
-    prof = exponent_profile(params.N, params.s, params.lam)
-    N, s, p, mu = params.N, params.s, params.p, prof.mu
-
-    def horizon(y0: float, e: float) -> float | None:
-        decay_rate = (p - 1.0) * (0.5 * N / s) * e
-        cap = C * (2.0 * s / N) * e ** ((p - 1.0) * mu / (2.0 * s) - 1.0)
+    N, s, p = params.N, params.s, params.p
+    mu = exponent_profile(N, s, params.lam).mu
+    if eta is None:
+        etas = _PREDICTOR_ETAS
+        y0 = etas ** (0.5 * N / s - mu / s) * Y0
+    elif eta <= 0.0:
+        raise DomainError("eta must be positive")
+    else:
+        etas, y0 = np.array([float(eta)]), np.array([Y0])
+    cap = C * (2.0 * s / N) * etas ** ((p - 1.0) * mu / (2.0 * s) - 1.0)
+    with np.errstate(over="ignore", divide="ignore"):
         ratio = y0 ** (1.0 - p) / cap
-        if ratio >= 1.0:
-            return None
-        return -math.log1p(-ratio) / decay_rate
-
-    if eta is not None:
-        if eta <= 0.0:
-            raise DomainError("eta must be positive")
-        return horizon(Y0, eta)
-    best = None
-    for e in _PREDICTOR_ETAS:
-        y0 = float(e) ** (0.5 * N / s - mu / s) * Y0
-        T = horizon(y0, float(e))
-        if T is not None and (best is None or T < best):
-            best = T
-    return best
+    fires = ratio < 1.0
+    if not np.any(fires):
+        return None
+    return float(np.min(-np.log1p(-ratio[fires])
+                        / ((p - 1.0) * (0.5 * N / s) * etas[fires])))
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +211,26 @@ _CERT_T = 1.0
 _CERT_MARGIN = 0.1
 
 
+@dataclass(frozen=True)
+class SupersolutionCertificate:
+    """The least normalized residual over the sample and the point where it
+    lies: its (r, t), its sigma = r (T+t)^{-beta}, and the name of the
+    largest of the terms w_t, laplacian, potential and reaction there."""
+
+    min_normalized_residual: float
+    worst_r: float
+    worst_t: float
+    worst_sigma: float
+    worst_term: str
+
+
 def choose_supersolution(params: ProblemParams, profile: KernelProfile
-                         ) -> tuple[SupersolutionParams, float]:
+                         ) -> tuple[SupersolutionParams,
+                                    SupersolutionCertificate]:
     """Pick (gamma, A) so the family dominates its own nonlinearity on the
     default window (DEFAULT_CERT_RADII x DEFAULT_CERT_TIMES); returns the
-    parameters with their certified residual (the supersolution_residual
-    of the pick, from the same quadratures).
+    parameters with their certificate (the supersolution_residual of the
+    pick and its worst point, from the same quadratures).
 
     gamma is the midpoint of (mu, min(2s/(p-1), mu_bar)); the upper cap at
     mu_bar keeps the power coupling above lambda, without which the
@@ -250,19 +266,18 @@ def choose_supersolution(params: ProblemParams, profile: KernelProfile
             f"the family certifies no amplitude for p={p} there")
     bound = float(np.min(ell / w1 ** p))
     A = ((1.0 - _CERT_MARGIN) * bound) ** (1.0 / (p - 1.0))
-    return replace(unit, A=A), _min_normalized_residual(A, p, *terms)
+    sp = replace(unit, A=A)
+    return sp, _certificate(sp, p, terms, DEFAULT_CERT_RADII,
+                            DEFAULT_CERT_TIMES)
 
 
 def supersolution_value(sp: SupersolutionParams, profile: KernelProfile,
                         r, t: float):
-    """w(r, t); +inf at r = 0 (the profile weight is singular there)."""
+    """w(r, t) = A tau^{-theta} g_gamma(r tau^{-beta}), tau = T + t; +inf at
+    r = 0 (the profile weight is singular there)."""
     tau = sp.T + t
-    r = np.asarray(r, dtype=float)
-    sig = r * tau ** (-sp.beta)
-    H = profile.h_of_sigma(sig)
-    with np.errstate(divide="ignore"):
-        out = sp.A * tau ** (-sp.theta) * sig ** (-sp.gamma) * H
-    return out
+    sigma = np.asarray(r, dtype=float) * tau ** (-sp.beta)
+    return sp.A * tau ** (-sp.theta) * _weighted_profile(profile, sp.gamma)(sigma)
 
 
 def _supersolution_terms(unit: SupersolutionParams, params: ProblemParams,
@@ -271,37 +286,43 @@ def _supersolution_terms(unit: SupersolutionParams, params: ProblemParams,
     family, one column per sample point (times outer, radii inner).
 
     Every term but the reaction w^p is linear in the amplitude, so these
-    four rows give the residual at any amplitude.
+    four rows give the residual at any amplitude.  Each term is a power of
+    tau times a function of sigma; the Laplacian is one evaluator call on
+    g_gamma per time.
     """
-    N, s, lam = params.N, params.s, params.lam
+    N, s = params.N, params.s
     r = np.asarray(radii, dtype=float)
-    cols = []
-    for t in np.asarray(times, dtype=float):
-        tau = unit.T + t
-
-        def w_of(rr, t=t):
-            return supersolution_value(unit, profile, rr, t)
-
-        sig = r * tau ** (-unit.beta)
-        H = profile.h_of_sigma(sig)
-        Hp = profile.hprime_of_sigma(sig)
-        w = unit.A * tau ** (-unit.theta) * sig ** (-unit.gamma) * H
-        w_t = (tau ** (-unit.theta - 1.0) * sig ** (-unit.gamma)
-               * ((unit.beta * unit.gamma - unit.theta) * H
-                  - unit.beta * sig * Hp))
-        lap = frac_laplacian_quadrature_radial(w_of, N, s, r)
-        cols.append((w, w_t, lap, lam * w * r ** (-2.0 * s)))
-    return np.concatenate(cols, axis=1)
+    tau = unit.T + np.asarray(times, dtype=float)[:, None]
+    sigma = r * tau ** (-unit.beta)
+    g = _weighted_profile(profile, unit.gamma)
+    amp = unit.A * tau ** (-unit.theta)
+    g_sigma = g(sigma)
+    w = amp * g_sigma
+    # sigma g_gamma' = -gamma g_gamma + sigma^{1-gamma} H'
+    w_t = amp / tau * ((unit.beta * unit.gamma - unit.theta) * g_sigma
+                       - unit.beta * sigma ** (1.0 - unit.gamma)
+                       * profile.hprime_of_sigma(sigma))
+    lap = amp * tau ** (-2.0 * s * unit.beta) * np.array(
+        [frac_laplacian_quadrature_radial(g, N, s, row) for row in sigma])
+    pot = params.lam * w * r ** (-2.0 * s)
+    return np.stack((w, w_t, lap, pot)).reshape(4, -1)
 
 
-def _min_normalized_residual(A: float, p: float, w1, w_t, lap, pot) -> float:
-    """Min over the sample of the residual at amplitude A of the terms of
-    _supersolution_terms, normalized per point by its term magnitudes."""
-    w, w_t, lap, pot = A * w1, A * w_t, A * lap, A * pot
+def _certificate(sp: SupersolutionParams, p: float, terms, radii,
+                 times) -> SupersolutionCertificate:
+    """The residual at amplitude sp.A of the terms of _supersolution_terms,
+    normalized per point by its term magnitudes, at its least point."""
+    w, w_t, lap, pot = sp.A * terms
     reac = w ** p
     res = w_t + lap - pot - reac
     scale = np.abs(w_t) + np.abs(lap) + pot + reac
-    return float(np.min(res / scale))
+    k = int(np.argmin(res / scale))
+    i, j = divmod(k, len(radii))
+    r, t = float(radii[j]), float(times[i])
+    parts = np.abs([w_t[k], lap[k], pot[k], reac[k]])
+    return SupersolutionCertificate(
+        float(res[k] / scale[k]), r, t, r * (sp.T + t) ** (-sp.beta),
+        ("w_t", "laplacian", "potential", "reaction")[int(np.argmax(parts))])
 
 
 def supersolution_residual(sp: SupersolutionParams, params: ProblemParams,
@@ -319,7 +340,8 @@ def supersolution_residual(sp: SupersolutionParams, params: ProblemParams,
     """
     terms = _supersolution_terms(replace(sp, A=1.0), params, profile,
                                  radii, times)
-    return _min_normalized_residual(sp.A, params.p, *terms)
+    return _certificate(sp, params.p, terms, radii,
+                        times).min_normalized_residual
 
 
 def supersolution_mixed_remainder(sp: SupersolutionParams,
@@ -475,6 +497,18 @@ def critical_case_constants(params: ProblemParams, m: float, kappa: float
         raise DomainError(f"need 1 < m <= p' = {p_prime}, got m={m}")
     if not 0.0 <= kappa < math.inf:
         raise DomainError(f"kappa must be nonnegative and finite, got {kappa}")
+    # theta ~ 10 (2-u)^3 at the outer edge and 1 - theta ~ 10 (u-1)^3 at
+    # the inner one, while L theta stays nonzero at both: C3 is finite iff
+    # 3 (p' - m) < 1 and 3 kappa (p' - 1) < 1
+    if not 3.0 * (p_prime - m) < 1.0:
+        raise DomainError(
+            f"C3 diverges at the shell's outer edge (theta -> 0) unless "
+            f"m > p' - 1/3 = {p_prime - 1.0 / 3.0}, got m={m}")
+    if not 3.0 * kappa * (p_prime - 1.0) < 1.0:
+        raise DomainError(
+            f"C3 diverges at the shell's inner edge (theta -> 1) unless "
+            f"kappa < 1/(3 (p' - 1)) = {1.0 / (3.0 * (p_prime - 1.0))}, "
+            f"got kappa={kappa}")
 
     c1 = _c1_integral(N, s, mu, p_prime, m, _N_HALF)
     c3 = _c3_integral(N, s, mu, p, p_prime, m, kappa, _N_HALF, _N_TAU)

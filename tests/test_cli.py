@@ -86,6 +86,11 @@ class TestVerifyCertifications:
             (tmp_path / "verify_supersolution.json").read_text())
         assert report["min_normalized_residual"] >= -1e-6
         assert report["gamma"] == pytest.approx(0.75)
+        # the worst sample point and its dominant term
+        assert report["worst_t"] == 6.0
+        assert report["worst_r"] == pytest.approx(0.3164, abs=1e-4)
+        assert report["worst_sigma"] == pytest.approx(0.0452, abs=1e-4)
+        assert report["worst_term"] == "laplacian"
 
     def test_supersolution_at_small_order(self, tmp_path, capsys):
         code = run_cli(["verify", "supersolution", "--N", "3", "--s", "0.2",
@@ -115,6 +120,34 @@ class TestVerifyCertifications:
             (tmp_path / "verify_critical-constants.json").read_text())
         for key in ("C1_refinement_delta", "C3_refinement_delta"):
             assert math.isfinite(report[key]) and report[key] <= 0.01
+
+    @pytest.mark.parametrize("flags,edge", [
+        (["--m", "3.1"], "outer edge (theta -> 0) unless m > p' - 1/3"),
+        (["--kappa", "0.14"],
+         "inner edge (theta -> 1) unless kappa < 1/(3 (p' - 1))"),
+        (["--N", "4", "--lambda", "0.5"],
+         "outer edge (theta -> 0) unless m > p' - 1/3 = 4.34")])
+    def test_critical_constants_outside_the_window(self, tmp_path, capsys,
+                                                   flags, edge):
+        # C3 diverges there; refused by its exponents before any quadrature
+        code = run_cli(["verify", "critical-constants", "--N", "3", "--s",
+                        "0.5", "--lambda", "0.5", *flags], tmp_path)
+        assert code == 3
+        assert f"C3 diverges at the shell's {edge}" in capsys.readouterr().err
+        assert not (tmp_path / "verify_critical-constants.json").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--m", "3.2"], ["--kappa", "0.12"],
+        ["--N", "4", "--lambda", "0.5", "--m", "4.5"]])
+    def test_critical_constants_inside_the_window(self, tmp_path, capsys,
+                                                  flags):
+        code = run_cli(["verify", "critical-constants", "--N", "3", "--s",
+                        "0.5", "--lambda", "0.5", *flags], tmp_path)
+        assert code == 0
+        report = json.loads(
+            (tmp_path / "verify_critical-constants.json").read_text())
+        assert report["pass"] is True
+        assert report["C3_refinement_delta"] <= 1e-3
 
     def test_psi_eta(self, tmp_path, capsys):
         code = run_cli(["verify", "psi-eta", "--N", "3", "--s", "0.5",
@@ -267,6 +300,24 @@ class TestManifests:
         assert params.pop(name) == leaf
         assert set(params) == (LEAF_FLAGS[command, leaf]
                                | {"N", "s", "command", "outdir"})
+
+    @pytest.mark.parametrize("flags,unread", [
+        (["--half-width", "3", "--potential-epsilon", "0.25"],
+         {"half_width", "potential_epsilon"}),
+        (["--formulation", "direct", "--points", "16", "--half-width", "8",
+          "--r-min", "0.01", "--r-max", "500"], {"r_min", "r_max"})],
+        ids=["ground_state", "direct"])
+    def test_simulate_manifest_leaves_out_the_other_formulation(
+            self, tmp_path, capsys, flags, unread):
+        assert run_cli(["simulate", "--N", "3", "--s", "0.5", "--lambda",
+                        "0.2", "--p", "1.3", "--t-max", "0.1", "--points",
+                        "32", *flags], tmp_path) == 0
+        params = json.loads((tmp_path / "manifest_simulate.json")
+                            .read_text())["parameters"]
+        read = {"half_width", "potential_epsilon", "r_min",
+                "r_max"} - unread
+        assert not unread & set(params)
+        assert read - {"potential_epsilon"} <= set(params)
 
 
 class TestSimulate:
@@ -753,7 +804,7 @@ class TestConfigFile:
     def test_config_fills_every_value_option(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed=7\nu0=random-bumps\npotential-epsilon=0.25\n"
-                       "unknown=3\n")
+                       "formulation=direct\nunknown=3\n")
         code = main(["--outdir", str(tmp_path), "--config", str(cfg),
                      "simulate", "--N", "3", "--s", "0.5", "--lambda", "0.2",
                      "--p", "1.3", "--t-max", "0.1", "--points", "32",
@@ -764,6 +815,7 @@ class TestConfigFile:
         assert params["seed"] == 7
         assert params["u0"] == "random-bumps"
         assert params["potential_epsilon"] == 0.25
+        assert params["formulation"] == "direct"
         assert "unknown" not in params
 
     def test_config_key_may_be_the_flag_name(self, tmp_path, capsys):

@@ -79,6 +79,24 @@ class TestPsiEta:
             np.geomspace(0.05, 20.0, 20))
         assert slack >= 0.0
 
+    @pytest.mark.parametrize("eta", [0.05, 0.7])
+    def test_differential_inequality_matches_direct_evaluation(
+            self, prof_3_05, eta):
+        # the slack comes from (-Delta)^s g_mu at sigma = eta^{1/(2s)} r;
+        # evaluate (-Delta)^s psi_eta in r instead
+        params = TestFunctionParams(eta, MU)
+
+        def psi(rr):
+            return psi_eta_value(rr, params, prof_3_05)
+
+        for r in (0.1, 1.0, 6.0):
+            lap = frac_laplacian_quadrature_radial(psi, 3, 0.5, r)
+            val = float(psi(r))
+            rest = 0.5 * val / r + 3.0 * eta * val
+            assert psi_differential_inequality(
+                params, prof_3_05, 0.5, [r]) == pytest.approx(
+                    (rest - lap) / (abs(lap) + rest), rel=1e-10)
+
 
 class TestPredictor:
     def C(self, prof, p):
@@ -145,7 +163,25 @@ class TestSupersolution:
         sp, certified = choose_supersolution(PARAMS, prof_3_05)
         res = supersolution_residual(sp, PARAMS, prof_3_05)
         assert res >= -1e-6
-        assert res == certified
+        assert res == certified.min_normalized_residual
+
+    def test_certificate_names_its_worst_point(self, prof_3_05):
+        # the least point of the term table, and its largest term there
+        sp, cert = choose_supersolution(PARAMS, prof_3_05)
+        w1, w_t, lap, pot = sp.A * _supersolution_terms(
+            replace(sp, A=1.0), PARAMS, prof_3_05,
+            constructions.DEFAULT_CERT_RADII,
+            constructions.DEFAULT_CERT_TIMES)
+        reac = w1 ** PARAMS.p
+        res = (w_t + lap - pot - reac) / (abs(w_t) + abs(lap) + pot + reac)
+        k = int(np.argmin(res))
+        assert cert.worst_t == constructions.DEFAULT_CERT_TIMES[k // 20] == 6.0
+        assert cert.worst_r == constructions.DEFAULT_CERT_RADII[k % 20]
+        assert cert.worst_r == pytest.approx(0.3164, abs=1e-4)
+        assert cert.worst_sigma == pytest.approx(cert.worst_r / 7.0,
+                                                 rel=1e-15)
+        assert cert.worst_term == "laplacian"
+        assert lap[k] > pot[k] > reac[k] > abs(w_t[k])
 
     def test_term_table_matches_direct_evaluation(self, prof_3_05):
         sp, _ = choose_supersolution(PARAMS, prof_3_05)
