@@ -51,9 +51,11 @@ def _outdir(args) -> str:
 
 def _write_manifest(args, command: str, outputs: list[str],
                     extra: dict | None = None, unread=()) -> str:
-    """Write manifest_<command>.json: the parsed arguments that are set,
-    less those named in `unread` (flags this run of the command ignores),
-    the outputs and the provenance `extra`."""
+    """Write manifest_<command>.json, or for a command with an --out file
+    <stem>.<ext> manifest_<command>_<stem>.json beside that file, so that
+    runs writing different outputs keep their own manifests: the parsed
+    arguments that are set, less those named in `unread` (flags this run
+    of the command ignores), the outputs and the provenance `extra`."""
     manifest = {
         "command": command,
         "version": __version__,
@@ -64,7 +66,11 @@ def _write_manifest(args, command: str, outputs: list[str],
     }
     if extra:
         manifest["provenance"] = extra
-    path = os.path.join(_outdir(args), f"manifest_{command.replace(' ', '_')}.json")
+    folder, name = "", command
+    if getattr(args, "out", None):
+        folder, stem = os.path.split(os.path.splitext(args.out)[0])
+        name += "_" + stem
+    path = os.path.join(_outdir(args), folder, f"manifest_{name}.json")
     _write_json(path, manifest)
     return path
 
@@ -161,7 +167,8 @@ def save_trajectory(report: TrajectoryReport, csv_path, json_path) -> None:
                   "n_points": grid.n_points}),
         "steps": {"accepted": report.steps_accepted,
                   "full": report.steps_full,
-                  "rejected": report.steps_rejected},
+                  "rejected": report.steps_rejected,
+                  "dt_min": report.dt_min, "dt_max": report.dt_max},
     })
 
 
@@ -359,7 +366,8 @@ def _run_one(cell):
         regime = "ambiguous"
     return (lam, p, rep.verdict.kind,
             float("nan") if t_star is None else t_star,
-            float(rep.weighted_mass_series[-1]), regime)
+            float(rep.weighted_mass_series[-1]), regime, rep.steps_accepted,
+            sum(rep.steps_rejected.values()))
 
 
 def _cmd_simulate(args) -> int:
@@ -412,10 +420,12 @@ def _cmd_sweep(args) -> int:
     # no solution exists past p_plus, so any verdict but inconclusive there
     # contradicts the theory
     _write_csv(out, "lambda,p,verdict,t_star,final_weighted_mass,regime,"
-               "regime_conflict",
+               "regime_conflict,steps,rejected",
                [(lam, p, verdict, t_star, wm, regime,
-                 int(regime == "non_existence" and verdict != "inconclusive"))
-                for lam, p, verdict, t_star, wm, regime in results])
+                 int(regime == "non_existence" and verdict != "inconclusive"),
+                 steps, rejected)
+                for lam, p, verdict, t_star, wm, regime, steps, rejected
+                in results])
     _write_manifest(args, "sweep", [out], {"cells": len(results)})
     print(out)
     return EXIT_OK

@@ -24,8 +24,8 @@ import numpy as np
 from .errors import DomainError, QuadratureError
 from .exponents import lambda_of_alpha, pv_normalization
 from .kernel import sphere_area
-from .quadrature import (graded_edges, head_panels, integrate_panels,
-                         panel_nodes, tail_panels)
+from .quadrature import (distinct_sorted, graded_edges, head_panels,
+                         integrate_panels, panel_nodes, tail_panels)
 
 __all__ = [
     "UniformGrid", "Field",
@@ -254,7 +254,7 @@ def _integral_edges(d: float) -> np.ndarray:
     left = 1.0 - graded_edges(d, 0.5, d)[::-1]
     right = 1.0 + graded_edges(d, 1.0, d)
     cut = np.linspace(1.0 - d, 1.0 + d, 5)
-    return np.unique(np.concatenate([left, cut, right]))
+    return distinct_sorted(np.concatenate([left, cut, right]))
 
 
 # the edges of every callable evaluation, in xi = rho / r
@@ -428,8 +428,9 @@ def build_ground_state_matrix(r_grid: np.ndarray, mu: float, N: int,
     # interval below q^{j-i} (none for j = 0) and its falling half from the
     # one above (none for j = n-1)
     hats = np.empty((n, n))
-    for ratio in np.unique(d):
-        edges = np.unique(np.concatenate([knots, _integral_edges(ratio)]))
+    for ratio in distinct_sorted(d):
+        edges = distinct_sorted(np.concatenate([knots,
+                                                _integral_edges(ratio)]))
         edges = edges[(edges >= knots[0]) & (edges <= knots[-1])]
         xi, wts = panel_nodes(edges, _MATRIX_ORDER)
         kv = wts * _radial_weight(N, s, mu, xi, ratio)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError, ProfileError, QuadratureError
 from .exponents import _check_dimension_and_order
-from .quadrature import panel_nodes
+from .quadrature import distinct_sorted, panel_nodes
 
 __all__ = [
     "KernelProfile", "build_profile", "h_value", "check_envelope",
@@ -257,7 +257,7 @@ def _oscillatory_nodes(rho_decay: np.ndarray, nu: float, sigma: float):
         zeros = (np.arange(1, k_max + 1) + 0.5 * nu - 0.25) * math.pi
         zeros = zeros[zeros > 0.0] / (_TWO_PI * sigma)
         edges.append(zeros[zeros < rho_max])
-    grid = np.unique(np.concatenate(edges))
+    grid = distinct_sorted(np.concatenate(edges))
     return panel_nodes(grid, _ORDER)
 
 

@@ -22,6 +22,16 @@ def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
+def distinct_sorted(x) -> np.ndarray:
+    """The distinct values of x, ascending: np.unique's sort-and-mask
+    without the numpy.ma import that np.unique makes on its first call."""
+    x = np.sort(np.ravel(x))
+    keep = np.empty(x.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
 def panel_nodes(edges: np.ndarray, order: int = 10) -> tuple[np.ndarray, np.ndarray]:
     """Gauss nodes and weights for every panel [edges[i], edges[i+1]].
 

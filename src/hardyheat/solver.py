@@ -38,6 +38,7 @@ from .exponents import ProblemParams, exponent_profile
 from .fracop import (Field, UniformGrid, build_ground_state_matrix,
                      frac_laplacian_spectral, spectral_symbol)
 from .kernel import sphere_area
+from .quadrature import distinct_sorted
 
 __all__ = [
     "RadialGrid", "SolverConfig", "Verdict", "TrajectoryReport",
@@ -137,6 +138,8 @@ class TrajectoryReport:
     steps_accepted: int
     steps_rejected: dict[str, int]   # by the reason _accept gives
     steps_full: int                  # accepted steps of the full dt_initial
+    dt_min: float | None             # least and greatest increment between
+    dt_max: float | None             # accepted times; None without a step
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +291,7 @@ def _tail_line(times, weighted_mass_series, p: float):
     if len(Y) - i < 5:
         raise BlowupFitError("tail not strictly increasing over enough samples")
     tt, zz = t[i:], Y[i:] ** (1.0 - p)
-    if len(np.unique(tt)) < 5:
+    if len(distinct_sorted(tt)) < 5:
         raise BlowupFitError("tail spans fewer than 5 distinct times")
     slope, intercept = np.polyfit(tt - tt[0], zz, 1)
     return tt, zz, slope, intercept
@@ -339,14 +342,17 @@ def _accept(u: np.ndarray, rel_floor: float) -> float:
     """max u, after clipping the small negative lobes of u to 0 in place.
     Rejects the step on a non-finite state (a nan or inf reaches the min or
     the max), or on a lobe below -rel_floor max u."""
-    lo = float(u.min())
-    hi = float(u.max())
+    # the ufunc reductions, not the ndarray.min/max wrappers: this runs
+    # once per step
+    lo = float(np.minimum.reduce(u, axis=None))
+    hi = float(np.maximum.reduce(u, axis=None))
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise _StepRejected("non-finite state")
     if lo < 0.0:
         if lo < -rel_floor * max(hi, 1e-300):
             raise _StepRejected("negativity")
         np.maximum(u, 0.0, out=u)
+        hi = max(hi, 0.0)
     return hi
 
 
@@ -429,7 +435,16 @@ def _run_direct(u_init: np.ndarray, config: SolverConfig) -> TrajectoryReport:
             out += u ** p
         return out
 
-    def step(u: np.ndarray, dt: float) -> np.ndarray:
+    def prepare(u: np.ndarray, peak: float) -> tuple[float, None]:
+        # the rate needs only max u, which _accept has already taken
+        rt = 0.0
+        if config.reaction_enabled:
+            rt += p * peak ** (p - 1.0)
+        if lam > 0.0:
+            rt += lam / eps ** (2 * s)
+        return rt, None
+
+    def step(u: np.ndarray, _, dt: float) -> np.ndarray:
         prop = full if dt == config.dt_initial else propagator(dt)
         u_new = np.fft.irfftn(prop * np.fft.rfftn(u), s=shape, axes=axes)
         if config.reaction_enabled or lam > 0.0:
@@ -439,15 +454,7 @@ def _run_direct(u_init: np.ndarray, config: SolverConfig) -> TrajectoryReport:
             u_new += dt * source(np.maximum(u_new, 0.0))
         return u_new
 
-    def rate(u: np.ndarray) -> float:
-        rt = 0.0
-        if config.reaction_enabled:
-            rt += p * float(u.max()) ** (p - 1.0)
-        if lam > 0.0:
-            rt += lam / eps ** (2 * s)
-        return rt
-
-    return _advance(u_init, config, step, rate, monitors, weighted_mass,
+    return _advance(u_init, config, prepare, step, monitors, weighted_mass,
                     store=lambda u: u.copy(), rel_floor=1e-6, r_grid=None)
 
 
@@ -577,17 +584,30 @@ def _run_ground_state(u_init: np.ndarray, config: SolverConfig) -> TrajectoryRep
     def weighted_mass(vv: np.ndarray) -> float:
         return float(op.tw @ vv)
 
-    full = None      # resolvent(dt_initial) as a dense matrix
+    reaction = config.reaction_enabled
+    dt_full = config.dt_initial
+    full = None      # resolvent(dt_full) as a dense matrix
 
-    def step(vv: np.ndarray, dt: float) -> np.ndarray:
-        # Crank-Nicolson (I + a B) x = (I - a B) v + dt g with a = dt/2
-        # is x = 2 (I + a B)^{-1} (v + a g) - v
+    def prepare(vv: np.ndarray, _) -> tuple[float, np.ndarray | None]:
+        # g = rfac v^{p-1}, once per state: its max sets the rate and
+        # g v is the reaction, so a rejected step reuses it
+        if not reaction:
+            return 0.0, None
+        g = vv ** (p - 1.0)
+        g *= rfac
+        return p * float(np.maximum.reduce(g, axis=None)), g
+
+    def step(vv: np.ndarray, g: np.ndarray | None, dt: float) -> np.ndarray:
+        # Crank-Nicolson (I + a B) x = (I - a B) v + dt rfac v^p with
+        # a = dt/2 is x = 2 (I + a B)^{-1} (v + a g v) - v
         nonlocal full
         rhs = vv
-        if config.reaction_enabled:
-            rhs = vv + (0.5 * dt) * rfac * vv ** p
+        if g is not None:
+            rhs = g * vv
+            rhs *= 0.5 * dt
+            rhs += vv
         # a non-finite rhs comes out non-finite and is rejected
-        if dt == config.dt_initial:
+        if dt == dt_full:
             # most steps are full ones; forming the matrix pays off only
             # after some 35 of them, so other dts keep the eigenbasis
             if full is None:
@@ -598,23 +618,25 @@ def _run_ground_state(u_init: np.ndarray, config: SolverConfig) -> TrajectoryRep
         x -= vv
         return x
 
-    def rate(vv: np.ndarray) -> float:
-        if not config.reaction_enabled:
-            return 0.0
-        return p * float((rfac * vv ** (p - 1.0)).max())
-
-    return _advance(v, config, step, rate, monitors, weighted_mass,
+    return _advance(v, config, prepare, step, monitors, weighted_mass,
                     store=lambda vv: (r ** (-mu) * vv), rel_floor=1e-9,
                     r_grid=r)
 
 
-def _advance(state, config, step, rate, monitors, weighted_mass, store,
+def _advance(state, config, prepare, step, monitors, weighted_mass, store,
              rel_floor, r_grid) -> TrajectoryReport:
     """Step `state` until t_max, blow-up, a rejection at the dt floor, a
     stalled clock or the step budget; a datum already over the blow-up
-    threshold takes no step.  step(state, dt) returns the raw new state,
-    and _accept alone decides whether it stands."""
+    threshold takes no step.
+
+    prepare(state, max state) gives (rate, aux) once per accepted state:
+    the reaction rate that bounds dt and whatever else step needs of that
+    state, which a rejected step reuses.  step(state, aux, dt) returns the
+    raw new state, and _accept alone decides whether it stands."""
     p = config.params.p
+    t_max, dt_initial = config.t_max, config.dt_initial
+    dt_safety, n_monitor = config.dt_safety, config.n_monitor
+    threshold = config.blowup_threshold
     rows = []          # (t, weighted mass, critical norm, l2, energy)
     fields = []
 
@@ -624,35 +646,37 @@ def _advance(state, config, step, rate, monitors, weighted_mass, store,
             fields.append((t, store(state)))
 
     t = 0.0
-    checkpoints = np.linspace(0.0, config.t_max, config.n_monitor + 1)
+    checkpoints = np.linspace(0.0, t_max, n_monitor + 1).tolist()
     next_cp = 1
     checkpoint(0.0, state)
     tail_t = [0.0]
     tail_y = [weighted_mass(state)]
-    dt_floor = 1e-14 * max(config.t_max, 1.0)
+    t_end = t_max - 1e-15 * t_max
+    dt_floor = 1e-14 * max(t_max, 1.0)
     budget = _MAX_STEPS
     verdict = Verdict("inconclusive", reason="step budget exhausted")
-    if tail_y[0] > config.blowup_threshold:
+    if tail_y[0] > threshold:
         # no tail to extrapolate a blow-up time from
         budget = 0
         verdict = Verdict(
             "inconclusive",
             reason=f"datum's weighted mass {tail_y[0]:.6g} is already "
-                   f"over the blow-up threshold {config.blowup_threshold:.6g}")
+                   f"over the blow-up threshold {threshold:.6g}")
+    else:
+        rt, aux = prepare(state, float(np.maximum.reduce(state, axis=None)))
     dt_pending = None
     full = 0
     rejected: dict[str, int] = {}
 
     for _ in range(budget):
-        if t >= config.t_max - 1e-15 * config.t_max:
+        if t >= t_end:
             verdict = Verdict("survived", t_star=None)
             break
-        rt = rate(state)
-        dt = config.dt_initial if dt_pending is None else dt_pending
+        dt = dt_initial if dt_pending is None else dt_pending
         if rt > 0.0:
-            dt = min(dt, config.dt_safety / rt)
+            dt = min(dt, dt_safety / rt)
         hit_cp = False
-        if next_cp <= config.n_monitor and t + dt >= checkpoints[next_cp] - 1e-15:
+        if next_cp <= n_monitor and t + dt >= checkpoints[next_cp] - 1e-15:
             dt = max(checkpoints[next_cp] - t, 1e-18)
             hit_cp = True
         if t + dt == t:
@@ -661,7 +685,7 @@ def _advance(state, config, step, rate, monitors, weighted_mass, store,
             verdict = Verdict("inconclusive",
                               reason=f"clock stalled at t={t} (dt={dt:.3g})")
             break
-        new = step(state, dt)
+        new = step(state, aux, dt)
         try:
             peak = _accept(new, rel_floor)
         except _StepRejected as exc:
@@ -674,7 +698,7 @@ def _advance(state, config, step, rate, monitors, weighted_mass, store,
             continue
         state = new
         dt_pending = None
-        if dt == config.dt_initial:
+        if dt == dt_initial:
             full += 1
         t += dt
         y = weighted_mass(state)
@@ -683,21 +707,27 @@ def _advance(state, config, step, rate, monitors, weighted_mass, store,
         if hit_cp:
             checkpoint(t, state)
             next_cp += 1
-        if y > config.blowup_threshold:
+        if y > threshold:
             reason = "weighted mass over threshold"
         elif peak > _U_CAP:
             reason = "amplitude over cap"
         else:
+            rt, aux = prepare(state, peak)
             continue
         if not hit_cp:
             checkpoint(t, state)
         verdict = _blowup_verdict(tail_t, tail_y, p, reason)
         break
     times, wm, crit, l2, energy = np.array(rows).T
+    # the dt range from the accepted times, all of them: the tail keeps
+    # only the last 4000
+    dts = np.diff(tail_t)
     return TrajectoryReport(
         times=times, weighted_mass_series=wm, critical_norm_series=crit,
         l2_series=l2, energy_series=energy, verdict=verdict, config=config,
         tail_times=np.array(tail_t[-4000:]),
         tail_weighted_mass=np.array(tail_y[-4000:]), r_grid=r_grid,
         fields=fields or None, steps_accepted=len(tail_t) - 1,
-        steps_rejected=rejected, steps_full=full)
+        steps_rejected=rejected, steps_full=full,
+        dt_min=float(dts.min()) if dts.size else None,
+        dt_max=float(dts.max()) if dts.size else None)

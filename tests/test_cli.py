@@ -14,6 +14,8 @@ import pytest
 
 from hardyheat import cli, solver
 from hardyheat.cli import main, save_profile
+from hardyheat.exponents import ProblemParams
+from hardyheat.solver import RadialGrid, SolverConfig
 
 
 def run_cli(args, tmp_path):
@@ -53,9 +55,11 @@ class TestPhaseDiagram:
                      "--lambda-grid", "0.1:0.6:4"], tmp_path)
             if _ == 0:
                 first = (tmp_path / "phase.csv").read_bytes()
-                manifest1 = (tmp_path / "manifest_phase-diagram.json").read_bytes()
+                manifest1 = (tmp_path / "manifest_phase-diagram_phase.json"
+                             ).read_bytes()
         assert (tmp_path / "phase.csv").read_bytes() == first
-        assert (tmp_path / "manifest_phase-diagram.json").read_bytes() == manifest1
+        assert (tmp_path / "manifest_phase-diagram_phase.json"
+                ).read_bytes() == manifest1
 
 
 class TestVerify:
@@ -294,12 +298,32 @@ class TestManifests:
                      tmp_path / "profile.json")
         assert run_cli([command, leaf, "--N", "3", "--s", "0.5"],
                        tmp_path) == 0
-        params = json.loads((tmp_path / f"manifest_{command}_{leaf}.json")
-                            .read_text())["parameters"]
+        # kernel actions name their manifest after the --out table too
+        stem = "_profile" if command == "kernel" else ""
+        manifest = tmp_path / f"manifest_{command}_{leaf}{stem}.json"
+        params = json.loads(manifest.read_text())["parameters"]
         name = "action" if command == "kernel" else "check"
         assert params.pop(name) == leaf
         assert set(params) == (LEAF_FLAGS[command, leaf]
                                | {"N", "s", "command", "outdir"})
+
+    def test_runs_with_different_outs_keep_their_manifests(self, tmp_path,
+                                                            capsys):
+        # each manifest sits beside its --out file, named after its stem
+        (tmp_path / "sub").mkdir()
+        outs = ("a.csv", "b.csv", "sub/a.csv")
+        for out in outs:
+            assert run_cli(["sweep", "--N", "3", "--s", "0.5",
+                            "--lambda-grid", "0.5", "--p-grid", "1.9",
+                            "--t-max", "0.1", "--points", "32",
+                            "--out", out], tmp_path) == 0
+        for out in outs:
+            folder, name = os.path.split(out)
+            manifest = (tmp_path / folder
+                        / f"manifest_sweep_{name.removesuffix('.csv')}.json")
+            record = json.loads(manifest.read_text())
+            assert record["parameters"]["out"] == out
+            assert record["outputs"] == [str(tmp_path / out)]
 
     @pytest.mark.parametrize("flags,unread", [
         (["--half-width", "3", "--potential-epsilon", "0.25"],
@@ -312,7 +336,7 @@ class TestManifests:
         assert run_cli(["simulate", "--N", "3", "--s", "0.5", "--lambda",
                         "0.2", "--p", "1.3", "--t-max", "0.1", "--points",
                         "32", *flags], tmp_path) == 0
-        params = json.loads((tmp_path / "manifest_simulate.json")
+        params = json.loads((tmp_path / "manifest_simulate_trajectory.json")
                             .read_text())["parameters"]
         read = {"half_width", "potential_epsilon", "r_min",
                 "r_max"} - unread
@@ -331,7 +355,7 @@ class TestSimulate:
         assert verdict["verdict"] == "blew_up"
         assert (tmp_path / "traj.csv").exists()
         assert (tmp_path / "traj_verdict.json").exists()
-        assert (tmp_path / "manifest_simulate.json").exists()
+        assert (tmp_path / "manifest_simulate_traj.json").exists()
 
     def test_threshold_exit_names_its_reason(self, tmp_path, capsys):
         code = run_cli(["simulate", "--N", "3", "--s", "0.5",
@@ -385,7 +409,7 @@ class TestSweep:
         assert code == 0
         lines = (tmp_path / "sw.csv").read_text().splitlines()
         assert lines[0] == ("lambda,p,verdict,t_star,final_weighted_mass,"
-                            "regime,regime_conflict")
+                            "regime,regime_conflict,steps,rejected")
         assert len(lines) == 5
         verdicts = {}
         for line in lines[1:]:
@@ -393,6 +417,23 @@ class TestSweep:
             verdicts[float(p)] = verdict
         assert verdicts[1.2] == "blew_up"
         assert verdicts[2.0] == "survived"
+
+    def test_step_columns_count_the_run(self, tmp_path):
+        # the steps and rejected columns are the run's own counts
+        argv = ["--lambda-grid", "0.2", "--p-grid", "1.9", "--t-max", "2",
+                "--points", "48"]
+        assert run_cli(["sweep", "--N", "3", "--s", "0.5", *argv],
+                       tmp_path) == 0
+        (row,) = csv.DictReader(
+            (tmp_path / "sweep.csv").read_text().splitlines())
+        cfg = SolverConfig(params=ProblemParams(3, 0.5, 0.2, 1.9),
+                           grid=RadialGrid(1e-3, 1e3, 48), t_max=2.0,
+                           dt_initial=0.02, blowup_threshold=1e4,
+                           n_monitor=32)
+        rep = solver.run(lambda r: np.exp(-r ** 2), cfg)
+        assert (int(row["steps"]), int(row["rejected"])) == (
+            rep.steps_accepted, sum(rep.steps_rejected.values()))
+        assert rep.steps_accepted > 0
 
     def test_datum_refused_before_the_pool(self, tmp_path, capsys,
                                            monkeypatch):
@@ -457,6 +498,7 @@ imported = set(sys.modules)
 for argv in benchmark:
     assert main(["--outdir", out, *argv]) == 0
 loaded_by_benchmark = sorted(set(sys.modules) - imported)
+numpy_ma = "numpy.ma" in sys.modules
 assert main(["--outdir", out, "simulate", "--N", "2", "--s", "0.5",
              "--lambda", "0.2", "--p", "1.5", "--points", "32",
              "--t-max", "1"]) == 0
@@ -466,14 +508,15 @@ for n in ("2", "4"):
 print(json.dumps({
     "scipy": sorted(name for name in sys.modules
                     if name.split(".")[0] == "scipy"),
-    "loaded_by_benchmark": loaded_by_benchmark}))
+    "loaded_by_benchmark": loaded_by_benchmark, "numpy.ma": numpy_ma}))
 """
 
 
 class TestImports:
     def test_commands_run_on_numpy_alone(self, tmp_path):
-        # scipy cost half a second of start-up on every command; and a
-        # module first loaded by a command would move start-up cost into
+        # scipy cost half a second of start-up on every command, and
+        # numpy.ma, which np.unique imports on its first call, some 15 ms;
+        # a module first loaded by a command would move start-up cost into
         # the benchmark's wall time
         workloads = _benchmark_workloads()
         benchmark = [*workloads.commands("sweep", 0),
@@ -488,7 +531,8 @@ class TestImports:
             capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         modules = json.loads(done.stdout.splitlines()[-1])
-        assert modules == {"scipy": [], "loaded_by_benchmark": []}
+        assert modules == {"scipy": [], "loaded_by_benchmark": [],
+                           "numpy.ma": False}
 
 
 class TestErrorExits:
@@ -544,7 +588,7 @@ class TestInputRefused:
         assert run_cli(["phase-diagram", "--N", "3", "--s", "0.5",
                         "--lambda-grid", "0.1:0.6:6"], tmp_path) == 0
         manifest = json.loads(
-            (tmp_path / "manifest_phase-diagram.json").read_text())
+            (tmp_path / "manifest_phase-diagram_phase.json").read_text())
         assert manifest["parameters"]["lambda_grid"] == "0.1:0.6:6"
 
     @pytest.mark.parametrize("damage", ["missing", "not-a-number"])
@@ -810,8 +854,8 @@ class TestConfigFile:
                      "--p", "1.3", "--t-max", "0.1", "--points", "32",
                      "--out", "cfg.csv"])
         assert code == 0
-        params = json.loads(
-            (tmp_path / "manifest_simulate.json").read_text())["parameters"]
+        manifest = tmp_path / "manifest_simulate_cfg.json"
+        params = json.loads(manifest.read_text())["parameters"]
         assert params["seed"] == 7
         assert params["u0"] == "random-bumps"
         assert params["potential_epsilon"] == 0.25
@@ -836,6 +880,6 @@ class TestConfigFile:
         code = main(["--outdir", str(tmp_path), "--config", str(cfg),
                      "kernel", "check", "--N", "3", "--s", "0.5"])
         assert code == 0
-        manifest = tmp_path / "manifest_kernel_check.json"
+        manifest = tmp_path / "manifest_kernel_check_profile.json"
         assert json.loads(manifest.read_text())["parameters"][
             "scaling_ode"] is False

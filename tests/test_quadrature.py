@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hardyheat.errors import QuadratureError
-from hardyheat.quadrature import graded_edges, head_panels, tail_panels
+from hardyheat.quadrature import (distinct_sorted, graded_edges, head_panels,
+                                  tail_panels)
 
 
 def test_tail_power_law_closed_form():
@@ -62,3 +63,16 @@ def test_graded_edges_layout():
     assert edges[0] == 0.0 and edges[-1] == 1.0
     assert np.allclose(widths[1:-1] / widths[:-2], 1.7)
     assert widths[-1] <= 1.7 * widths[-2]
+
+
+@pytest.mark.parametrize("case", ["repeats", "panel-edges", "empty", "one"])
+def test_distinct_sorted_is_np_unique_bit_for_bit(case):
+    rng = np.random.default_rng(3)
+    x = {"repeats": rng.choice(rng.uniform(-2.0, 2.0, 40), 300),
+         # overlapping layouts, as the panel edges of fracop and kernel
+         "panel-edges": np.concatenate([np.geomspace(0.5, 2.0, 33),
+                                        1.0 + np.linspace(-0.1, 0.1, 5),
+                                        graded_edges(0.0, 1.0, 0.1)]),
+         "empty": np.empty(0), "one": np.array([0.25])}[case]
+    got, want = distinct_sorted(x), np.unique(x)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -290,11 +290,16 @@ class TestRunBasics:
         assert rep.verdict.kind == "survived"
         assert (rep.steps_accepted, rep.steps_full, rep.steps_rejected) == (
             2528, 2496, {})
+        # a checkpoint every 50/32 = 78 full steps + 0.0025; the increments
+        # between accepted times carry the rounding of t
+        assert rep.dt_min == pytest.approx(0.0025, rel=1e-9, abs=0.0)
+        assert rep.dt_max == pytest.approx(0.02, rel=1e-9, abs=0.0)
         save_trajectory(rep, tmp_path / "c.csv", tmp_path / "c.json")
         import json
         record = json.loads((tmp_path / "c.json").read_text())
         assert record["steps"] == {"accepted": 2528, "full": 2496,
-                                   "rejected": {}}
+                                   "rejected": {}, "dt_min": rep.dt_min,
+                                   "dt_max": rep.dt_max}
 
     def test_every_step_rejected_ends_at_dt_floor(self, monkeypatch):
         attempts = []
@@ -314,6 +319,7 @@ class TestRunBasics:
         assert len(attempts) == 47
         assert rep.steps_rejected == {"negativity": 47}
         assert rep.steps_accepted == rep.steps_full == 0
+        assert rep.dt_min is rep.dt_max is None
         assert list(rep.times) == [0.0]
 
 
@@ -364,6 +370,38 @@ class TestEigenbasis:
         # step's matvec, a strided V every other step's
         assert full.dtype == np.float64
         assert full.flags.c_contiguous and op.V.flags.c_contiguous
+
+    @pytest.mark.parametrize("reaction", [True, False],
+                             ids=["reaction", "linear"])
+    @pytest.mark.parametrize("lam", [0.2, 0.5],
+                             ids=["complex-pair", "real"])
+    def test_two_steps_against_crank_nicolson_solves(self, lam, reaction):
+        # one full step, then one clipped to the checkpoint at 1.5 dt:
+        # both from a dense solve of (I + aB) x = (I - aB) v + dt rfac v^p,
+        # a = dt/2, on v = r^mu u
+        p, dt = 1.9, 0.05
+        cfg = SolverConfig(params=ProblemParams(3, 0.5, lam, p), grid=RG128,
+                           t_max=1.5 * dt, dt_initial=dt, n_monitor=1,
+                           reaction_enabled=reaction, store_fields=True)
+        rep = run(GAUSSIAN, cfg)
+        assert (rep.steps_accepted, rep.steps_full, rep.steps_rejected) == (
+            2, 1, {})
+        mu = exponent_profile(3, 0.5, lam).mu
+        op = ground_state_operator(RG128, 3, 0.5, mu)
+        r, eye = op.r, np.eye(len(op.r))
+        rfac = r ** (mu * (1.0 - p))
+        v = r ** mu * GAUSSIAN(r)
+        for h in (dt, 0.5 * dt):
+            rhs = (eye - 0.5 * h * op.B) @ v
+            if reaction:
+                rhs += h * rfac * v ** p
+            v = np.linalg.solve(eye + 0.5 * h * op.B, rhs)
+            assert v.min() >= -1e-9 * v.max()
+            v = np.maximum(v, 0.0)
+        (t0, _), (t1, u1) = rep.fields
+        assert (t0, t1) == (0.0, pytest.approx(1.5 * dt, rel=1e-15))
+        ref = r ** (-mu) * v
+        assert np.max(np.abs(u1 - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_defective_block_refused(self):
         with pytest.raises(QuadratureError, match="reproduces B only"):
@@ -591,7 +629,7 @@ class TestCompareSupersolution:
                 tail_times=np.array([0.0]),
                 tail_weighted_mass=np.array([0.0]), r_grid=r,
                 fields=[(0.0, u)], steps_accepted=0, steps_rejected={},
-                steps_full=0)
+                steps_full=0, dt_min=None, dt_max=None)
 
         assert compare_supersolution(report_with(np.zeros_like(r)),
                                      sp, prof_3_05)
