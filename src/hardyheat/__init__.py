@@ -4,6 +4,8 @@ nonlocal operator evaluators, Cauchy-problem simulation with blow-up
 detection, and certification of the explicit test-function and
 supersolution constructions."""
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .errors import (BlowupFitError, CertificationError, DomainError,
@@ -14,8 +16,7 @@ from .exponents import (ExponentProfile, ProblemParams, Regime,
                         hardy_constant, lambda_of_alpha, phase_table,
                         power_coupling, pv_normalization)
 from .fracop import (Field, UniformGrid,
-                     apply_ground_state_operator, bilinear_remainder,
-                     build_ground_state_matrix,
+                     apply_ground_state_operator, build_ground_state_matrix,
                      frac_laplacian_quadrature_radial,
                      frac_laplacian_spectral, spectral_symbol,
                      verify_power_solution)
@@ -35,4 +36,7 @@ from .constructions import (SupersolutionCertificate, SupersolutionParams,
                             supersolution_residual, supersolution_value,
                             y_ode_blowup_predictor)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, not the submodules those imports bind
+__all__ = sorted(name for name, obj in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(obj, _ModuleType))

@@ -5,7 +5,7 @@ manifest JSON next to its outputs, so any invocation can be reproduced
 bit-identically from the manifest alone.  This module alone reads and
 writes files, all through _write_json (sorted keys, indent 2, trailing
 newline: JSON floats round-trip exactly) and _write_csv (floats with 17
-significant digits).
+significant digits), which create the folder of the file if it is missing.
 
 Exit codes: 0 success, 2 usage, 3 domain error, 4 certification failure,
 5 numerical non-convergence.
@@ -44,9 +44,7 @@ EXIT_NUMERICAL = 5
 
 
 def _outdir(args) -> str:
-    out = args.outdir or os.environ.get("HARDYHEAT_OUTDIR", ".")
-    os.makedirs(out, exist_ok=True)
-    return out
+    return args.outdir or os.environ.get("HARDYHEAT_OUTDIR", ".")
 
 
 def _write_manifest(args, command: str, outputs: list[str],
@@ -75,12 +73,20 @@ def _write_manifest(args, command: str, outputs: list[str],
     return path
 
 
+def _write_text(path, text: str) -> None:
+    """Write `text` to `path`, creating its folder if it is missing."""
+    folder = os.path.dirname(path)
+    if folder:
+        os.makedirs(folder, exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def _write_json(path, obj) -> str:
     """Write `obj` as sorted, indented JSON with a trailing newline; the
     text written is returned, so the same report can be printed."""
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
+    _write_text(path, text)
     return text
 
 
@@ -89,8 +95,7 @@ def _write_csv(path, header: str, rows) -> None:
     are, numbers with 17 significant digits."""
     lines = [header] + [",".join(v if isinstance(v, str) else format(v, ".17g")
                                  for v in row) for row in rows]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _sidecar(path: str, suffix: str) -> str:
@@ -150,6 +155,7 @@ def save_trajectory(report: TrajectoryReport, csv_path, json_path) -> None:
     _write_json(json_path, {
         "verdict": report.verdict.kind,
         "t_star": report.verdict.t_star,
+        "tail_linearity": report.verdict.tail_linearity,
         "reason": report.verdict.reason,
         "params": {"N": cfg.params.N, "s": cfg.params.s,
                    "lambda": cfg.params.lam, "p": cfg.params.p},

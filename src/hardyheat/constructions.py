@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError, QuadratureError, UnsupportedDatumError
 from .exponents import (ProblemParams, Regime, classify_regime,
                         exponent_profile)
-from .fracop import (Field, apply_ground_state_operator, bilinear_remainder,
+from .fracop import (Field, apply_ground_state_operator,
                      frac_laplacian_quadrature_radial, frac_laplacian_spectral)
 from .kernel import KernelProfile, sphere_area, tail_mass_beyond
 from .quadrature import (gauss_rule, head_panels, integrate_panels,
@@ -30,7 +30,7 @@ __all__ = [
     "psi_differential_inequality", "y_ode_blowup_predictor",
     "SupersolutionCertificate", "choose_supersolution", "supersolution_value",
     "supersolution_residual",
-    "supersolution_mixed_remainder", "compare_supersolution", "energy_gap", "energy_blowup_criterion",
+    "compare_supersolution", "energy_gap", "energy_blowup_criterion",
     "critical_case_constants", "smooth_bump",
 ]
 
@@ -342,25 +342,6 @@ def supersolution_residual(sp: SupersolutionParams, params: ProblemParams,
                                  radii, times)
     return _certificate(sp, params.p, terms, radii,
                         times).min_normalized_residual
-
-
-def supersolution_mixed_remainder(sp: SupersolutionParams,
-                                  profile: KernelProfile, radii) -> float:
-    """Min over radii of the bilinear remainder between the power weight
-    and the kernel profile at t = 0 (both decreasing, so the product of
-    differences is pointwise nonnegative and the remainder must be >= 0)."""
-    tau = sp.T
-
-    def weight(rr):
-        return np.asarray(rr, dtype=float) ** (-sp.gamma)
-
-    def prof_part(rr):
-        sig = np.asarray(rr, dtype=float) * tau ** (-sp.beta)
-        return profile.h_of_sigma(sig)
-
-    return float(np.min(bilinear_remainder(
-        weight, prof_part, profile.N, profile.s,
-        np.asarray(radii, dtype=float))))
 
 
 def compare_supersolution(report: TrajectoryReport, sp: SupersolutionParams,

@@ -10,9 +10,9 @@ Two independent discretizations:
   |y - x| < delta and adding its second-order Taylor complement, and
   power-law closures for both the origin and the far tail.
 
-On top of the quadrature sit the bilinear product-rule remainder and the
-ground-state-transformed operator with kernel
-|x|^{-mu} |y|^{-mu} |x-y|^{-(N+2s)}.  All evaluators are pure functions.
+The radial quadrature is the ground-state-transformed operator with kernel
+|x|^{-mu} |y|^{-mu} |x-y|^{-(N+2s)} at mu = 0.  All evaluators are pure
+functions.
 """
 from __future__ import annotations
 
@@ -30,9 +30,8 @@ from .quadrature import (distinct_sorted, graded_edges, head_panels,
 __all__ = [
     "UniformGrid", "Field",
     "frac_laplacian_spectral", "spectral_symbol",
-    "frac_laplacian_quadrature_radial", "bilinear_remainder",
-    "apply_ground_state_operator", "verify_power_solution",
-    "build_ground_state_matrix",
+    "frac_laplacian_quadrature_radial", "apply_ground_state_operator",
+    "verify_power_solution", "build_ground_state_matrix",
 ]
 
 
@@ -261,28 +260,6 @@ def _integral_edges(d: float) -> np.ndarray:
 _XI_EDGES = _integral_edges(_DELTA_FRAC)
 
 
-def _nonlocal_radial_integral(G, N: int, s: float, r: np.ndarray,
-                              mu: float):
-    """int_0^inf G(rho) rho^{N-1-mu} K_N^delta(r, rho) drho with
-    delta = _DELTA_FRAC r, at every radius of r.
-
-    The cut kernel is homogeneous of degree -(N+2s), so in xi = rho/r the
-    integral is r^{-2s-mu} int G(r xi) _radial_weight(xi) dxi: one panel
-    layout serves every radius (fixed edges on [1/2, 2], geometric head and
-    tail panels beyond).  G is called on r[..., None] * xi.  The head and
-    tail of each radius must die out, otherwise a QuadratureError is raised.
-    """
-    def integrand(xi):
-        return G(r[..., None] * xi) * _radial_weight(N, s, mu, xi,
-                                                     _DELTA_FRAC)
-
-    mid = integrate_panels(integrand, _XI_EDGES, _ORDER)
-    scale = np.abs(mid)
-    head = head_panels(integrand, 0.5, order=_ORDER, scale=scale)
-    tail = tail_panels(integrand, 2.0, order=_ORDER, scale=scale)
-    return r ** (-2.0 * s - mu) * (mid + head + tail)
-
-
 def frac_laplacian_quadrature_radial(f, N: int, s: float, r):
     """(-Delta)^s of a radial function at radius r by P.V. quadrature.
 
@@ -323,25 +300,6 @@ def _quadrature_at_origin(f, N: int, s: float) -> float:
     return core + body + tail
 
 
-def bilinear_remainder(w, v, N: int, s: float, r):
-    """int (w(x)-w(y)) (v(x)-v(y)) |x-y|^{-(N+2s)} dy for radial w, v.
-
-    No normalization constant; the integrand is only |x-y|^{2-N-2s}
-    singular so the core ball contributes w'(r) v'(r) |z|^2/N moments.
-    """
-    r = np.asarray(r, dtype=float)
-    delta = _DELTA_FRAC * r
-    w0, w1, _ = _local_derivatives(w, r, delta / 3.0)
-    v0, v1, _ = _local_derivatives(v, r, delta / 3.0)
-    core = w1 * v1 / N * _core_moment(N, s, delta)
-
-    def G(rho):
-        return (w0[..., None] - w(rho)) * (v0[..., None] - v(rho))
-
-    out = core + _nonlocal_radial_integral(G, N, s, r, 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
 def apply_ground_state_operator(v, mu: float, N: int, s: float, r):
     """Ground-state operator L v(r) with kernel
     |x|^{-mu} |y|^{-mu} |x-y|^{-(N+2s)} (P.V., with normalization).
@@ -360,10 +318,19 @@ def apply_ground_state_operator(v, mu: float, N: int, s: float, r):
     v0, v1, v2 = _local_derivatives(v, r, delta / 3.0)
     core = _core_complement(N, s, mu, r, delta, v1, v2)
 
-    def G(rho):
-        return v0[..., None] - v(rho)
+    # the cut kernel is homogeneous of degree -(N+2s), so in xi = rho/r the
+    # shell integral is r^{-2s-mu} int (v0 - v(r xi)) _radial_weight(xi) dxi:
+    # one panel layout serves every radius (fixed edges on [1/2, 2],
+    # geometric head and tail panels beyond, each of which must die out)
+    def integrand(xi):
+        return ((v0[..., None] - v(r[..., None] * xi))
+                * _radial_weight(N, s, mu, xi, _DELTA_FRAC))
 
-    far = _nonlocal_radial_integral(G, N, s, r, mu)
+    mid = integrate_panels(integrand, _XI_EDGES, _ORDER)
+    scale = np.abs(mid)
+    head = head_panels(integrand, 0.5, order=_ORDER, scale=scale)
+    tail = tail_panels(integrand, 2.0, order=_ORDER, scale=scale)
+    far = r ** (-2.0 * s - mu) * (mid + head + tail)
     out = a * (r ** (-mu) * far + core)
     return float(out) if out.ndim == 0 else out
 

@@ -120,6 +120,7 @@ class Verdict:
     kind: str                      # "blew_up" | "survived" | "inconclusive"
     t_star: float | None = None
     reason: str | None = None
+    tail_linearity: float | None = None   # of the fit t_star came from
 
 
 @dataclass
@@ -297,15 +298,10 @@ def _tail_line(times, weighted_mass_series, p: float):
     return tt, zz, slope, intercept
 
 
-def estimate_blowup_time(times, weighted_mass_series, p: float) -> float:
-    """Extrapolated blow-up time from the linear law of Y^{1-p}.
-
-    Fits Y^{1-p} on the strictly increasing tail of the series and returns
-    its zero crossing; refuses (BlowupFitError) when the tail is not
-    monotone increasing, not accelerating, or the crossing does not exceed
-    the last recorded time.
-    """
-    tt, _, slope, intercept = _tail_line(times, weighted_mass_series, p)
+def _crossing(fit) -> float:
+    """Zero crossing of a _tail_line fit; refuses (BlowupFitError) a line
+    not decreasing toward zero or a crossing within the data."""
+    tt, _, slope, intercept = fit
     if slope >= 0.0:
         raise BlowupFitError("Y^{1-p} tail not decreasing toward zero")
     t_star = tt[0] - intercept / slope
@@ -314,14 +310,31 @@ def estimate_blowup_time(times, weighted_mass_series, p: float) -> float:
     return float(t_star)
 
 
-def tail_linearity_residual(times, weighted_mass_series, p: float) -> float:
-    """Max deviation of Y^{1-p} from its tail linear fit, relative to the
-    fitted range (small values corroborate the blow-up ODE law)."""
-    tt, zz, slope, intercept = _tail_line(times, weighted_mass_series, p)
+def _linearity(fit) -> float:
+    """Max deviation of a _tail_line fit from its data, relative to their
+    range; refuses (BlowupFitError) a flat tail."""
+    tt, zz, slope, intercept = fit
     if zz.max() == zz.min():
         raise BlowupFitError("tail too flat for a linearity residual")
     return float(np.max(np.abs(slope * (tt - tt[0]) + intercept - zz))
                  / (zz.max() - zz.min()))
+
+
+def estimate_blowup_time(times, weighted_mass_series, p: float) -> float:
+    """Extrapolated blow-up time from the linear law of Y^{1-p}.
+
+    Fits Y^{1-p} on the strictly increasing tail of the series and returns
+    its zero crossing; refuses (BlowupFitError) when the tail is not
+    monotone increasing, not accelerating, or the crossing does not exceed
+    the last recorded time.
+    """
+    return _crossing(_tail_line(times, weighted_mass_series, p))
+
+
+def tail_linearity_residual(times, weighted_mass_series, p: float) -> float:
+    """Max deviation of Y^{1-p} from its tail linear fit, relative to the
+    fitted range (small values corroborate the blow-up ODE law)."""
+    return _linearity(_tail_line(times, weighted_mass_series, p))
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +400,14 @@ def _blowup_verdict(tail_t: list[float], tail_y: list[float], p: float,
     y = np.asarray(tail_y)
     start = int(np.searchsorted(y > y[-1] * 1e-3, True))
     window = int(np.clip(len(y) - start, 8, 200))
+    # one fit gives t* and, as a check of the law, its linearity residual
     try:
-        t_star = estimate_blowup_time(tail_t[-window:], tail_y[-window:], p)
+        fit = _tail_line(tail_t[-window:], tail_y[-window:], p)
+        t_star, linearity = _crossing(fit), _linearity(fit)
     except BlowupFitError as exc:
         return Verdict("inconclusive", reason=f"{reason}, but {exc}")
-    return Verdict("blew_up", t_star=t_star, reason=reason)
+    return Verdict("blew_up", t_star=t_star, reason=reason,
+                   tail_linearity=linearity)
 
 
 def _run_direct(u_init: np.ndarray, config: SolverConfig) -> TrajectoryReport:

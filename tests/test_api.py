@@ -13,13 +13,16 @@ are exempt.
 
 Every exported name exists: each name in a module's __all__ is defined in
 that module, and each name the package root imports from a module is in
-that module's __all__ (or public, in a module without one).
+that module's __all__ (or public, in a module without one), and the
+root's __all__ is exactly the names it imports that way.
 
 Only the command line touches files: no other module imports json or
 calls open (or numpy's text readers and writers).
 """
 import ast
 from pathlib import Path
+
+import hardyheat
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hardyheat"
@@ -149,13 +152,18 @@ def test_exports_exist_and_reach_the_root():
         missing += [f"{name}.__all__ names undefined {export}"
                     for export in _exports(tree) if export not in defined]
     root = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = set()
     for node in root.body:
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             exports = _exports(trees[node.module])
             missing += [f"root imports {node.module}.{a.name}, not in its "
                         f"__all__" for a in node.names
                         if a.name not in exports]
+            imported.update(a.name for a in node.names)
     assert missing == []
+    # the root exports what it imports from its modules, and not the
+    # submodules themselves, so `from hardyheat import *` rebinds no module
+    assert set(hardyheat.__all__) == imported
 
 
 # the package's modules, each importing only from modules before it

@@ -278,6 +278,31 @@ class TestSidecarPaths:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestMissingFolders:
+    """The writers create the folders of the files they write; a command
+    that only reads creates none."""
+
+    @pytest.mark.parametrize("argv", [
+        ["phase-diagram", "--lambda-grid", "0.1,0.2"],
+        ["sweep", "--lambda-grid", "0.5", "--p-grid", "1.9", "--t-max",
+         "0.1", "--points", "32"],
+    ], ids=["phase-diagram", "sweep"])
+    def test_out_into_a_missing_folder(self, tmp_path, capsys, argv):
+        out = tmp_path / "new"
+        assert main(["--outdir", str(out), argv[0], "--N", "3", "--s",
+                     "0.5", *argv[1:], "--out", "a/b/x.csv"]) == 0
+        assert (out / "a" / "b" / "x.csv").exists()
+        assert (out / "a" / "b" / f"manifest_{argv[0]}_x.json").exists()
+
+    def test_check_in_a_missing_folder_exits_certification(self, tmp_path,
+                                                           capsys):
+        out = tmp_path / "new"
+        assert main(["--outdir", str(out), "kernel", "check", "--N", "3",
+                     "--s", "0.5"]) == 4
+        assert "unreadable kernel table" in capsys.readouterr().err
+        assert not out.exists()
+
+
 LEAF_FLAGS = {
     ("kernel", "build"): {"sigma_max", "n_points", "out"},
     ("kernel", "check"): {"out", "scaling_ode"},
@@ -367,6 +392,7 @@ class TestSimulate:
         for verdict in (printed, saved):
             assert verdict["verdict"] == "blew_up"
             assert verdict["reason"] == "weighted mass over threshold"
+        assert math.isfinite(saved["tail_linearity"])
 
     def test_non_finite_matrix_exits_numerical(self, tmp_path, matrix_builds,
                                                monkeypatch):

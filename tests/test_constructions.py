@@ -21,7 +21,6 @@ from hardyheat.constructions import (SupersolutionParams, TestFunctionParams,
                                      psi_differential_inequality,
                                      psi_eta_mass, psi_eta_value,
                                      psi_mass_constant, smooth_bump,
-                                     supersolution_mixed_remainder,
                                      supersolution_residual,
                                      supersolution_value,
                                      y_ode_blowup_predictor)
@@ -235,12 +234,6 @@ class TestSupersolution:
                 failed = True
                 break
         assert failed
-
-    def test_mixed_remainder_nonnegative(self, prof_3_05):
-        sp, _ = choose_supersolution(PARAMS, prof_3_05)
-        worst = supersolution_mixed_remainder(sp, prof_3_05,
-                                              np.geomspace(0.1, 5.0, 6))
-        assert worst >= 0.0
 
     def test_self_similar_identity(self, prof_3_05):
         # w = A (T+t)^{-theta + gamma/(2s) + N/(2s)} |x|^{-gamma} h(x, t+T)

@@ -11,7 +11,7 @@ from hardyheat.exponents import (exponent_profile, lambda_of_alpha,
                                  pv_normalization)
 from hardyheat.fracop import (Field, UniformGrid, _core_complement,
                               _integral_edges, _radial_weight,
-                              apply_ground_state_operator, bilinear_remainder,
+                              apply_ground_state_operator,
                               build_ground_state_matrix,
                               frac_laplacian_quadrature_radial,
                               frac_laplacian_spectral,
@@ -249,11 +249,6 @@ class TestBatchContract:
             lambda r: frac_laplacian_quadrature_radial(gaussian, N, s, r),
             self.RADII)
 
-    def test_bilinear_remainder(self):
-        v = lambda rho: 1.0 / (1.0 + rho ** 2)
-        self.assert_matches_scalar_calls(
-            lambda r: bilinear_remainder(gaussian, v, 3, 0.5, r), self.RADII)
-
     def test_origin_only_as_scalar_radius(self):
         with pytest.raises(DomainError, match="only as a scalar"):
             frac_laplacian_quadrature_radial(gaussian, 3, 0.5,
@@ -324,37 +319,6 @@ class TestPowerSolutions:
     def test_other_order(self):
         err = verify_power_solution(3, 0.25, 0.7, [0.5, 1.0])
         assert err <= 1e-3
-
-
-class TestBilinear:
-    def test_constant_factor_vanishes(self):
-        val = bilinear_remainder(lambda r: np.ones_like(r), gaussian,
-                                 3, 0.5, 1.0)
-        assert val == 0.0
-
-    def test_square_nonnegative(self):
-        val = bilinear_remainder(gaussian, gaussian, 3, 0.5, 1.0)
-        assert val > 0.0
-
-    def test_decreasing_pair_nonnegative(self, prof_3_05):
-        # power weight and kernel profile are both decreasing
-        w = lambda rho: rho ** -0.5
-        H = lambda rho: poisson_profile(3, rho)
-        for r in (0.3, 1.0, 3.0):
-            assert bilinear_remainder(w, H, 3, 0.5, r) >= 0.0
-
-    def test_product_rule_closure(self):
-        w = gaussian
-        v = lambda rho: 1.0 / (1.0 + rho ** 2)
-        N, s, r = 3, 0.5, 0.9
-        a = pv_normalization(N, s)
-        lhs = frac_laplacian_quadrature_radial(
-            lambda rho: w(rho) * v(rho), N, s, r)
-        rhs = (v(r) * frac_laplacian_quadrature_radial(w, N, s, r)
-               + w(r) * frac_laplacian_quadrature_radial(v, N, s, r)
-               - a * bilinear_remainder(w, v, N, s, r))
-        scale = abs(lhs) + abs(rhs)
-        assert abs(lhs - rhs) <= 1e-3 * scale
 
 
 class TestGroundState:

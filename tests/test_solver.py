@@ -164,6 +164,21 @@ class TestBlowupExtrapolation:
         Y = (Y0 ** (1 - p) - (p - 1) * K * t) ** (-1 / (p - 1))
         assert tail_linearity_residual(t, Y, p) < 1e-10
 
+    def test_verdict_linearity_is_that_of_the_t_star_fit(self):
+        cfg = SolverConfig(params=ProblemParams(3, 0.5, 0.5, 1.9), grid=RG,
+                           t_max=5.0)
+        rep = run(radial_bump(), cfg)
+        assert rep.verdict.kind == "blew_up"
+        assert rep.steps_accepted < 4000     # the report keeps every sample
+        # the fit window of the verdict: the samples within three decades
+        # of the final weighted mass, at least 8 and at most 200
+        y = rep.tail_weighted_mass
+        start = int(np.searchsorted(y > y[-1] * 1e-3, True))
+        window = int(np.clip(len(y) - start, 8, 200))
+        tail = (rep.tail_times[-window:], y[-window:], 1.9)
+        assert rep.verdict.t_star == estimate_blowup_time(*tail)
+        assert rep.verdict.tail_linearity == tail_linearity_residual(*tail)
+
 
 class TestRunBasics:
     def test_zero_datum_survives(self):
@@ -300,6 +315,7 @@ class TestRunBasics:
         assert record["steps"] == {"accepted": 2528, "full": 2496,
                                    "rejected": {}, "dt_min": rep.dt_min,
                                    "dt_max": rep.dt_max}
+        assert record["tail_linearity"] is None
 
     def test_every_step_rejected_ends_at_dt_floor(self, monkeypatch):
         attempts = []
