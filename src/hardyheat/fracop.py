@@ -24,8 +24,8 @@ import numpy as np
 from .errors import DomainError, QuadratureError
 from .exponents import lambda_of_alpha, pv_normalization
 from .kernel import sphere_area
-from .quadrature import (distinct_sorted, graded_edges, head_panels,
-                         integrate_panels, panel_nodes, tail_panels)
+from .quadrature import (distinct_sorted, head_panels, integrate_panels,
+                         panel_nodes, tail_panels)
 
 __all__ = [
     "UniformGrid", "Field",
@@ -145,6 +145,9 @@ _DELTA_FRAC = 1.0 / 64.0
 _ORDER = 10
 _MATRIX_ORDER = 8
 
+# growth per panel of the panels' distance from xi = 1 outside the cut band
+_GRADING = 1.7
+
 # offsets of the 5-point difference stencil, in steps
 _FD_STEPS = np.arange(-2.0, 3.0)
 
@@ -176,22 +179,6 @@ def _angular_cut(N: int, s: float, xi, dmin) -> np.ndarray:
     return out.reshape(shape)
 
 
-def _power_diff(dmin: np.ndarray, rsum: np.ndarray, excess: np.ndarray,
-                c: float) -> np.ndarray:
-    """dmin^{-c} - rsum^{-c} without cancellation when dmin ~ rsum, given
-    excess = dmin - rsum computed without cancellation."""
-    ratio = dmin / rsum
-    out = np.empty_like(ratio)
-    close = ratio > 0.5
-    if np.any(close):
-        # dmin^{-c} (1 - (dmin/rsum)^c) with expm1 for the small exponent
-        out[close] = dmin[close] ** (-c) * (
-            -np.expm1(c * np.log1p(excess[close] / rsum[close])))
-    far = ~close
-    out[far] = dmin[far] ** (-c) - rsum[far] ** (-c)
-    return out
-
-
 def _radial_weight(N: int, s: float, mu: float, xi, d) -> np.ndarray:
     """Radial weight xi^{N-1-mu} K_N^d(1, xi) in xi = rho / r, where the
     cut kernel K_N^d(1, xi) is the surface integral of |x - y|^{-(N+2s)}
@@ -208,9 +195,12 @@ def _radial_weight(N: int, s: float, mu: float, xi, d) -> np.ndarray:
         kern[keep] += gap[keep] ** (-beta)
     elif N == 3:
         c = 1.0 + 2.0 * s
-        # dmin - rsum: -2 min(xi, 1) outside the cut, d - xi - 1 inside
+        # dmin^{-c} - rsum^{-c} = dmin^{-c} (1 - (dmin/rsum)^c), with
+        # dmin/rsum = 1 + excess/rsum and excess = dmin - rsum, -2 min(xi, 1)
+        # outside the cut and d - xi - 1 inside: no cancellation at any xi
         excess = np.where(keep, -2.0 * np.minimum(xi, 1.0), d - rsum)
-        kern = 2.0 * math.pi / (xi * c) * _power_diff(dmin, rsum, excess, c)
+        kern = (2.0 * math.pi / (xi * c) * dmin ** (-c)
+                * -np.expm1(c * np.log1p(excess / rsum)))
     else:
         kern = _angular_cut(N, s, xi, dmin)
     return xi ** (N - 1 - mu) * kern
@@ -248,12 +238,17 @@ def _local_derivatives(f, r: np.ndarray, h: np.ndarray):
 
 
 def _integral_edges(d: float) -> np.ndarray:
-    """Panel edges in xi on [1/2, 2], graded into the cut band
-    |xi - 1| < d from both sides."""
-    left = 1.0 - graded_edges(d, 0.5, d)[::-1]
-    right = 1.0 + graded_edges(d, 1.0, d)
-    cut = np.linspace(1.0 - d, 1.0 + d, 5)
-    return distinct_sorted(np.concatenate([left, cut, right]))
+    """Panel edges in xi on [1/2, 2], ascending: four equal panels across
+    the cut band |xi - 1| < d, and outside it distances from xi = 1 that
+    grow geometrically from d, by at most _GRADING per panel, to 1/2 below
+    and 1 above.  0 < d <= 1/4, as in every caller."""
+    def away(reach):
+        panels = math.ceil(math.log(reach / d) / math.log(_GRADING))
+        return np.geomspace(d, reach, panels + 1)
+
+    return np.concatenate([1.0 - away(0.5)[::-1],
+                           np.linspace(1.0 - d, 1.0 + d, 5)[1:-1],
+                           1.0 + away(1.0)])
 
 
 # the edges of every callable evaluation, in xi = rho / r
@@ -282,7 +277,8 @@ def frac_laplacian_quadrature_radial(f, N: int, s: float, r):
 
 def _quadrature_at_origin(f, N: int, s: float) -> float:
     """At r = 0 every direction is equivalent: the kernel is exactly
-    omega_{N-1} rho^{-(N+2s)} outside the core ball."""
+    omega_{N-1} rho^{-(N+2s)} outside the core ball, integrated over
+    (delta, inf) by one geometric panel sum."""
     h = 1e-3
     v = f(np.array([h, 2 * h]))
     f0 = float(f(np.array([0.0]))[0])
@@ -295,9 +291,7 @@ def _quadrature_at_origin(f, N: int, s: float) -> float:
     def integrand(rho):
         return (f0 - f(rho)) * omega * rho ** (-1.0 - 2.0 * s)
 
-    body = integrate_panels(integrand, np.geomspace(delta, 8.0, 64), _ORDER)
-    tail = tail_panels(integrand, 8.0, order=_ORDER, scale=abs(body))
-    return core + body + tail
+    return core + tail_panels(integrand, delta, order=_ORDER)
 
 
 def apply_ground_state_operator(v, mu: float, N: int, s: float, r):

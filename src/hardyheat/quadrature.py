@@ -5,21 +5,18 @@ panel layouts, no randomized adaptivity, so repeated runs are bit-identical.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import QuadratureError
 
-_GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
+@functools.lru_cache(maxsize=None)
 def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [-1, 1], cached per order."""
-    rule = _GAUSS_CACHE.get(order)
-    if rule is None:
-        rule = leggauss(order)
-        _GAUSS_CACHE[order] = rule
-    return rule
+    return leggauss(order)
 
 
 def distinct_sorted(x) -> np.ndarray:
@@ -55,34 +52,6 @@ def integrate_panels(f, edges: np.ndarray, order: int = 10):
     """
     nodes, weights = panel_nodes(np.asarray(edges, dtype=float), order)
     return np.vecdot(f(nodes), weights)
-
-
-_GRADED_RATIO = 1.7
-_GRADED_MAX_EDGES = 400
-
-
-def graded_edges(start: float, stop: float, first: float) -> np.ndarray:
-    """Edges from start to stop with widths growing geometrically from `first`.
-
-    The fine end is at `start`; panels widen by _GRADED_RATIO until `stop`
-    is reached. start < stop required.  Raises QuadratureError when that
-    takes more than _GRADED_MAX_EDGES edges.
-    """
-    if stop <= start:
-        return np.array([start])
-    edges = [start]
-    width = first
-    pos = start
-    while pos + width < stop:
-        if len(edges) > _GRADED_MAX_EDGES:
-            raise QuadratureError(
-                f"graded panels from {start:.3e} (first width {first:.3e}) "
-                f"do not reach {stop:.3e} within {_GRADED_MAX_EDGES} edges")
-        pos += width
-        edges.append(pos)
-        width *= _GRADED_RATIO
-    edges.append(stop)
-    return np.array(edges)
 
 
 # Geometric panels: widths grow (tail) or shrink (head) by _RATIO per

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import importlib.util
 import json
@@ -466,13 +467,43 @@ class TestSweep:
         def no_pool(*args, **kwargs):
             pytest.fail("sweep started a process pool")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
         code = run_cli(["sweep", "--N", "3", "--s", "0.5",
                         "--lambda-grid", "0.5", "--p-grid", "1.9,2.0",
                         "--u0", "random-bumps", "--seed", "-1",
                         "--jobs", "2"], tmp_path)
         assert code == 3
         assert "--seed must be nonnegative" in capsys.readouterr().err
+
+    def test_no_more_workers_than_lambda_rows(self, tmp_path, monkeypatch):
+        # each worker takes whole lambda rows, so --jobs 64 on two rows
+        # asks for two workers; a stand-in pool runs the rows in-process
+        asked = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
+        argv = ["sweep", "--N", "3", "--s", "0.5", "--lambda-grid",
+                "0.2,0.5", "--p-grid", "1.9", "--t-max", "0.5",
+                "--points", "48"]
+        assert run_cli(argv + ["--jobs", "64"], tmp_path / "pool") == 0
+        assert asked == [2]
+        assert run_cli(argv + ["--jobs", "1"], tmp_path / "serial") == 0
+        assert ((tmp_path / "pool" / "sweep.csv").read_bytes()
+                == (tmp_path / "serial" / "sweep.csv").read_bytes())
 
 
     def test_regime_column(self, tmp_path):
@@ -534,15 +565,18 @@ for n in ("2", "4"):
 print(json.dumps({
     "scipy": sorted(name for name in sys.modules
                     if name.split(".")[0] == "scipy"),
+    "concurrent": sorted(name for name in sys.modules
+                         if name.split(".")[0] == "concurrent"),
     "loaded_by_benchmark": loaded_by_benchmark, "numpy.ma": numpy_ma}))
 """
 
 
 class TestImports:
     def test_commands_run_on_numpy_alone(self, tmp_path):
-        # scipy cost half a second of start-up on every command, and
-        # numpy.ma, which np.unique imports on its first call, some 15 ms;
-        # a module first loaded by a command would move start-up cost into
+        # scipy cost half a second of start-up on every command, numpy.ma,
+        # which np.unique imports on its first call, some 15 ms, and the
+        # process pool, which only sweep --jobs > 1 uses, some 25 ms; a
+        # module first loaded by a command would move start-up cost into
         # the benchmark's wall time
         workloads = _benchmark_workloads()
         benchmark = [*workloads.commands("sweep", 0),
@@ -557,8 +591,8 @@ class TestImports:
             capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         modules = json.loads(done.stdout.splitlines()[-1])
-        assert modules == {"scipy": [], "loaded_by_benchmark": [],
-                           "numpy.ma": False}
+        assert modules == {"scipy": [], "concurrent": [],
+                           "loaded_by_benchmark": [], "numpy.ma": False}
 
 
 class TestErrorExits:

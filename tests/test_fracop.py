@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import hyp1f1
@@ -220,6 +221,31 @@ class TestRadialQuadrature:
                 with pytest.raises(QuadratureError):
                     frac_laplacian_quadrature_radial(
                         lambda rho: rho ** e, N, 0.5, 1.0)
+
+    @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.95])
+    def test_n3_cut_kernel_against_mpmath(self, s):
+        # xi^{2-mu} 2 pi/(xi c) (max(|xi - 1|, d)^{-c} - (xi + 1)^{-c}),
+        # c = 1 + 2s, at 40 digits: over xi in [1e-12, 1e12], inside the
+        # cut band and on both sides of dmin/rsum = 1/2 (xi = 1/3 and 3)
+        c = 1.0 + 2.0 * s
+        split = np.array([1.0 / 3.0, 3.0])
+        split = np.concatenate([split, np.nextafter(split, 0.0),
+                                np.nextafter(split, 4.0), split * (1 - 1e-9),
+                                split * (1 + 1e-9)])
+        for d in (1e-3, 1.0 / 64.0, 0.25):
+            band = 1.0 + d * np.linspace(-1.0, 1.0, 21)
+            xi = np.concatenate([np.geomspace(1e-12, 1e12, 97), band,
+                                 np.nextafter(band[[0, -1]], 1.0), split])
+            for mu in (0.0, 0.8):
+                got = _radial_weight(3, s, mu, xi, d)
+                with mpmath.workdps(40):
+                    cm, dm = mpmath.mpf(c), mpmath.mpf(d)
+                    want = [x ** (2 - mpmath.mpf(mu)) * 2 * mpmath.pi
+                            / (x * cm) * (max(abs(x - 1), dm) ** -cm
+                                          - (x + 1) ** -cm)
+                            for x in map(mpmath.mpf, xi)]
+                    err = max(abs((g - w) / w) for g, w in zip(got, want))
+                assert err < 2e-15, (d, mu, float(err))
 
 
 class TestBatchContract:

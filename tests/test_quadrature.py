@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hardyheat.errors import QuadratureError
-from hardyheat.quadrature import (distinct_sorted, graded_edges, head_panels,
-                                  tail_panels)
+from hardyheat.fracop import _integral_edges
+from hardyheat.quadrature import distinct_sorted, head_panels, tail_panels
 
 
 def test_tail_power_law_closed_form():
@@ -50,19 +50,22 @@ def test_batch_rows_stop_on_their_own_panels():
         tail_panels(lambda x: x ** -np.array([[2.0], [1.0]]), 1.0)
 
 
-def test_graded_edges_refuses_cap():
-    # 1e-300 growing by 1.7 per panel needs ~1300 panels to reach 1; the
-    # old loop stopped at 400 edges and closed with one panel ~1 wide
-    with pytest.raises(QuadratureError):
-        graded_edges(1e-300, 1.0, 1e-300)
-
-
-def test_graded_edges_layout():
-    edges = graded_edges(0.0, 1.0, 0.1)
-    widths = np.diff(edges)
-    assert edges[0] == 0.0 and edges[-1] == 1.0
-    assert np.allclose(widths[1:-1] / widths[:-2], 1.7)
-    assert widths[-1] <= 1.7 * widths[-2]
+def test_integral_edges_layout():
+    # four equal panels across the cut band |xi - 1| < d; outside it the
+    # distance from xi = 1 grows by at most 1.7 per panel, to 1/2 below
+    # and to 1 above
+    for d in (1e-3, 1.0 / 64.0, 0.25):
+        edges = _integral_edges(d)
+        assert edges[0] == 0.5 and edges[-1] == 2.0
+        assert np.all(np.diff(edges) > 0.0)
+        band = np.flatnonzero(np.abs(edges - 1.0) <= d * (1.0 + 1e-12))
+        assert len(band) == 5
+        assert np.allclose(np.diff(edges[band]), 0.5 * d, rtol=1e-9)
+        below = 1.0 - edges[:band[0] + 1][::-1]
+        above = edges[band[-1]:] - 1.0
+        for dist in (below, above):
+            assert dist[0] == pytest.approx(d, rel=1e-12)
+            assert np.all(dist[1:] / dist[:-1] <= 1.7 * (1.0 + 1e-12))
 
 
 @pytest.mark.parametrize("case", ["repeats", "panel-edges", "empty", "one"])
@@ -72,7 +75,7 @@ def test_distinct_sorted_is_np_unique_bit_for_bit(case):
          # overlapping layouts, as the panel edges of fracop and kernel
          "panel-edges": np.concatenate([np.geomspace(0.5, 2.0, 33),
                                         1.0 + np.linspace(-0.1, 0.1, 5),
-                                        graded_edges(0.0, 1.0, 0.1)]),
+                                        _integral_edges(1.0 / 64.0)]),
          "empty": np.empty(0), "one": np.array([0.25])}[case]
     got, want = distinct_sorted(x), np.unique(x)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
