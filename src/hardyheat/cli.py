@@ -277,7 +277,7 @@ def _cmd_kernel(args) -> int:
     _write_manifest(args, "kernel_check", [])
     ok = report["mass_defect"] <= 1e-6 and np.isfinite(C)
     if args.scaling_ode:
-        ok = ok and report["scaling_ode_residual"] <= 1e-2
+        ok = ok and report["scaling_ode_residual"] <= 1e-3
     return EXIT_OK if ok else EXIT_CERTIFICATION
 
 

@@ -447,10 +447,9 @@ def _one_minus_phi(u):
     return _smoothstep(np.clip(u - 1.0, 0.0, 1.0))
 
 
-# half-width of the tanh-sinh rule in u and the Gauss order in tau of the
-# shell integrals; the refined pass takes 2x and 1.5x of them
-_N_HALF = 48
-_N_TAU = 24
+# (tanh-sinh half-width in u, Gauss order in tau) of the shell integrals:
+# a coarse mesh, then the refined one whose values are returned
+_MESHES = ((48, 24), (72, 36))
 
 
 def critical_case_constants(params: ProblemParams, m: float, kappa: float
@@ -491,18 +490,13 @@ def critical_case_constants(params: ProblemParams, m: float, kappa: float
             f"kappa < 1/(3 (p' - 1)) = {1.0 / (3.0 * (p_prime - 1.0))}, "
             f"got kappa={kappa}")
 
-    c1 = _c1_integral(N, s, mu, p_prime, m, _N_HALF)
-    c3 = _c3_integral(N, s, mu, p, p_prime, m, kappa, _N_HALF, _N_TAU)
-    c1_f = _c1_integral(N, s, mu, p_prime, m, 2 * _N_HALF)
-    c3_f = _c3_integral(N, s, mu, p, p_prime, m, kappa,
-                        int(1.5 * _N_HALF), int(1.5 * _N_TAU))
-    d1 = abs(c1_f - c1) / abs(c1)
-    d3 = abs(c3_f - c3) / abs(c3)
-    if not d1 <= 0.01:
-        raise QuadratureError("C1 not refinement-stable within 1%")
-    if not d3 <= 0.01:
-        raise QuadratureError("C3 not refinement-stable within 1%")
-    return c1_f, c3_f, d1, d3
+    coarse, fine = (_shell_constants(N, s, mu, p, m, kappa, *mesh)
+                    for mesh in _MESHES)
+    deltas = [abs(f - c) / abs(c) for c, f in zip(coarse, fine)]
+    for name, delta in zip(("C1", "C3"), deltas):
+        if not delta <= 0.01:
+            raise QuadratureError(f"{name} not refinement-stable within 1%")
+    return (*fine, *deltas)
 
 
 def _beta(a: float, b: float) -> float:
@@ -510,47 +504,50 @@ def _beta(a: float, b: float) -> float:
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
-def _c1_integral(N, s, mu, p_prime, m, n_half) -> float:
-    """C1 = 2^{p'} omega/(4s) B-closed-form * int_1^2 |phi'|^{p'}
-    phi^{m-p'} u^{(p'-1)/2 + q} du with q = (N-mu)/(4s); the inner
-    tau-integral int_0^{sqrt u} tau^{p'} (u - tau^2)^{q-1} dtau is a Beta
-    function times u^{(p'-1)/2 + q}."""
+def _shell_constants(N, s, mu, p, m, kappa, n_half, n_tau
+                     ) -> tuple[float, float]:
+    """(C1, C3) on one mesh: one tanh-sinh rule in u over 1 < u < 2
+    (integrable edge singularities) and one cutoff weight theta^{m-p'}.
+
+    C1 = 2^{p'} omega/(4s) B-closed-form * int_1^2 |phi'|^{p'} phi^{m-p'}
+    u^{(p'-1)/2 + q} du with q = (N-mu)/(4s); the inner tau-integral
+    int_0^{sqrt u} tau^{p'} (u - tau^2)^{q-1} dtau is a Beta function times
+    u^{(p'-1)/2 + q}.  C3 is the shell integral of |y|^{mu(p+1)/(p-1)}
+    |L theta|^{p'} theta^{m-p'} (1-theta)^{-kappa(p'-1)}, tau by the
+    substitution tau = sqrt(u) sin(pi zeta/2) and a Gauss rule in zeta.
+    """
+    p_prime = p / (p - 1.0)
+    area = sphere_area(N) / (4.0 * s)
+    u, u_w = tanh_sinh_rule(1.0, 2.0, n_half)
+    theta_w = _phi(u) ** (m - p_prime)
+
     q = (N - mu) / (4.0 * s)
     tau_factor = 0.5 * _beta(0.5 * (p_prime + 1.0), q)
-    u, w = tanh_sinh_rule(1.0, 2.0, n_half)
-    vals = (np.abs(_dphi(u)) ** p_prime * _phi(u) ** (m - p_prime)
+    vals = (np.abs(_dphi(u)) ** p_prime * theta_w
             * u ** (0.5 * (p_prime - 1.0) + q))
-    return float(2.0 ** p_prime * sphere_area(N) / (4.0 * s)
-                 * tau_factor * np.dot(w, vals))
+    c1 = 2.0 ** p_prime * area * tau_factor * np.dot(u_w, vals)
 
-
-def _c3_integral(N, s, mu, p, p_prime, m, kappa, n_half, n_tau) -> float:
-    """Shell integral of |y|^{mu(p+1)/(p-1)} |L theta|^{p'}
-    theta^{m-p'} (1-theta)^{-kappa(p'-1)}; u by tanh-sinh (integrable edge
-    singularities), tau by a trigonometric substitution."""
-    e3 = mu * (p + 1.0) / (p - 1.0)
-    q3 = (e3 + N) / (4.0 * s)
-    u_nodes, u_w = tanh_sinh_rule(1.0, 2.0, n_half)
+    q3 = (mu * (p + 1.0) / (p - 1.0) + N) / (4.0 * s)
     zeta, zw = gauss_rule(n_tau)
     zeta = 0.5 * (zeta + 1.0)
     zw = 0.5 * zw
+    # one row per u node: tau, dtau/dzeta and |y|^{4s} = u - tau^2
+    sqrt_u = np.sqrt(u)[:, None]
+    tau = sqrt_u * np.sin(0.5 * math.pi * zeta)
+    dtau = sqrt_u * 0.5 * math.pi * np.cos(0.5 * math.pi * zeta)
+    rad4s = u[:, None] - tau ** 2
+    tau_w = zw * dtau * rad4s ** (q3 - 1.0)
     # the u-weight theta^{m-p'} (1-theta)^{-kappa(p'-1)} times the u-rule
-    u_w = u_w * (_phi(u_nodes) ** (m - p_prime)
-                 * np.maximum(_one_minus_phi(u_nodes), 1e-300)
+    u_w = u_w * (theta_w * np.maximum(_one_minus_phi(u), 1e-300)
                  ** (-kappa * (p_prime - 1.0)))
     total = 0.0
-    for u, wu in zip(u_nodes, u_w):
-        sqrt_u = math.sqrt(u)
-        tau = sqrt_u * np.sin(0.5 * math.pi * zeta)
-        dtau = sqrt_u * 0.5 * math.pi * np.cos(0.5 * math.pi * zeta)
-        rad4s = u - tau ** 2
+    for t, r4s, tw, wu in zip(tau, rad4s, tau_w, u_w):
 
         # one member of the theta-family per tau node, one radius each
-        def v_theta(rr, tau=tau):
-            return _phi(tau[:, None] ** 2 + rr ** (4.0 * s))
+        def v_theta(rr, t=t):
+            return _phi(t[:, None] ** 2 + rr ** (4.0 * s))
 
         L = apply_ground_state_operator(v_theta, mu, N, s,
-                                        rad4s ** (0.25 / s))
-        total += wu * np.dot(zw * dtau * rad4s ** (q3 - 1.0),
-                             np.abs(L) ** p_prime)
-    return float(sphere_area(N) / (4.0 * s) * total)
+                                        r4s ** (0.25 / s))
+        total += wu * np.dot(tw, np.abs(L) ** p_prime)
+    return float(c1), float(area * total)

@@ -336,9 +336,12 @@ class TestCriticalConstants:
         with pytest.raises(DomainError, match="kappa"):
             critical_case_constants(self.PC, m=3.4, kappa=kappa)
 
-    def test_nan_refinement_delta_refused(self, monkeypatch):
+    @pytest.mark.parametrize("name,pair", [("C1", (math.nan, 1.0)),
+                                           ("C3", (1.0, math.nan))],
+                             ids=["C1", "C3"])
+    def test_nan_refinement_delta_refused(self, monkeypatch, name, pair):
         # a NaN delta is no evidence of refinement stability
-        monkeypatch.setattr(constructions, "_c1_integral",
-                            lambda *args: math.nan)
-        with pytest.raises(QuadratureError, match="C1"):
+        monkeypatch.setattr(constructions, "_shell_constants",
+                            lambda *args: pair)
+        with pytest.raises(QuadratureError, match=name):
             critical_case_constants(self.PC, m=3.4, kappa=0.05)

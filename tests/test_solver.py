@@ -283,6 +283,20 @@ class TestRunBasics:
                                    "already over the blow-up threshold 10000")
         assert rep.steps_accepted == 0 and list(rep.times) == [0.0]
 
+    def test_blowup_exit_with_refused_fit_inconclusive(self):
+        # a threshold just over the datum's weighted mass (5.74085) is
+        # crossed by the first step: two samples cannot carry the fit
+        params = ProblemParams(3, 0.5, 0.5, 1.3)
+        cfg = SolverConfig(params=params, grid=RadialGrid(1e-3, 1e3, 64),
+                           t_max=1.0, blowup_threshold=1.001 * 5.74085)
+        rep = run(radial_bump(), cfg)
+        assert rep.tail_weighted_mass[0] == pytest.approx(5.74085, rel=1e-6)
+        assert rep.steps_accepted == 1
+        assert rep.verdict == Verdict(
+            "inconclusive", reason="weighted mass over threshold, but tail "
+                                   "not strictly increasing over enough "
+                                   "samples")
+
     def test_stalled_clock_ends_inconclusive(self):
         # p just below p_+ = 3 on a finer origin: the reaction rate at r_0
         # drives dt below the spacing of doubles at t long before the
