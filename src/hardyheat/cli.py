@@ -232,7 +232,9 @@ def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
 
 def _cmd_exponents(args) -> int:
     prof = exponent_profile(args.N, args.s, getattr(args, "lam"))
-    print(json.dumps(prof.as_dict(), sort_keys=True, indent=2))
+    # JSON has no Infinity: the p_plus of lambda = 0 prints as null
+    out = {k: None if v == np.inf else v for k, v in prof.as_dict().items()}
+    print(json.dumps(out, sort_keys=True, indent=2))
     _write_manifest(args, "exponents", [])
     return EXIT_OK
 

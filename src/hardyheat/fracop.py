@@ -4,11 +4,12 @@ Two independent discretizations:
 
 * a spectral operator on origin-centered periodic boxes (exact on every
   resolvable Fourier mode, multiplier |2 pi xi|^{2s});
-* a principal-value singular-integral quadrature for radial functions,
-  with the angular integral reduced analytically (N = 1, 3) or by graded
-  polar quadrature (other N), the diagonal handled by excluding the ball
-  |y - x| < delta and adding its second-order Taylor complement, and
-  power-law closures for both the origin and the far tail.
+* a principal-value singular-integral quadrature for radial functions at
+  r > 0, with the angular integral reduced analytically (N = 1, 3) or by
+  graded polar quadrature (other N), and the diagonal handled by excluding
+  the ball |y - x| < delta and adding its second-order Taylor complement.
+  A callable takes geometric head and tail panels; the collocation matrix
+  continues v as a constant below r_0 and as 0 above r_max.
 
 The radial quadrature is the ground-state-transformed operator with kernel
 |x|^{-mu} |y|^{-mu} |x-y|^{-(N+2s)} at mu = 0.  All evaluators are pure
@@ -206,17 +207,14 @@ def _radial_weight(N: int, s: float, mu: float, xi, d) -> np.ndarray:
     return xi ** (N - 1 - mu) * kern
 
 
-def _core_moment(N: int, s: float, delta):
-    """int_{B_delta} |z|^{2-N-2s} dz = omega_{N-1} delta^{2-2s}/(2-2s)."""
-    return sphere_area(N) * delta ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
-
-
 def _core_complement(N: int, s: float, mu: float, r, delta, d1, d2):
     """Second-order Taylor complement of the core ball |y - x| < delta in
     the ground-state operator (without normalization), from v'(r) = d1 and
-    v''(r) = d2; every argument broadcasts."""
+    v''(r) = d2; every argument broadcasts.  The ball's moment is
+    int_{B_delta} |z|^{2-N-2s} dz = omega_{N-1} delta^{2-2s}/(2-2s)."""
     lap_r = d2 + (N - 1) * d1 / r
-    return (r ** (-2.0 * mu) * _core_moment(N, s, delta)
+    moment = sphere_area(N) * delta ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
+    return (r ** (-2.0 * mu) * moment
             * (-lap_r / (2.0 * N) + mu * d1 / (N * r)))
 
 
@@ -256,42 +254,9 @@ _XI_EDGES = _integral_edges(_DELTA_FRAC)
 
 
 def frac_laplacian_quadrature_radial(f, N: int, s: float, r):
-    """(-Delta)^s of a radial function at radius r by P.V. quadrature.
-
-    For r > 0 this is the ground-state operator at mu = 0: the ball
-    |y - x| < delta is excluded and replaced by its second-order Taylor
-    complement -Delta f(r)/(2N) * core moment, and the remaining shell
-    integral uses the exact cut kernels.  Includes the P.V. normalization
-    constant.  A scalar r = 0 takes the origin rule.
-    """
-    if not 0.0 < s < 1.0:
-        raise DomainError("fractional order must lie in (0,1)")
-    r = np.asarray(r, dtype=float)
-    if r.ndim == 0 and r == 0.0:
-        return pv_normalization(N, s) * _quadrature_at_origin(f, N, s)
-    if np.any(r <= 0.0):
-        raise DomainError("radius must be positive; r = 0 takes the origin "
-                          "rule only as a scalar radius")
+    """(-Delta)^s of a radial function at radii r > 0 by P.V. quadrature:
+    the ground-state operator at mu = 0, with the P.V. normalization."""
     return apply_ground_state_operator(f, 0.0, N, s, r)
-
-
-def _quadrature_at_origin(f, N: int, s: float) -> float:
-    """At r = 0 every direction is equivalent: the kernel is exactly
-    omega_{N-1} rho^{-(N+2s)} outside the core ball, integrated over
-    (delta, inf) by one geometric panel sum."""
-    h = 1e-3
-    v = f(np.array([h, 2 * h]))
-    f0 = float(f(np.array([0.0]))[0])
-    # symmetric 5-point second derivative using evenness at the origin
-    f2 = (2.0 * (16.0 * v[0] - v[1]) - 30.0 * f0) / (12.0 * h ** 2)
-    delta = 1e-2
-    core = -f2 / 2.0 * _core_moment(N, s, delta)
-    omega = sphere_area(N)
-
-    def integrand(rho):
-        return (f0 - f(rho)) * omega * rho ** (-1.0 - 2.0 * s)
-
-    return core + tail_panels(integrand, delta, order=_ORDER)
 
 
 def apply_ground_state_operator(v, mu: float, N: int, s: float, r):
@@ -305,8 +270,8 @@ def apply_ground_state_operator(v, mu: float, N: int, s: float, r):
     if mu < 0.0:
         raise DomainError("mu must be nonnegative")
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise DomainError("ground-state operator needs r > 0")
+    if not np.all((0.0 < r) & (r < np.inf)):   # nan fails both
+        raise DomainError("radius must be positive and finite")
     a = pv_normalization(N, s)
     delta = _DELTA_FRAC * r
     v0, v1, v2 = _local_derivatives(v, r, delta / 3.0)

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +28,27 @@ from hardyheat.constructions import (SupersolutionParams, TestFunctionParams,
 
 PARAMS = ProblemParams(3, 0.5, 0.5, 2.0)
 MU = 0.5
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: TestFunctionParams(eta=0.0, mu=MU),
+                 "eta must be positive", id="psi-eta-zero"),
+    pytest.param(lambda: TestFunctionParams(eta=1.0, mu=-0.1),
+                 "mu must be nonnegative", id="psi-mu-negative"),
+    pytest.param(lambda: y_ode_blowup_predictor(-1.0, None, PARAMS, 1.0),
+                 "Y0 must be nonnegative", id="predictor-mass-negative"),
+    pytest.param(lambda: y_ode_blowup_predictor(1.0, 0.0, PARAMS, 1.0),
+                 "eta must be positive", id="predictor-eta-zero"),
+    pytest.param(lambda: SupersolutionParams(A=0.0, gamma=MU, T=1.0,
+                                             theta=1.0, beta=1.0),
+                 "amplitude", id="supersolution-amplitude-zero"),
+    pytest.param(lambda: constructions.compare_supersolution(
+        SimpleNamespace(fields=None, r_grid=None), None, None),
+                 "no stored fields", id="compare-without-fields"),
+])
+def test_refused(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()
 
 
 class TestPsiEta:

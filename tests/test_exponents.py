@@ -213,6 +213,11 @@ class TestPowerCoupling:
         assert power_coupling(3, 0.5, 1.0) == pytest.approx(
             hardy_constant(3, 0.5), rel=1e-13)
 
+    @pytest.mark.parametrize("gamma", [0.0, 2.0])
+    def test_exponent_outside_the_range_refused(self, gamma):
+        with pytest.raises(DomainError, match=r"must lie in \(0, 2.0\)"):
+            power_coupling(3, 0.5, gamma)
+
 
 class TestAgainstScipy:
     @pytest.mark.parametrize("N", range(1, 9))

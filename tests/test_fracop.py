@@ -130,21 +130,23 @@ class TestSpectral:
              + 3 * frac_laplacian_spectral(Field(g, v), 0.5).values)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
+    @pytest.mark.parametrize("s", [0.0, 1.0])
+    def test_symbol_refuses_order_outside_unit_interval(self, s):
+        with pytest.raises(DomainError, match="fractional order"):
+            fracop.spectral_symbol(UniformGrid(1, 8.0, 16), s)
+
     def test_cross_validation_with_quadrature(self):
         # large box so domain truncation sits below the tolerance; the
-        # agreement must improve as the box grows
-        q0 = frac_laplacian_quadrature_radial(gaussian, 1, 0.5, 0.0)
+        # agreement must improve as the box grows; compared at the lattice
+        # points nearest x = 0.5 and x = 1
         errors = {}
         for L, n in [(200.0, 32768), (400.0, 65536)]:
             g = UniformGrid(1, L, n)
             x = g.axis()
             out = frac_laplacian_spectral(Field(g, gaussian(x)), 0.5).values
-            i0 = len(x) // 2
-            i1 = int(np.argmin(np.abs(x - 1.0)))
-            q1 = frac_laplacian_quadrature_radial(gaussian, 1, 0.5,
-                                                  float(abs(x[i1])))
-            errors[L] = max(abs(out[i0] - q0) / abs(q0),
-                            abs(out[i1] - q1) / abs(q1))
+            i = np.argmin(np.abs(x[:, None] - [0.5, 1.0]), axis=0)
+            q = frac_laplacian_quadrature_radial(gaussian, 1, 0.5, x[i])
+            errors[L] = float(np.max(np.abs(out[i] - q) / np.abs(q)))
         assert errors[400.0] < 1e-4
         assert errors[400.0] < errors[200.0]
 
@@ -275,10 +277,19 @@ class TestBatchContract:
             lambda r: frac_laplacian_quadrature_radial(gaussian, N, s, r),
             self.RADII)
 
-    def test_origin_only_as_scalar_radius(self):
-        with pytest.raises(DomainError, match="only as a scalar"):
-            frac_laplacian_quadrature_radial(gaussian, 3, 0.5,
-                                             np.array([0.0, 1.0]))
+    @pytest.mark.parametrize("r", [0.0, np.array([0.0, 1.0]), -1.0,
+                                   math.nan, np.array([1.0, math.inf])],
+                             ids=["zero", "zero-in-array", "negative", "nan",
+                                  "inf-in-array"])
+    def test_radius_must_be_positive(self, r):
+        with pytest.raises(DomainError, match="radius must be positive"):
+            frac_laplacian_quadrature_radial(gaussian, 3, 0.5, r)
+        with pytest.raises(DomainError, match="radius must be positive"):
+            apply_ground_state_operator(gaussian, 0.5, 3, 0.5, r)
+
+    def test_negative_weight_refused(self):
+        with pytest.raises(DomainError, match="mu must be nonnegative"):
+            apply_ground_state_operator(gaussian, -0.1, 3, 0.5, 1.0)
 
     def test_scalar_radius_returns_float(self):
         val = apply_ground_state_operator(gaussian, 0.5, 3, 0.5, 1.0)

@@ -195,6 +195,11 @@ class TestSpecialFunctionsAgainstScipy:
         np.testing.assert_allclose(tail_series_coefficients(N, s), coeffs,
                                    rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("mu", [-0.1, 3.0])
+    def test_moment_outside_its_range_refused(self, mu):
+        with pytest.raises(DomainError, match="need 0 <= mu < N"):
+            profile_moment(3, 0.5, mu)
+
 
 class TestInterpolant:
     @pytest.mark.parametrize("fixture", ["prof_1_05", "prof_3_05",
@@ -277,6 +282,25 @@ class TestFarField:
                             mass=prof_1_05.mass, **table)
         with pytest.raises(ProfileError, match="table edge"):
             bad.validate()
+
+    @pytest.mark.parametrize("column, knot, value, match", [
+        ("H_values", 7, math.nan, "non-finite"),
+        ("Hprime_values", 7, math.inf, "non-finite"),
+        ("H_values", 7, 1.0, "not strictly decreasing"),   # H(0) = 1/pi
+        ("Hprime_values", 3, 1e-3, "positive entries"),
+    ], ids=["H-nan", "Hprime-inf", "H-rising", "Hprime-positive"])
+    def test_bad_table_refused(self, prof_1_05, column, knot, value, match):
+        table = {"H_values": prof_1_05.H_values.copy(),
+                 "Hprime_values": prof_1_05.Hprime_values.copy()}
+        table[column][knot] = value
+        bad = KernelProfile(N=1, s=0.5, sigma_grid=prof_1_05.sigma_grid,
+                            mass=prof_1_05.mass, **table)
+        with pytest.raises(ProfileError, match=match):
+            bad.validate()
+
+    def test_negative_sigma_refused(self, prof_1_05):
+        with pytest.raises(DomainError, match="sigma must be nonnegative"):
+            prof_1_05.h_of_sigma(-1.0)
 
 
 # H' of the (3, 1/4) table at its knot 311, sigma = 51^{311/320} - 1, as

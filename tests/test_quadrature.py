@@ -3,7 +3,8 @@ import pytest
 
 from hardyheat.errors import QuadratureError
 from hardyheat.fracop import _integral_edges
-from hardyheat.quadrature import distinct_sorted, head_panels, tail_panels
+from hardyheat.quadrature import (bisect_root, distinct_sorted, head_panels,
+                                  tail_panels)
 
 
 def test_tail_power_law_closed_form():
@@ -79,3 +80,13 @@ def test_distinct_sorted_is_np_unique_bit_for_bit(case):
          "empty": np.empty(0), "one": np.array([0.25])}[case]
     got, want = distinct_sorted(x), np.unique(x)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_bisect_root_ends_and_bracket():
+    # a zero at either end is returned as it is; a bracket of one sign is
+    # refused
+    assert bisect_root(lambda x: x, 0.0, 1.0) == 0.0
+    assert bisect_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+    assert bisect_root(lambda x: x - 0.5, 0.0, 1.0) == 0.5
+    with pytest.raises(ValueError, match="does not change sign"):
+        bisect_root(lambda x: x + 1.0, 0.0, 1.0)

@@ -353,6 +353,47 @@ class TestRunBasics:
         assert list(rep.times) == [0.0]
 
 
+T10 = np.linspace(0.0, 1.0, 10)
+Y10 = np.arange(1.0, 11.0)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: RadialGrid(1.0, 1.0, 16), DomainError,
+                 "r_min < r_max", id="grid-empty-span"),
+    pytest.param(lambda: RadialGrid(1e-3, 1e3, 7), DomainError,
+                 "at least 8 points", id="grid-few-points"),
+    pytest.param(lambda: SolverConfig(params=PARAMS_SUB, grid=RG,
+                                      dt_safety=0.0),
+                 DomainError, "dt_safety", id="dt-safety-zero"),
+    pytest.param(lambda: SolverConfig(params=PARAMS_SUB, grid=RG,
+                                      dt_safety=1.0),
+                 DomainError, "dt_safety", id="dt-safety-one"),
+    pytest.param(lambda: SolverConfig(params=PARAMS_SUB, grid=RG,
+                                      diffusion="crank-nicolson"),
+                 DomainError, "unknown diffusion", id="diffusion-unknown"),
+    pytest.param(lambda: monitor_norms(np.zeros(16), 0.5, 1.2, 0.5, 0.5),
+                 DomainError, "box Field", id="monitor-array"),
+    pytest.param(lambda: estimate_blowup_time(T10, Y10[:-1], 1.5),
+                 DomainError, "lengths differ", id="fit-lengths"),
+    pytest.param(lambda: run(np.zeros(RG.n_points - 1),
+                             SolverConfig(params=PARAMS_SUB, grid=RG)),
+                 DomainError, "does not match the grid", id="datum-shape"),
+    # below p = 1, Y^{1-p} grows with Y
+    pytest.param(lambda: estimate_blowup_time(T10, Y10, 0.5),
+                 BlowupFitError, "not decreasing toward zero",
+                 id="fit-p-below-one"),
+    # exponential growth never reaches infinity in finite time
+    pytest.param(lambda: estimate_blowup_time(
+        np.linspace(0.0, 1.0, 12), np.exp(10.0 * np.linspace(0.0, 1.0, 12)),
+        2.0), BlowupFitError, "does not exceed data", id="fit-exponential"),
+    pytest.param(lambda: tail_linearity_residual(T10, Y10, 1.0),
+                 BlowupFitError, "too flat", id="linearity-p-one"),
+])
+def test_refused(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 class TestSplineWeights:
     @pytest.mark.parametrize("n", [4, 8, 128, 512])
     @pytest.mark.parametrize("kind", ["geometric", "random"])
@@ -440,6 +481,15 @@ class TestEigenbasis:
     def test_nonpositive_eigenvalue_refused(self):
         with pytest.raises(QuadratureError, match="Re <= 0"):
             solver._eigenbasis(np.diag([1.0, -1.0]))
+
+    def test_refusal_names_the_operator(self, monkeypatch):
+        grid = RadialGrid(1e-3, 1e3, 17)
+        monkeypatch.setattr(solver, "build_ground_state_matrix",
+                            lambda r, *args: -np.eye(len(r)))
+        solver.ground_state_operator.cache_clear()
+        with pytest.raises(QuadratureError,
+                           match=r"Re <= 0 .* \(N=3, s=0.5, mu=0.5\)"):
+            ground_state_operator(grid, 3, 0.5, 0.5)
 
     def test_rotation_block(self):
         # eigenvalues 2 +- 3i: one conjugate pair, a complex V
