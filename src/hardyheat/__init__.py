@@ -4,7 +4,13 @@ nonlocal operator evaluators, Cauchy-problem simulation with blow-up
 detection, and certification of the explicit test-function and
 supersolution constructions."""
 
+import os as _os
 from types import ModuleType as _ModuleType
+
+# one BLAS thread unless the caller set one: threaded LAPACK factorizations
+# round differently at each thread count; numpy reads these when it loads
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_name, "1")
 
 __version__ = "0.1.0"
 

@@ -277,11 +277,12 @@ def monitor_norms(u: Field, mu: float, p: float, lam: float, s: float,
 # blow-up time extrapolation
 
 
-def _tail_line(times, weighted_mass_series, p: float):
-    """Least-squares line through Y^{1-p} over the strictly increasing tail
-    of the series: (tail times, tail Y^{1-p}, slope, intercept at the
-    first tail time).  Refuses (BlowupFitError) a tail of fewer than 5
-    samples or 5 distinct times (a stalled clock repeats one time)."""
+def _tail_fit(times, weighted_mass_series, p: float) -> tuple[float, float]:
+    """(t*, linearity) of the least-squares line through Y^{1-p} over the
+    strictly increasing tail: its zero crossing, and its max deviation from
+    the data relative to their range.  Refuses (BlowupFitError) a tail of
+    under 5 samples or 5 distinct times (a stalled clock repeats one), a
+    flat tail, a line not decreasing toward zero, or a crossing in the data."""
     t = np.asarray(times, dtype=float)
     Y = np.asarray(weighted_mass_series, dtype=float)
     if len(t) != len(Y):
@@ -294,30 +295,17 @@ def _tail_line(times, weighted_mass_series, p: float):
     tt, zz = t[i:], Y[i:] ** (1.0 - p)
     if len(distinct_sorted(tt)) < 5:
         raise BlowupFitError("tail spans fewer than 5 distinct times")
+    if zz.max() == zz.min():
+        raise BlowupFitError("tail too flat for a linearity residual")
     slope, intercept = np.polyfit(tt - tt[0], zz, 1)
-    return tt, zz, slope, intercept
-
-
-def _crossing(fit) -> float:
-    """Zero crossing of a _tail_line fit; refuses (BlowupFitError) a line
-    not decreasing toward zero or a crossing within the data."""
-    tt, _, slope, intercept = fit
     if slope >= 0.0:
         raise BlowupFitError("Y^{1-p} tail not decreasing toward zero")
     t_star = tt[0] - intercept / slope
     if t_star <= tt[-1]:
         raise BlowupFitError("extrapolated crossing does not exceed data")
-    return float(t_star)
-
-
-def _linearity(fit) -> float:
-    """Max deviation of a _tail_line fit from its data, relative to their
-    range; refuses (BlowupFitError) a flat tail."""
-    tt, zz, slope, intercept = fit
-    if zz.max() == zz.min():
-        raise BlowupFitError("tail too flat for a linearity residual")
-    return float(np.max(np.abs(slope * (tt - tt[0]) + intercept - zz))
-                 / (zz.max() - zz.min()))
+    return float(t_star), float(
+        np.max(np.abs(slope * (tt - tt[0]) + intercept - zz))
+        / (zz.max() - zz.min()))
 
 
 def estimate_blowup_time(times, weighted_mass_series, p: float) -> float:
@@ -328,13 +316,14 @@ def estimate_blowup_time(times, weighted_mass_series, p: float) -> float:
     monotone increasing, not accelerating, or the crossing does not exceed
     the last recorded time.
     """
-    return _crossing(_tail_line(times, weighted_mass_series, p))
+    return _tail_fit(times, weighted_mass_series, p)[0]
 
 
 def tail_linearity_residual(times, weighted_mass_series, p: float) -> float:
     """Max deviation of Y^{1-p} from its tail linear fit, relative to the
-    fitted range (small values corroborate the blow-up ODE law)."""
-    return _linearity(_tail_line(times, weighted_mass_series, p))
+    fitted range (small values corroborate the blow-up ODE law); refuses
+    what estimate_blowup_time refuses."""
+    return _tail_fit(times, weighted_mass_series, p)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +391,7 @@ def _blowup_verdict(tail_t: list[float], tail_y: list[float], p: float,
     window = int(np.clip(len(y) - start, 8, 200))
     # one fit gives t* and, as a check of the law, its linearity residual
     try:
-        fit = _tail_line(tail_t[-window:], tail_y[-window:], p)
-        t_star, linearity = _crossing(fit), _linearity(fit)
+        t_star, linearity = _tail_fit(tail_t[-window:], tail_y[-window:], p)
     except BlowupFitError as exc:
         return Verdict("inconclusive", reason=f"{reason}, but {exc}")
     return Verdict("blew_up", t_star=t_star, reason=reason,
@@ -422,6 +410,8 @@ def _run_direct(u_init: np.ndarray, config: SolverConfig) -> TrajectoryReport:
                           "positive and finite (defaults to one grid "
                           "spacing)")
     V = regularized_potential(grid, s, lam, eps) if lam > 0.0 else 0.0
+    # max V, the potential's share of the rate, is the same for every state
+    v_rate = lam / eps ** (2 * s) if lam > 0.0 else 0.0
     symbol = spectral_symbol(grid, s)
     shape = u_init.shape
     axes = tuple(range(N))
@@ -443,31 +433,24 @@ def _run_direct(u_init: np.ndarray, config: SolverConfig) -> TrajectoryReport:
     def weighted_mass(u: np.ndarray) -> float:
         return float(np.sum(W * u))
 
-    def source(u: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(u)
-        if lam > 0.0:
-            out += V * u
-        if config.reaction_enabled:
-            out += u ** p
-        return out
-
     def prepare(u: np.ndarray, peak: float) -> tuple[float, None]:
         # the rate needs only max u, which _accept has already taken
-        rt = 0.0
-        if config.reaction_enabled:
-            rt += p * peak ** (p - 1.0)
-        if lam > 0.0:
-            rt += lam / eps ** (2 * s)
-        return rt, None
+        react = p * peak ** (p - 1.0) if config.reaction_enabled else 0.0
+        return react + v_rate, None
 
     def step(u: np.ndarray, _, dt: float) -> np.ndarray:
         prop = full if dt == config.dt_initial else propagator(dt)
         u_new = np.fft.irfftn(prop * np.fft.rfftn(u), s=shape, axes=axes)
         if config.reaction_enabled or lam > 0.0:
             # band-limited representations of sharp states ring slightly
-            # negative; the source sees the lobes clipped (u^p of a
-            # negative lobe is nan), and the guard rejects deep ones
-            u_new += dt * source(np.maximum(u_new, 0.0))
+            # negative; the source V v + v^p sees the lobes clipped (v^p of
+            # a negative lobe is nan), and the guard rejects deep ones
+            v = np.maximum(u_new, 0.0)
+            src = V * v
+            if config.reaction_enabled:
+                src += v ** p
+            src *= dt
+            u_new += src
         return u_new
 
     return _advance(u_init, config, prepare, step, monitors, weighted_mass,
@@ -601,8 +584,9 @@ def _run_ground_state(u_init: np.ndarray, config: SolverConfig) -> TrajectoryRep
         return float(op.tw @ vv)
 
     reaction = config.reaction_enabled
-    dt_full = config.dt_initial
-    full = None      # resolvent(dt_full) as a dense matrix
+    # most steps are full ones; forming the matrix pays off only after some
+    # 35 of them, so other dts keep the eigenbasis
+    full = _resolvent_matrix(op, resolvent(config.dt_initial))
 
     def prepare(vv: np.ndarray, _) -> tuple[float, np.ndarray | None]:
         # g = rfac v^{p-1}, once per state: its max sets the rate and
@@ -616,18 +600,13 @@ def _run_ground_state(u_init: np.ndarray, config: SolverConfig) -> TrajectoryRep
     def step(vv: np.ndarray, g: np.ndarray | None, dt: float) -> np.ndarray:
         # Crank-Nicolson (I + a B) x = (I - a B) v + dt rfac v^p with
         # a = dt/2 is x = 2 (I + a B)^{-1} (v + a g v) - v
-        nonlocal full
         rhs = vv
         if g is not None:
             rhs = g * vv
             rhs *= 0.5 * dt
             rhs += vv
         # a non-finite rhs comes out non-finite and is rejected
-        if dt == dt_full:
-            # most steps are full ones; forming the matrix pays off only
-            # after some 35 of them, so other dts keep the eigenbasis
-            if full is None:
-                full = _resolvent_matrix(op, resolvent(dt))
+        if dt == config.dt_initial:
             x = full @ rhs
         else:
             x = _apply_resolvent(op, resolvent(dt), rhs)
@@ -735,15 +714,12 @@ def _advance(state, config, prepare, step, monitors, weighted_mass, store,
         verdict = _blowup_verdict(tail_t, tail_y, p, reason)
         break
     times, wm, crit, l2, energy = np.array(rows).T
-    # the dt range from the accepted times, all of them: the tail keeps
-    # only the last 4000
     dts = np.diff(tail_t)
     return TrajectoryReport(
         times=times, weighted_mass_series=wm, critical_norm_series=crit,
         l2_series=l2, energy_series=energy, verdict=verdict, config=config,
-        tail_times=np.array(tail_t[-4000:]),
-        tail_weighted_mass=np.array(tail_y[-4000:]), r_grid=r_grid,
-        fields=fields or None, steps_accepted=len(tail_t) - 1,
+        tail_times=np.array(tail_t), tail_weighted_mass=np.array(tail_y),
+        r_grid=r_grid, fields=fields or None, steps_accepted=len(tail_t) - 1,
         steps_rejected=rejected, steps_full=full,
         dt_min=float(dts.min()) if dts.size else None,
         dt_max=float(dts.max()) if dts.size else None)

@@ -18,10 +18,17 @@ root's __all__ is exactly the names it imports that way.
 
 Only the command line touches files: no other module imports json or
 calls open (or numpy's text readers and writers).
+
+Importing the package pins BLAS to one thread unless the caller chose a
+count, so outputs do not depend on the machine's core count.
 """
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import hardyheat
 
@@ -253,3 +260,25 @@ def test_only_cli_reads_and_writes_files():
              for p in sorted(PACKAGE.glob("*.py"))}
     assert found.pop("cli")
     assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset, expected", [
+    (None, ["1", "1", "1"]), ("3", ["3", "1", "1"])], ids=["unset", "set"])
+def test_blas_threads_default_to_one(preset, expected):
+    # threaded LAPACK factorizations round differently at each thread
+    # count; a count the caller set stays
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    path = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = str(PACKAGE.parent) + (os.pathsep + path if path
+                                               else "")
+    done = subprocess.run(
+        [sys.executable, "-c", "import os, hardyheat; print(*(os.environ[k] "
+         f"for k in {BLAS_THREADS!r}))"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == expected

@@ -501,8 +501,13 @@ class TestSweep:
             rep.steps_accepted, sum(rep.steps_rejected.values()))
         assert rep.steps_accepted > 0
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--u0", "random-bumps", "--seed", "-1"],
+         "--seed must be nonnegative"),
+        (["--amplitude", "-1"], "--amplitude must be nonnegative"),
+    ], ids=["seed-negative", "amplitude-negative"])
     def test_datum_refused_before_the_pool(self, tmp_path, capsys,
-                                           monkeypatch):
+                                           monkeypatch, flags, message):
         def no_pool(*args, **kwargs):
             pytest.fail("sweep started a process pool")
 
@@ -510,10 +515,9 @@ class TestSweep:
                             no_pool)
         code = run_cli(["sweep", "--N", "3", "--s", "0.5",
                         "--lambda-grid", "0.5", "--p-grid", "1.9,2.0",
-                        "--u0", "random-bumps", "--seed", "-1",
-                        "--jobs", "2"], tmp_path)
+                        *flags, "--jobs", "2"], tmp_path)
         assert code == 3
-        assert "--seed must be nonnegative" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_no_more_workers_than_lambda_rows(self, tmp_path, monkeypatch):
         # each worker takes whole lambda rows, so --jobs 64 on two rows

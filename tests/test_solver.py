@@ -189,6 +189,16 @@ class TestRunBasics:
         assert rep.verdict.kind == "survived"
         assert np.all(rep.weighted_mass_series == 0.0)
 
+    def test_report_keeps_every_accepted_step(self):
+        cfg = SolverConfig(params=ProblemParams(3, 0.5, 0.5, 2.5),
+                           grid=RadialGrid(1e-3, 1e3, 64), t_max=41.0,
+                           dt_initial=0.01, n_monitor=4)
+        rep = run(radial_bump(0.1), cfg)
+        assert rep.verdict.kind == "survived"
+        assert rep.steps_accepted > 4000
+        assert len(rep.tail_times) == rep.steps_accepted + 1
+        assert len(rep.tail_weighted_mass) == rep.steps_accepted + 1
+
     @pytest.mark.parametrize("n_monitor", [0, -3])
     def test_no_checkpoint_refused(self, n_monitor):
         # with no checkpoint no step is clipped to t_max
@@ -388,6 +398,15 @@ Y10 = np.arange(1.0, 11.0)
         2.0), BlowupFitError, "does not exceed data", id="fit-exponential"),
     pytest.param(lambda: tail_linearity_residual(T10, Y10, 1.0),
                  BlowupFitError, "too flat", id="linearity-p-one"),
+    # a residual from a line that does not describe blow-up corroborates
+    # nothing, so the residual refuses what the blow-up time refuses
+    pytest.param(lambda: tail_linearity_residual(T10, Y10, 0.5),
+                 BlowupFitError, "not decreasing toward zero",
+                 id="linearity-p-below-one"),
+    pytest.param(lambda: tail_linearity_residual(
+        np.linspace(0.0, 1.0, 12), np.exp(10.0 * np.linspace(0.0, 1.0, 12)),
+        2.0), BlowupFitError, "does not exceed data",
+        id="linearity-exponential"),
 ])
 def test_refused(call, error, match):
     with pytest.raises(error, match=match):
