@@ -7,8 +7,8 @@ writes files, all through _write_json (sorted keys, indent 2, trailing
 newline: JSON floats round-trip exactly) and _write_csv (floats with 17
 significant digits), which create the folder of the file if it is missing.
 
-Exit codes: 0 success, 2 usage, 3 domain error, 4 certification failure,
-5 numerical non-convergence.
+Exit codes: 0 success, 2 usage or an output path that cannot be written,
+3 domain error, 4 certification failure, 5 numerical non-convergence.
 """
 from __future__ import annotations
 
@@ -45,6 +45,10 @@ EXIT_CERTIFICATION = 4
 EXIT_NUMERICAL = 5
 
 
+class _UnwritableOutput(Exception):
+    """An output file that cannot be written (exit 2, as a usage error)."""
+
+
 def _outdir(args) -> str:
     return args.outdir or os.environ.get("HARDYHEAT_OUTDIR", ".")
 
@@ -76,12 +80,16 @@ def _write_manifest(args, command: str, outputs: list[str],
 
 
 def _write_text(path, text: str) -> None:
-    """Write `text` to `path`, creating its folder if it is missing."""
+    """Write `text` to `path`, creating its folder if it is missing.
+    Refuses (_UnwritableOutput) a path that cannot be written."""
     folder = os.path.dirname(path)
-    if folder:
-        os.makedirs(folder, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(text)
+    try:
+        if folder:
+            os.makedirs(folder, exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UnwritableOutput(f"cannot write {path}: {exc}") from None
 
 
 def _write_json(path, obj) -> str:
@@ -468,6 +476,20 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--s", type=float, required=True)
     command = functools.partial(sub.add_parser, parents=[common])
 
+    def run_flags(leaf, t_max: float, dt_initial: float, points: int):
+        # simulate's and sweep's datum, clock and grid flags; each leaf its
+        # own actions, which --config may set (parents= would share them)
+        leaf.add_argument("--u0", default="gaussian")
+        leaf.add_argument("--amplitude", type=float, default=1.0)
+        leaf.add_argument("--width", type=float, default=1.0)
+        leaf.add_argument("--seed", type=int, default=None)
+        leaf.add_argument("--t-max", type=float, default=t_max)
+        leaf.add_argument("--dt-initial", type=float, default=dt_initial)
+        leaf.add_argument("--blowup-threshold", type=float, default=1e4)
+        leaf.add_argument("--r-min", type=float, default=1e-3)
+        leaf.add_argument("--r-max", type=float, default=1e3)
+        leaf.add_argument("--points", type=int, default=points)
+
     pe = command("exponents", help="print an exponent profile as JSON")
     pe.add_argument("--lambda", dest="lam", type=float, required=True)
     pe.set_defaults(func=_cmd_exponents)
@@ -507,36 +529,18 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--lambda", dest="lam", type=float, required=True)
     ps.add_argument("--p", type=float, required=True)
     ps.add_argument("--formulation", default="ground_state")
-    ps.add_argument("--u0", default="gaussian")
-    ps.add_argument("--amplitude", type=float, default=1.0)
-    ps.add_argument("--width", type=float, default=1.0)
-    ps.add_argument("--seed", type=int, default=None)
-    ps.add_argument("--t-max", type=float, default=10.0)
-    ps.add_argument("--dt-initial", type=float, default=0.01)
+    run_flags(ps, t_max=10.0, dt_initial=0.01, points=192)
     ps.add_argument("--dt-safety", type=float, default=0.5)
-    ps.add_argument("--blowup-threshold", type=float, default=1e4)
     ps.add_argument("--potential-epsilon", type=float, default=None)
     ps.add_argument("--n-monitor", type=int, default=64)
-    ps.add_argument("--r-min", type=float, default=1e-3)
-    ps.add_argument("--r-max", type=float, default=1e3)
     ps.add_argument("--half-width", type=float, default=16.0)
-    ps.add_argument("--points", type=int, default=192)
     ps.add_argument("--out", default="trajectory.csv")
     ps.set_defaults(func=_cmd_simulate)
 
     pw = command("sweep", help="verdict per (lambda, p) grid cell")
     pw.add_argument("--lambda-grid", type=_grid_spec, required=True)
     pw.add_argument("--p-grid", type=_grid_spec, required=True)
-    pw.add_argument("--u0", default="gaussian")
-    pw.add_argument("--amplitude", type=float, default=1.0)
-    pw.add_argument("--width", type=float, default=1.0)
-    pw.add_argument("--seed", type=int, default=None)
-    pw.add_argument("--t-max", type=float, default=50.0)
-    pw.add_argument("--dt-initial", type=float, default=0.02)
-    pw.add_argument("--blowup-threshold", type=float, default=1e4)
-    pw.add_argument("--r-min", type=float, default=1e-3)
-    pw.add_argument("--r-max", type=float, default=1e3)
-    pw.add_argument("--points", type=int, default=128)
+    run_flags(pw, t_max=50.0, dt_initial=0.02, points=128)
     pw.add_argument("--jobs", type=int, default=1)
     pw.add_argument("--out", default="sweep.csv")
     pw.set_defaults(func=_cmd_sweep)
@@ -578,6 +582,9 @@ def main(argv=None) -> int:
     except (QuadratureError, BlowupFitError) as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except _UnwritableOutput as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

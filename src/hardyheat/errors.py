@@ -25,5 +25,5 @@ class ProfileError(CertificationError):
     """A kernel profile with corrupt entries (non-finite or non-positive)."""
 
 
-class UnsupportedDatumError(ValueError):
+class UnsupportedDatumError(DomainError):
     """Initial datum violates a support/positivity requirement."""

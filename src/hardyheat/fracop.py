@@ -30,7 +30,7 @@ from .quadrature import (distinct_sorted, head_panels, integrate_panels,
 
 __all__ = [
     "UniformGrid", "Field",
-    "frac_laplacian_spectral", "spectral_symbol",
+    "frac_laplacian_spectral", "spectral_symbol", "apply_multiplier",
     "frac_laplacian_quadrature_radial", "apply_ground_state_operator",
     "verify_power_solution", "build_ground_state_matrix",
 ]
@@ -112,15 +112,17 @@ def spectral_symbol(grid: UniformGrid, s: float) -> np.ndarray:
 
 
 def frac_laplacian_spectral(fld: Field, s: float) -> Field:
-    """Apply (-Delta)^s through the discrete Fourier multiplier.
+    """Apply (-Delta)^s through the discrete Fourier multiplier: exact on
+    resolvable plane waves; annihilates constants."""
+    return Field(fld.grid,
+                 apply_multiplier(spectral_symbol(fld.grid, s), fld.values))
 
-    Exact on resolvable plane waves; annihilates constants.
-    """
-    symbol = spectral_symbol(fld.grid, s)
-    shape = fld.values.shape
-    out = np.fft.irfftn(symbol * np.fft.rfftn(fld.values), s=shape,
-                        axes=tuple(range(fld.grid.N)))
-    return Field(fld.grid, out)
+
+def apply_multiplier(m: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """irfftn(m rfftn(values)): the multiplier m, on the rfftn frequency
+    lattice of spectral_symbol, applied to lattice values."""
+    return np.fft.irfftn(m * np.fft.rfftn(values), s=values.shape,
+                         axes=tuple(range(values.ndim)))
 
 
 # ---------------------------------------------------------------------------

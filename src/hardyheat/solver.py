@@ -20,10 +20,10 @@ by the type of the grid:
   when B has a conjugate pair of eigenvalues).
 
 Both paths preserve nonnegativity (adaptive step halving on violation),
-record weighted-norm monitors on a fixed checkpoint grid plus a fine tail
-buffer for blow-up extrapolation, and classify the outcome as blow-up
-(threshold crossing with an accelerating tail), survival to t_max, or
-inconclusive.
+record weighted-norm monitors on a fixed checkpoint grid plus the weighted
+mass of every accepted step for blow-up extrapolation, and classify the
+outcome as blow-up (threshold crossing with an accelerating tail), survival
+to t_max, or inconclusive.
 """
 from __future__ import annotations
 
@@ -35,8 +35,8 @@ import numpy as np
 
 from .errors import BlowupFitError, DomainError, QuadratureError
 from .exponents import ProblemParams, exponent_profile
-from .fracop import (Field, UniformGrid, build_ground_state_matrix,
-                     frac_laplacian_spectral, spectral_symbol)
+from .fracop import (Field, UniformGrid, apply_multiplier,
+                     build_ground_state_matrix, spectral_symbol)
 from .kernel import sphere_area
 from .quadrature import distinct_sorted
 
@@ -149,25 +149,23 @@ class TrajectoryReport:
 
 def _box_weight(grid: UniformGrid, mu: float) -> np.ndarray:
     """Cell-integrated |x|^{-mu}: midpoint values away from the origin,
-    subsampled cells nearby, equal-volume-ball closed form at the origin."""
+    the mean over 9^N subsampled points in the other cells within 3.5 dx
+    of it, equal-volume-ball closed form at the origin."""
     vol = grid.cell_volume
     rad = grid.radius()
     if mu == 0.0:
         return np.full(rad.shape, vol)
     W = np.where(rad > 0.0, rad, 1.0) ** (-mu) * vol
-    dx = grid.dx
-    N = grid.N
+    dx, N = grid.dx, grid.N
+    near = np.nonzero((rad > 0.0) & (rad < 3.5 * dx))
+    x = grid.axis()
     sub = (np.arange(9) - 4.0) / 9.0 * dx
     offs = np.meshgrid(*([sub] * N), indexing="ij")
-    x = grid.axis()
-    for ind in np.argwhere(rad < 3.5 * dx):
-        center = [x[k] for k in ind]
-        rr = np.sqrt(sum((center[d] + offs[d]) ** 2 for d in range(N)))
-        if float(rad[tuple(ind)]) == 0.0:
-            r_c = dx * (N / sphere_area(N)) ** (1.0 / N)
-            W[tuple(ind)] = sphere_area(N) * r_c ** (N - mu) / (N - mu)
-        else:
-            W[tuple(ind)] = float(np.mean(rr ** (-mu))) * vol
+    rr = np.sqrt(sum((x[near[d]][:, None] + offs[d].ravel()) ** 2
+                     for d in range(N)))
+    W[near] = np.mean(rr ** (-mu), axis=1) * vol
+    r_c = dx * (N / sphere_area(N)) ** (1.0 / N)
+    W[rad == 0.0] = sphere_area(N) * r_c ** (N - mu) / (N - mu)
     return W
 
 
@@ -219,9 +217,19 @@ def _origin_weights(body: np.ndarray, r: np.ndarray, N: int,
 
 
 def regularized_potential(grid: UniformGrid, s: float, lam: float,
-                          epsilon: float) -> np.ndarray:
-    """The box potential lam / (|x|^{2s} + epsilon^{2s}) on the lattice."""
-    return lam / (grid.radius() ** (2.0 * s) + epsilon ** (2.0 * s))
+                          epsilon: float | None) -> np.ndarray | float:
+    """The box potential lam / (|x|^{2s} + epsilon^{2s}) on the lattice,
+    epsilon None meaning one grid spacing; 0.0 at lam = 0, epsilon unread.
+    Refuses (DomainError) an epsilon that is not positive and finite."""
+    if lam == 0.0:
+        return 0.0
+    eps = grid.dx if epsilon is None else epsilon
+    if not 0.0 < eps < math.inf:
+        raise DomainError("the direct grid cannot represent the exact "
+                          "singular potential; potential_epsilon must be "
+                          "positive and finite (defaults to one grid "
+                          "spacing)")
+    return lam / (grid.radius() ** (2.0 * s) + eps ** (2.0 * s))
 
 
 def box_energy_terms(u: np.ndarray, lap: np.ndarray, V: np.ndarray | float,
@@ -259,18 +267,17 @@ def monitor_norms(u: Field, mu: float, p: float, lam: float, s: float,
     """Weighted mass, critical norm, L2 norm and energy of a box state.
 
     The energy uses the spectral quadratic form and the regularized
-    potential (epsilon defaults to one grid spacing).  Radial states are
-    monitored inside a ground-state run, which holds the operator their
-    energy needs.
+    potential, which refuses what regularized_potential refuses.  Radial
+    states are monitored inside a ground-state run, which holds the
+    operator their energy needs.
     """
     if not isinstance(u, Field):
         raise DomainError("monitors take a box Field")
     grid = u.grid
-    eps = grid.dx if epsilon is None else epsilon
     return _box_monitors(
         u.values, _box_weight(grid, mu),
-        frac_laplacian_spectral(u, s).values,
-        regularized_potential(grid, s, lam, eps), p, grid.cell_volume)
+        apply_multiplier(spectral_symbol(grid, s), u.values),
+        regularized_potential(grid, s, lam, epsilon), p, grid.cell_volume)
 
 
 # ---------------------------------------------------------------------------
@@ -309,13 +316,8 @@ def _tail_fit(times, weighted_mass_series, p: float) -> tuple[float, float]:
 
 
 def estimate_blowup_time(times, weighted_mass_series, p: float) -> float:
-    """Extrapolated blow-up time from the linear law of Y^{1-p}.
-
-    Fits Y^{1-p} on the strictly increasing tail of the series and returns
-    its zero crossing; refuses (BlowupFitError) when the tail is not
-    monotone increasing, not accelerating, or the crossing does not exceed
-    the last recorded time.
-    """
+    """Extrapolated blow-up time from the linear law of Y^{1-p}: the zero
+    crossing of _tail_fit's line, refused where _tail_fit refuses."""
     return _tail_fit(times, weighted_mass_series, p)[0]
 
 
@@ -399,22 +401,14 @@ def _blowup_verdict(tail_t: list[float], tail_y: list[float], p: float,
 
 
 def _run_direct(u_init: np.ndarray, config: SolverConfig) -> TrajectoryReport:
-    params = config.params
-    grid = config.grid
+    grid, params = config.grid, config.params
     N, s, lam, p = params.N, params.s, params.lam, params.p
     mu = exponent_profile(N, s, lam).mu
-    eps = grid.dx if config.potential_epsilon is None else config.potential_epsilon
-    if lam > 0.0 and not 0.0 < eps < math.inf:
-        raise DomainError("the direct grid cannot represent the exact "
-                          "singular potential; potential_epsilon must be "
-                          "positive and finite (defaults to one grid "
-                          "spacing)")
-    V = regularized_potential(grid, s, lam, eps) if lam > 0.0 else 0.0
-    # max V, the potential's share of the rate, is the same for every state
-    v_rate = lam / eps ** (2 * s) if lam > 0.0 else 0.0
+    V = regularized_potential(grid, s, lam, config.potential_epsilon)
+    # max V, the potential's share of the rate, is the same for every
+    # state: lam / eps^{2s}, at the origin, which is a lattice point
+    v_rate = float(np.max(V))
     symbol = spectral_symbol(grid, s)
-    shape = u_init.shape
-    axes = tuple(range(N))
     vol = grid.cell_volume
     W = _box_weight(grid, mu)
 
@@ -427,8 +421,7 @@ def _run_direct(u_init: np.ndarray, config: SolverConfig) -> TrajectoryReport:
     full = propagator(config.dt_initial)
 
     def monitors(u: np.ndarray):
-        lap = np.fft.irfftn(symbol * np.fft.rfftn(u), s=shape, axes=axes)
-        return _box_monitors(u, W, lap, V, p, vol)
+        return _box_monitors(u, W, apply_multiplier(symbol, u), V, p, vol)
 
     def weighted_mass(u: np.ndarray) -> float:
         return float(np.sum(W * u))
@@ -440,7 +433,7 @@ def _run_direct(u_init: np.ndarray, config: SolverConfig) -> TrajectoryReport:
 
     def step(u: np.ndarray, _, dt: float) -> np.ndarray:
         prop = full if dt == config.dt_initial else propagator(dt)
-        u_new = np.fft.irfftn(prop * np.fft.rfftn(u), s=shape, axes=axes)
+        u_new = apply_multiplier(prop, u)
         if config.reaction_enabled or lam > 0.0:
             # band-limited representations of sharp states ring slightly
             # negative; the source V v + v^p sees the lobes clipped (v^p of
@@ -468,11 +461,8 @@ class GroundStateOperator:
     B = V diag(lam) V^{-1} as numpy's eig gives it: real arrays when every
     eigenvalue is real, complex ones when B has a conjugate pair.
     The arrays are read-only because the operator is shared between runs;
-    what depends on dt belongs to the run: the dense propagator that it
-    forms once for its full steps (dt_initial, 92.5% of the benchmark
-    sweep's steps), where one matvec replaces the eigenbasis's two, and
-    the O(n) resolvent coefficients of each clipped step, which go through
-    the eigenbasis.
+    what depends on dt belongs to the run: its dense full-step propagator
+    and the O(n) resolvent coefficients of each clipped step.
     """
 
     r: np.ndarray

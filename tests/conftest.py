@@ -1,7 +1,11 @@
+# hardyheat before numpy: importing it pins BLAS to one thread, which numpy
+# reads once, when it loads; loaded first, numpy would start the machine's
+# default thread count, and in-process CLI runs would round as no console
+# run does
+from hardyheat import kernel, solver
+
 import numpy as np
 import pytest
-
-from hardyheat import kernel, solver
 from hardyheat.kernel import build_profile
 
 

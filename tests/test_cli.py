@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardyheat import cli, solver
+from hardyheat import cli, errors, solver
 from hardyheat.cli import main, save_profile
 from hardyheat.exponents import ProblemParams
 from hardyheat.solver import RadialGrid, SolverConfig
@@ -649,6 +649,28 @@ class TestImports:
                            "loaded_by_benchmark": [], "numpy.ma": False}
 
 
+class TestBlasThreads:
+    def test_in_process_sweep_matches_the_console_run(self, tmp_path):
+        # the suite's process imports hardyheat before numpy (conftest.py),
+        # so its BLAS runs on the threads a console run gets; with numpy
+        # loaded first at the machine's default count, the two CSVs
+        # differed.  On a single core every count is one thread, and this
+        # cannot fail.
+        (argv,) = _benchmark_workloads().commands("sweep", 0)
+        assert run_cli(argv, tmp_path / "in_process") == 0
+        src = str(Path(solver.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src if not path else src + os.pathsep + path)
+        done = subprocess.run(
+            [sys.executable, "-m", "hardyheat.cli", "--outdir",
+             str(tmp_path / "console"), *argv], env=env,
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert ((tmp_path / "in_process" / "sweep.csv").read_bytes()
+                == (tmp_path / "console" / "sweep.csv").read_bytes())
+
+
 class TestErrorExits:
     def test_numerical_nonconvergence_exit(self, tmp_path):
         # tiny fractional order blows the oscillatory panel budget
@@ -656,6 +678,35 @@ class TestErrorExits:
                         "--sigma-max", "50", "--n-points", "32",
                         "--out", "x.csv"], tmp_path)
         assert code == 5
+
+    @pytest.mark.parametrize("outdir, out", [("file", "x.csv"),
+                                             (".", "file/x.csv")],
+                             ids=["outdir-is-a-file", "out-folder-is-a-file"])
+    def test_unwritable_output_exits_usage(self, tmp_path, capsys, outdir,
+                                           out):
+        (tmp_path / "file").write_text("")
+        code = main(["--outdir", str(tmp_path / outdir), "phase-diagram",
+                     "--N", "3", "--s", "0.5", "--lambda-grid", "0.1,0.2",
+                     "--out", out])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("output error: cannot write ")
+        assert str(tmp_path / "file") in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", sorted(
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, Exception)))
+    def test_every_error_class_has_an_exit(self, tmp_path, capsys,
+                                           monkeypatch, name):
+        def fail(args):
+            raise getattr(errors, name)("raised")
+
+        monkeypatch.setattr(cli, "_cmd_exponents", fail)
+        code = run_cli(["exponents", "--N", "3", "--s", "0.5",
+                        "--lambda", "0.5"], tmp_path)
+        assert code in (3, 4, 5)
+        assert capsys.readouterr().err.endswith(": raised\n")
 
 
 class TestInputRefused:

@@ -3,13 +3,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import hyp1f1
+from scipy.special import hyp1f1, loggamma
 
 from conftest import poisson_profile
 from hardyheat import fracop
 from hardyheat.errors import DomainError, QuadratureError
 from hardyheat.exponents import (exponent_profile, lambda_of_alpha,
-                                 pv_normalization)
+                                 power_coupling, pv_normalization)
 from hardyheat.fracop import (Field, UniformGrid, _core_complement,
                               _integral_edges, _radial_weight,
                               apply_ground_state_operator,
@@ -248,6 +248,53 @@ class TestRadialQuadrature:
                             for x in map(mpmath.mpf, xi)]
                     err = max(abs((g - w) / w) for g, w in zip(got, want))
                 assert err < 2e-15, (d, mu, float(err))
+
+
+def coupling(N, s, gamma):
+    """power_coupling continued to complex gamma:
+    (-Delta)^s |x|^{-gamma} = coupling |x|^{-gamma-2s}, 0 < Re gamma < N-2s."""
+    return np.exp(2.0 * s * np.log(2.0) + loggamma((gamma + 2.0 * s) / 2.0)
+                  + loggamma((N - gamma) / 2.0) - loggamma(gamma / 2.0)
+                  - loggamma((N - 2.0 * s - gamma) / 2.0))
+
+
+# (N, s) -> error bound at each frequency of FREQUENCIES: three times the
+# error measured there
+FREQUENCIES = (0.0, 1.0, 4.0, 10.0, 20.0)
+FREQUENCY_BOUNDS = {
+    (3, 0.5): (9e-12, 3.7e-7, 3.4e-5, 2.2e-5, 1.5e-4),
+    (3, 0.25): (5.7e-9, 5.4e-8, 3.3e-6, 2.9e-6, 2.6e-5),
+    (2, 0.3): (1.4e-7, 5.5e-7, 4.3e-6, 5.4e-6, 6.5e-5),
+    (1, 0.25): (1.1e-7, 1.8e-7, 3.3e-6, 9.5e-6, 1.9e-4),
+    (4, 0.75): (1.2e-6, 2.3e-6, 1.3e-4, 7.4e-5, 3.5e-4),
+}
+
+
+class TestFrequencyOracle:
+    """(-Delta)^s [r^{-g0} cos(xi log r)] = Re(coupling(g0 + i xi)
+    r^{-g0 - i xi - 2s}), g0 = (N-2s)/2: the real part of the power law at
+    a complex exponent, an oracle that oscillates in log r at any
+    frequency xi."""
+
+    @pytest.mark.parametrize("N, s", list(FREQUENCY_BOUNDS))
+    def test_oracle_is_the_power_coupling_at_zero_frequency(self, N, s):
+        g0 = 0.5 * (N - 2.0 * s)
+        exact = power_coupling(N, s, g0)
+        assert abs(coupling(N, s, g0) - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("k", range(len(FREQUENCIES)),
+                             ids=[f"xi{xi:g}" for xi in FREQUENCIES])
+    @pytest.mark.parametrize("N, s", list(FREQUENCY_BOUNDS))
+    def test_radial_quadrature(self, N, s, k):
+        xi = FREQUENCIES[k]
+        g0 = 0.5 * (N - 2.0 * s)
+        r = np.array([0.3, 1.0, 3.0])
+        got = frac_laplacian_quadrature_radial(
+            lambda rho: rho ** -g0 * np.cos(xi * np.log(rho)), N, s, r)
+        gamma = g0 + 1j * xi
+        exact = (coupling(N, s, gamma) * r ** (-gamma - 2.0 * s)).real
+        err = np.max(np.abs(got - exact)) / np.max(np.abs(exact))
+        assert err <= FREQUENCY_BOUNDS[N, s][k], float(err)
 
 
 class TestBatchContract:

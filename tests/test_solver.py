@@ -8,7 +8,8 @@ import pytest
 from hardyheat import solver
 from hardyheat.cli import save_trajectory
 from hardyheat.errors import BlowupFitError, DomainError, QuadratureError
-from hardyheat.exponents import ProblemParams, exponent_profile
+from hardyheat.exponents import (ProblemParams, exponent_profile,
+                                 hardy_constant)
 from hardyheat.fracop import Field, UniformGrid
 from hardyheat.kernel import sphere_area
 from hardyheat.solver import (RadialGrid, SolverConfig, Verdict,
@@ -53,6 +54,59 @@ class TestMonitors:
             lambda rr: rr ** (2 - 2 * mu) * phi(rr), 0.0, 40.0, limit=400,
             epsabs=1e-13, epsrel=1e-13)[0]
         assert wm == pytest.approx(oracle, rel=1e-6)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf],
+                             ids=["zero", "negative", "nan", "inf"])
+    def test_epsilon_refused_as_the_run_refuses_it(self, epsilon):
+        g = UniformGrid(3, 4.0, 16)
+        u = Field.from_radial(g, radial_bump())
+        with pytest.raises(DomainError, match="positive and finite"):
+            monitor_norms(u, 0.3, 2.0, 0.5, 0.5, epsilon=epsilon)
+        cfg = SolverConfig(params=ProblemParams(3, 0.5, 0.5, 2.0), grid=g,
+                           potential_epsilon=epsilon)
+        with pytest.raises(DomainError, match="positive and finite"):
+            run(u, cfg)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf],
+                             ids=["zero", "negative", "nan", "inf"])
+    def test_epsilon_unread_without_a_potential(self, epsilon):
+        g = UniformGrid(3, 4.0, 16)
+        u = Field.from_radial(g, radial_bump())
+        assert (monitor_norms(u, 0.0, 2.0, 0.0, 0.5, epsilon=epsilon)
+                == monitor_norms(u, 0.0, 2.0, 0.0, 0.5))
+
+    def test_epsilon_defaults_to_one_grid_spacing(self):
+        g = UniformGrid(2, 4.0, 32)
+        u = Field.from_radial(g, radial_bump())
+        assert (monitor_norms(u, 0.3, 2.0, 0.5, 0.5)
+                == monitor_norms(u, 0.3, 2.0, 0.5, 0.5, epsilon=g.dx))
+
+    @pytest.mark.parametrize("N, s", [(1, 0.25), (2, 0.3), (3, 0.5)])
+    def test_potential_peaks_at_the_origin(self, N, s):
+        # the box run takes the potential's rate from max V
+        g = UniformGrid(N, 4.0, 16)
+        lam = 0.9 * hardy_constant(N, s)
+        for eps in (None, 0.3):
+            V = solver.regularized_potential(g, s, lam, eps)
+            e = g.dx if eps is None else eps
+            assert float(np.max(V)) == lam / e ** (2.0 * s)
+
+    @pytest.mark.parametrize("mu", [0.3, 0.76])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_cell_weights_match_a_per_cell_loop(self, N, mu):
+        # the weights of the cells near the origin, one cell at a time
+        g = UniformGrid(N, 4.0, 16)
+        rad, x, dx = g.radius(), g.axis(), g.dx
+        sub = (np.arange(9) - 4.0) / 9.0 * dx
+        offs = np.meshgrid(*([sub] * N), indexing="ij")
+        W = np.where(rad > 0.0, rad, 1.0) ** -mu * g.cell_volume
+        for ind in zip(*np.nonzero((rad > 0.0) & (rad < 3.5 * dx))):
+            rr = np.sqrt(sum((x[k] + offs[d]) ** 2
+                             for d, k in enumerate(ind)))
+            W[ind] = float(np.mean(rr ** -mu)) * g.cell_volume
+        r_c = dx * (N / sphere_area(N)) ** (1.0 / N)
+        W[rad == 0.0] = sphere_area(N) * r_c ** (N - mu) / (N - mu)
+        assert np.array_equal(solver._box_weight(g, mu), W)
 
     def test_direct_run_energy_matches_monitor_norms(self):
         params = ProblemParams(3, 0.5, 0.5, 1.5)
