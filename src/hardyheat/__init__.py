@@ -5,10 +5,14 @@ detection, and certification of the explicit test-function and
 supersolution constructions."""
 
 import os as _os
+import sys as _sys
 from types import ModuleType as _ModuleType
 
 # one BLAS thread unless the caller set one: threaded LAPACK factorizations
-# round differently at each thread count; numpy reads these when it loads
+# round differently at each thread count; numpy reads these when it loads,
+# so a process that loaded numpy first keeps its library's count (every
+# manifest records which case a run was)
+_NUMPY_LOADED_FIRST = "numpy" in _sys.modules
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     _os.environ.setdefault(_name, "1")
 

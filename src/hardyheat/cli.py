@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import _NUMPY_LOADED_FIRST, __version__
 from .errors import (BlowupFitError, CertificationError, DomainError,
                      ProfileError, QuadratureError, RegimeAmbiguityError)
 from .exponents import (ProblemParams, classify_regime, exponent_profile,
@@ -53,16 +53,31 @@ def _outdir(args) -> str:
     return args.outdir or os.environ.get("HARDYHEAT_OUTDIR", ".")
 
 
+def _environment() -> dict:
+    """The numerical environment of this process: numpy's version, its BLAS
+    name and version, the OPENBLAS_NUM_THREADS setting, and whether numpy
+    was loaded before hardyheat (then BLAS runs at the library's count,
+    whatever the setting reads)."""
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS",
+                                           "unset (library default)"),
+            "numpy_loaded_before_hardyheat": _NUMPY_LOADED_FIRST}
+
+
 def _write_manifest(args, command: str, outputs: list[str],
                     extra: dict | None = None, unread=()) -> str:
     """Write manifest_<command>.json, or for a command with an --out file
     <stem>.<ext> manifest_<command>_<stem>.json beside that file, so that
     runs writing different outputs keep their own manifests: the parsed
     arguments that are set, less those named in `unread` (flags this run
-    of the command ignores), the outputs and the provenance `extra`."""
+    of the command ignores), the outputs, the numerical environment and
+    the provenance `extra`."""
     manifest = {
         "command": command,
         "version": __version__,
+        "environment": _environment(),
         "parameters": {k: v for k, v in sorted(vars(args).items())
                        if k not in ("func", "config", *unread)
                        and v is not None},

@@ -2,6 +2,11 @@
 
 Everything here is deliberately deterministic: fixed node counts, fixed
 panel layouts, no randomized adaptivity, so repeated runs are bit-identical.
+The geometric head and tail sums evaluate their panels in blocks: 8
+panels, then as many as the geometric decay of the last two panel sums
+predicts the slowest unstopped integrand needs, at most 64.  The blocks
+set how many nodes are evaluated and in how many calls, never a result:
+every integrand is summed panel by panel and stops on the same rule.
 """
 from __future__ import annotations
 
@@ -10,7 +15,7 @@ import functools
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import QuadratureError
+from .errors import DomainError, QuadratureError
 
 
 @functools.lru_cache(maxsize=None)
@@ -56,22 +61,45 @@ def integrate_panels(f, edges: np.ndarray, order: int = 10):
 
 # Geometric panels: widths grow (tail) or shrink (head) by _RATIO per
 # panel, up to _MAX_PANELS of them; the sum stops after two consecutive
-# panels below _REL_TOL * max(|total|, scale).
+# panels below _REL_TOL * max(|total|, scale).  _MAX_BLOCK is the longest
+# block that doubling from 8 panels reached on the benchmark's inputs, so
+# no call of f gets more nodes, and no more memory, than it did there.
 _RATIO = 1.6
 _REL_TOL = 1e-14
 _MAX_PANELS = 240
 _FIRST_BLOCK = 8
+_MAX_BLOCK = 64
+
+
+def _next_block(seq, totals, floor, open_, block: int) -> int:
+    """Panels to evaluate next: for each open integrand, the geometric
+    rate q of its last two panel sums gives the count of panels until two
+    consecutive sums fall below the stop bound, |last| q^j <= bound; an
+    integrand whose rate cannot be read (zero, >= 1, not finite) asks for
+    twice `block`.  The slowest open integrand sets the block, capped at
+    _MAX_BLOCK."""
+    last, prev = np.abs(seq[..., -1]), np.abs(seq[..., -2])
+    bound = _REL_TOL * np.maximum(np.abs(totals[..., -1]), floor[..., 0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = last / prev
+        first = np.log(bound / last) / np.log(q)
+    readable = (q > 0.0) & (q < 1.0) & np.isfinite(first)
+    need = np.where(readable, np.maximum(np.ceil(first), 0.0) + 1.0,
+                    2 * block)
+    return int(min(np.max(need[open_]), _MAX_BLOCK))
 
 
 def _geometric_panels(f, edges: np.ndarray, order: int, scale):
     """Sum f over the panels between consecutive `edges`, taken in order.
 
-    f is called once per block of panels.  Blocks double in size (8, 16,
-    ...): a sum that dies out early evaluates few nodes past its stop, a
-    slow one takes few calls.  Leading axes of the values of f are a batch
-    of integrands, with `scale` broadcast against them; each integrand
-    stops on its own running total, summed in panel order.  Raises
-    QuadratureError when some integrand does not die out by the last edge.
+    f is called once per block of panels: the first _FIRST_BLOCK panels,
+    then as many as _next_block predicts the slowest unstopped integrand
+    needs, so a sum evaluates few nodes past its stop in few calls.
+    Leading axes of the values of f are a batch of integrands, with
+    `scale` broadcast against them; each integrand stops on its own
+    running total, summed in panel order, so the block sizes change no
+    result.  Raises QuadratureError when some integrand does not die out
+    by the last edge.
     """
     floor = np.maximum(scale, 1e-300)[..., None]
     parts = []
@@ -90,21 +118,29 @@ def _geometric_panels(f, edges: np.ndarray, order: int, scale):
         totals = np.cumsum(seq, axis=-1)
         tiny = np.abs(seq) <= _REL_TOL * np.maximum(np.abs(totals), floor)
         pair = tiny[..., 1:] & tiny[..., :-1]
-        if pair.any(axis=-1).all():
+        stopped = pair.any(axis=-1)
+        if stopped.all():
             stop = np.argmax(pair, axis=-1)[..., None] + 1
             return np.take_along_axis(totals, stop, axis=-1)[..., 0][()]
-        lo, block = hi, 2 * block
+        lo, block = hi, _next_block(seq, totals, floor, ~stopped, block)
     raise QuadratureError(
         f"geometric panels from {edges[0]:.3e} did not die out by "
         f"{edges[-1]:.3e}")
+
+
+def _check_limit(name: str, x: float) -> None:
+    if not 0.0 < x < np.inf:   # nan fails both
+        raise DomainError(f"{name} must be positive and finite, got {x}")
 
 
 def tail_panels(f, start: float, order: int = 10, scale=0.0):
     """Integrate f over (start, inf) with geometrically widening panels.
 
     The first panel is [start, 2 start]; each next one is _RATIO times
-    wider.  Raises QuadratureError when the panel sequence does not die out.
+    wider.  Raises DomainError unless start is positive and finite, and
+    QuadratureError when the panel sequence does not die out.
     """
+    _check_limit("start", start)
     widths = np.multiply.accumulate(
         np.r_[start, np.full(_MAX_PANELS - 1, _RATIO)])
     return _geometric_panels(f, np.add.accumulate(np.r_[start, widths]),
@@ -115,8 +151,10 @@ def head_panels(f, stop: float, order: int = 10, scale=0.0):
     """Integrate f over (0, stop) with panels shrinking geometrically to 0.
 
     Panel k is [stop / _RATIO^(k+1), stop / _RATIO^k].  Raises
-    QuadratureError when the panel sequence does not die out.
+    DomainError unless stop is positive and finite, and QuadratureError
+    when the panel sequence does not die out.
     """
+    _check_limit("stop", stop)
     edges = np.divide.accumulate(np.r_[stop, np.full(_MAX_PANELS, _RATIO)])
     return _geometric_panels(f, edges, order, scale)
 

@@ -632,7 +632,7 @@ class TestImports:
         # process pool, which only sweep --jobs > 1 uses, some 25 ms; a
         # module first loaded by a command would move start-up cost into
         # the benchmark's wall time
-        workloads = _benchmark_workloads()
+        workloads = _perfbench_module("workloads")
         benchmark = [*workloads.commands("sweep", 0),
                      *workloads.commands("certify", 0)]
         src = str(Path(solver.__file__).resolve().parent.parent)
@@ -656,7 +656,7 @@ class TestBlasThreads:
         # loaded first at the machine's default count, the two CSVs
         # differed.  On a single core every count is one thread, and this
         # cannot fail.
-        (argv,) = _benchmark_workloads().commands("sweep", 0)
+        (argv,) = _perfbench_module("workloads").commands("sweep", 0)
         assert run_cli(argv, tmp_path / "in_process") == 0
         src = str(Path(solver.__file__).resolve().parent.parent)
         path = os.environ.get("PYTHONPATH")
@@ -669,6 +669,37 @@ class TestBlasThreads:
         assert done.returncode == 0, done.stderr
         assert ((tmp_path / "in_process" / "sweep.csv").read_bytes()
                 == (tmp_path / "console" / "sweep.csv").read_bytes())
+
+    EXPONENTS = ["exponents", "--N", "3", "--s", "0.5", "--lambda", "0.5"]
+
+    def test_manifest_records_the_environment(self, tmp_path):
+        # numpy, BLAS and the thread setting as the benchmark worker reads
+        # them; the suite imports hardyheat before numpy (conftest.py)
+        assert run_cli(self.EXPONENTS, tmp_path) == 0
+        env = json.loads((tmp_path / "manifest_exponents.json").read_text()
+                         )["environment"]
+        worker = _perfbench_module("worker")._environment()
+        assert env == {**{k: worker[k] for k in
+                          ("numpy", "blas", "blas_threads")},
+                       "numpy_loaded_before_hardyheat": False}
+
+    def test_manifest_says_numpy_was_loaded_first(self, tmp_path):
+        # a process that loads numpy before hardyheat keeps the library's
+        # thread count, and its manifest says so
+        src = str(Path(solver.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src if not path else src + os.pathsep + path)
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, numpy; from hardyheat import "
+             "cli; sys.exit(cli.main(sys.argv[1:]))", "--outdir",
+             str(tmp_path), *self.EXPONENTS], env=env, capture_output=True,
+            text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        env = json.loads((tmp_path / "manifest_exponents.json").read_text()
+                         )["environment"]
+        assert env["numpy_loaded_before_hardyheat"] is True
+        assert env["numpy"] == np.__version__
 
 
 class TestErrorExits:
@@ -893,11 +924,12 @@ class TestTypedExits:
         assert elapsed <= 2.0
 
 
-def _benchmark_workloads():
-    """perfbench/workloads.py, which defines the benchmark's commands and
-    the checks of their outputs against perfbench/reference.json."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def _perfbench_module(name):
+    """A module of perfbench/: `workloads` defines the benchmark's commands
+    and the checks of their outputs against perfbench/reference.json,
+    `worker` reads the numerical environment."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -907,7 +939,7 @@ class TestBenchmarkReference:
     def test_seed_zero_sweep_matches_the_reference(self, tmp_path):
         # the benchmark's own output checks, run here so that a change that
         # moves the sweep past the reference shows in the suite
-        workloads = _benchmark_workloads()
+        workloads = _perfbench_module("workloads")
         (argv,) = workloads.commands("sweep", 0)
         assert run_cli(argv, tmp_path) == 0
         obs = workloads.observe("sweep", str(tmp_path), [])
@@ -922,7 +954,7 @@ class TestBenchmarkReference:
         # the supersolution certification of the benchmark, checked as the
         # benchmark checks it: A and the residual against the reference,
         # the kernel table's unit mass and its Poisson error
-        workloads = _benchmark_workloads()
+        workloads = _perfbench_module("workloads")
         (argv,) = workloads.commands("certify", 0)
         with workloads.capturing_profiles(cli) as profiles:
             assert run_cli(argv, tmp_path) == 0
@@ -939,7 +971,7 @@ class TestBenchmarkReference:
         # the benchmark's s = 1/4 kernel tables, checked as the benchmark
         # checks them: the header's unit mass and sampled H against the
         # reference
-        workloads = _benchmark_workloads()
+        workloads = _perfbench_module("workloads")
         for argv in workloads.commands("profile", 0):
             assert run_cli(argv, tmp_path) == 0
         obs = workloads.observe("profile", str(tmp_path), [])
