@@ -10,9 +10,12 @@ from types import ModuleType as _ModuleType
 
 # one BLAS thread unless the caller set one: threaded LAPACK factorizations
 # round differently at each thread count; numpy reads these when it loads,
-# so a process that loaded numpy first keeps its library's count (every
-# manifest records which case a run was)
+# so a process that loaded numpy first keeps the setting it loaded with,
+# which every manifest records (the pin still reaches --jobs workers)
 _NUMPY_LOADED_FIRST = "numpy" in _sys.modules
+_BLAS_THREADS = _os.environ.get(
+    "OPENBLAS_NUM_THREADS",
+    "unset (library default)" if _NUMPY_LOADED_FIRST else "1")
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     _os.environ.setdefault(_name, "1")
 

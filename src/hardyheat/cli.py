@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import _NUMPY_LOADED_FIRST, __version__
+from . import _BLAS_THREADS, _NUMPY_LOADED_FIRST, __version__
 from .errors import (BlowupFitError, CertificationError, DomainError,
                      ProfileError, QuadratureError, RegimeAmbiguityError)
 from .exponents import (ProblemParams, classify_regime, exponent_profile,
@@ -44,6 +44,9 @@ EXIT_DOMAIN = 3
 EXIT_CERTIFICATION = 4
 EXIT_NUMERICAL = 5
 
+# (sigma_max, knots) of verify's kernel tables; kernel build's defaults
+_CERT_TABLE = (50.0, 321)
+
 
 class _UnwritableOutput(Exception):
     """An output file that cannot be written (exit 2, as a usage error)."""
@@ -55,14 +58,12 @@ def _outdir(args) -> str:
 
 def _environment() -> dict:
     """The numerical environment of this process: numpy's version, its BLAS
-    name and version, the OPENBLAS_NUM_THREADS setting, and whether numpy
-    was loaded before hardyheat (then BLAS runs at the library's count,
-    whatever the setting reads)."""
+    name and version, the OPENBLAS_NUM_THREADS setting numpy loaded with,
+    and whether numpy was loaded before hardyheat."""
     blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
     return {"numpy": np.__version__,
             "blas": f"{blas.get('name')} {blas.get('version')}",
-            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS",
-                                           "unset (library default)"),
+            "blas_threads": _BLAS_THREADS,
             "numpy_loaded_before_hardyheat": _NUMPY_LOADED_FIRST}
 
 
@@ -153,17 +154,23 @@ def save_profile(profile: KernelProfile, csv_path, json_path) -> dict:
 
 def load_profile(csv_path, json_path) -> KernelProfile:
     """The table save_profile wrote.  Refuses (ProfileError) a missing file,
-    a header without N, s and mass, or a table that is not three columns
-    of numbers."""
+    a header without N, s, mass, n_points and sigma_max, a table that is
+    not three columns of numbers or whose knots are not the header's, and
+    every table KernelProfile refuses."""
     try:
         with open(json_path) as fh:
             header = json.load(fh)
         N, s = int(header["N"]), float(header["s"])
         mass = float(header["mass"])
+        knots = [int(header["n_points"]), float(header["sigma_max"])]
         sigma, H, Hp = np.loadtxt(csv_path, delimiter=",", skiprows=1,
                                   usecols=(0, 1, 2), ndmin=2, unpack=True)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ProfileError(f"unreadable kernel table: {exc}") from None
+    rows = [len(sigma), *sigma[-1:].tolist()]
+    if rows != knots:
+        raise ProfileError(f"kernel table rows (knots, last sigma) {rows} "
+                           f"differ from its header's {knots}")
     return KernelProfile(N=N, s=s, sigma_grid=sigma, H_values=H,
                          Hprime_values=Hp, mass=mass)
 
@@ -292,7 +299,6 @@ def _cmd_kernel(args) -> int:
     if (prof.N, prof.s) != (args.N, args.s):
         raise DomainError(f"{json_path} holds a table for N={prof.N}, "
                           f"s={prof.s}, not --N {args.N} --s {args.s}")
-    prof.validate()
     C = check_envelope(prof)
     report = {"envelope_constant": C, "mass": prof.mass,
               "mass_defect": abs(prof.mass - 1.0)}
@@ -315,7 +321,7 @@ def _cmd_verify(args) -> int:
         report["max_relative_error"] = err
         ok = err <= 1e-3
     elif args.check == "psi-eta":
-        prof = build_profile(args.N, args.s, 50.0, 321)
+        prof = build_profile(args.N, args.s, *_CERT_TABLE)
         mu = exponent_profile(args.N, args.s, args.lam).mu
         mass = psi_mass_constant(prof, mu)
         exact = profile_moment(args.N, args.s, mu)
@@ -330,7 +336,7 @@ def _cmd_verify(args) -> int:
         ok = err <= 1e-6 and slack >= -1e-6
     elif args.check == "supersolution":
         params = ProblemParams(args.N, args.s, args.lam, args.p)
-        prof = build_profile(args.N, args.s, 50.0, 321)
+        prof = build_profile(args.N, args.s, *_CERT_TABLE)
         sp, cert = choose_supersolution(params, prof)
         report.update({"A": sp.A, "gamma": sp.gamma, "T": sp.T,
                        **dataclasses.asdict(cert)})
@@ -518,8 +524,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pk = sub.add_parser("kernel", help="build or validate a kernel profile")
     actions = pk.add_subparsers(dest="action", required=True)
     pb = actions.add_parser("build", parents=[common])
-    pb.add_argument("--sigma-max", type=float, default=50.0)
-    pb.add_argument("--n-points", type=int, default=321)
+    pb.add_argument("--sigma-max", type=float, default=_CERT_TABLE[0])
+    pb.add_argument("--n-points", type=int, default=_CERT_TABLE[1])
     pb.add_argument("--out", default="profile.csv")
     pc = actions.add_parser("check", parents=[common])
     pc.add_argument("--out", default="profile.csv")

@@ -22,7 +22,7 @@ class CertificationError(RuntimeError):
 
 
 class ProfileError(CertificationError):
-    """A kernel profile with corrupt entries (non-finite or non-positive)."""
+    """A kernel table that KernelProfile or its file's header refuses."""
 
 
 class UnsupportedDatumError(DomainError):

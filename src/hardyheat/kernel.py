@@ -21,9 +21,10 @@ densities); the leading one equals the principal-value normalization
 constant of (-Delta)^s.  The table's knots from the crossover sigma_c on,
 the values and slopes past the table and the mass beyond sigma_c all use
 the first _TAIL_TERMS terms of that series; no quadrature runs past
-sigma_c.  Each table certifies the join where the quadrature meets the
-series, at sigma_c, and every table, also one read from disk, that its H
-and H' meet the series at its edge.
+sigma_c.  A build certifies the join where the quadrature meets the
+series, at sigma_c.  A KernelProfile, built here or read from disk, is
+checked once, when it is made, and cannot change after: its arrays are
+read-only copies, and its H and H' must meet the series at its edge.
 """
 from __future__ import annotations
 
@@ -336,10 +337,45 @@ def tail_mass_beyond(N: int, s: float, sigma0: float,
     return total
 
 
-@dataclass
+def _series_rows(N: int, s: float) -> np.ndarray:
+    """Rows c_k and -(N+2ks) c_k of the far-field series of H and H'."""
+    c = tail_series_coefficients(N, s)
+    return np.stack((c, -(N + 2.0 * np.arange(1, len(c) + 1) * s) * c))
+
+
+def _far_field(rows, N: int, s: float, sigma, order: int) -> np.ndarray:
+    """H (order 0) or H' (order 1) by the far-field series with rows
+    _series_rows(N, s), summed by Horner's rule in t = sigma^{-2s}."""
+    t = sigma ** (-2.0 * s)
+    total = np.full_like(t, rows[order, -1])
+    for c in rows[order, -2::-1]:
+        total *= t
+        total += c
+    total *= sigma ** (-N - order - 2.0 * s)
+    return total
+
+
+def _check_join(rows, N: int, s: float, sigma, h, hp, where: str) -> None:
+    """Refuse (ProfileError) values h, hp of H and H' at sigma that the
+    far-field series misses by more than _EDGE_TOL, _SLOPE_EDGE_TOL
+    relative."""
+    for name, order, value, tol in (("H", 0, h, _EDGE_TOL),
+                                    ("H'", 1, hp, _SLOPE_EDGE_TOL)):
+        miss = float(abs(_far_field(rows, N, s, sigma, order) / value - 1))
+        if not miss <= tol:
+            raise ProfileError(
+                f"far-field {name} misses the {where}={sigma} by "
+                f"{miss:.2e} relative")
+
+
+@dataclass(frozen=True, eq=False)
 class KernelProfile:
     """Self-similar kernel profile H and H' for one (N, s): tabulated on
-    [0, sigma_max], the far-field series beyond."""
+    [0, sigma_max], the far-field series beyond.  Construction keeps
+    read-only copies of the arrays and refuses (ProfileError) a table with
+    a non-finite entry, fewer than 2 knots or a grid not rising from 0, an
+    H not positive and strictly decreasing, an H' > 0, or an H or H' at
+    sigma_max that the series misses (_check_join)."""
 
     N: int
     s: float
@@ -348,9 +384,36 @@ class KernelProfile:
     Hprime_values: np.ndarray
     mass: float
     # rows c_3, c_2, c_1, c_0 of the table's cubic Hermite pieces
-    _cubic: np.ndarray | None = field(default=None, repr=False)
-    # rows c_k and -(N+2ks) c_k of the far-field series of H and H'
-    _tail: np.ndarray | None = field(default=None, repr=False)
+    _cubic: np.ndarray = field(init=False, repr=False)
+    # _series_rows(N, s)
+    _tail: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        _check_dimension_and_order(self.N, self.s)
+        for name in ("sigma_grid", "H_values", "Hprime_values"):
+            values = np.array(getattr(self, name), dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        x, H, Hp = self.sigma_grid, self.H_values, self.Hprime_values
+        if not all(np.all(np.isfinite(v)) for v in (x, H, Hp)):
+            raise ProfileError("profile has non-finite entries")
+        if not (x.ndim == 1 and x.shape == H.shape == Hp.shape
+                and len(x) > 1 and x[0] == 0.0 and np.all(np.diff(x) > 0.0)):
+            raise ProfileError("a table needs 2 or more knots rising from 0")
+        if np.any(H <= 0.0):
+            raise ProfileError("profile has non-positive H entries")
+        if np.any(np.diff(H) >= 0.0):
+            raise ProfileError("H is not strictly decreasing")
+        if np.any(Hp > 1e-12 * H[0]):
+            raise ProfileError("H' has positive entries")
+        dx = np.diff(x)
+        slope = np.diff(H) / dx
+        t = (Hp[:-1] + Hp[1:] - 2 * slope) / dx
+        cubic = np.stack((t / dx, (slope - Hp[:-1]) / dx - t, Hp[:-1], H[:-1]))
+        object.__setattr__(self, "_cubic", cubic)
+        object.__setattr__(self, "_tail", _series_rows(self.N, self.s))
+        _check_join(self._tail, self.N, self.s, x[-1], H[-1], Hp[-1],
+                    "table edge sigma_max")
 
     @property
     def sigma_max(self) -> float:
@@ -363,13 +426,6 @@ class KernelProfile:
         constant term up, as in scipy's PPoly, so the values are scipy's
         to the bit."""
         x = self.sigma_grid
-        if self._cubic is None:
-            y, dydx = self.H_values, self.Hprime_values
-            dx = np.diff(x)
-            slope = np.diff(y) / dx
-            t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
-            self._cubic = np.stack((t / dx, (slope - dydx[:-1]) / dx - t,
-                                    dydx[:-1], y[:-1]))
         # interval of each point; searching the inner knots puts sigma_max
         # in the last one
         i = np.searchsorted(x[1:-1], sigma, side="right")
@@ -381,21 +437,6 @@ class KernelProfile:
         return (c0.take(i) + c1.take(i) * d + c2.take(i) * (d * d)
                 + c3.take(i) * (d * d * d))
 
-    def _far_field(self, sigma: np.ndarray, order: int) -> np.ndarray:
-        """H (order 0) or H' (order 1) by the far-field series, summed by
-        Horner's rule in t = sigma^{-2s}."""
-        if self._tail is None:
-            c = tail_series_coefficients(self.N, self.s)
-            ks = np.arange(1, len(c) + 1)
-            self._tail = np.stack((c, -(self.N + 2.0 * ks * self.s) * c))
-        t = sigma ** (-2.0 * self.s)
-        total = np.full_like(t, self._tail[order, -1])
-        for c in self._tail[order, -2::-1]:
-            total *= t
-            total += c
-        total *= sigma ** (-self.N - order - 2.0 * self.s)
-        return total
-
     def _evaluate(self, sigma, order: int):
         sigma = np.asarray(sigma, dtype=float)
         if np.any(sigma < 0.0):
@@ -404,7 +445,8 @@ class KernelProfile:
         if np.any(beyond):
             out = np.empty_like(sigma)
             out[~beyond] = self._table(sigma[~beyond], order)
-            out[beyond] = self._far_field(sigma[beyond], order)
+            out[beyond] = _far_field(self._tail, self.N, self.s,
+                                     sigma[beyond], order)
         else:
             out = self._table(sigma, order)
         return out if out.ndim else float(out)
@@ -417,31 +459,6 @@ class KernelProfile:
         """H' at sigma >= 0: cubic Hermite up to sigma_max, series beyond."""
         return self._evaluate(sigma, 1)
 
-    def validate(self) -> None:
-        H, Hp = self.H_values, self.Hprime_values
-        if not (np.all(np.isfinite(H)) and np.all(np.isfinite(Hp))):
-            raise ProfileError("profile has non-finite entries")
-        if np.any(H <= 0.0):
-            raise ProfileError("profile has non-positive H entries")
-        if np.any(np.diff(H) >= 0.0) and len(H) > 1:
-            raise ProfileError("H is not strictly decreasing")
-        if np.any(Hp > 1e-12 * H[0]):
-            raise ProfileError("H' has positive entries")
-        self._check_join(-1, H[-1], Hp[-1], "table edge sigma_max")
-
-    def _check_join(self, i: int, h: float, hp: float, where: str) -> None:
-        """Refuse (ProfileError) values h, hp of H and H' at knot i that the
-        far-field series misses by more than _EDGE_TOL, _SLOPE_EDGE_TOL
-        relative."""
-        sigma = self.sigma_grid[i]
-        for name, order, value, tol in (("H", 0, h, _EDGE_TOL),
-                                        ("H'", 1, hp, _SLOPE_EDGE_TOL)):
-            miss = float(abs(self._far_field(sigma, order) / value - 1))
-            if not miss <= tol:
-                raise ProfileError(
-                    f"far-field {name} misses the {where}={sigma} by "
-                    f"{miss:.2e} relative")
-
 
 def build_profile(N: int, s: float, sigma_max: float,
                   n_points: int) -> KernelProfile:
@@ -452,7 +469,8 @@ def build_profile(N: int, s: float, sigma_max: float,
     _SLOPE_EDGE_TOL in H' (ProfileError otherwise).  With no knot past
     sigma_c the table is all quadrature.  The header mass is the
     quadrature's ball mass at sigma_c plus the series beyond it, so it
-    depends on (N, s) alone.
+    depends on (N, s) alone.  The one KernelProfile returned is built,
+    with its checks, once every knot is filled.
 
     Raises QuadratureError when a point's oscillatory quadrature cannot be
     trusted (reported with the offending sigma).
@@ -468,31 +486,25 @@ def build_profile(N: int, s: float, sigma_max: float,
     sigma[-1] = sigma_max
     sigma_c = _series_crossover(N, s)
     first = int(np.searchsorted(sigma, sigma_c))
-    quad = sigma[:first + 1]
     H = np.empty(n_points)
     Hp = np.empty(n_points)
     rho_decay = _decay_rho_edges(s)
-    for i, sg in enumerate(quad):
+    for i, sg in enumerate(sigma[:first + 1]):
         try:
             H[i], Hp[i], _ = _profile_point(N, s, float(sg), rho_decay)
         except QuadratureError as exc:
             raise QuadratureError(f"sigma={sg}: {exc}") from exc
-    h = H[:quad.size]
-    bad = ~np.isfinite(h) | (h <= 0.0)
-    if np.any(bad):
-        raise QuadratureError(
-            f"quadrature produced invalid H at sigma={quad[bad][0]}")
 
     mass = (_profile_point(N, s, sigma_c, rho_decay)[2]
             + tail_mass_beyond(N, s, sigma_c))
-    prof = KernelProfile(N=N, s=s, sigma_grid=sigma, H_values=H,
-                         Hprime_values=Hp, mass=mass)
     if first < n_points:
-        prof._check_join(first, H[first], Hp[first], "quadrature at sigma_c")
-        H[first:] = prof._far_field(sigma[first:], 0)
-        Hp[first:] = prof._far_field(sigma[first:], 1)
-    prof.validate()
-    return prof
+        rows = _series_rows(N, s)
+        _check_join(rows, N, s, sigma[first], H[first], Hp[first],
+                    "quadrature at sigma_c")
+        H[first:] = _far_field(rows, N, s, sigma[first:], 0)
+        Hp[first:] = _far_field(rows, N, s, sigma[first:], 1)
+    return KernelProfile(N=N, s=s, sigma_grid=sigma, H_values=H,
+                         Hprime_values=Hp, mass=mass)
 
 
 def h_value(profile: KernelProfile, x_norm: float, t: float) -> float:
@@ -514,10 +526,8 @@ def check_envelope(profile: KernelProfile) -> float:
     the form in which the profile envelope is stated (for the Poisson
     cases E is exactly constant, C = pi for N=1 and pi^2 for N=3).
     """
-    H = profile.H_values
-    if np.any(~np.isfinite(H)) or np.any(H <= 0.0):
-        raise ProfileError("profile corrupt: non-finite or non-positive H")
-    E = H * (1.0 + profile.sigma_grid ** 2) ** (0.5 * (profile.N + 2.0 * profile.s))
+    E = profile.H_values * (1.0 + profile.sigma_grid ** 2) ** (
+        0.5 * (profile.N + 2.0 * profile.s))
     C = float(max(E.max(), (1.0 / E).max()))
     if not math.isfinite(C):
         raise ProfileError("envelope constant not finite")

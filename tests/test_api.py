@@ -8,8 +8,8 @@ scan is syntactic: a call supplies a parameter when it names the function
 or class (as a bare name or an attribute) and passes the parameter by
 keyword, passes enough positional arguments to reach it, or unpacks
 *args / **kwargs.  Nested functions (closures binding loop values such as
-m=m) and underscore fields (lazy caches such as KernelProfile._cubic)
-are exempt.
+m=m) and underscore fields (values derived at construction, such as
+KernelProfile._cubic) are exempt.
 
 Every exported name exists: each name in a module's __all__ is defined in
 that module, and each name the package root imports from a module is in

@@ -240,6 +240,25 @@ class TestKernelCommand:
         assert code == 4
         assert "certification failure:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("keep", [28, 11], ids=["last-5-deleted",
+                                                     "cut-to-11"])
+    def test_truncated_table_exits_certification(self, tmp_path, capsys,
+                                                 keep):
+        # the rows left still end in series knots that meet the series, so
+        # only the header's n_points and sigma_max show the cut
+        run_cli(["kernel", "build", "--N", "3", "--s", "0.5",
+                 "--n-points", "33", "--out", "k.csv"], tmp_path)
+        path = tmp_path / "k.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:1 + keep]) + "\n")
+        capsys.readouterr()
+        code = run_cli(["kernel", "check", "--N", "3", "--s", "0.5",
+                        "--out", "k.csv"], tmp_path)
+        assert code == 4
+        err = capsys.readouterr().err
+        assert f"(knots, last sigma) [{keep}, " in err
+        assert "differ from its header's [33, 50.0]" in err
+
     def test_check_refuses_another_problems_table(self, tmp_path, capsys,
                                                   prof_3_05):
         # --N --s must name the (N, s) of the table's JSON header
@@ -649,6 +668,9 @@ class TestImports:
                            "loaded_by_benchmark": [], "numpy.ma": False}
 
 
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 class TestBlasThreads:
     def test_in_process_sweep_matches_the_console_run(self, tmp_path):
         # the suite's process imports hardyheat before numpy (conftest.py),
@@ -690,16 +712,23 @@ class TestBlasThreads:
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ,
                    PYTHONPATH=src if not path else src + os.pathsep + path)
+        for name in BLAS_THREADS:
+            env.pop(name, None)
         done = subprocess.run(
-            [sys.executable, "-c", "import sys, numpy; from hardyheat import "
-             "cli; sys.exit(cli.main(sys.argv[1:]))", "--outdir",
-             str(tmp_path), *self.EXPONENTS], env=env, capture_output=True,
-            text=True, timeout=120)
+            [sys.executable, "-c", "import os, sys, numpy; from hardyheat "
+             "import cli; code = cli.main(sys.argv[1:]); "
+             "print(os.environ['OPENBLAS_NUM_THREADS']); sys.exit(code)",
+             "--outdir", str(tmp_path), *self.EXPONENTS], env=env,
+            capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         env = json.loads((tmp_path / "manifest_exponents.json").read_text()
                          )["environment"]
         assert env["numpy_loaded_before_hardyheat"] is True
         assert env["numpy"] == np.__version__
+        # numpy loaded with the thread variables unset, whatever the pin
+        # reads after it; the pin is still set, for --jobs workers
+        assert env["blas_threads"] == "unset (library default)"
+        assert done.stdout.splitlines()[-1] == "1"
 
 
 class TestErrorExits:

@@ -6,6 +6,7 @@ import pytest
 from scipy import special
 
 from conftest import poisson_profile, poisson_profile_derivative
+from hardyheat import kernel
 from hardyheat.errors import DomainError, ProfileError
 from hardyheat.exponents import pv_normalization
 from hardyheat.cli import load_profile, save_profile
@@ -278,10 +279,9 @@ class TestFarField:
         table = {"H_values": prof_1_05.H_values.copy(),
                  "Hprime_values": prof_1_05.Hprime_values.copy()}
         table[column][-1] *= factor
-        bad = KernelProfile(N=1, s=0.5, sigma_grid=prof_1_05.sigma_grid,
-                            mass=prof_1_05.mass, **table)
         with pytest.raises(ProfileError, match="table edge"):
-            bad.validate()
+            KernelProfile(N=1, s=0.5, sigma_grid=prof_1_05.sigma_grid,
+                          mass=prof_1_05.mass, **table)
 
     @pytest.mark.parametrize("column, knot, value, match", [
         ("H_values", 7, math.nan, "non-finite"),
@@ -293,14 +293,67 @@ class TestFarField:
         table = {"H_values": prof_1_05.H_values.copy(),
                  "Hprime_values": prof_1_05.Hprime_values.copy()}
         table[column][knot] = value
-        bad = KernelProfile(N=1, s=0.5, sigma_grid=prof_1_05.sigma_grid,
-                            mass=prof_1_05.mass, **table)
         with pytest.raises(ProfileError, match=match):
-            bad.validate()
+            KernelProfile(N=1, s=0.5, sigma_grid=prof_1_05.sigma_grid,
+                          mass=prof_1_05.mass, **table)
 
     def test_negative_sigma_refused(self, prof_1_05):
         with pytest.raises(DomainError, match="sigma must be nonnegative"):
             prof_1_05.h_of_sigma(-1.0)
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("cut", [
+        lambda sg, H, Hp: (sg[1:], H[1:], Hp[1:]),
+        lambda sg, H, Hp: (np.zeros(2), H[-2:], Hp[-2:]),
+        lambda sg, H, Hp: (-sg[::-1], H, Hp),
+        lambda sg, H, Hp: (sg, H[:-1], Hp),
+        lambda sg, H, Hp: (sg[None], H[None], Hp[None]),
+    ], ids=["not-from-zero", "sigma-max-zero", "sigma-max-negative",
+            "unequal-lengths", "two-dimensional"])
+    def test_grid_not_rising_from_zero_refused(self, prof_1_05, cut):
+        sg, H, Hp = cut(prof_1_05.sigma_grid, prof_1_05.H_values,
+                        prof_1_05.Hprime_values)
+        with pytest.raises(ProfileError, match="2 or more knots"):
+            KernelProfile(N=1, s=0.5, sigma_grid=sg, H_values=H,
+                          Hprime_values=Hp, mass=1.0)
+
+    def test_dimension_and_order_refused(self, prof_1_05):
+        with pytest.raises(DomainError, match="fractional order"):
+            KernelProfile(N=1, s=1.5, sigma_grid=prof_1_05.sigma_grid,
+                          H_values=prof_1_05.H_values,
+                          Hprime_values=prof_1_05.Hprime_values, mass=1.0)
+
+    def test_profile_is_read_only(self, prof_1_05):
+        # the arrays are copies, so the caller's cannot reach the cubic
+        # pieces, and neither the fields nor the arrays can be reassigned
+        H = prof_1_05.H_values.copy()
+        prof = KernelProfile(N=1, s=0.5, sigma_grid=prof_1_05.sigma_grid,
+                             H_values=H,
+                             Hprime_values=prof_1_05.Hprime_values, mass=1.0)
+        before = prof.h_of_sigma(1.0)
+        H[:] = 1.0
+        assert prof.h_of_sigma(1.0) == before
+        for name in ("sigma_grid", "H_values", "Hprime_values"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(prof, name)[0] = 1.0
+        with pytest.raises(AttributeError):
+            prof.H_values = H
+
+    def test_build_constructs_one_full_profile(self, monkeypatch):
+        # build_profile fills every knot, quadrature and series, and then
+        # constructs the one profile it returns
+        built = []
+
+        def constructed(**fields):
+            built.append({k: np.copy(v) for k, v in fields.items()})
+            return KernelProfile(**fields)
+
+        monkeypatch.setattr(kernel, "KernelProfile", constructed)
+        prof = build_profile(3, 0.5, 50.0, 33)
+        assert len(built) == 1
+        assert np.array_equal(built[0]["H_values"], prof.H_values)
+        assert np.array_equal(built[0]["Hprime_values"], prof.Hprime_values)
 
 
 # H' of the (3, 1/4) table at its knot 311, sigma = 51^{311/320} - 1, as
@@ -409,21 +462,25 @@ class TestEnvelope:
             assert math.isfinite(check_envelope(prof))
 
     def test_degenerate_single_point(self):
-        prof = KernelProfile(N=1, s=0.5, sigma_grid=np.array([0.0]),
-                             H_values=np.array([1 / math.pi]),
-                             Hprime_values=np.array([0.0]),
-                             mass=1.0)
-        C = check_envelope(prof)
-        assert C == pytest.approx(math.pi)
+        # a one-knot table has no cubic piece and no edge to join; it was
+        # built, and refused only by a divide-by-zero warning in the checks
+        with pytest.raises(ProfileError, match="2 or more knots"):
+            KernelProfile(N=1, s=0.5, sigma_grid=np.array([0.0]),
+                          H_values=np.array([1 / math.pi]),
+                          Hprime_values=np.array([0.0]), mass=1.0)
 
     def test_corruption(self, prof_1_05):
-        bad = KernelProfile(N=1, s=0.5, sigma_grid=prof_1_05.sigma_grid,
-                            H_values=prof_1_05.H_values.copy(),
-                            Hprime_values=prof_1_05.Hprime_values,
-                            mass=1.0)
-        bad.H_values[7] = 0.0
-        with pytest.raises(ProfileError):
-            check_envelope(bad)
+        # a profile that check_envelope reads has positive, finite H: a
+        # table with a zero is refused when it is built, and a built one
+        # cannot be written into
+        H = prof_1_05.H_values.copy()
+        H[7] = 0.0
+        with pytest.raises(ProfileError, match="non-positive H"):
+            KernelProfile(N=1, s=0.5, sigma_grid=prof_1_05.sigma_grid,
+                          H_values=H, Hprime_values=prof_1_05.Hprime_values,
+                          mass=1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            prof_1_05.H_values[7] = 0.0
 
 
 class TestScalingIdentity:
@@ -455,12 +512,15 @@ class TestScalingIdentity:
 
     def test_constant_profile_fails(self):
         sg = np.linspace(0.0, 30.0, 200)
-        # strictly-decreasing by a whisper so construction sanity passes,
-        # but essentially constant: the identity must fail at O(1)
-        H = 1.0 - 1e-9 * sg
+        # strictly-decreasing by a whisper and meeting the series at its
+        # edge, so construction sanity passes, but essentially constant:
+        # the identity must fail at O(1)
+        edge = poisson_profile(1, 30.0)
+        H = edge * (1.0 + 1e-9 * (30.0 - sg))
+        Hp = np.full_like(sg, -1e-9 * edge)
+        Hp[-1] = poisson_profile_derivative(1, 30.0)
         fake = KernelProfile(N=1, s=0.5, sigma_grid=sg, H_values=H,
-                             Hprime_values=np.full_like(sg, -1e-9),
-                             mass=1.0)
+                             Hprime_values=Hp, mass=1.0)
         res = check_scaling_ode(fake, radii=[1.0, 2.0])
         assert res > 0.5
 
