@@ -21,6 +21,7 @@ import json
 import locale  # noqa: F401
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -154,18 +155,22 @@ def save_profile(profile: KernelProfile, csv_path, json_path) -> dict:
 
 def load_profile(csv_path, json_path) -> KernelProfile:
     """The table save_profile wrote.  Refuses (ProfileError) a missing file,
-    a header without N, s, mass, n_points and sigma_max, a table that is
-    not three columns of numbers or whose knots are not the header's, and
-    every table KernelProfile refuses."""
+    a header without N, s, mass, n_points and sigma_max, a table with no
+    rows, a table that is not three columns of numbers or whose knots are
+    not the header's, and every table KernelProfile refuses."""
     try:
         with open(json_path) as fh:
             header = json.load(fh)
         N, s = int(header["N"]), float(header["s"])
         mass = float(header["mass"])
         knots = [int(header["n_points"]), float(header["sigma_max"])]
-        sigma, H, Hp = np.loadtxt(csv_path, delimiter=",", skiprows=1,
-                                  usecols=(0, 1, 2), ndmin=2, unpack=True)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+        with warnings.catch_warnings():
+            # numpy warns of a table with no rows: refused as unreadable
+            warnings.simplefilter("error", UserWarning)
+            sigma, H, Hp = np.loadtxt(csv_path, delimiter=",", skiprows=1,
+                                      usecols=(0, 1, 2), ndmin=2,
+                                      unpack=True)
+    except (OSError, ValueError, KeyError, TypeError, UserWarning) as exc:
         raise ProfileError(f"unreadable kernel table: {exc}") from None
     rows = [len(sigma), *sigma[-1:].tolist()]
     if rows != knots:

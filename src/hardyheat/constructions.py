@@ -1,5 +1,6 @@
 """Explicit analytic objects: weighted test functions, the blow-up ODE
-predictor, the self-similar supersolution family, the negative-energy
+predictor, the self-similar supersolution family (a problem and an
+amplitude; its exponents follow from the problem), the negative-energy
 blow-up criterion, and the critical-case quadrature constants.
 
 Everything is built from the kernel profile table and the singular-
@@ -15,8 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, QuadratureError, UnsupportedDatumError
-from .exponents import (ProblemParams, Regime, classify_regime,
-                        exponent_profile)
+from .exponents import ProblemParams, Regime, classify_regime
 from .fracop import (Field, apply_ground_state_operator,
                      frac_laplacian_quadrature_radial, frac_laplacian_spectral)
 from .kernel import KernelProfile, sphere_area, tail_mass_beyond
@@ -164,7 +164,7 @@ def y_ode_blowup_predictor(Y0: float, eta: float | None,
     if Y0 == 0.0:
         return None
     N, s, p = params.N, params.s, params.p
-    mu = exponent_profile(N, s, params.lam).mu
+    mu = params.exponents.mu
     if eta is None:
         etas = _PREDICTOR_ETAS
         y0 = etas ** (0.5 * N / s - mu / s) * Y0
@@ -186,29 +186,71 @@ def y_ode_blowup_predictor(Y0: float, eta: float | None,
 # supersolution family
 
 
-@dataclass(frozen=True)
-class SupersolutionParams:
-    """w(x,t) = A (T+t)^{-theta} sigma^{-gamma} H(sigma) with
-    sigma = |x| (T+t)^{-beta}, theta = 2s/(p-1), beta = 1/(2s)."""
-
-    A: float
-    gamma: float
-    T: float
-    theta: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        if self.A <= 0.0 or self.T <= 0.0:
-            raise DomainError("amplitude and time shift must be positive")
-
-
 DEFAULT_CERT_RADII = tuple(np.geomspace(0.05, 4.0, 20))
 DEFAULT_CERT_TIMES = tuple(np.linspace(0.0, 9.0, 10))
 
-# time shift T of the chosen family, and the fraction by which its
+# time shift T of every family, and the fraction by which the chosen
 # amplitude stays below the largest admissible one
 _CERT_T = 1.0
 _CERT_MARGIN = 0.1
+
+
+@dataclass(frozen=True)
+class SupersolutionParams:
+    """w(x,t) = A (T+t)^{-theta} sigma^{-gamma} H(sigma) with
+    sigma = |x| (T+t)^{-beta}, for one problem (N, s, lambda, p) and one
+    amplitude A.
+
+    Everything else follows from the problem: theta = 2s/(p-1),
+    beta = 1/(2s), gamma the midpoint of (mu, min(2s/(p-1), mu_bar)) (the
+    cap at mu_bar keeps the power coupling above lambda, without which the
+    potential term would change sign near the origin), and T = _CERT_T.
+    Refuses (DomainError) a problem outside the conditional-global regime
+    F < p < p_plus, as classify_regime places p, and an amplitude that is
+    not positive and finite.
+    """
+
+    problem: ProblemParams
+    A: float
+
+    def __post_init__(self) -> None:
+        regime = classify_regime(self.problem)
+        if regime is not Regime.CONDITIONAL_GLOBAL:
+            prof = self.problem.exponents
+            raise DomainError(
+                f"supersolution family needs fujita < p < p_plus, got "
+                f"p={self.problem.p} ({regime.value}) against "
+                f"({prof.fujita}, {prof.p_plus})")
+        if not 0.0 < self.A < math.inf:
+            raise DomainError(
+                f"amplitude must be positive and finite, got {self.A}")
+
+    @property
+    def theta(self) -> float:
+        return 2.0 * self.problem.s / (self.problem.p - 1.0)
+
+    @property
+    def beta(self) -> float:
+        return 0.5 / self.problem.s
+
+    @property
+    def gamma(self) -> float:
+        prof, s, p = self.problem.exponents, self.problem.s, self.problem.p
+        return 0.5 * (prof.mu + min(2.0 * s / (p - 1.0), prof.mu_bar))
+
+    @property
+    def T(self) -> float:
+        return _CERT_T
+
+
+def _check_table(sp: SupersolutionParams, profile: KernelProfile) -> None:
+    """Refuse (DomainError) a kernel table of another (N, s) than the
+    problem of the family."""
+    N, s = sp.problem.N, sp.problem.s
+    if (profile.N, profile.s) != (N, s):
+        raise DomainError(
+            f"kernel table of N={profile.N}, s={profile.s} cannot evaluate "
+            f"the supersolution of N={N}, s={s}")
 
 
 @dataclass(frozen=True)
@@ -227,34 +269,21 @@ class SupersolutionCertificate:
 def choose_supersolution(params: ProblemParams, profile: KernelProfile
                          ) -> tuple[SupersolutionParams,
                                     SupersolutionCertificate]:
-    """Pick (gamma, A) so the family dominates its own nonlinearity on the
-    default window (DEFAULT_CERT_RADII x DEFAULT_CERT_TIMES); returns the
-    parameters with their certificate (the supersolution_residual of the
-    pick and its worst point, from the same quadratures).
+    """Pick the amplitude A so the family of `params` dominates its own
+    nonlinearity on the default window (DEFAULT_CERT_RADII x
+    DEFAULT_CERT_TIMES); returns the family with its certificate (the
+    supersolution_residual of the pick and its worst point, from the same
+    quadratures).
 
-    gamma is the midpoint of (mu, min(2s/(p-1), mu_bar)); the upper cap at
-    mu_bar keeps the power coupling above lambda, without which the
-    potential term would change sign near the origin.  The residual is
-    A * ell - A^p w1^p per sample point, so the largest admissible
-    amplitude is min (ell / w1^p)^{1/(p-1)}; A is that bound shrunk by
-    _CERT_MARGIN.  Only meaningful in the conditional-global regime
-    F < p < p_plus (as classify_regime places p), and only over windows
-    where ell > 0 (the mixed nonlocal term is negative and wins far out in
-    self-similar radius).
+    The residual is A * ell - A^p w1^p per sample point, so the largest
+    admissible amplitude is min (ell / w1^p)^{1/(p-1)}; A is that bound
+    shrunk by _CERT_MARGIN.  SupersolutionParams refuses a problem outside
+    the conditional-global regime; the window must have ell > 0 (the mixed
+    nonlocal term is negative and wins far out in self-similar radius).
     """
-    prof = exponent_profile(params.N, params.s, params.lam)
-    s, p = params.s, params.p
-    regime = classify_regime(params)
-    if regime is not Regime.CONDITIONAL_GLOBAL:
-        raise DomainError(
-            f"supersolution family needs fujita < p < p_plus, got p={p} "
-            f"({regime.value}) against ({prof.fujita}, {prof.p_plus})")
-    theta = 2.0 * s / (p - 1.0)
-    beta = 0.5 / s
-    gamma = 0.5 * (prof.mu + min(2.0 * s / (p - 1.0), prof.mu_bar))
-    unit = SupersolutionParams(A=1.0, gamma=gamma, T=_CERT_T, theta=theta,
-                               beta=beta)
-    terms = _supersolution_terms(unit, params, profile, DEFAULT_CERT_RADII,
+    p = params.p
+    unit = SupersolutionParams(params, A=1.0)
+    terms = _supersolution_terms(unit, profile, DEFAULT_CERT_RADII,
                                  DEFAULT_CERT_TIMES)
     w1, w_t, lap, pot = terms
     ell = w_t + lap - pot
@@ -267,30 +296,32 @@ def choose_supersolution(params: ProblemParams, profile: KernelProfile
     bound = float(np.min(ell / w1 ** p))
     A = ((1.0 - _CERT_MARGIN) * bound) ** (1.0 / (p - 1.0))
     sp = replace(unit, A=A)
-    return sp, _certificate(sp, p, terms, DEFAULT_CERT_RADII,
-                            DEFAULT_CERT_TIMES)
+    return sp, _certificate(sp, terms, DEFAULT_CERT_RADII, DEFAULT_CERT_TIMES)
 
 
 def supersolution_value(sp: SupersolutionParams, profile: KernelProfile,
                         r, t: float):
     """w(r, t) = A tau^{-theta} g_gamma(r tau^{-beta}), tau = T + t; +inf at
-    r = 0 (the profile weight is singular there)."""
+    r = 0 (the profile weight is singular there).  The table must be of
+    the problem's (N, s)."""
+    _check_table(sp, profile)
     tau = sp.T + t
     sigma = np.asarray(r, dtype=float) * tau ** (-sp.beta)
     return sp.A * tau ** (-sp.theta) * _weighted_profile(profile, sp.gamma)(sigma)
 
 
-def _supersolution_terms(unit: SupersolutionParams, params: ProblemParams,
-                         profile: KernelProfile, radii, times) -> np.ndarray:
+def _supersolution_terms(unit: SupersolutionParams, profile: KernelProfile,
+                         radii, times) -> np.ndarray:
     """Rows (w, w_t, (-Delta)^s w, lam w/r^{2s}) of the unit-amplitude
     family, one column per sample point (times outer, radii inner).
 
     Every term but the reaction w^p is linear in the amplitude, so these
     four rows give the residual at any amplitude.  Each term is a power of
     tau times a function of sigma; the Laplacian is one evaluator call on
-    g_gamma per time.
+    g_gamma per time.  The table must be of the problem's (N, s).
     """
-    N, s = params.N, params.s
+    _check_table(unit, profile)
+    N, s = unit.problem.N, unit.problem.s
     r = np.asarray(radii, dtype=float)
     tau = unit.T + np.asarray(times, dtype=float)[:, None]
     sigma = r * tau ** (-unit.beta)
@@ -304,16 +335,16 @@ def _supersolution_terms(unit: SupersolutionParams, params: ProblemParams,
                        * profile.hprime_of_sigma(sigma))
     lap = amp * tau ** (-2.0 * s * unit.beta) * np.array(
         [frac_laplacian_quadrature_radial(g, N, s, row) for row in sigma])
-    pot = params.lam * w * r ** (-2.0 * s)
+    pot = unit.problem.lam * w * r ** (-2.0 * s)
     return np.stack((w, w_t, lap, pot)).reshape(4, -1)
 
 
-def _certificate(sp: SupersolutionParams, p: float, terms, radii,
+def _certificate(sp: SupersolutionParams, terms, radii,
                  times) -> SupersolutionCertificate:
     """The residual at amplitude sp.A of the terms of _supersolution_terms,
     normalized per point by its term magnitudes, at its least point."""
     w, w_t, lap, pot = sp.A * terms
-    reac = w ** p
+    reac = w ** sp.problem.p
     res = w_t + lap - pot - reac
     scale = np.abs(w_t) + np.abs(lap) + pot + reac
     k = int(np.argmin(res / scale))
@@ -325,8 +356,7 @@ def _certificate(sp: SupersolutionParams, p: float, terms, radii,
         ("w_t", "laplacian", "potential", "reaction")[int(np.argmax(parts))])
 
 
-def supersolution_residual(sp: SupersolutionParams, params: ProblemParams,
-                           profile: KernelProfile,
+def supersolution_residual(sp: SupersolutionParams, profile: KernelProfile,
                            radii=DEFAULT_CERT_RADII,
                            times=DEFAULT_CERT_TIMES) -> float:
     """Min over the sample of (w_t + (-Delta)^s w - lam w/r^{2s} - w^p),
@@ -338,20 +368,22 @@ def supersolution_residual(sp: SupersolutionParams, params: ProblemParams,
     window (the mixed nonlocal term is negative and eventually dominates),
     so the window is part of the certificate.
     """
-    terms = _supersolution_terms(replace(sp, A=1.0), params, profile,
-                                 radii, times)
-    return _certificate(sp, params.p, terms, radii,
-                        times).min_normalized_residual
+    terms = _supersolution_terms(replace(sp, A=1.0), profile, radii, times)
+    return _certificate(sp, terms, radii, times).min_normalized_residual
 
 
 def compare_supersolution(report: TrajectoryReport, sp: SupersolutionParams,
                           profile: KernelProfile) -> bool:
     """True iff every stored field satisfies u <= w (1 + 1e-6) pointwise.
 
-    Requires a ground_state report with store_fields=True; w is the
-    self-similar supersolution evaluated through the kernel profile."""
+    Requires a ground_state report with store_fields=True of the family's
+    own problem; w is the self-similar supersolution evaluated through the
+    kernel profile."""
     if report.fields is None or report.r_grid is None:
         raise DomainError("report carries no stored fields")
+    if report.config.params != sp.problem:
+        raise DomainError(f"a run of {report.config.params} cannot be "
+                          f"compared with the supersolution of {sp.problem}")
     for t, u in report.fields:
         w = supersolution_value(sp, profile, report.r_grid, t)
         if np.any(u > w * (1.0 + 1e-6)):
@@ -466,7 +498,7 @@ def critical_case_constants(params: ProblemParams, m: float, kappa: float
     |refined - coarse| / |coarse|, and a QuadratureError flags a change
     above 1%.  p must be the Fujita exponent, as classify_regime places it.
     """
-    prof = exponent_profile(params.N, params.s, params.lam)
+    prof = params.exponents
     N, s, p, mu = params.N, params.s, params.p, prof.mu
     if classify_regime(params) is not Regime.CRITICAL_FUJITA:
         raise DomainError(

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import DomainError, RegimeAmbiguityError
 from .quadrature import bisect_root
@@ -147,7 +148,8 @@ class ProblemParams:
 
     lam = 0 is admitted as the potential-free boundary case (the solver
     exercises it as an oracle); the exponent machinery treats it by its
-    explicit limits.
+    explicit limits.  `exponents` is its exponent_profile, computed on
+    first use and kept by the instance.
     """
 
     N: int
@@ -164,6 +166,10 @@ class ProblemParams:
         if not 1.0 < self.p < math.inf:
             raise DomainError(
                 f"nonlinearity power must be finite and exceed 1, got {self.p}")
+
+    @cached_property
+    def exponents(self) -> ExponentProfile:
+        return exponent_profile(self.N, self.s, self.lam)
 
 
 @dataclass(frozen=True)
@@ -232,7 +238,7 @@ def classify_regime(params: ProblemParams) -> Regime:
     follows, so a _REGIME_TOL band around p_plus raises
     RegimeAmbiguityError instead of guessing.
     """
-    prof = exponent_profile(params.N, params.s, params.lam)
+    prof = params.exponents
     p = params.p
     if abs(p - prof.fujita) <= _REGIME_TOL:
         return Regime.CRITICAL_FUJITA

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowupFitError, DomainError, QuadratureError
-from .exponents import ProblemParams, exponent_profile
+from .exponents import ProblemParams
 from .fracop import (Field, UniformGrid, apply_multiplier,
                      build_ground_state_matrix, spectral_symbol)
 from .kernel import sphere_area
@@ -80,7 +80,7 @@ class RadialGrid:
         return np.geomspace(self.r_min, self.r_max, self.n_points)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     params: ProblemParams
     grid: UniformGrid | RadialGrid
@@ -402,8 +402,8 @@ def _blowup_verdict(tail_t: list[float], tail_y: list[float], p: float,
 
 def _run_direct(u_init: np.ndarray, config: SolverConfig) -> TrajectoryReport:
     grid, params = config.grid, config.params
-    N, s, lam, p = params.N, params.s, params.lam, params.p
-    mu = exponent_profile(N, s, lam).mu
+    s, lam, p = params.s, params.lam, params.p
+    mu = params.exponents.mu
     V = regularized_potential(grid, s, lam, config.potential_epsilon)
     # max V, the potential's share of the rate, is the same for every
     # state: lam / eps^{2s}, at the origin, which is a lattice point
@@ -543,8 +543,8 @@ def ground_state_operator(grid: RadialGrid, N: int, s: float,
 
 def _run_ground_state(u_init: np.ndarray, config: SolverConfig) -> TrajectoryReport:
     params = config.params
-    N, s, lam, p = params.N, params.s, params.lam, params.p
-    mu = exponent_profile(N, s, lam).mu
+    N, s, p = params.N, params.s, params.p
+    mu = params.exponents.mu
     op = ground_state_operator(config.grid, N, s, mu)
     r = op.r
     v = r ** mu * u_init

@@ -5,6 +5,7 @@ them on success).  Tolerances are pinned here and nowhere else.
 """
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -19,8 +20,8 @@ from hardyheat.fracop import (Field, UniformGrid,
 from hardyheat.kernel import check_envelope, profile_moment
 from hardyheat.solver import (RadialGrid, SolverConfig, monitor_norms, run,
                               tail_linearity_residual)
-from hardyheat.constructions import (SupersolutionParams, TestFunctionParams,
-                                     check_scaling_ode, choose_supersolution,
+from hardyheat.constructions import (TestFunctionParams, check_scaling_ode,
+                                     choose_supersolution,
                                      compare_supersolution,
                                      critical_case_constants,
                                      energy_blowup_criterion, energy_gap,
@@ -145,15 +146,14 @@ def test_criterion_5_supersolution(prof_3_05):
     params = ProblemParams(3, 0.5, 0.5, 2.0)
     sp, _ = choose_supersolution(params, prof_3_05)
     gamma_ok = abs(sp.gamma - 0.75) <= 1e-12
-    res = supersolution_residual(sp, params, prof_3_05)   # 20 x 10 sample
+    res = supersolution_residual(sp, prof_3_05)   # 20 x 10 sample
     # negative control: inflate A past the margin
     failed = False
     A = sp.A
     for _ in range(5):
         A *= 2.0
-        trial = SupersolutionParams(A=A, gamma=sp.gamma, T=sp.T,
-                                    theta=sp.theta, beta=sp.beta)
-        if supersolution_residual(trial, params, prof_3_05,
+        trial = replace(sp, A=A)
+        if supersolution_residual(trial, prof_3_05,
                                   radii=np.geomspace(0.05, 4.0, 8),
                                   times=[0.0, 4.0]) < -1e-6:
             failed = True

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +259,27 @@ class TestKernelCommand:
         err = capsys.readouterr().err
         assert f"(knots, last sigma) [{keep}, " in err
         assert "differ from its header's [33, 50.0]" in err
+
+    @pytest.mark.parametrize("action", ["error", "default"])
+    def test_empty_table_exits_certification(self, tmp_path, capsys,
+                                             action):
+        # a table with its header line and no rows: one refusal line and
+        # no numpy warning, whether warnings are errors or printed
+        run_cli(["kernel", "build", "--N", "3", "--s", "0.5",
+                 "--n-points", "33", "--out", "k.csv"], tmp_path)
+        path = tmp_path / "k.csv"
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            code = run_cli(["kernel", "check", "--N", "3", "--s", "0.5",
+                            "--out", "k.csv"], tmp_path)
+        assert code == 4
+        assert caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("certification failure: unreadable kernel "
+                                 "table")
 
     def test_check_refuses_another_problems_table(self, tmp_path, capsys,
                                                   prof_3_05):
@@ -614,6 +636,32 @@ class TestSweepReuse:
             assert run_cli(SMALL_SWEEP + ["--jobs", jobs], out) == 0
             outputs.append((out / "sweep.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestExponentsOnce:
+    # a problem computes its exponent profile once, whoever reads it: the
+    # run, classify_regime and the supersolution family
+    @pytest.mark.parametrize("workload,calls", [("sweep", 6),
+                                                ("certify", 1)])
+    def test_one_profile_per_problem(self, tmp_path, monkeypatch, workload,
+                                     calls):
+        from hardyheat import exponents
+        seen = []
+
+        def counted(N, s, lam):
+            seen.append((N, s, lam))
+            return original(N, s, lam)
+
+        # every namespace of the package that binds it, as the benchmark's
+        # tracer counts it
+        original = exponents.exponent_profile
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "hardyheat"
+                    and getattr(module, "exponent_profile", None) is original):
+                monkeypatch.setattr(module, "exponent_profile", counted)
+        (argv,) = _perfbench_module("workloads").commands(workload, 0)
+        assert run_cli(argv, tmp_path) == 0
+        assert len(seen) == calls
 
 
 IMPORT_GUARD = """

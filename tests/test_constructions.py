@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -39,9 +39,25 @@ MU = 0.5
                  "Y0 must be nonnegative", id="predictor-mass-negative"),
     pytest.param(lambda: y_ode_blowup_predictor(1.0, 0.0, PARAMS, 1.0),
                  "eta must be positive", id="predictor-eta-zero"),
-    pytest.param(lambda: SupersolutionParams(A=0.0, gamma=MU, T=1.0,
-                                             theta=1.0, beta=1.0),
+    pytest.param(lambda: SupersolutionParams(PARAMS, A=0.0),
                  "amplitude", id="supersolution-amplitude-zero"),
+    pytest.param(lambda: SupersolutionParams(PARAMS, A=-1.0),
+                 "amplitude must be positive and finite",
+                 id="supersolution-amplitude-negative"),
+    pytest.param(lambda: SupersolutionParams(PARAMS, A=math.nan),
+                 "amplitude must be positive and finite",
+                 id="supersolution-amplitude-nan"),
+    pytest.param(lambda: SupersolutionParams(PARAMS, A=math.inf),
+                 "amplitude must be positive and finite",
+                 id="supersolution-amplitude-inf"),
+    pytest.param(lambda: SupersolutionParams(ProblemParams(3, 0.5, 0.5, 3.5),
+                                             A=1.0),
+                 "fujita < p < p_plus.*non_existence",
+                 id="supersolution-non-existence"),
+    pytest.param(lambda: SupersolutionParams(ProblemParams(3, 0.5, 0.5, 1.2),
+                                             A=1.0),
+                 "fujita < p < p_plus.*sub_fujita_blow_up",
+                 id="supersolution-sub-fujita"),
     pytest.param(lambda: constructions.compare_supersolution(
         SimpleNamespace(fields=None, r_grid=None), None, None),
                  "no stored fields", id="compare-without-fields"),
@@ -180,9 +196,34 @@ class TestSupersolution:
             choose_supersolution(ProblemParams(3, 0.5, 0.5, fujita + 5e-10),
                                  prof_3_05)
 
+    def test_family_is_its_problem_and_amplitude(self, prof_3_05):
+        # theta, beta, gamma and T follow from the problem; only A is free
+        sp, _ = choose_supersolution(PARAMS, prof_3_05)
+        assert [f.name for f in fields(sp)] == ["problem", "A"]
+        assert sp.problem == PARAMS
+        prof = PARAMS.exponents
+        assert (sp.theta, sp.beta, sp.T) == (1.0, 1.0, 1.0)
+        assert sp.gamma == 0.5 * (prof.mu + min(1.0, prof.mu_bar))
+        with pytest.raises(FrozenInstanceError):
+            sp.A = 1.0
+
+    @pytest.mark.parametrize("N,s", [(3, 0.75), (3, 0.25), (2, 0.5)])
+    def test_table_of_another_problem_refused(self, prof_3_05, N, s):
+        # a (3, 3/4) table "certified" A = 5.04 for the (3, 1/2) problem,
+        # whose own table gives 2.25
+        table = build_profile(N, s, 50.0, 321)
+        match = f"kernel table of N={N}, s={s} cannot evaluate"
+        with pytest.raises(DomainError, match=match):
+            choose_supersolution(PARAMS, table)
+        sp, _ = choose_supersolution(PARAMS, prof_3_05)
+        with pytest.raises(DomainError, match=match):
+            supersolution_residual(sp, table)
+        with pytest.raises(DomainError, match=match):
+            supersolution_value(sp, table, 1.0, 0.0)
+
     def test_residual_certifies(self, prof_3_05):
         sp, certified = choose_supersolution(PARAMS, prof_3_05)
-        res = supersolution_residual(sp, PARAMS, prof_3_05)
+        res = supersolution_residual(sp, prof_3_05)
         assert res >= -1e-6
         assert res == certified.min_normalized_residual
 
@@ -190,7 +231,7 @@ class TestSupersolution:
         # the least point of the term table, and its largest term there
         sp, cert = choose_supersolution(PARAMS, prof_3_05)
         w1, w_t, lap, pot = sp.A * _supersolution_terms(
-            replace(sp, A=1.0), PARAMS, prof_3_05,
+            replace(sp, A=1.0), prof_3_05,
             constructions.DEFAULT_CERT_RADII,
             constructions.DEFAULT_CERT_TIMES)
         reac = w1 ** PARAMS.p
@@ -208,7 +249,7 @@ class TestSupersolution:
         sp, _ = choose_supersolution(PARAMS, prof_3_05)
         radii, times = [0.1, 1.0, 3.0], [0.0, 5.0]
         w1, w_t, lap, pot = _supersolution_terms(
-            replace(sp, A=1.0), PARAMS, prof_3_05, radii, times)
+            replace(sp, A=1.0), prof_3_05, radii, times)
         h = 1e-4
         k = 0
         for t in times:
@@ -249,9 +290,8 @@ class TestSupersolution:
         A = sp.A
         for _ in range(5):
             A *= 2.0
-            trial = SupersolutionParams(A=A, gamma=sp.gamma, T=sp.T,
-                                        theta=sp.theta, beta=sp.beta)
-            if supersolution_residual(trial, PARAMS, prof_3_05,
+            trial = replace(sp, A=A)
+            if supersolution_residual(trial, prof_3_05,
                                       radii=radii, times=times) < -1e-6:
                 failed = True
                 break

@@ -267,6 +267,12 @@ class TestRunBasics:
         with pytest.raises(DomainError):
             SolverConfig(params=PARAMS_SUB, grid=RG, **{field: value})
 
+    def test_config_is_frozen(self):
+        # an assignment would get past the checks of construction
+        cfg = SolverConfig(params=PARAMS_SUB, grid=RG)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.t_max = -1.0
+
     def test_grid_of_unknown_type_rejected(self):
         with pytest.raises(DomainError):
             SolverConfig(params=PARAMS_SUB, grid=(1e-3, 1e3, 160))
@@ -761,33 +767,44 @@ class TestOperatorReuse:
 
 
 class TestCompareSupersolution:
+    PARAMS = ProblemParams(3, 0.5, 0.5, 2.0)
+    R = np.geomspace(1e-3, 20.0, 64)
+
+    def report_with(self, u, params=PARAMS):
+        """A report of one stored field u on R, of a run of `params`."""
+        from hardyheat.solver import TrajectoryReport
+        cfg = SolverConfig(params=params, grid=RadialGrid(1e-3, 20.0, 64),
+                           t_max=1.0)
+        return TrajectoryReport(
+            times=np.array([0.0]), weighted_mass_series=np.array([0.0]),
+            critical_norm_series=np.array([0.0]),
+            l2_series=np.array([0.0]), energy_series=np.array([0.0]),
+            verdict=Verdict("survived"), config=cfg,
+            tail_times=np.array([0.0]),
+            tail_weighted_mass=np.array([0.0]), r_grid=self.R,
+            fields=[(0.0, u)], steps_accepted=0, steps_rejected={},
+            steps_full=0, dt_min=None, dt_max=None)
+
     def test_zero_field_dominated_and_doubled_not(self, prof_3_05):
         from hardyheat.constructions import (choose_supersolution,
                                              compare_supersolution,
                                              supersolution_value)
-        from hardyheat.solver import TrajectoryReport, Verdict
-        params = ProblemParams(3, 0.5, 0.5, 2.0)
-        sp, _ = choose_supersolution(params, prof_3_05)
-        r = np.geomspace(1e-3, 20.0, 64)
-        w0 = supersolution_value(sp, prof_3_05, r, 0.0)
-
-        def report_with(u):
-            cfg = SolverConfig(params=params, grid=RadialGrid(1e-3, 20.0, 64),
-                               t_max=1.0)
-            return TrajectoryReport(
-                times=np.array([0.0]), weighted_mass_series=np.array([0.0]),
-                critical_norm_series=np.array([0.0]),
-                l2_series=np.array([0.0]), energy_series=np.array([0.0]),
-                verdict=Verdict("survived"), config=cfg,
-                tail_times=np.array([0.0]),
-                tail_weighted_mass=np.array([0.0]), r_grid=r,
-                fields=[(0.0, u)], steps_accepted=0, steps_rejected={},
-                steps_full=0, dt_min=None, dt_max=None)
-
-        assert compare_supersolution(report_with(np.zeros_like(r)),
+        sp, _ = choose_supersolution(self.PARAMS, prof_3_05)
+        w0 = supersolution_value(sp, prof_3_05, self.R, 0.0)
+        assert compare_supersolution(self.report_with(np.zeros_like(self.R)),
                                      sp, prof_3_05)
-        assert not compare_supersolution(report_with(2.0 * w0),
+        assert not compare_supersolution(self.report_with(2.0 * w0),
                                          sp, prof_3_05)
+
+    def test_run_of_another_problem_refused(self, prof_3_05):
+        # a p = 2 family against a p = 1.8 run read as a valid comparison
+        from hardyheat.constructions import (choose_supersolution,
+                                             compare_supersolution)
+        sp, _ = choose_supersolution(self.PARAMS, prof_3_05)
+        other = ProblemParams(3, 0.5, 0.5, 1.8)
+        with pytest.raises(DomainError, match="cannot be compared"):
+            compare_supersolution(
+                self.report_with(np.zeros_like(self.R), other), sp, prof_3_05)
 
 
 class TestSerialization:
