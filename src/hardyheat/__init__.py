@@ -37,8 +37,7 @@ from .kernel import (KernelProfile, build_profile, check_envelope, h_value,
                      profile_moment, profile_origin_value, sphere_area,
                      tail_series_coefficients)
 from .solver import (RadialGrid, SolverConfig, TrajectoryReport, Verdict,
-                     estimate_blowup_time, monitor_norms, run,
-                     tail_linearity_residual)
+                     blowup_fit, monitor_norms, run)
 from .constructions import (SupersolutionCertificate, SupersolutionParams,
                             TestFunctionParams, check_scaling_ode,
                             choose_supersolution, compare_supersolution,

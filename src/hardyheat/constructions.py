@@ -70,10 +70,11 @@ class TestFunctionParams:
     mu: float
 
     def __post_init__(self) -> None:
-        if self.eta <= 0.0:
-            raise DomainError("eta must be positive")
-        if self.mu < 0.0:
-            raise DomainError("mu must be nonnegative")
+        # written so that nan fails both range tests
+        if not 0.0 < self.eta < math.inf:
+            raise DomainError("eta must be positive and finite")
+        if not 0.0 <= self.mu < math.inf:
+            raise DomainError("mu must be nonnegative and finite")
 
 
 def _weighted_profile(profile: KernelProfile, b: float):
@@ -142,16 +143,30 @@ def psi_differential_inequality(params: TestFunctionParams,
 # integrated blow-up predictor
 
 
+def _check_table(problem: ProblemParams, profile: KernelProfile) -> None:
+    """Refuse (DomainError) a kernel table of another (N, s) than the
+    problem."""
+    N, s = problem.N, problem.s
+    if (profile.N, profile.s) != (N, s):
+        raise DomainError(
+            f"kernel table of N={profile.N}, s={profile.s} cannot evaluate "
+            f"the problem of N={N}, s={s}")
+
+
 # eta values searched by the scale-free predictor: 40 per decade
 _PREDICTOR_ETAS = np.geomspace(1e-6, 1.0, 241)
 
 
 def y_ode_blowup_predictor(Y0: float, eta: float | None,
-                           params: ProblemParams, C: float) -> float | None:
+                           params: ProblemParams,
+                           profile: KernelProfile) -> float | None:
     """Least horizon T forced by the integrated differential inequality
 
         1/Y0^{p-1} <= C (2s/N) eta^{(p-1) mu/(2s) - 1}
-                      (1 - e^{-(p-1)(N/(2s)) eta T}).
+                      (1 - e^{-(p-1)(N/(2s)) eta T}),
+
+    C = C_psi^{1-p}, with C_psi = psi_mass_constant of the kernel table,
+    which must be of the problem's (N, s).
 
     With eta given, Y0 is the weighted test-function mass of the datum at
     that scale.  With eta=None, Y0 is treated as the scale-free weighted
@@ -159,8 +174,11 @@ def y_ode_blowup_predictor(Y0: float, eta: float | None,
     _PREDICTOR_ETAS is searched; below the Fujita exponent a finite
     horizon exists for every positive Y0, above it small data admit none.
     """
-    if Y0 < 0.0:
-        raise DomainError("Y0 must be nonnegative")
+    _check_table(params, profile)
+    if not 0.0 <= Y0 < math.inf:
+        raise DomainError("Y0 must be nonnegative and finite")
+    if eta is not None and not 0.0 < eta < math.inf:
+        raise DomainError("eta must be positive and finite")
     if Y0 == 0.0:
         return None
     N, s, p = params.N, params.s, params.p
@@ -168,10 +186,9 @@ def y_ode_blowup_predictor(Y0: float, eta: float | None,
     if eta is None:
         etas = _PREDICTOR_ETAS
         y0 = etas ** (0.5 * N / s - mu / s) * Y0
-    elif eta <= 0.0:
-        raise DomainError("eta must be positive")
     else:
         etas, y0 = np.array([float(eta)]), np.array([Y0])
+    C = psi_mass_constant(profile, mu) ** (1.0 - p)
     cap = C * (2.0 * s / N) * etas ** ((p - 1.0) * mu / (2.0 * s) - 1.0)
     with np.errstate(over="ignore", divide="ignore"):
         ratio = y0 ** (1.0 - p) / cap
@@ -243,16 +260,6 @@ class SupersolutionParams:
         return _CERT_T
 
 
-def _check_table(sp: SupersolutionParams, profile: KernelProfile) -> None:
-    """Refuse (DomainError) a kernel table of another (N, s) than the
-    problem of the family."""
-    N, s = sp.problem.N, sp.problem.s
-    if (profile.N, profile.s) != (N, s):
-        raise DomainError(
-            f"kernel table of N={profile.N}, s={profile.s} cannot evaluate "
-            f"the supersolution of N={N}, s={s}")
-
-
 @dataclass(frozen=True)
 class SupersolutionCertificate:
     """The least normalized residual over the sample and the point where it
@@ -304,7 +311,7 @@ def supersolution_value(sp: SupersolutionParams, profile: KernelProfile,
     """w(r, t) = A tau^{-theta} g_gamma(r tau^{-beta}), tau = T + t; +inf at
     r = 0 (the profile weight is singular there).  The table must be of
     the problem's (N, s)."""
-    _check_table(sp, profile)
+    _check_table(sp.problem, profile)
     tau = sp.T + t
     sigma = np.asarray(r, dtype=float) * tau ** (-sp.beta)
     return sp.A * tau ** (-sp.theta) * _weighted_profile(profile, sp.gamma)(sigma)
@@ -320,7 +327,7 @@ def _supersolution_terms(unit: SupersolutionParams, profile: KernelProfile,
     tau times a function of sigma; the Laplacian is one evaluator call on
     g_gamma per time.  The table must be of the problem's (N, s).
     """
-    _check_table(unit, profile)
+    _check_table(unit.problem, profile)
     N, s = unit.problem.N, unit.problem.s
     r = np.asarray(radii, dtype=float)
     tau = unit.T + np.asarray(times, dtype=float)[:, None]

@@ -509,10 +509,11 @@ def build_profile(N: int, s: float, sigma_max: float,
 
 def h_value(profile: KernelProfile, x_norm: float, t: float) -> float:
     """Kernel value h(x,t) = t^{-N/(2s)} H(|x| t^{-1/(2s)})."""
-    if t <= 0.0:
-        raise DomainError("time must be positive")
-    if x_norm < 0.0:
-        raise DomainError("radius must be nonnegative")
+    # written so that nan fails both range tests
+    if not 0.0 < t < math.inf:
+        raise DomainError("time must be positive and finite")
+    if not 0.0 <= x_norm < math.inf:
+        raise DomainError("radius must be nonnegative and finite")
     scale = t ** (-1.0 / (2.0 * profile.s))
     sigma = x_norm * scale
     return float(t ** (-profile.N / (2.0 * profile.s))

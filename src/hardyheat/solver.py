@@ -43,7 +43,7 @@ from .quadrature import distinct_sorted
 __all__ = [
     "RadialGrid", "SolverConfig", "Verdict", "TrajectoryReport",
     "GroundStateOperator", "ground_state_operator", "run", "monitor_norms",
-    "estimate_blowup_time", "tail_linearity_residual",
+    "blowup_fit",
 ]
 
 
@@ -123,7 +123,7 @@ class Verdict:
     tail_linearity: float | None = None   # of the fit t_star came from
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrajectoryReport:
     times: np.ndarray
     weighted_mass_series: np.ndarray
@@ -284,16 +284,26 @@ def monitor_norms(u: Field, mu: float, p: float, lam: float, s: float,
 # blow-up time extrapolation
 
 
-def _tail_fit(times, weighted_mass_series, p: float) -> tuple[float, float]:
-    """(t*, linearity) of the least-squares line through Y^{1-p} over the
-    strictly increasing tail: its zero crossing, and its max deviation from
-    the data relative to their range.  Refuses (BlowupFitError) a tail of
-    under 5 samples or 5 distinct times (a stalled clock repeats one), a
-    flat tail, a line not decreasing toward zero, or a crossing in the data."""
+def blowup_fit(times, weighted_mass_series, p: float) -> tuple[float, float]:
+    """(t*, linearity) of the blow-up law Y^{1-p} linear in t, from a
+    weighted-mass record: the zero crossing of the least-squares line, and
+    its max deviation from the data relative to their range.
+
+    The line is fitted over the acceleration phase, the last samples within
+    three decades of the final weighted mass (8 to 200 of them), cut to
+    their strictly increasing tail; a caller narrows the window by passing
+    fewer samples.  Refuses (BlowupFitError) a tail of under 5 samples or 5
+    distinct times (a stalled clock repeats one), a flat tail, a line not
+    decreasing toward zero, or a crossing in the data."""
     t = np.asarray(times, dtype=float)
     Y = np.asarray(weighted_mass_series, dtype=float)
     if len(t) != len(Y):
         raise DomainError("series lengths differ")
+    if len(Y) < 5:
+        raise BlowupFitError("tail not strictly increasing over enough samples")
+    start = int(np.searchsorted(Y > Y[-1] * 1e-3, True))
+    window = int(np.clip(len(Y) - start, 8, 200))
+    t, Y = t[-window:], Y[-window:]
     i = len(Y) - 1
     while i > 0 and Y[i - 1] < Y[i]:
         i -= 1
@@ -313,19 +323,6 @@ def _tail_fit(times, weighted_mass_series, p: float) -> tuple[float, float]:
     return float(t_star), float(
         np.max(np.abs(slope * (tt - tt[0]) + intercept - zz))
         / (zz.max() - zz.min()))
-
-
-def estimate_blowup_time(times, weighted_mass_series, p: float) -> float:
-    """Extrapolated blow-up time from the linear law of Y^{1-p}: the zero
-    crossing of _tail_fit's line, refused where _tail_fit refuses."""
-    return _tail_fit(times, weighted_mass_series, p)[0]
-
-
-def tail_linearity_residual(times, weighted_mass_series, p: float) -> float:
-    """Max deviation of Y^{1-p} from its tail linear fit, relative to the
-    fitted range (small values corroborate the blow-up ODE law); refuses
-    what estimate_blowup_time refuses."""
-    return _tail_fit(times, weighted_mass_series, p)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +383,8 @@ def run(u0, config: SolverConfig) -> TrajectoryReport:
 
 def _blowup_verdict(tail_t: list[float], tail_y: list[float], p: float,
                     reason: str) -> Verdict:
-    # fit over the acceleration phase: samples within three decades of the
-    # final weighted mass, capped so early transients never pollute the fit
-    y = np.asarray(tail_y)
-    start = int(np.searchsorted(y > y[-1] * 1e-3, True))
-    window = int(np.clip(len(y) - start, 8, 200))
-    # one fit gives t* and, as a check of the law, its linearity residual
     try:
-        t_star, linearity = _tail_fit(tail_t[-window:], tail_y[-window:], p)
+        t_star, linearity = blowup_fit(tail_t, tail_y, p)
     except BlowupFitError as exc:
         return Verdict("inconclusive", reason=f"{reason}, but {exc}")
     return Verdict("blew_up", t_star=t_star, reason=reason,

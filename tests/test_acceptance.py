@@ -18,8 +18,8 @@ from hardyheat.fracop import (Field, UniformGrid,
                               frac_laplacian_quadrature_radial,
                               verify_power_solution)
 from hardyheat.kernel import check_envelope, profile_moment
-from hardyheat.solver import (RadialGrid, SolverConfig, monitor_norms, run,
-                              tail_linearity_residual)
+from hardyheat.solver import (RadialGrid, SolverConfig, blowup_fit,
+                              monitor_norms, run)
 from hardyheat.constructions import (TestFunctionParams, check_scaling_ode,
                                      choose_supersolution,
                                      compare_supersolution,
@@ -128,13 +128,11 @@ def test_criterion_4_psi_eta_machinery(prof_3_05):
     slack = psi_differential_inequality(
         TestFunctionParams(0.05, mu), prof_3_05, 0.5,
         np.geomspace(0.05, 20.0, 20))
-    C12 = psi_mass_constant(prof_3_05, mu) ** (1.0 - 1.2)
-    C20 = psi_mass_constant(prof_3_05, mu) ** (1.0 - 2.0)
     p_sub = ProblemParams(3, 0.5, 0.5, 1.2)
     p_sup = ProblemParams(3, 0.5, 0.5, 2.0)
-    fires = all(y_ode_blowup_predictor(y0, None, p_sub, C12) is not None
+    fires = all(y_ode_blowup_predictor(y0, None, p_sub, prof_3_05) is not None
                 for y0 in (1e-6, 1e-3, 1.0, 1e3))
-    silent = y_ode_blowup_predictor(1e-6, None, p_sup, C20) is None
+    silent = y_ode_blowup_predictor(1e-6, None, p_sup, prof_3_05) is None
     ok = mass_err <= 1e-6 and slack >= -1e-9 and fires and silent
     report("criterion-4 psi-eta", ok,
            f"mass constant error {mass_err:.2e}, inequality slack "
@@ -204,8 +202,8 @@ def test_criterion_6b_sub_fujita_blowup():
                            n_monitor=64)
         rep = run(lambda r, a=amp: a * np.exp(-r ** 2), cfg)
         blew = rep.verdict.kind == "blew_up"
-        lin = (tail_linearity_residual(rep.tail_times[-60:],
-                                       rep.tail_weighted_mass[-60:], 1.2)
+        lin = (blowup_fit(rep.tail_times[-60:],
+                          rep.tail_weighted_mass[-60:], 1.2)[1]
                if blew else math.inf)
         finite = blew and math.isfinite(rep.verdict.t_star)
         ok &= blew and finite and lin <= 0.05

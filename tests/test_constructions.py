@@ -28,6 +28,7 @@ from hardyheat.constructions import (SupersolutionParams, TestFunctionParams,
 
 PARAMS = ProblemParams(3, 0.5, 0.5, 2.0)
 MU = 0.5
+TABLE = build_profile(3, 0.5, 50.0, 321)    # of PARAMS's (N, s)
 
 
 @pytest.mark.parametrize("call, match", [
@@ -35,10 +36,25 @@ MU = 0.5
                  "eta must be positive", id="psi-eta-zero"),
     pytest.param(lambda: TestFunctionParams(eta=1.0, mu=-0.1),
                  "mu must be nonnegative", id="psi-mu-negative"),
-    pytest.param(lambda: y_ode_blowup_predictor(-1.0, None, PARAMS, 1.0),
+    *[pytest.param(lambda v=v: TestFunctionParams(eta=v, mu=MU),
+                   "eta must be positive and finite", id=f"psi-eta-{v}")
+      for v in (math.nan, math.inf, -math.inf)],
+    *[pytest.param(lambda v=v: TestFunctionParams(eta=1.0, mu=v),
+                   "mu must be nonnegative and finite", id=f"psi-mu-{v}")
+      for v in (math.nan, math.inf, -math.inf)],
+    pytest.param(lambda: y_ode_blowup_predictor(-1.0, None, PARAMS, TABLE),
                  "Y0 must be nonnegative", id="predictor-mass-negative"),
-    pytest.param(lambda: y_ode_blowup_predictor(1.0, 0.0, PARAMS, 1.0),
+    pytest.param(lambda: y_ode_blowup_predictor(math.nan, None, PARAMS, TABLE),
+                 "Y0 must be nonnegative and finite", id="predictor-mass-nan"),
+    pytest.param(lambda: y_ode_blowup_predictor(1.0, 0.0, PARAMS, TABLE),
                  "eta must be positive", id="predictor-eta-zero"),
+    pytest.param(lambda: y_ode_blowup_predictor(1.0, math.nan, PARAMS, TABLE),
+                 "eta must be positive and finite", id="predictor-eta-nan"),
+    # C = C_psi^{1-p} of a (3, 3/4) table gave a horizon for (3, 1/2)
+    pytest.param(lambda: y_ode_blowup_predictor(
+        1.0, None, PARAMS, build_profile(3, 0.75, 50.0, 321)),
+                 "kernel table of N=3, s=0.75 cannot evaluate",
+                 id="predictor-table-of-another-problem"),
     pytest.param(lambda: SupersolutionParams(PARAMS, A=0.0),
                  "amplitude", id="supersolution-amplitude-zero"),
     pytest.param(lambda: SupersolutionParams(PARAMS, A=-1.0),
@@ -136,39 +152,34 @@ class TestPsiEta:
 
 
 class TestPredictor:
-    def C(self, prof, p):
-        return psi_mass_constant(prof, MU) ** (1.0 - p)
-
     def test_zero_mass_never_fires(self, prof_3_05):
         p = ProblemParams(3, 0.5, 0.5, 1.2)
-        assert y_ode_blowup_predictor(0.0, None, p, self.C(prof_3_05, 1.2)) is None
+        assert y_ode_blowup_predictor(0.0, None, p, prof_3_05) is None
 
     def test_below_fujita_every_mass_fires(self, prof_3_05):
         p = ProblemParams(3, 0.5, 0.5, 1.2)
-        C = self.C(prof_3_05, 1.2)
         for y0 in (1e-6, 1e-3, 1.0, 1e3):
-            T = y_ode_blowup_predictor(y0, None, p, C)
+            T = y_ode_blowup_predictor(y0, None, p, prof_3_05)
             assert T is not None and 0.0 < T < math.inf
 
     def test_above_fujita_small_mass_never_fires(self, prof_3_05):
         p = ProblemParams(3, 0.5, 0.5, 2.0)
-        C = self.C(prof_3_05, 2.0)
-        assert y_ode_blowup_predictor(1e-6, None, p, C) is None
+        assert y_ode_blowup_predictor(1e-6, None, p, prof_3_05) is None
 
     def test_fixed_eta_matches_closed_form(self, prof_3_05):
         p = ProblemParams(3, 0.5, 0.5, 1.2)
-        C = self.C(prof_3_05, 1.2)
+        C = psi_mass_constant(prof_3_05, MU) ** (1.0 - p.p)
         prof = exponent_profile(3, 0.5, 0.5)
         eta, Y0 = 0.05, 2.0
         cap = C * (2 * 0.5 / 3) * eta ** ((p.p - 1) * prof.mu / 1.0 - 1.0)
         ratio = Y0 ** (1 - p.p) / cap
         expected = -math.log1p(-ratio) / ((p.p - 1) * 3.0 * eta)
-        assert y_ode_blowup_predictor(Y0, eta, p, C) == pytest.approx(expected)
+        assert y_ode_blowup_predictor(Y0, eta, p, prof_3_05) == pytest.approx(
+            expected)
 
     def test_horizon_decreases_with_mass(self, prof_3_05):
         p = ProblemParams(3, 0.5, 0.5, 1.2)
-        C = self.C(prof_3_05, 1.2)
-        horizons = [y_ode_blowup_predictor(y0, None, p, C)
+        horizons = [y_ode_blowup_predictor(y0, None, p, prof_3_05)
                     for y0 in (0.01, 0.1, 1.0)]
         assert horizons[0] > horizons[1] > horizons[2]
 

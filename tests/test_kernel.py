@@ -446,6 +446,14 @@ class TestHValue:
         with pytest.raises(DomainError):
             h_value(prof_1_05, -1.0, 1.0)
 
+    # unrefused, a nan gives nan and an infinite |x| or t gives 0.0
+    @pytest.mark.parametrize("x, t, match", [
+        (math.nan, 1.0, "radius"), (math.inf, 1.0, "radius"),
+        (1.0, math.nan, "time"), (1.0, math.inf, "time")])
+    def test_non_finite_input_refused(self, prof_1_05, x, t, match):
+        with pytest.raises(DomainError, match=f"{match} must be .* finite"):
+            h_value(prof_1_05, x, t)
+
 
 class TestEnvelope:
     def test_poisson_sharp_constants(self, prof_1_05, prof_3_05):

@@ -12,9 +12,8 @@ from hardyheat.exponents import (ProblemParams, exponent_profile,
                                  hardy_constant)
 from hardyheat.fracop import Field, UniformGrid
 from hardyheat.kernel import sphere_area
-from hardyheat.solver import (RadialGrid, SolverConfig, Verdict,
-                              estimate_blowup_time, ground_state_operator,
-                              monitor_norms, run, tail_linearity_residual)
+from hardyheat.solver import (RadialGrid, SolverConfig, Verdict, blowup_fit,
+                              ground_state_operator, monitor_norms, run)
 
 
 def radial_bump(amplitude=1.0, width=1.0):
@@ -189,49 +188,50 @@ class TestBlowupExtrapolation:
         t_star = Y0 ** (1 - p) / ((p - 1) * K)
         t = np.linspace(0.0, 0.9 * t_star, 40)
         Y = (Y0 ** (1 - p) - (p - 1) * K * t) ** (-1 / (p - 1))
-        est = estimate_blowup_time(t, Y, p)
+        est = blowup_fit(t, Y, p)[0]
         assert est == pytest.approx(t_star, rel=1e-6)
 
     def test_constant_series_refused(self):
         t = np.linspace(0, 1, 20)
         with pytest.raises(BlowupFitError):
-            estimate_blowup_time(t, np.ones(20), 1.5)
+            blowup_fit(t, np.ones(20), 1.5)
 
     def test_decreasing_series_refused(self):
         t = np.linspace(0, 1, 20)
         with pytest.raises(BlowupFitError):
-            estimate_blowup_time(t, 2.0 - t, 1.5)
+            blowup_fit(t, 2.0 - t, 1.5)
 
     def test_tail_of_few_distinct_times_refused(self):
         # a stalled clock appends one time over and over while Y grows
         t = np.array([0.0, 0.1, 0.2, 0.3] + [0.3] * 6)
         Y = np.arange(1.0, 11.0)
         with pytest.raises(BlowupFitError, match="distinct times"):
-            estimate_blowup_time(t, Y, 1.5)
+            blowup_fit(t, Y, 1.5)
         with pytest.raises(BlowupFitError, match="distinct times"):
-            estimate_blowup_time(np.full(10, 0.3), Y, 1.5)
+            blowup_fit(np.full(10, 0.3), Y, 1.5)
 
     def test_linearity_residual_small_on_exact_data(self):
         p, K, Y0 = 1.2, 0.5, 1.0
         t_star = Y0 ** (1 - p) / ((p - 1) * K)
         t = np.linspace(0.0, 0.95 * t_star, 30)
         Y = (Y0 ** (1 - p) - (p - 1) * K * t) ** (-1 / (p - 1))
-        assert tail_linearity_residual(t, Y, p) < 1e-10
+        assert blowup_fit(t, Y, p)[1] < 1e-10
 
-    def test_verdict_linearity_is_that_of_the_t_star_fit(self):
-        cfg = SolverConfig(params=ProblemParams(3, 0.5, 0.5, 1.9), grid=RG,
-                           t_max=5.0)
+    # the four blow-up cells of the benchmark sweep (the sweep's grid,
+    # clock, threshold and checkpoints), and p = 1.9 to t_max = 5
+    @pytest.mark.parametrize("lam, p, config", [
+        pytest.param(lam, p, dict(grid=RG128, t_max=50.0, dt_initial=0.02,
+                                  blowup_threshold=1e4, n_monitor=32),
+                     id=f"sweep-{lam}-{p}")
+        for lam, p in [(0.2, 1.3), (0.5, 1.3), (0.5, 1.9), (0.5, 2.5)]
+    ] + [pytest.param(0.5, 1.9, dict(grid=RG, t_max=5.0), id="t-max-5")])
+    def test_verdict_is_the_fit_of_the_record(self, lam, p, config):
+        cfg = SolverConfig(params=ProblemParams(3, 0.5, lam, p), **config)
         rep = run(radial_bump(), cfg)
         assert rep.verdict.kind == "blew_up"
         assert rep.steps_accepted < 4000     # the report keeps every sample
-        # the fit window of the verdict: the samples within three decades
-        # of the final weighted mass, at least 8 and at most 200
-        y = rep.tail_weighted_mass
-        start = int(np.searchsorted(y > y[-1] * 1e-3, True))
-        window = int(np.clip(len(y) - start, 8, 200))
-        tail = (rep.tail_times[-window:], y[-window:], 1.9)
-        assert rep.verdict.t_star == estimate_blowup_time(*tail)
-        assert rep.verdict.tail_linearity == tail_linearity_residual(*tail)
+        assert blowup_fit(rep.tail_times, rep.tail_weighted_mass, p) == (
+            rep.verdict.t_star, rep.verdict.tail_linearity)
 
 
 class TestRunBasics:
@@ -272,6 +272,13 @@ class TestRunBasics:
         cfg = SolverConfig(params=PARAMS_SUB, grid=RG)
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.t_max = -1.0
+
+    def test_report_is_frozen(self):
+        # a verdict assigned after the run would disagree with its record
+        rep = run(radial_bump(), SolverConfig(params=PARAMS_SUB, grid=RG,
+                                              t_max=0.05))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.verdict = Verdict("blew_up", t_star=1.0)
 
     def test_grid_of_unknown_type_rejected(self):
         with pytest.raises(DomainError):
@@ -443,29 +450,31 @@ Y10 = np.arange(1.0, 11.0)
                  DomainError, "unknown diffusion", id="diffusion-unknown"),
     pytest.param(lambda: monitor_norms(np.zeros(16), 0.5, 1.2, 0.5, 0.5),
                  DomainError, "box Field", id="monitor-array"),
-    pytest.param(lambda: estimate_blowup_time(T10, Y10[:-1], 1.5),
+    pytest.param(lambda: blowup_fit(T10, Y10[:-1], 1.5)[0],
                  DomainError, "lengths differ", id="fit-lengths"),
+    pytest.param(lambda: blowup_fit([], [], 1.5), BlowupFitError,
+                 "not strictly increasing", id="fit-empty"),
     pytest.param(lambda: run(np.zeros(RG.n_points - 1),
                              SolverConfig(params=PARAMS_SUB, grid=RG)),
                  DomainError, "does not match the grid", id="datum-shape"),
     # below p = 1, Y^{1-p} grows with Y
-    pytest.param(lambda: estimate_blowup_time(T10, Y10, 0.5),
+    pytest.param(lambda: blowup_fit(T10, Y10, 0.5)[0],
                  BlowupFitError, "not decreasing toward zero",
                  id="fit-p-below-one"),
     # exponential growth never reaches infinity in finite time
-    pytest.param(lambda: estimate_blowup_time(
+    pytest.param(lambda: blowup_fit(
         np.linspace(0.0, 1.0, 12), np.exp(10.0 * np.linspace(0.0, 1.0, 12)),
-        2.0), BlowupFitError, "does not exceed data", id="fit-exponential"),
-    pytest.param(lambda: tail_linearity_residual(T10, Y10, 1.0),
+        2.0)[0], BlowupFitError, "does not exceed data", id="fit-exponential"),
+    pytest.param(lambda: blowup_fit(T10, Y10, 1.0)[1],
                  BlowupFitError, "too flat", id="linearity-p-one"),
     # a residual from a line that does not describe blow-up corroborates
-    # nothing, so the residual refuses what the blow-up time refuses
-    pytest.param(lambda: tail_linearity_residual(T10, Y10, 0.5),
+    # nothing, so the fit gives no residual where it gives no blow-up time
+    pytest.param(lambda: blowup_fit(T10, Y10, 0.5)[1],
                  BlowupFitError, "not decreasing toward zero",
                  id="linearity-p-below-one"),
-    pytest.param(lambda: tail_linearity_residual(
+    pytest.param(lambda: blowup_fit(
         np.linspace(0.0, 1.0, 12), np.exp(10.0 * np.linspace(0.0, 1.0, 12)),
-        2.0), BlowupFitError, "does not exceed data",
+        2.0)[1], BlowupFitError, "does not exceed data",
         id="linearity-exponential"),
 ])
 def test_refused(call, error, match):
