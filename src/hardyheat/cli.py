@@ -197,8 +197,9 @@ def save_trajectory(report: TrajectoryReport, csv_path, json_path) -> None:
         "params": {"N": cfg.params.N, "s": cfg.params.s,
                    "lambda": cfg.params.lam, "p": cfg.params.p},
         "formulation": "direct" if box else "ground_state",
-        "diffusion": cfg.diffusion,
-        "potential_epsilon": cfg.potential_epsilon,
+        # a ground-state run is Crank-Nicolson on the exact potential
+        **({"diffusion": cfg.diffusion,
+            "potential_epsilon": cfg.potential_epsilon} if box else {}),
         "dt_initial": cfg.dt_initial,
         "dt_safety": cfg.dt_safety,
         "t_max": cfg.t_max,
@@ -327,16 +328,16 @@ def _cmd_verify(args) -> int:
         ok = err <= 1e-3
     elif args.check == "psi-eta":
         prof = build_profile(args.N, args.s, *_CERT_TABLE)
-        mu = exponent_profile(args.N, args.s, args.lam).mu
-        mass = psi_mass_constant(prof, mu)
-        exact = profile_moment(args.N, args.s, mu)
+        psi = TestFunctionParams(
+            exponent_profile(args.N, args.s, args.lam), 0.05)
+        mass = psi_mass_constant(prof, psi.mu)
+        exact = profile_moment(args.N, args.s, psi.mu)
         err = abs(mass - exact) / exact
         report.update({"mass_constant": mass,
                        "mass_constant_closed_form": exact,
                        "mass_constant_relative_error": err})
         slack = psi_differential_inequality(
-            TestFunctionParams(0.05, mu), prof, args.lam,
-            np.geomspace(0.1, 10.0, 20))
+            psi, prof, np.geomspace(0.1, 10.0, 20))
         report["differential_inequality_min_slack"] = slack
         ok = err <= 1e-6 and slack >= -1e-6
     elif args.check == "supersolution":

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, QuadratureError, UnsupportedDatumError
-from .exponents import ProblemParams, Regime, classify_regime
+from .exponents import ExponentProfile, ProblemParams, Regime, classify_regime
 from .fracop import (Field, apply_ground_state_operator,
                      frac_laplacian_quadrature_radial, frac_laplacian_spectral)
 from .kernel import KernelProfile, sphere_area, tail_mass_beyond
@@ -61,20 +61,35 @@ def check_scaling_ode(profile: KernelProfile, radii=None) -> float:
 
 @dataclass(frozen=True)
 class TestFunctionParams:
-    """Scale eta and weight exponent mu of the test function
-    psi_eta(x) = eta^{N/(2s) - mu/s} |x|^{-mu} H(eta^{1/(2s)} |x|)."""
+    """The test function
+    psi_eta(x) = eta^{N/(2s) - mu/s} |x|^{-mu} H(eta^{1/(2s)} |x|) of one
+    coupling: `exponents` is its exponent_profile(N, s, lambda), whose mu
+    is the weight exponent, and eta > 0 the scale."""
 
     __test__ = False   # despite the name, not a pytest class
 
+    exponents: ExponentProfile
     eta: float
-    mu: float
 
     def __post_init__(self) -> None:
-        # written so that nan fails both range tests
+        # written so that nan fails the range test
         if not 0.0 < self.eta < math.inf:
             raise DomainError("eta must be positive and finite")
-        if not 0.0 <= self.mu < math.inf:
-            raise DomainError("mu must be nonnegative and finite")
+
+    @property
+    def mu(self) -> float:
+        return self.exponents.mu
+
+
+def _check_table(problem: ProblemParams | ExponentProfile,
+                 profile: KernelProfile) -> None:
+    """Refuse (DomainError) a kernel table of another (N, s) than the
+    problem or the coupling."""
+    N, s = problem.N, problem.s
+    if (profile.N, profile.s) != (N, s):
+        raise DomainError(
+            f"kernel table of N={profile.N}, s={profile.s} cannot evaluate "
+            f"the problem of N={N}, s={s}")
 
 
 def _weighted_profile(profile: KernelProfile, b: float):
@@ -89,7 +104,9 @@ def _weighted_profile(profile: KernelProfile, b: float):
 
 def psi_eta_value(x_norm, params: TestFunctionParams, profile: KernelProfile):
     """Pointwise value of the rescaled weighted test function,
-    eta^{(N-mu)/(2s)} g_mu(eta^{1/(2s)} |x|)."""
+    eta^{(N-mu)/(2s)} g_mu(eta^{1/(2s)} |x|).  The table must be of the
+    coupling's (N, s)."""
+    _check_table(params.exponents, profile)
     N, s, mu = profile.N, profile.s, params.mu
     sigma = params.eta ** (0.5 / s) * np.asarray(x_norm, dtype=float)
     return (params.eta ** (0.5 * (N - mu) / s)
@@ -98,7 +115,9 @@ def psi_eta_value(x_norm, params: TestFunctionParams, profile: KernelProfile):
 
 def psi_eta_mass(params: TestFunctionParams, profile: KernelProfile) -> float:
     """int psi_eta dx = C_psi eta^{-mu/(2s)}: psi_eta is a rescaling of
-    g_mu, so its mass is the unit-scale mass times that power."""
+    g_mu, so its mass is the unit-scale mass times that power.  The table
+    must be of the coupling's (N, s)."""
+    _check_table(params.exponents, profile)
     return (params.eta ** (-0.5 * params.mu / profile.s)
             * psi_mass_constant(profile, params.mu))
 
@@ -120,13 +139,15 @@ def psi_mass_constant(profile: KernelProfile, mu: float) -> float:
 
 
 def psi_differential_inequality(params: TestFunctionParams,
-                                profile: KernelProfile, lam: float,
-                                radii) -> float:
+                                profile: KernelProfile, radii) -> float:
     """Min over radii of the normalized slack in
 
-        -(-Delta)^s psi + lam psi/|x|^{2s} + (N/(2s)) eta psi >= 0.
+        -(-Delta)^s psi + lam psi/|x|^{2s} + (N/(2s)) eta psi >= 0,
 
-    Nonnegative values certify the inequality at the sampled radii."""
+    lam the coupling of params.exponents.  Nonnegative values certify the
+    inequality at the sampled radii.  The table must be of the coupling's
+    (N, s)."""
+    _check_table(params.exponents, profile)
     N, s, eta = profile.N, profile.s, params.eta
     r = np.asarray(radii, dtype=float)
     sigma = eta ** (0.5 / s) * r
@@ -134,23 +155,13 @@ def psi_differential_inequality(params: TestFunctionParams,
     amp = eta ** (0.5 * (N - params.mu) / s)     # psi_eta = amp g_mu(sigma)
     val = amp * g(sigma)
     lap = amp * eta * frac_laplacian_quadrature_radial(g, N, s, sigma)
-    pot = lam * r ** (-2.0 * s) * val
+    pot = params.exponents.lam * r ** (-2.0 * s) * val
     growth = (0.5 * N / s) * eta * val
     return float(np.min((-lap + pot + growth) / (np.abs(lap) + pot + growth)))
 
 
 # ---------------------------------------------------------------------------
 # integrated blow-up predictor
-
-
-def _check_table(problem: ProblemParams, profile: KernelProfile) -> None:
-    """Refuse (DomainError) a kernel table of another (N, s) than the
-    problem."""
-    N, s = problem.N, problem.s
-    if (profile.N, profile.s) != (N, s):
-        raise DomainError(
-            f"kernel table of N={profile.N}, s={profile.s} cannot evaluate "
-            f"the problem of N={N}, s={s}")
 
 
 # eta values searched by the scale-free predictor: 40 per decade
@@ -424,7 +435,8 @@ def energy_gap(h0: Field, params: ProblemParams,
     with eps = _ENERGY_EPSILON.
 
     The quadratic form equals (a/4) times the Gagliardo double integral.
-    The datum must be nonnegative and supported in the ball of radius R.
+    The datum must be nonnegative, supported in the ball of radius R and
+    on a grid of the problem's dimension.
     """
     if not 0.0 < R < math.inf:
         raise DomainError(f"support radius must be positive and finite, "
@@ -438,11 +450,10 @@ def energy_gap(h0: Field, params: ProblemParams,
     if np.any(np.abs(vals[outside]) > 1e-12 * max(vals.max(), 1e-300)):
         raise UnsupportedDatumError(
             f"datum not supported in the ball of radius {R}")
-    s = params.s
+    V = regularized_potential(grid, params, _ENERGY_EPSILON)
     quad, pot, react = box_energy_terms(
-        vals, frac_laplacian_spectral(h0, s).values,
-        regularized_potential(grid, s, params.lam, _ENERGY_EPSILON),
-        params.p, grid.cell_volume)
+        vals, frac_laplacian_spectral(h0, params.s).values, V, params.p,
+        grid.cell_volume)
     return react, quad - pot
 
 

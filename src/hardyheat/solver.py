@@ -80,6 +80,14 @@ class RadialGrid:
         return np.geomspace(self.r_min, self.r_max, self.n_points)
 
 
+def _check_box_dimension(grid: UniformGrid, params: ProblemParams) -> None:
+    """Refuse (DomainError) a box grid of another dimension than the
+    problem."""
+    if grid.N != params.N:
+        raise DomainError(f"a grid of dimension {grid.N} cannot run "
+                          f"N={params.N}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     params: ProblemParams
@@ -110,9 +118,8 @@ class SolverConfig:
             raise DomainError(f"unknown diffusion propagator {self.diffusion!r}")
         if not isinstance(self.grid, (UniformGrid, RadialGrid)):
             raise DomainError("grid must be a UniformGrid or a RadialGrid")
-        if isinstance(self.grid, UniformGrid) and self.grid.N != self.params.N:
-            raise DomainError(f"a grid of dimension {self.grid.N} cannot run "
-                              f"N={self.params.N}")
+        if isinstance(self.grid, UniformGrid):
+            _check_box_dimension(self.grid, self.params)
 
 
 @dataclass(frozen=True)
@@ -216,11 +223,14 @@ def _origin_weights(body: np.ndarray, r: np.ndarray, N: int,
     return w
 
 
-def regularized_potential(grid: UniformGrid, s: float, lam: float,
+def regularized_potential(grid: UniformGrid, params: ProblemParams,
                           epsilon: float | None) -> np.ndarray | float:
-    """The box potential lam / (|x|^{2s} + epsilon^{2s}) on the lattice,
-    epsilon None meaning one grid spacing; 0.0 at lam = 0, epsilon unread.
-    Refuses (DomainError) an epsilon that is not positive and finite."""
+    """The box potential lam / (|x|^{2s} + epsilon^{2s}) of the problem on
+    the lattice, epsilon None meaning one grid spacing; 0.0 at lam = 0,
+    epsilon unread.  Refuses (DomainError) a grid of another dimension than
+    the problem and an epsilon that is not positive and finite."""
+    _check_box_dimension(grid, params)
+    s, lam = params.s, params.lam
     if lam == 0.0:
         return 0.0
     eps = grid.dx if epsilon is None else epsilon
@@ -262,22 +272,24 @@ def _box_monitors(u: np.ndarray, W: np.ndarray, lap: np.ndarray,
     return wm, crit, l2, quad - pot - react
 
 
-def monitor_norms(u: Field, mu: float, p: float, lam: float, s: float,
+def monitor_norms(u: Field, params: ProblemParams,
                   epsilon: float | None = None):
-    """Weighted mass, critical norm, L2 norm and energy of a box state.
+    """Weighted mass, critical norm, L2 norm and energy of a box state of
+    the problem.
 
     The energy uses the spectral quadratic form and the regularized
-    potential, which refuses what regularized_potential refuses.  Radial
-    states are monitored inside a ground-state run, which holds the
+    potential, so the monitors refuse what regularized_potential refuses.
+    Radial states are monitored inside a ground-state run, which holds the
     operator their energy needs.
     """
     if not isinstance(u, Field):
         raise DomainError("monitors take a box Field")
     grid = u.grid
+    V = regularized_potential(grid, params, epsilon)
     return _box_monitors(
-        u.values, _box_weight(grid, mu),
-        apply_multiplier(spectral_symbol(grid, s), u.values),
-        regularized_potential(grid, s, lam, epsilon), p, grid.cell_volume)
+        u.values, _box_weight(grid, params.exponents.mu),
+        apply_multiplier(spectral_symbol(grid, params.s), u.values),
+        V, params.p, grid.cell_volume)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +407,7 @@ def _run_direct(u_init: np.ndarray, config: SolverConfig) -> TrajectoryReport:
     grid, params = config.grid, config.params
     s, lam, p = params.s, params.lam, params.p
     mu = params.exponents.mu
-    V = regularized_potential(grid, s, lam, config.potential_epsilon)
+    V = regularized_potential(grid, params, config.potential_epsilon)
     # max V, the potential's share of the rate, is the same for every
     # state: lam / eps^{2s}, at the origin, which is a lattice point
     v_rate = float(np.max(V))

@@ -125,11 +125,11 @@ def test_criterion_4_psi_eta_machinery(prof_3_05):
     mu = 0.5
     mass_err = abs(psi_mass_constant(prof_3_05, mu)
                    / profile_moment(3, 0.5, mu) - 1.0)
-    slack = psi_differential_inequality(
-        TestFunctionParams(0.05, mu), prof_3_05, 0.5,
-        np.geomspace(0.05, 20.0, 20))
     p_sub = ProblemParams(3, 0.5, 0.5, 1.2)
     p_sup = ProblemParams(3, 0.5, 0.5, 2.0)
+    slack = psi_differential_inequality(
+        TestFunctionParams(p_sub.exponents, 0.05), prof_3_05,
+        np.geomspace(0.05, 20.0, 20))
     fires = all(y_ode_blowup_predictor(y0, None, p_sub, prof_3_05) is not None
                 for y0 in (1e-6, 1e-3, 1.0, 1e3))
     silent = y_ode_blowup_predictor(1e-6, None, p_sup, prof_3_05) is None
@@ -311,7 +311,7 @@ def test_criterion_8_energy_criterion():
     thresh_ok = abs(a_star - exact) <= 1e-9 * exact
     h0 = Field(grid, 2.0 * a_star * base.values)
     assert energy_blowup_criterion(h0, params, R)
-    wm0 = monitor_norms(h0, 0.5, 2.0, 0.5, 0.5, epsilon=1.0)[0]
+    wm0 = monitor_norms(h0, params, epsilon=1.0)[0]
     cfg = SolverConfig(params=params, grid=grid,
                        potential_epsilon=1.0, diffusion="implicit",
                        t_max=0.5, dt_initial=0.002, n_monitor=50,

@@ -425,14 +425,16 @@ class TestManifests:
             assert record["parameters"]["out"] == out
             assert record["outputs"] == [str(tmp_path / out)]
 
-    @pytest.mark.parametrize("flags,unread", [
+    # the verdict record names the box settings only for a box run: a
+    # ground-state run is Crank-Nicolson on the exact potential
+    @pytest.mark.parametrize("flags,unread,box", [
         (["--half-width", "3", "--potential-epsilon", "0.25"],
-         {"half_width", "potential_epsilon"}),
+         {"half_width", "potential_epsilon"}, False),
         (["--formulation", "direct", "--points", "16", "--half-width", "8",
-          "--r-min", "0.01", "--r-max", "500"], {"r_min", "r_max"})],
+          "--r-min", "0.01", "--r-max", "500"], {"r_min", "r_max"}, True)],
         ids=["ground_state", "direct"])
     def test_simulate_manifest_leaves_out_the_other_formulation(
-            self, tmp_path, capsys, flags, unread):
+            self, tmp_path, capsys, flags, unread, box):
         assert run_cli(["simulate", "--N", "3", "--s", "0.5", "--lambda",
                         "0.2", "--p", "1.3", "--t-max", "0.1", "--points",
                         "32", *flags], tmp_path) == 0
@@ -442,6 +444,11 @@ class TestManifests:
                 "r_max"} - unread
         assert not unread & set(params)
         assert read - {"potential_epsilon"} <= set(params)
+        verdict = json.loads((tmp_path / "trajectory_verdict.json")
+                             .read_text())
+        box_settings = {"diffusion", "potential_epsilon"}
+        assert (box_settings & set(verdict)) == (box_settings if box
+                                                 else set())
 
 
 class TestSimulate:

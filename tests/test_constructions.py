@@ -28,20 +28,31 @@ from hardyheat.constructions import (SupersolutionParams, TestFunctionParams,
 
 PARAMS = ProblemParams(3, 0.5, 0.5, 2.0)
 MU = 0.5
+COUPLING = PARAMS.exponents                 # its mu is MU
 TABLE = build_profile(3, 0.5, 50.0, 321)    # of PARAMS's (N, s)
+TABLE_3_075 = build_profile(3, 0.75, 50.0, 321)
 
 
 @pytest.mark.parametrize("call, match", [
-    pytest.param(lambda: TestFunctionParams(eta=0.0, mu=MU),
+    pytest.param(lambda: TestFunctionParams(COUPLING, eta=0.0),
                  "eta must be positive", id="psi-eta-zero"),
-    pytest.param(lambda: TestFunctionParams(eta=1.0, mu=-0.1),
-                 "mu must be nonnegative", id="psi-mu-negative"),
-    *[pytest.param(lambda v=v: TestFunctionParams(eta=v, mu=MU),
+    *[pytest.param(lambda v=v: TestFunctionParams(COUPLING, eta=v),
                    "eta must be positive and finite", id=f"psi-eta-{v}")
       for v in (math.nan, math.inf, -math.inf)],
-    *[pytest.param(lambda v=v: TestFunctionParams(eta=1.0, mu=v),
-                   "mu must be nonnegative and finite", id=f"psi-mu-{v}")
-      for v in (math.nan, math.inf, -math.inf)],
+    # a (3, 3/4) table gave psi_eta of a (3, 1/2) coupling; the slack read
+    # +0.115 at eta = 0.05
+    pytest.param(lambda: psi_eta_value(
+        1.0, TestFunctionParams(COUPLING, 0.05), TABLE_3_075),
+                 "kernel table of N=3, s=0.75 cannot evaluate",
+                 id="psi-value-table-of-another-problem"),
+    pytest.param(lambda: psi_eta_mass(
+        TestFunctionParams(COUPLING, 0.05), TABLE_3_075),
+                 "kernel table of N=3, s=0.75 cannot evaluate",
+                 id="psi-mass-table-of-another-problem"),
+    pytest.param(lambda: psi_differential_inequality(
+        TestFunctionParams(COUPLING, 0.05), TABLE_3_075, [1.0]),
+                 "kernel table of N=3, s=0.75 cannot evaluate",
+                 id="psi-inequality-table-of-another-problem"),
     pytest.param(lambda: y_ode_blowup_predictor(-1.0, None, PARAMS, TABLE),
                  "Y0 must be nonnegative", id="predictor-mass-negative"),
     pytest.param(lambda: y_ode_blowup_predictor(math.nan, None, PARAMS, TABLE),
@@ -52,7 +63,7 @@ TABLE = build_profile(3, 0.5, 50.0, 321)    # of PARAMS's (N, s)
                  "eta must be positive and finite", id="predictor-eta-nan"),
     # C = C_psi^{1-p} of a (3, 3/4) table gave a horizon for (3, 1/2)
     pytest.param(lambda: y_ode_blowup_predictor(
-        1.0, None, PARAMS, build_profile(3, 0.75, 50.0, 321)),
+        1.0, None, PARAMS, TABLE_3_075),
                  "kernel table of N=3, s=0.75 cannot evaluate",
                  id="predictor-table-of-another-problem"),
     pytest.param(lambda: SupersolutionParams(PARAMS, A=0.0),
@@ -77,6 +88,11 @@ TABLE = build_profile(3, 0.5, 50.0, 321)    # of PARAMS's (N, s)
     pytest.param(lambda: constructions.compare_supersolution(
         SimpleNamespace(fields=None, r_grid=None), None, None),
                  "no stored fields", id="compare-without-fields"),
+    # a 2-D bump of an N = 3 problem gave a gap of (0.419, 0.871)
+    pytest.param(lambda: energy_gap(Field.from_radial(
+        UniformGrid(2, 8.0, 32), smooth_bump(2.0)), PARAMS, 2.0),
+                 "a grid of dimension 2 cannot run N=3",
+                 id="energy-grid-of-another-dimension"),
 ])
 def test_refused(call, match):
     with pytest.raises(DomainError, match=match):
@@ -86,12 +102,13 @@ def test_refused(call, match):
 class TestPsiEta:
     def test_mass_law_ratio(self, prof_3_05):
         # int psi_eta = C eta^{-mu/(2s)}: quadruple eta -> factor 4^{-mu/(2s)}
-        m1 = psi_eta_mass(TestFunctionParams(0.1, MU), prof_3_05)
-        m4 = psi_eta_mass(TestFunctionParams(0.4, MU), prof_3_05)
+        m1 = psi_eta_mass(TestFunctionParams(COUPLING, 0.1), prof_3_05)
+        m4 = psi_eta_mass(TestFunctionParams(COUPLING, 0.4), prof_3_05)
         assert m4 / m1 == pytest.approx(4.0 ** (-MU / 1.0), rel=1e-4)
 
     def test_degenerate_weight_is_kernel(self, prof_3_05):
-        params = TestFunctionParams(1.0, 0.0)
+        # lambda = 0 has mu = 0
+        params = TestFunctionParams(exponent_profile(3, 0.5, 0.0), 1.0)
         x = 1.3
         assert psi_eta_value(x, params, prof_3_05) == pytest.approx(
             poisson_profile(3, x), rel=1e-6)
@@ -99,7 +116,8 @@ class TestPsiEta:
 
     def test_mass_law_slope_regression(self, prof_3_05):
         etas = np.geomspace(1e-2, 1.0, 9)
-        masses = [psi_eta_mass(TestFunctionParams(float(e), MU), prof_3_05)
+        masses = [psi_eta_mass(TestFunctionParams(COUPLING, float(e)),
+                               prof_3_05)
                   for e in etas]
         slope = np.polyfit(np.log(etas), np.log(masses), 1)[0]
         assert slope == pytest.approx(-MU / 1.0, abs=1e-2)
@@ -128,7 +146,7 @@ class TestPsiEta:
 
     def test_differential_inequality(self, prof_3_05):
         slack = psi_differential_inequality(
-            TestFunctionParams(0.05, MU), prof_3_05, 0.5,
+            TestFunctionParams(COUPLING, 0.05), prof_3_05,
             np.geomspace(0.05, 20.0, 20))
         assert slack >= 0.0
 
@@ -137,7 +155,7 @@ class TestPsiEta:
             self, prof_3_05, eta):
         # the slack comes from (-Delta)^s g_mu at sigma = eta^{1/(2s)} r;
         # evaluate (-Delta)^s psi_eta in r instead
-        params = TestFunctionParams(eta, MU)
+        params = TestFunctionParams(COUPLING, eta)
 
         def psi(rr):
             return psi_eta_value(rr, params, prof_3_05)
@@ -147,7 +165,7 @@ class TestPsiEta:
             val = float(psi(r))
             rest = 0.5 * val / r + 3.0 * eta * val
             assert psi_differential_inequality(
-                params, prof_3_05, 0.5, [r]) == pytest.approx(
+                params, prof_3_05, [r]) == pytest.approx(
                     (rest - lap) / (abs(lap) + rest), rel=1e-10)
 
 

@@ -30,13 +30,14 @@ class TestMonitors:
     def test_zero_field(self):
         g = UniformGrid(3, 4.0, 16)
         wm, crit, l2, energy = monitor_norms(
-            Field(g, np.zeros((16,) * 3)), 0.5, 2.0, 0.5, 0.5)
+            Field(g, np.zeros((16,) * 3)), ProblemParams(3, 0.5, 0.5, 2.0))
         assert wm == 0.0 and crit == 0.0 and l2 == 0.0 and energy == 0.0
 
     def test_zero_weight_is_plain_mass(self):
         g = UniformGrid(3, 8.0, 32)
         u = Field.from_radial(g, radial_bump())
-        wm, _, _, _ = monitor_norms(u, 0.0, 2.0, 0.0, 0.5)
+        # lambda = 0 has mu = 0
+        wm, _, _, _ = monitor_norms(u, ProblemParams(3, 0.5, 0.0, 2.0))
         assert wm == pytest.approx(float(np.sum(u.values)) * g.cell_volume,
                                    rel=1e-14)
 
@@ -57,12 +58,12 @@ class TestMonitors:
     @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf],
                              ids=["zero", "negative", "nan", "inf"])
     def test_epsilon_refused_as_the_run_refuses_it(self, epsilon):
+        params = ProblemParams(3, 0.5, 0.5, 2.0)
         g = UniformGrid(3, 4.0, 16)
         u = Field.from_radial(g, radial_bump())
         with pytest.raises(DomainError, match="positive and finite"):
-            monitor_norms(u, 0.3, 2.0, 0.5, 0.5, epsilon=epsilon)
-        cfg = SolverConfig(params=ProblemParams(3, 0.5, 0.5, 2.0), grid=g,
-                           potential_epsilon=epsilon)
+            monitor_norms(u, params, epsilon=epsilon)
+        cfg = SolverConfig(params=params, grid=g, potential_epsilon=epsilon)
         with pytest.raises(DomainError, match="positive and finite"):
             run(u, cfg)
 
@@ -71,22 +72,26 @@ class TestMonitors:
     def test_epsilon_unread_without_a_potential(self, epsilon):
         g = UniformGrid(3, 4.0, 16)
         u = Field.from_radial(g, radial_bump())
-        assert (monitor_norms(u, 0.0, 2.0, 0.0, 0.5, epsilon=epsilon)
-                == monitor_norms(u, 0.0, 2.0, 0.0, 0.5))
+        free = ProblemParams(3, 0.5, 0.0, 2.0)
+        assert (monitor_norms(u, free, epsilon=epsilon)
+                == monitor_norms(u, free))
 
     def test_epsilon_defaults_to_one_grid_spacing(self):
+        # lambda below Lambda(2, 1/2) = 0.2285
+        params = ProblemParams(2, 0.5, 0.2, 2.0)
         g = UniformGrid(2, 4.0, 32)
         u = Field.from_radial(g, radial_bump())
-        assert (monitor_norms(u, 0.3, 2.0, 0.5, 0.5)
-                == monitor_norms(u, 0.3, 2.0, 0.5, 0.5, epsilon=g.dx))
+        assert (monitor_norms(u, params)
+                == monitor_norms(u, params, epsilon=g.dx))
 
     @pytest.mark.parametrize("N, s", [(1, 0.25), (2, 0.3), (3, 0.5)])
     def test_potential_peaks_at_the_origin(self, N, s):
         # the box run takes the potential's rate from max V
         g = UniformGrid(N, 4.0, 16)
         lam = 0.9 * hardy_constant(N, s)
+        params = ProblemParams(N, s, lam, 2.0)
         for eps in (None, 0.3):
-            V = solver.regularized_potential(g, s, lam, eps)
+            V = solver.regularized_potential(g, params, eps)
             e = g.dx if eps is None else eps
             assert float(np.max(V)) == lam / e ** (2.0 * s)
 
@@ -114,8 +119,7 @@ class TestMonitors:
         cfg = SolverConfig(params=params, grid=g,
                            t_max=0.01, dt_initial=0.01, n_monitor=1)
         rep = run(u0, cfg)
-        mu = exponent_profile(3, 0.5, 0.5).mu
-        _, _, _, energy = monitor_norms(u0, mu, 1.5, 0.5, 0.5)
+        _, _, _, energy = monitor_norms(u0, params)
         assert rep.energy_series[0] == pytest.approx(energy, rel=1e-12)
 
     def test_critical_norm_infinite_when_origin_closure_diverges(self):
@@ -432,6 +436,8 @@ class TestRunBasics:
 
 T10 = np.linspace(0.0, 1.0, 10)
 Y10 = np.arange(1.0, 11.0)
+GRID_2D = UniformGrid(2, 4.0, 16)
+FIELD_2D = Field.from_radial(GRID_2D, radial_bump())
 
 
 @pytest.mark.parametrize("call, error, match", [
@@ -448,8 +454,15 @@ Y10 = np.arange(1.0, 11.0)
     pytest.param(lambda: SolverConfig(params=PARAMS_SUB, grid=RG,
                                       diffusion="crank-nicolson"),
                  DomainError, "unknown diffusion", id="diffusion-unknown"),
-    pytest.param(lambda: monitor_norms(np.zeros(16), 0.5, 1.2, 0.5, 0.5),
+    pytest.param(lambda: monitor_norms(np.zeros(16), PARAMS_SUB),
                  DomainError, "box Field", id="monitor-array"),
+    # a 2-D field of an N = 3 problem
+    pytest.param(lambda: monitor_norms(FIELD_2D, PARAMS_SUB), DomainError,
+                 "a grid of dimension 2 cannot run N=3",
+                 id="monitor-grid-of-another-dimension"),
+    pytest.param(lambda: SolverConfig(params=PARAMS_SUB, grid=GRID_2D),
+                 DomainError, "a grid of dimension 2 cannot run N=3",
+                 id="config-grid-of-another-dimension"),
     pytest.param(lambda: blowup_fit(T10, Y10[:-1], 1.5)[0],
                  DomainError, "lengths differ", id="fit-lengths"),
     pytest.param(lambda: blowup_fit([], [], 1.5), BlowupFitError,
@@ -700,6 +713,44 @@ class TestDynamics:
         assert np.all(small.critical_norm_series
                       <= big.critical_norm_series * slack)
         assert np.all(small.l2_series <= big.l2_series * slack)
+
+    @pytest.mark.parametrize("lam, p, kind", [(0.5, 1.9, "blew_up"),
+                                              (0.2, 2.5, "survived")])
+    def test_run_is_scale_covariant(self, lam, p, kind):
+        # the potential is homogeneous of degree -2s, so
+        # u_k(x, t) = k^{2s/(p-1)} u(kx, k^{2s} t) solves the same problem;
+        # with k = q^j, q the ratio of the README grid, the grid [1e-3, 1e3]/k
+        # is that grid shifted by j points, and a run with its clock scaled
+        # by k^{-2s} and its weighted masses by k^{2s/(p-1)-N+mu} must
+        # repeat the README cell
+        N, s, n = 3, 0.5, 128
+        params = ProblemParams(N, s, lam, p)
+        q = 1e6 ** (1.0 / (n - 1))
+        mass_power = 2.0 * s / (p - 1.0) - N + params.exponents.mu
+
+        def cell(j):
+            k = q ** j
+            clock = k ** (-2.0 * s)
+            cfg = SolverConfig(params=params,
+                               grid=RadialGrid(1e-3 / k, 1e3 / k, n),
+                               t_max=50.0 * clock, dt_initial=0.02 * clock,
+                               blowup_threshold=1e4 * k ** mass_power,
+                               n_monitor=32)
+            rep = run(lambda r: k ** (2.0 * s / (p - 1.0))
+                      * np.exp(-(k * r) ** 2), cfg)
+            t_star = rep.verdict.t_star
+            return (rep.verdict.kind, rep.steps_accepted,
+                    None if t_star is None else t_star / clock,
+                    rep.weighted_mass_series[-1] / k ** mass_power)
+
+        base = cell(0)
+        assert base[0] == kind
+        for j in (7, -9):
+            verdict, steps, t_star, mass = cell(j)
+            assert (verdict, steps) == base[:2]
+            if kind == "blew_up":
+                assert t_star == pytest.approx(base[2], rel=1e-9, abs=0.0)
+            assert mass == pytest.approx(base[3], rel=1e-9, abs=0.0)
 
     def test_positivity_of_recorded_fields(self):
         cfg = SolverConfig(params=PARAMS_SUB, grid=RG,
