@@ -204,6 +204,8 @@ def save_trajectory(report: TrajectoryReport, csv_path, json_path) -> None:
         "dt_safety": cfg.dt_safety,
         "t_max": cfg.t_max,
         "blowup_threshold": cfg.blowup_threshold,
+        "n_monitor": cfg.n_monitor,
+        "reaction_enabled": cfg.reaction_enabled,
         "grid": ({"type": "uniform", "N": grid.N,
                   "half_width": grid.half_width,
                   "points_per_axis": grid.points_per_axis} if box else
@@ -395,6 +397,11 @@ def _make_datum(kind: str, amplitude: float, width: float, seed: int | None):
     raise DomainError(f"unknown datum kind {kind!r}")
 
 
+def _datum_unread(args) -> tuple[str, ...]:
+    """The datum flags a run ignores: a Gaussian never reads --seed."""
+    return ("seed",) if args.u0 == "gaussian" else ()
+
+
 def _run_one(cell):
     """One sweep cell (args, lambda, p): the parsed sweep arguments and the
     cell's coupling and exponent."""
@@ -424,23 +431,25 @@ def _cmd_simulate(args) -> int:
         grid = UniformGrid(args.N, args.half_width, args.points)
         datum = Field.from_radial(
             grid, _make_datum(args.u0, args.amplitude, args.width, args.seed))
+        box = {"potential_epsilon": args.potential_epsilon}
         unread = ("r_min", "r_max")
     elif args.formulation == "ground_state":
         grid = RadialGrid(args.r_min, args.r_max, args.points)
         datum = _make_datum(args.u0, args.amplitude, args.width, args.seed)
+        box = {}
         unread = ("half_width", "potential_epsilon")
     else:
         raise DomainError(f"unknown formulation {args.formulation!r}")
     cfg = SolverConfig(params=params, grid=grid, t_max=args.t_max,
                        dt_initial=args.dt_initial, dt_safety=args.dt_safety,
                        blowup_threshold=args.blowup_threshold,
-                       potential_epsilon=args.potential_epsilon,
-                       n_monitor=args.n_monitor)
+                       n_monitor=args.n_monitor, **box)
     rep = run(datum, cfg)
     save_trajectory(rep, csv_path, json_path)
     _write_manifest(args, "simulate", [csv_path, json_path],
                     {"verdict": rep.verdict.kind,
-                     "t_star": rep.verdict.t_star}, unread)
+                     "t_star": rep.verdict.t_star},
+                    unread + _datum_unread(args))
     print(json.dumps({"verdict": rep.verdict.kind,
                       "t_star": rep.verdict.t_star,
                       "reason": rep.verdict.reason}, sort_keys=True))
@@ -477,7 +486,8 @@ def _cmd_sweep(args) -> int:
                  steps, rejected)
                 for lam, p, verdict, t_star, wm, regime, steps, rejected
                 in results])
-    _write_manifest(args, "sweep", [out], {"cells": len(results)})
+    _write_manifest(args, "sweep", [out], {"cells": len(results)},
+                    _datum_unread(args))
     print(out)
     return EXIT_OK
 

@@ -75,7 +75,7 @@ class UniformGrid:
         return self.dx ** self.N
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Field:
     """Values on a uniform grid."""
 
@@ -84,10 +84,11 @@ class Field:
 
     def __post_init__(self) -> None:
         shape = (self.grid.points_per_axis,) * self.grid.N
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != shape:
+        values = np.asarray(self.values, dtype=float)
+        if values.shape != shape:
             raise DomainError(
-                f"field shape {self.values.shape} does not match grid {shape}")
+                f"field shape {values.shape} does not match grid {shape}")
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_radial(cls, grid: UniformGrid, f) -> "Field":

@@ -92,7 +92,7 @@ def _check_box_dimension(grid: UniformGrid, params: ProblemParams) -> None:
 class SolverConfig:
     params: ProblemParams
     grid: UniformGrid | RadialGrid
-    potential_epsilon: float | None = None   # None: one grid spacing
+    potential_epsilon: float | None = None   # box only; None: one grid spacing
     dt_initial: float = 1e-2
     dt_safety: float = 0.5
     t_max: float = 1.0
@@ -120,6 +120,11 @@ class SolverConfig:
             raise DomainError("grid must be a UniformGrid or a RadialGrid")
         if isinstance(self.grid, UniformGrid):
             _check_box_dimension(self.grid, self.params)
+        elif (self.potential_epsilon is not None
+              or self.diffusion != "exponential"):
+            raise DomainError(
+                "potential_epsilon and diffusion are box settings: a "
+                "ground-state run takes the exact potential by Crank-Nicolson")
 
 
 @dataclass(frozen=True)

@@ -450,6 +450,28 @@ class TestManifests:
         assert (box_settings & set(verdict)) == (box_settings if box
                                                  else set())
 
+    # a Gaussian datum never reads --seed; random bumps are drawn from it
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--lambda", "0.2", "--p", "1.3"],
+        ["sweep", "--lambda-grid", "0.2", "--p-grid", "1.3"]],
+        ids=["simulate", "sweep"])
+    def test_manifest_records_the_seed_only_for_random_bumps(
+            self, tmp_path, capsys, command):
+        manifest = tmp_path / f"manifest_{command[0]}_run.json"
+
+        def run_with(*flags):
+            assert run_cli([*command, "--N", "3", "--s", "0.5", "--t-max",
+                            "0.1", "--points", "32", "--out", "run.csv",
+                            *flags], tmp_path) == 0
+            return manifest.read_text()
+
+        gaussian = run_with()
+        assert run_with("--seed", "7") == gaussian
+        assert "seed" not in json.loads(gaussian)["parameters"]
+        bumps = json.loads(run_with("--u0", "random-bumps", "--amplitude",
+                                    "0.3", "--seed", "7"))
+        assert bumps["parameters"]["seed"] == 7
+
 
 class TestSimulate:
     def test_trajectory_and_manifest(self, tmp_path, capsys):

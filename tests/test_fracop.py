@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -94,6 +95,12 @@ class TestGrids:
         g = UniformGrid(1, 10.0, 64)
         with pytest.raises(DomainError):
             Field(g, np.zeros(32))
+
+    def test_field_is_frozen(self):
+        f = Field(UniformGrid(2, 4.0, 8), np.ones((8, 8)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.values = np.zeros(3)
+        assert f.values.shape == (8, 8)
 
 
 class TestSpectral:

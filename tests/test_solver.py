@@ -454,6 +454,15 @@ FIELD_2D = Field.from_radial(GRID_2D, radial_bump())
     pytest.param(lambda: SolverConfig(params=PARAMS_SUB, grid=RG,
                                       diffusion="crank-nicolson"),
                  DomainError, "unknown diffusion", id="diffusion-unknown"),
+    # a ground-state run takes the exact potential by Crank-Nicolson
+    pytest.param(lambda: SolverConfig(params=PARAMS_SUB, grid=RG,
+                                      potential_epsilon=0.3),
+                 DomainError, "potential_epsilon and diffusion are box",
+                 id="radial-potential-epsilon"),
+    pytest.param(lambda: SolverConfig(params=PARAMS_SUB, grid=RG,
+                                      diffusion="implicit"),
+                 DomainError, "potential_epsilon and diffusion are box",
+                 id="radial-diffusion"),
     pytest.param(lambda: monitor_norms(np.zeros(16), PARAMS_SUB),
                  DomainError, "box Field", id="monitor-array"),
     # a 2-D field of an N = 3 problem
@@ -493,6 +502,12 @@ FIELD_2D = Field.from_radial(GRID_2D, radial_bump())
 def test_refused(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def test_box_config_takes_the_box_settings():
+    cfg = SolverConfig(params=PARAMS_SUB, grid=UniformGrid(3, 8.0, 16),
+                       potential_epsilon=0.3, diffusion="implicit")
+    assert (cfg.potential_epsilon, cfg.diffusion) == (0.3, "implicit")
 
 
 class TestSplineWeights:
@@ -636,12 +651,19 @@ class TestEigenbasis:
                                        atol=0.0, err_msg=name)
 
     def test_run_never_factorizes(self, monkeypatch):
-        def refuse(a):
+        # eig and inv run once, where the shared operator is built; a run
+        # on it steps by matrix products alone
+        grid = RadialGrid(1e-3, 1e3, 32)
+        ground_state_operator(grid, PARAMS_SUB.N, PARAMS_SUB.s,
+                              PARAMS_SUB.exponents.mu)
+
+        def refuse(*args, **kwargs):
             raise AssertionError("a run factorized")
 
-        monkeypatch.setattr(solver, "lu_factor", refuse)
-        cfg = SolverConfig(params=PARAMS_SUB, grid=RadialGrid(1e-3, 1e3, 32),
-                           t_max=0.1, n_monitor=2)
+        for name in ("solve", "inv", "eig"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        cfg = SolverConfig(params=PARAMS_SUB, grid=grid, t_max=0.1,
+                           n_monitor=2)
         assert run(radial_bump(), cfg).verdict.kind == "survived"
 
     def test_non_finite_basis_rejects_the_step(self, monkeypatch):
@@ -713,6 +735,25 @@ class TestDynamics:
         assert np.all(small.critical_norm_series
                       <= big.critical_norm_series * slack)
         assert np.all(small.l2_series <= big.l2_series * slack)
+
+    def test_lifespan_falls_with_the_coupling(self):
+        # V >= 0, so at a fixed datum and p the comparison principle orders
+        # the runs in lambda: t* cannot rise with it, and no survivor
+        # follows a blow-up (the README sweep's p = 1.5 row)
+        verdicts = []
+        for lam in np.linspace(0.1, 0.6, 6):
+            cfg = SolverConfig(params=ProblemParams(3, 0.5, float(lam), 1.5),
+                               grid=RG128, t_max=50.0, dt_initial=0.02,
+                               blowup_threshold=1e4, n_monitor=32)
+            verdicts.append(run(GAUSSIAN, cfg).verdict)
+        kinds = [v.kind for v in verdicts]
+        first = kinds.index("blew_up")
+        assert first > 0
+        assert kinds == (["survived"] * first
+                         + ["blew_up"] * (len(kinds) - first))
+        t_stars = [v.t_star for v in verdicts[first:]]
+        assert len(t_stars) >= 2
+        assert all(a > b for a, b in zip(t_stars, t_stars[1:]))
 
     @pytest.mark.parametrize("lam, p, kind", [(0.5, 1.9, "blew_up"),
                                               (0.2, 2.5, "survived")])
@@ -884,6 +925,10 @@ class TestSerialization:
         assert record["params"]["p"] == 1.2
         assert record["grid"]["type"] == "radial"
         assert record["formulation"] == "ground_state"
+        # checkpoints clip steps, so n_monitor moves t*
+        assert record["n_monitor"] == 4
+        assert record["reaction_enabled"] is True
+        assert "store_fields" not in record
 
     def test_box_verdict_names_direct_formulation(self, tmp_path):
         grid = UniformGrid(3, 8.0, 16)
