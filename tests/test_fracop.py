@@ -7,7 +7,7 @@ import pytest
 from scipy.special import hyp1f1, loggamma
 
 from conftest import poisson_profile
-from hardyheat import fracop
+from hardyheat import fracop, quadrature
 from hardyheat.errors import DomainError, QuadratureError
 from hardyheat.exponents import (exponent_profile, lambda_of_alpha,
                                  power_coupling, pv_normalization)
@@ -90,6 +90,14 @@ class TestGrids:
             UniformGrid(2, 10.0, 60)
         with pytest.raises(DomainError):
             UniformGrid(4, 10.0, 64)
+
+    @pytest.mark.parametrize("n", [64.0, 16.5, "64"])
+    def test_grid_refuses_a_count_that_is_not_an_integer(self, n):
+        with pytest.raises(DomainError, match="must be an integer"):
+            UniformGrid(3, 16.0, n)
+
+    def test_grid_takes_a_numpy_integer_count(self):
+        assert UniformGrid(2, 4.0, np.int64(8)).axis().shape == (8,)
 
     def test_field_shape(self):
         g = UniformGrid(1, 10.0, 64)
@@ -345,6 +353,16 @@ class TestBatchContract:
         with pytest.raises(DomainError, match="mu must be nonnegative"):
             apply_ground_state_operator(gaussian, -0.1, 3, 0.5, 1.0)
 
+    @pytest.mark.parametrize("mu", [-1.0, math.inf, math.nan],
+                             ids=["negative", "inf", "nan"])
+    def test_weight_refused_before_any_quadrature(self, mu):
+        # inf used to return -inf, and nan to fail in the quadrature
+        with pytest.raises(DomainError, match="mu must be nonnegative"):
+            apply_ground_state_operator(gaussian, mu, 3, 0.5, [1.0])
+        with pytest.raises(DomainError, match="mu must be nonnegative"):
+            build_ground_state_matrix(np.geomspace(1e-3, 1e3, 64), mu, 3,
+                                      0.5)
+
     def test_scalar_radius_returns_float(self):
         val = apply_ground_state_operator(gaussian, 0.5, 3, 0.5, 1.0)
         assert type(val) is float
@@ -500,6 +518,38 @@ class TestGroundState:
         with pytest.raises(DomainError, match="geometric"):
             build_ground_state_matrix(np.linspace(0.01, 10.0, 48), 0.5, 3,
                                       0.5)
+
+    @pytest.mark.parametrize("lam", [0.2, 0.5])
+    def test_matrix_head_and_tail_stop_by_row_group(self, monkeypatch, lam):
+        # a head or tail call evaluates all its rows until its slowest row
+        # stops; row groups keep that within 20% of one call per row (one
+        # call for all 128 rows evaluated 1.5-1.7 times as many)
+        calls, geometric_panels = [], quadrature._geometric_panels
+
+        def counting(f, edges, order, scale):
+            def g(nodes):
+                values = f(nodes)
+                calls.append(values[..., 0].size * (len(nodes) // order))
+                return values
+            return geometric_panels(g, edges, order, scale)
+
+        monkeypatch.setattr(quadrature, "_geometric_panels", counting)
+        r = np.geomspace(1e-3, 1e3, 128)
+        mu = exponent_profile(3, 0.5, lam).mu
+        build_ground_state_matrix(r, mu, 3, 0.5)
+        grouped, calls[:] = sum(calls), []
+        monkeypatch.setattr(fracop, "_MATRIX_ROW_GROUP", 1)
+        build_ground_state_matrix(r, mu, 3, 0.5)
+        assert grouped <= 1.2 * sum(calls)
+
+    @pytest.mark.parametrize("N,s,mu", [(3, 0.5, 0.5), (4, 0.5, 0.4)])
+    def test_matrix_row_groups_change_no_bit(self, monkeypatch, N, s, mu):
+        # each row is summed over the same panels under the same stop rule
+        # whatever rows share its call
+        r = np.geomspace(1e-3, 1e3, 64)
+        A = build_ground_state_matrix(r, mu, N, s)
+        monkeypatch.setattr(fracop, "_MATRIX_ROW_GROUP", len(r))
+        assert np.array_equal(A, build_ground_state_matrix(r, mu, N, s))
 
     @pytest.mark.parametrize("N,s,mu",
                              [(3, 0.5, 0.5), (2, 0.3, 0.3), (1, 0.25, 0.1)])

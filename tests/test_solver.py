@@ -445,6 +445,13 @@ FIELD_2D = Field.from_radial(GRID_2D, radial_bump())
                  "r_min < r_max", id="grid-empty-span"),
     pytest.param(lambda: RadialGrid(1e-3, 1e3, 7), DomainError,
                  "at least 8 points", id="grid-few-points"),
+    pytest.param(lambda: RadialGrid(1e-3, 1e3, 8.5), DomainError,
+                 "n_points must be an integer", id="grid-fractional-count"),
+    pytest.param(lambda: RadialGrid(1e-3, 1e3, 128.0), DomainError,
+                 "n_points must be an integer", id="grid-float-count"),
+    pytest.param(lambda: ground_state_operator(RadialGrid(1e-3, 1e3, 64), 3,
+                                               0.5, math.nan),
+                 DomainError, "mu must be nonnegative", id="operator-nan-mu"),
     pytest.param(lambda: SolverConfig(params=PARAMS_SUB, grid=RG,
                                       dt_safety=0.0),
                  DomainError, "dt_safety", id="dt-safety-zero"),
@@ -502,6 +509,10 @@ FIELD_2D = Field.from_radial(GRID_2D, radial_bump())
 def test_refused(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def test_radial_grid_takes_a_numpy_integer_count():
+    assert RadialGrid(1e-3, 1e3, np.int64(16)).r.shape == (16,)
 
 
 def test_box_config_takes_the_box_settings():
@@ -631,7 +642,7 @@ class TestEigenbasis:
                 built.append(coef)
                 self.op, self.coef = op, coef
 
-            def __matmul__(self, w):
+            def dot(self, w):
                 return solver._apply_resolvent(self.op, self.coef, w)
 
         monkeypatch.setattr(solver, "_resolvent_matrix", Eigenbasis)
